@@ -8,19 +8,13 @@ import (
 
 // ChanConfine confines channel operations — creation, send, receive,
 // select, close, range — to the two sanctioned concurrency layers: the
-// experiment orchestrator (internal/sweep) and the declared future
-// conservative-parallel partition layer (internal/sim/partition, see
-// ROADMAP "conservative parallel simulation"). Everywhere else, including
-// the sim kernel itself, a channel operation is a finding: the kernel's
-// own process-handoff channels are explicit, individually justified
-// //lint:allow exceptions, so any new channel topology must either live in
-// a sanctioned layer or argue its case in a directive reason. Channel
-// *type* declarations (struct fields, signatures) are not flagged — only
-// operations move data between goroutines.
-//
-// This is deliberately stricter than nogoroutine, which blanket-exempts
-// internal/sim: when the sharded engine lands, its cross-shard channels
-// must sit in the partition layer, not spread through the kernel.
+// experiment orchestrator (internal/sweep) and the conservative-parallel
+// partition layer (internal/sim/partition). Everywhere else, including the
+// sim kernel itself, a channel operation is a finding, so any new channel
+// topology must either live in a sanctioned layer or argue its case in a
+// //lint:allow directive reason. Channel *type* declarations (struct
+// fields, signatures) are not flagged — only operations move data between
+// goroutines.
 var ChanConfine = &Analyzer{
 	Name: "chanconfine",
 	Doc: "channel creation/send/recv/select is confined to internal/sweep " +
@@ -31,7 +25,7 @@ var ChanConfine = &Analyzer{
 }
 
 // isChanSanctionedPath reports the packages whose business is channels:
-// the sweep orchestrator and the (future) sim partition layer.
+// the sweep orchestrator and the sim partition layer.
 func isChanSanctionedPath(path string) bool {
 	return isOrchPkgPath(path) || isPartitionPkgPath(path)
 }

@@ -117,8 +117,8 @@ func isSimPkgPath(path string) bool {
 }
 
 // isOrchPkgPath reports whether path is the experiment-orchestration
-// package (internal/sweep), the one sanctioned concurrency point outside
-// the sim kernel. Unlike the kernel it is not blanket-exempt: nogoroutine
+// package (internal/sweep), the one sanctioned concurrency point besides
+// the partition layer. Unlike that layer it is not blanket-exempt: nogoroutine
 // runs a restricted variant there (goroutines may not reach the
 // simulator), and detrand keeps its randomness bans while waiving the
 // wall-clock ban (host wall time is the orchestrator's subject matter).

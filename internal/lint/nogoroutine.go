@@ -6,15 +6,15 @@ import (
 	"strconv"
 )
 
-// NoGoroutine keeps model code single-threaded. The event loop owns all
-// concurrency: simulated software runs as cooperative processes
-// (sim.Engine.Spawn) with strict control handoff, which is what makes runs
-// deterministic. A stray goroutine, channel, or sync primitive in model
-// code reintroduces scheduler nondeterminism — and data races — that the
-// engine was built to exclude. Only internal/sim (the process runner) and
-// internal/sim/partition (the conservative-parallel shard runtime, whose
-// barrier protocol is the one sanctioned cross-shard handoff) may use go
-// statements, channels, select, and the sync packages.
+// NoGoroutine keeps model and kernel code single-threaded. The event loop
+// owns all concurrency: simulated software runs as cooperative processes
+// (sim.Engine.Spawn) that the engine switches to and from directly, which
+// is what makes runs deterministic. A stray goroutine, channel, or sync
+// primitive reintroduces scheduler nondeterminism — and data races — that
+// the engine was built to exclude. The sim kernel itself is checked like
+// model code; only internal/sim/partition (the conservative-parallel shard
+// runtime, whose barrier protocol is the one sanctioned cross-shard
+// handoff) may use go statements, channels, select, and the sync packages.
 //
 // The experiment orchestrator (internal/sweep) is the one other sanctioned
 // concurrency point, under a weaker contract checked by runOrchestration:
@@ -25,10 +25,10 @@ import (
 // orchestration".
 var NoGoroutine = &Analyzer{
 	Name: "nogoroutine",
-	Doc: "model code must not spawn goroutines or use channels/select/sync; " +
-		"concurrency belongs to the sim kernel's process API and, for fanning out " +
-		"whole simulations, the sweep orchestrator",
-	Skip: func(path string) bool { return isSimPkgPath(path) || isPartitionPkgPath(path) },
+	Doc: "model and kernel code must not spawn goroutines or use channels/select/sync; " +
+		"concurrency belongs to the sim kernel's process API, the partition layer and, " +
+		"for fanning out whole simulations, the sweep orchestrator",
+	Skip: isPartitionPkgPath,
 	Run:  runNoGoroutine,
 }
 
@@ -42,7 +42,7 @@ func runNoGoroutine(pass *Pass) {
 			if path, err := strconv.Unquote(imp.Path.Value); err == nil {
 				if path == "sync" || path == "sync/atomic" {
 					pass.Reportf(imp.Pos(),
-						"import of %s outside the sim kernel; the event loop is single-threaded by design", path)
+						"import of %s outside the partition layer; the event loop is single-threaded by design", path)
 				}
 			}
 		}
@@ -50,28 +50,28 @@ func runNoGoroutine(pass *Pass) {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				pass.Reportf(n.Pos(),
-					"goroutine outside the sim kernel; spawn simulated software with sim.Engine.Spawn")
+					"goroutine outside the partition layer; spawn simulated software with sim.Engine.Spawn")
 			case *ast.SendStmt:
-				pass.Reportf(n.Pos(), "channel send outside the sim kernel")
+				pass.Reportf(n.Pos(), "channel send outside the partition layer")
 			case *ast.SelectStmt:
-				pass.Reportf(n.Pos(), "select outside the sim kernel")
+				pass.Reportf(n.Pos(), "select outside the partition layer")
 			case *ast.UnaryExpr:
 				if n.Op.String() == "<-" {
-					pass.Reportf(n.Pos(), "channel receive outside the sim kernel")
+					pass.Reportf(n.Pos(), "channel receive outside the partition layer")
 				}
 			case *ast.ChanType:
-				pass.Reportf(n.Pos(), "channel type outside the sim kernel")
+				pass.Reportf(n.Pos(), "channel type outside the partition layer")
 				return false
 			case *ast.RangeStmt:
 				if tv, ok := pass.Info.Types[n.X]; ok && tv.Type != nil {
 					if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-						pass.Reportf(n.Pos(), "range over channel outside the sim kernel")
+						pass.Reportf(n.Pos(), "range over channel outside the partition layer")
 					}
 				}
 			case *ast.CallExpr:
 				if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "close" {
 					if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); isBuiltin {
-						pass.Reportf(n.Pos(), "channel close outside the sim kernel")
+						pass.Reportf(n.Pos(), "channel close outside the partition layer")
 					}
 				}
 			}

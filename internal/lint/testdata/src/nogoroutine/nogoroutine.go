@@ -12,7 +12,7 @@ type Model struct {
 }
 
 func spawn(work func()) {
-	go work() // want `goroutine outside the sim kernel`
+	go work() // want `goroutine outside the partition layer`
 }
 
 func pipe(c chan int) { // want `channel type`
@@ -23,7 +23,7 @@ func pipe(c chan int) { // want `channel type`
 }
 
 func wait(c chan int) { // want `channel type`
-	select { // want `select outside the sim kernel`
+	select { // want `select outside the partition layer`
 	case <-c: // want `channel receive`
 	}
 }

@@ -1,5 +1,5 @@
 // Package sweep stands in for the experiment orchestrator: the one
-// sanctioned concurrency point outside the sim kernel. Goroutines,
+// sanctioned concurrency point besides the partition layer. Goroutines,
 // channels, and sync are accepted here — but a goroutine that statically
 // reaches the simulator (directly or through helpers) is rejected;
 // simulations may enter the sweep only as opaque job closures.

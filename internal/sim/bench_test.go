@@ -55,7 +55,8 @@ func BenchmarkTimerArmStop(b *testing.B) {
 }
 
 // BenchmarkProcessYield measures the cooperative-process round trip: one
-// yield schedules one typed resume event and one full handoff.
+// yield schedules one typed resume event and switches to the engine and
+// back.
 func BenchmarkProcessYield(b *testing.B) {
 	e := NewEngine()
 	e.Spawn("yielder", func(p *Process) {

@@ -1,7 +1,8 @@
 // Package sim provides a deterministic discrete-event simulation engine
 // with two programming models: plain scheduled callbacks for hardware
-// state machines, and cooperative processes (goroutine-backed coroutines
-// with strict handoff) for software running on simulated processors.
+// state machines, and cooperative processes (coroutines that the engine
+// switches to and from directly, via iter.Pull) for software running on
+// simulated processors.
 //
 // Simulated time is measured in integer picoseconds so that every clock in
 // the modeled system (1 GHz processor, 250 MHz memory bus, 40 ns network,
@@ -45,15 +46,15 @@ func (t Time) String() string {
 }
 
 // Engine is a discrete-event simulator. It is not safe for concurrent use;
-// the cooperative-process machinery guarantees that at most one goroutine
-// touches the engine at any instant.
+// the cooperative-process machinery guarantees that at most one flow of
+// control touches the engine at any instant.
 type Engine struct {
 	now     Time
 	seq     uint64
 	pq      eventHeap
 	pool    *event // free list of recycled event records
 	pooled  int
-	procs   map[*Process]struct{}
+	procs   procList // live processes, in spawn order
 	stopped bool
 	stepped uint64 // number of events executed
 
@@ -67,7 +68,7 @@ type Engine struct {
 
 // NewEngine returns an engine positioned at time zero with an empty queue.
 func NewEngine() *Engine {
-	return &Engine{procs: make(map[*Process]struct{})}
+	return &Engine{}
 }
 
 // Now returns the current simulated time.
@@ -297,20 +298,20 @@ func (e *Engine) RunWhile(cond func() bool) {
 }
 
 // Stop halts the run loop after the current event. Parked processes remain
-// parked; call Drain to terminate their goroutines.
+// parked; call Drain to terminate them.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Stopped reports whether Stop has been called.
 func (e *Engine) Stopped() bool { return e.stopped }
 
-// Drain kills every live process, releasing its goroutine. The engine is
-// unusable for further simulation afterwards. It is safe to call Drain on an
-// engine with no live processes.
+// Drain kills every live process in spawn order, running the deferred
+// functions of each started one and releasing its coroutine. A process
+// spawned during Drain is killed before it starts. The engine is unusable
+// for further simulation afterwards. It is safe to call Drain on an engine
+// with no live processes.
 func (e *Engine) Drain() {
 	e.stopped = true
-	for p := range e.procs {
-		p.kill()
+	for e.procs.oldest != nil {
+		e.procs.oldest.kill()
 	}
-	e.procs = make(map[*Process]struct{})
 }
-

@@ -1,25 +1,33 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
+	"iter"
 )
 
 // Process is a cooperative coroutine running simulated software. Exactly one
-// goroutine — either the engine's run loop or one process — executes at any
-// instant; control is handed off synchronously, so simulations remain fully
-// deterministic despite using goroutines under the hood.
+// flow of control — either the engine's run loop or one process — executes
+// at any instant: the engine resumes a process and the process suspends back
+// through a direct coroutine switch (iter.Pull), so simulations remain fully
+// deterministic and no goroutine is ever runnable alongside the engine.
 //
 // All Process methods except Done must be called from within the process's
 // own body function.
 type Process struct {
-	eng    *Engine
-	name   string
-	sem    chan struct{} // engine -> process: resume
-	back   chan struct{} // process -> engine: yielded or finished
-	done   bool
-	killed bool
-	parked bool
+	eng  *Engine
+	name string
+	done bool
+
+	// next resumes the coroutine until it suspends or finishes, stop
+	// unwinds a suspended or unstarted coroutine, and yield (valid inside
+	// the body) suspends back to whoever called next.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+
+	// older and newer link the engine's live processes in spawn order.
+	older, newer *Process
 
 	// Category is an opaque tag identifying what the simulated software is
 	// currently doing (compute, data transfer, buffering stall, ...). Time
@@ -32,29 +40,70 @@ type Process struct {
 	OnBlocked func(category int, d Time)
 }
 
+// errKilled unwinds a process that Drain kills while it is suspended. It
+// panics out of suspend, runs the body's deferred functions, and is
+// recovered by the process's own frame; no other panic value is recovered.
+var errKilled = errors.New("sim: process killed")
+
 // Spawn creates a process executing body and schedules it to start at the
 // current simulation time. The body runs entirely inside engine time.
 func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
-	p := &Process{
-		eng:  e,
-		name: name,
-		sem:  make(chan struct{}), //lint:allow chanconfine coroutine handoff pair is the kernel's process primitive, created once per Spawn
-		back: make(chan struct{}),
-	}
-	e.procs[p] = struct{}{}
-	go func() {
-		<-p.sem //lint:allow chanconfine strict synchronous handoff: the goroutine blocks until the engine resumes it
-		if p.killed {
-			p.back <- struct{}{} //lint:allow chanconfine killed-before-start acknowledgment back to the engine
-			return
-		}
+	p := &Process{eng: e, name: name}
+	// The coroutine runs body to completion, to a kill, or to a panic,
+	// which iter.Pull re-raises in the engine's run loop.
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.finish()
 		body(p)
-		p.done = true
-		delete(e.procs, p)
-		p.back <- struct{}{} //lint:allow chanconfine body-finished handoff back to the engine
-	}()
+	})
+	e.procs.push(p)
 	e.AfterEvent(0, procResume, p, 0)
 	return p
+}
+
+// finish retires the process however its body ended, absorbing only the
+// kill unwind.
+func (p *Process) finish() {
+	p.retire()
+	if r := recover(); r != nil && r != errKilled {
+		panic(r)
+	}
+}
+
+// retire marks the process done and unlinks it from the live list.
+func (p *Process) retire() {
+	if !p.done {
+		p.done = true
+		p.eng.procs.remove(p)
+	}
+}
+
+// procList links an engine's live processes in spawn order, so spawning
+// and retiring a process are O(1) and Drain kills in a deterministic order.
+type procList struct{ oldest, newest *Process }
+
+func (l *procList) push(p *Process) {
+	p.older = l.newest
+	if l.newest != nil {
+		l.newest.newer = p
+	} else {
+		l.oldest = p
+	}
+	l.newest = p
+}
+
+func (l *procList) remove(p *Process) {
+	if p.older != nil {
+		p.older.newer = p.newer
+	} else {
+		l.oldest = p.newer
+	}
+	if p.newer != nil {
+		p.newer.older = p.older
+	} else {
+		l.newest = p.older
+	}
+	p.older, p.newer = nil, nil
 }
 
 // procResume is the shared typed-event handler that resumes a process. Every
@@ -65,39 +114,32 @@ func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
 //lint:hotpath
 func procResume(recv any, _ uint64) { recv.(*Process).resume() }
 
-// resume transfers control to the process and waits until it yields back.
+// resume switches to the process and returns when it suspends or finishes.
 // Must be called from engine context (an event callback).
 func (p *Process) resume() {
 	if p.done {
 		return
 	}
-	p.parked = false
-	p.sem <- struct{}{} //lint:allow chanconfine engine-to-process control transfer; the pair of ops is the handoff itself
-	<-p.back
+	p.next()
 }
 
-// suspend parks the process, handing control back to the engine. Must be
-// called from process context.
+// suspend hands control back to the engine until the next resume. Must be
+// called from process context. A false yield means the process is being
+// killed; that includes a deferred function that blocks during the unwind.
 func (p *Process) suspend() {
-	p.parked = true
-	p.back <- struct{}{} //lint:allow chanconfine process-to-engine control transfer; blocks until resumed
-	<-p.sem
-	if p.killed {
-		p.done = true
-		delete(p.eng.procs, p)
-		p.back <- struct{}{} //lint:allow chanconfine kill acknowledgment before Goexit unwinds the coroutine
-		runtime.Goexit()
+	if !p.yield(struct{}{}) {
+		panic(errKilled)
 	}
 }
 
-// kill terminates a parked or unstarted process. Called from engine context.
+// kill terminates a suspended or unstarted process, running its deferred
+// functions. An unstarted body never runs. Called from engine context.
 func (p *Process) kill() {
 	if p.done {
 		return
 	}
-	p.killed = true
-	p.sem <- struct{}{} //lint:allow chanconfine teardown handoff waking the parked coroutine so it can exit
-	<-p.back
+	p.stop()
+	p.retire()
 }
 
 // Engine returns the engine this process runs on.
@@ -106,7 +148,8 @@ func (p *Process) Engine() *Engine { return p.eng }
 // Name returns the process's diagnostic name.
 func (p *Process) Name() string { return p.name }
 
-// Done reports whether the process body has returned.
+// Done reports whether the process has finished: its body returned or
+// panicked, or Drain killed it.
 func (p *Process) Done() bool { return p.done }
 
 // Now returns the current simulated time.

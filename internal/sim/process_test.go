@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -184,9 +186,12 @@ func TestBlockedAccounting(t *testing.T) {
 }
 
 func TestDrainKillsParked(t *testing.T) {
+	base := runtime.NumGoroutine()
 	e := NewEngine()
 	reached := false
+	deferred := 0
 	e.Spawn("stuck", func(p *Process) {
+		defer func() { deferred++ }()
 		p.Park()
 		reached = true // must never run
 	})
@@ -195,8 +200,99 @@ func TestDrainKillsParked(t *testing.T) {
 	if reached {
 		t.Fatal("killed process continued executing")
 	}
-	if len(e.procs) != 0 {
-		t.Fatalf("process registry not empty after Drain: %d", len(e.procs))
+	if deferred != 1 {
+		t.Fatalf("deferred function ran %d times, want 1", deferred)
+	}
+	if e.procs.oldest != nil || e.procs.newest != nil {
+		t.Fatal("process registry not empty after Drain")
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("goroutines = %d after Drain, want baseline %d", n, base)
+	}
+}
+
+// TestDrainDeferBlocks kills a process whose deferred function blocks
+// again during the unwind: the second suspend must unwind too instead of
+// hanging Drain or escaping it.
+func TestDrainDeferBlocks(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	deferred, after := 0, 0
+	e.Spawn("blocker", func(p *Process) {
+		defer func() {
+			deferred++
+			p.Sleep(Nanosecond)
+			after++ // must never run
+		}()
+		p.Park()
+	})
+	e.Run()
+	e.Drain()
+	if deferred != 1 || after != 0 {
+		t.Fatalf("deferred entered %d times and resumed %d times, want 1 and 0", deferred, after)
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("goroutines = %d after Drain, want baseline %d", n, base)
+	}
+}
+
+func TestDrainSpawnOrder(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	var killed []string
+	for i, name := range []string{"a", "b", "c", "d", "e"} {
+		finishes := i%2 == 1 // b and d return; a, c and e stay parked
+		e.Spawn(name, func(p *Process) {
+			if finishes {
+				return
+			}
+			defer func() { killed = append(killed, name) }()
+			p.Park()
+		})
+	}
+	e.Run()
+	if n := runtime.NumGoroutine(); n != base+3 {
+		t.Fatalf("goroutines = %d with three parked processes, want %d", n, base+3)
+	}
+	// A process that has not started yet is killed without running.
+	late := e.Spawn("late", func(p *Process) { killed = append(killed, "late") })
+	e.Drain()
+	if got := strings.Join(killed, ","); got != "a,c,e" {
+		t.Fatalf("Drain killed in order %s, want a,c,e", got)
+	}
+	if !late.Done() {
+		t.Fatal("process killed before it started is not Done")
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("goroutines = %d after Drain, want baseline %d", n, base)
+	}
+}
+
+// TestProcessPanicEscapesRun checks that a panicking body re-panics out of
+// Run with the same value and leaves the process retired.
+func TestProcessPanicEscapesRun(t *testing.T) {
+	type boom struct{ at Time }
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	p := e.Spawn("crasher", func(p *Process) {
+		p.Sleep(5 * Nanosecond)
+		panic(boom{p.Now()})
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != (boom{5 * Nanosecond}) {
+				t.Fatalf("Run panicked with %v, want boom{5ns}", r)
+			}
+		}()
+		e.Run()
+		t.Fatal("Run returned normally")
+	}()
+	if !p.Done() || e.procs.oldest != nil {
+		t.Fatal("panicked process still registered as live")
+	}
+	e.Drain()
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("goroutines = %d after Drain, want baseline %d", n, base)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nisim/internal/sim"
 )
 
 // gridOf builds n jobs whose metric encodes their index, with later jobs
@@ -71,6 +73,32 @@ func TestPanicBecomesError(t *testing.T) {
 	}
 	if results[0].Err != "" || results[2].Err != "" {
 		t.Fatalf("panic leaked into sibling jobs: %+v %+v", results[0], results[2])
+	}
+}
+
+// TestProcessPanicBecomesError runs a simulation whose process panics: the
+// panic reaches the job's own goroutine through Engine.Run, so it becomes
+// that job's Err instead of crashing the binary.
+func TestProcessPanicBecomesError(t *testing.T) {
+	jobs := []Job{
+		{ID: "crash", Run: func() Outcome {
+			e := sim.NewEngine()
+			e.Spawn("crasher", func(p *sim.Process) {
+				p.Sleep(sim.Nanosecond)
+				panic("process fault")
+			})
+			defer e.Drain()
+			e.Run()
+			return Outcome{Metrics: map[string]float64{"v": 1}}
+		}},
+		{ID: "ok", Run: func() Outcome { return Outcome{Metrics: map[string]float64{"v": 2}} }},
+	}
+	results := Run(Config{Jobs: 2}, jobs)
+	if results[0].Err != "panic: process fault" {
+		t.Fatalf("process panic not captured: %+v", results[0])
+	}
+	if results[1].Err != "" || results[1].Metrics["v"] != 2 {
+		t.Fatalf("process panic leaked into sibling job: %+v", results[1])
 	}
 }
 
