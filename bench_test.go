@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // section. The grids come from the same sweep-job definitions the cmd
-// drivers and cmd/benchdump submit (internal/micro, internal/macro), so a
+// drivers and nisim benchdump submit (internal/micro, internal/macro), so a
 // benchmark cell and a driver cell are the same simulation; each benchmark
 // runs its cells serially under the testing harness and reports the
 // paper's metric through b.ReportMetric:
@@ -16,7 +16,7 @@
 // Absolute numbers depend on this reproduction's synthetic workloads; the
 // comparisons (who wins, by what factor, where the crossovers fall) are the
 // reproduction targets, recorded against the paper in EXPERIMENTS.md.
-// `make bench-json` (cmd/benchdump) emits the same grids as one
+// `make bench-json` (nisim benchdump) emits the same grids as one
 // machine-readable report instead.
 package nisim
 

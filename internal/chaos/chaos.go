@@ -5,7 +5,7 @@
 // fast it runs, chaos ranks it by how it fails: goodput retained, latency
 // blowup, what was dropped/bounced/evicted, and how quickly service
 // returns after an outage. The grid is the single source of truth shared
-// by cmd/chaossweep and the determinism regression test.
+// by nisim chaos and the determinism regression test.
 package chaos
 
 import (
@@ -200,7 +200,7 @@ func (g GridSpec) config(s nic.Spec, mx Mix) machine.Config {
 // send-throttled coherent NI (whose credit returns cross shards as lagged
 // messages — the spec that used to force a serial rebuild), clean mix at
 // the mid load level, at a given machine size and shard count. It is the
-// chaos half of the cmd/scale -big sweep (EXPERIMENTS.md, "Scaling past
+// chaos half of the nisim scalebig sweep (EXPERIMENTS.md, "Scaling past
 // 16 nodes").
 func ScaleGrid(nodes, shards, requests int) GridSpec {
 	g := StandardGrid(true)
@@ -244,10 +244,10 @@ func ProtocolGrid(quick bool) GridSpec {
 }
 
 // ScaleProtocolGrid is the protocol grid's machine-scaling variant (the
-// rendezvous half of the cmd/scale -big sweep): mid load only, at a given
+// rendezvous half of the nisim scalebig sweep): mid load only, at a given
 // machine size and shard count. Its cells put the RTS/CTS handshake and
 // the one-sided put frames on the lagged-control discipline across shard
-// boundaries, so cmd/scale's serial-vs-sharded byte-identity gate covers
+// boundaries, so nisim scalebig's serial-vs-sharded byte-identity gate covers
 // the rendezvous protocol.
 func ScaleProtocolGrid(nodes, shards, requests int) GridSpec {
 	g := ProtocolGrid(true)

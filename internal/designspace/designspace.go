@@ -2,7 +2,7 @@
 // point of the transfer-engine × buffering-policy cross product — the nine
 // named designs of the paper plus the cross-product specs it never built —
 // measured with the Table 5 microbenchmarks. The grid is the single source
-// of truth shared by cmd/designspace and the determinism regression test.
+// of truth shared by nisim designspace and the determinism regression test.
 package designspace
 
 import (

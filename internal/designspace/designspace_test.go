@@ -1,33 +1,12 @@
 package designspace
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"nisim/internal/micro"
 	"nisim/internal/nic"
 	"nisim/internal/sweep"
 )
-
-// reducedGrid is a grid small enough for the regression tests: two named
-// designs plus two cross-product designs and a one-payload protocol
-// crossover (so the determinism regression covers the rendezvous cells),
-// minimal iteration counts.
-func reducedGrid() GridSpec {
-	return GridSpec{
-		Specs: []nic.Spec{
-			nic.SpecFor(nic.CM5),
-			nic.SpecFor(nic.CNI32Qm),
-			{Send: nic.UDMAEngine, Recv: nic.CoherentEngine, Buffering: nic.MemoryRing},
-			{Send: nic.BlockBufEngine, Recv: nic.UncachedWordEngine, Buffering: nic.FifoVM},
-		},
-		LatPayload: 64, BwPayload: 256,
-		Warmup: 50, Rounds: 10, Msgs: 40,
-		CrossoverSpec:     &nic.Spec{Send: nic.RDMAEngine, Recv: nic.CoherentEngine, Buffering: nic.MemoryRing},
-		CrossoverPayloads: []int{2048},
-	}
-}
 
 // TestStandardGridCoversTheSpace pins the sweep's coverage: all nine named
 // designs plus at least 12 cross-product specs, every job buildable.
@@ -64,10 +43,11 @@ func TestStandardGridCoversTheSpace(t *testing.T) {
 // handshake's extra round trip makes it strictly slower than eager (the
 // whole reason a size threshold exists).
 func TestCrossoverMeasuresBothProtocols(t *testing.T) {
-	g := reducedGrid()
-	g.Specs = nil
-	g.CrossoverSpec = &nic.Spec{Send: nic.RDMAEngine, Recv: nic.CoherentEngine, Buffering: nic.MemoryRing}
-	g.CrossoverPayloads = []int{256, 4096}
+	g := GridSpec{
+		Warmup: 50, Rounds: 10, Msgs: 40,
+		CrossoverSpec:     &nic.Spec{Send: nic.RDMAEngine, Recv: nic.CoherentEngine, Buffering: nic.MemoryRing},
+		CrossoverPayloads: []int{256, 4096},
+	}
 
 	rows := g.CrossoverRows(sweep.RunSerial(g.Jobs()))
 	if len(rows) != 2 {
@@ -81,40 +61,6 @@ func TestCrossoverMeasuresBothProtocols(t *testing.T) {
 	if small := rows[0]; small.RdvLatUS <= small.EagerLatUS {
 		t.Errorf("at %dB rendezvous (%.2fus) should pay for its handshake vs eager (%.2fus)",
 			small.Payload, small.RdvLatUS, small.EagerLatUS)
-	}
-}
-
-// TestDesignspaceSweepIsDeterministic is the cmd/designspace half of the
-// orchestrator determinism regression: a reduced grid swept with eight
-// workers must produce byte-identical text and canonical JSON to a serial
-// sweep.
-func TestDesignspaceSweepIsDeterministic(t *testing.T) {
-	g := reducedGrid()
-
-	serial := sweep.Run(sweep.Config{Jobs: 1}, g.Jobs())
-	parallel := sweep.Run(sweep.Config{Jobs: 8}, g.Jobs())
-
-	serialText := Format(g.Rows(serial)) + FormatCrossover(g, g.CrossoverRows(serial))
-	parallelText := Format(g.Rows(parallel)) + FormatCrossover(g, g.CrossoverRows(parallel))
-	if serialText != parallelText {
-		t.Errorf("parallel text differs from serial:\nserial:\n%s\nparallel:\n%s", serialText, parallelText)
-	}
-
-	serialJSON, err := sweep.NewReport("designspace", 0, sweep.Config{Jobs: 1}, serial, 1).
-		Canonical().MarshalIndentJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallelJSON, err := sweep.NewReport("designspace", 0, sweep.Config{Jobs: 8}, parallel, 2).
-		Canonical().MarshalIndentJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serialJSON, parallelJSON) {
-		t.Errorf("parallel canonical JSON differs from serial:\nserial:\n%s\nparallel:\n%s", serialJSON, parallelJSON)
-	}
-	if !strings.Contains(string(serialJSON), sweep.Schema) {
-		t.Errorf("report does not carry schema %q", sweep.Schema)
 	}
 }
 

@@ -73,7 +73,7 @@ type Mix struct {
 	MaxDelay sim.Time
 }
 
-// DefaultMix returns the blend cmd/faultsweep has always used: the headline
+// DefaultMix returns the blend nisim faultsweep has always used: the headline
 // rate drives drops and jitter directly, half-rate corruption, duplication,
 // and control loss, quarter-rate forced bounces, 500 ns jitter ceiling.
 func DefaultMix() Mix {

@@ -8,8 +8,8 @@ import (
 	"nisim/internal/workload"
 )
 
-// This file expresses the ablation studies as sweep jobs so cmd/ablate and
-// cmd/benchdump can fan them out. Each job wraps one row function from
+// This file expresses the ablation studies as sweep jobs so nisim ablate and
+// nisim benchdump can fan them out. Each job wraps one row function from
 // ablate.go; the paired *Points/*Rows helpers rebuild the typed rows from
 // the orchestrator's ordered results.
 
@@ -29,7 +29,7 @@ func ablationJob(study string, row func() Ablation) sweep.Job {
 }
 
 // AblateMechanismJobs returns the on/off ablation rows (send prefetch,
-// receive-cache bypass, dead-message suppression) in cmd/ablate's print
+// receive-cache bypass, dead-message suppression) in nisim ablate's print
 // order.
 func AblateMechanismJobs(p workload.Params) []sweep.Job {
 	jobs := make([]sweep.Job, 0, len(prefetchKinds)+4)

@@ -1,6 +1,6 @@
 // Grid definitions: the macrobenchmark experiments expressed as sweep
 // jobs, the single source of truth shared by the cmd drivers, the bench
-// harness, and cmd/benchdump. Each job runs one share-nothing simulation;
+// harness, and nisim benchdump. Each job runs one share-nothing simulation;
 // the paired assembly helpers rebuild the figures' typed rows from the
 // orchestrator's ordered results.
 package macro

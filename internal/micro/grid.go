@@ -1,6 +1,6 @@
 // Grid definitions: the microbenchmark experiments expressed as sweep
 // jobs, the single source of truth shared by the cmd drivers, the bench
-// harness, and cmd/benchdump. Each job is one independent simulation; the
+// harness, and nisim benchdump. Each job is one independent simulation; the
 // paired assembly helpers rebuild the typed rows from the orchestrator's
 // ordered results.
 package micro
@@ -110,7 +110,7 @@ func (s Table5Spec) Rows(results []sweep.Result) []Table5Row {
 	return rows
 }
 
-// FormatTable5 renders Table 5 rows exactly as cmd/table5 prints them, so
+// FormatTable5 renders Table 5 rows exactly as nisim table5 prints them, so
 // drivers and the determinism regression test share one rendering.
 func FormatTable5(rows []Table5Row) string {
 	var b strings.Builder

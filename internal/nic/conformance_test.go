@@ -305,7 +305,7 @@ func TestSpecConformanceBounceStorm(t *testing.T) {
 
 // TestCrossSpecCount pins the size of the swept design space: the valid
 // cross product beyond the nine named points must stay large enough for
-// cmd/designspace's acceptance floor (>= 12 specs).
+// nisim designspace's acceptance floor (>= 12 specs).
 func TestCrossSpecCount(t *testing.T) {
 	cross := CrossSpecs()
 	if len(cross) < 12 {

@@ -17,7 +17,7 @@
 //
 // Every composed NI exposes the same contract — Send, Poll, Recv — to the
 // messaging layer. The rest of the valid cross product (see Spec.Validate)
-// is reachable through NewFromSpec and swept by cmd/designspace.
+// is reachable through NewFromSpec and swept by nisim designspace.
 package nic
 
 import (

@@ -7,7 +7,7 @@ import "fmt"
 // buffering policy) cross product, and the composer in composed.go builds a
 // working NI from any valid Spec. The seven NIs of Table 2 (plus the two §6
 // variants) are just the named points; the rest of the space is reachable
-// through cmd/designspace.
+// through nisim designspace.
 
 // Engine identifies one transfer-engine implementation: the component that
 // owns the bus-transaction idiom moving message bytes between the processor

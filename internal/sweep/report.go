@@ -31,7 +31,7 @@ type Timing struct {
 	GoVersion string      `json:"go_version"`
 	WallMS    float64     `json:"wall_ms"`
 	// Speedup is this sweep's wall time relative to a serial (jobs=1) run
-	// of the same grid, when the driver measured one (cmd/benchdump
+	// of the same grid, when the driver measured one (nisim <grid>
 	// -baseline).
 	Speedup float64     `json:"speedup_vs_serial,omitempty"`
 	PerJob  []JobTiming `json:"per_job,omitempty"`

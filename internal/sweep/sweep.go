@@ -1,7 +1,7 @@
 // Package sweep is the experiment orchestrator: it fans independent
 // simulator configurations out across worker goroutines and collects their
 // results in deterministic submission order, regardless of completion
-// order. Every table/figure driver (cmd/table5, cmd/fig3, ...) and the
+// order. Every table/figure driver (nisim table5, nisim fig3, ...) and the
 // bench harness submits its grid of (NI model x buffer size x application)
 // points through this package instead of looping serially, so a full
 // evaluation regeneration uses every core the host has.
