@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"nisim/internal/nic"
@@ -53,6 +55,73 @@ func TestStandardGridCoversTheMatrix(t *testing.T) {
 	}
 	if got, want := len(g.Jobs()), len(g.Specs)*len(g.Loads)*len(g.Mixes); got != want {
 		t.Errorf("grid has %d jobs, want %d", got, want)
+	}
+}
+
+// TestChaosSweepIsDeterministic is the nisim chaos half of the
+// orchestrator determinism regression: the grid swept with eight workers
+// must produce byte-identical text and canonical JSON to a serial sweep,
+// and no cell may hang or end in a non-watchdog error.
+func TestChaosSweepIsDeterministic(t *testing.T) {
+	g := reducedGrid()
+
+	serial := sweep.Run(sweep.Config{Jobs: 1}, g.Jobs())
+	parallel := sweep.Run(sweep.Config{Jobs: 8}, g.Jobs())
+
+	for _, r := range serial {
+		if r.TimedOut {
+			t.Errorf("%s timed out", r.ID)
+		}
+		if r.Err != "" && !strings.Contains(r.Err, "machine:") {
+			t.Errorf("%s failed outside the watchdog: %s", r.ID, r.Err)
+		}
+	}
+
+	serialText := Format(g, g.Rows(serial))
+	parallelText := Format(g, g.Rows(parallel))
+	if serialText != parallelText {
+		t.Errorf("parallel text differs from serial:\nserial:\n%s\nparallel:\n%s", serialText, parallelText)
+	}
+
+	serialJSON, err := sweep.NewReport("chaos", g.Seed, sweep.Config{Jobs: 1}, serial, 1).
+		Canonical().MarshalIndentJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallelJSON, err := sweep.NewReport("chaos", g.Seed, sweep.Config{Jobs: 8}, parallel, 2).
+		Canonical().MarshalIndentJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(serialJSON, parallelJSON) {
+		t.Errorf("parallel canonical JSON differs from serial:\nserial:\n%s\nparallel:\n%s", serialJSON, parallelJSON)
+	}
+	if !strings.Contains(string(serialJSON), sweep.Schema) {
+		t.Errorf("report does not carry schema %q", sweep.Schema)
+	}
+}
+
+// TestChaosProtocolSweepIsDeterministic is the protocol sub-grid's half of
+// the determinism regression: the eager-vs-rendezvous grid swept with
+// eight workers must match a serial sweep byte for byte, and no cell may
+// hang — the jobs=1-vs-8 identity gate for the rendezvous protocol under
+// overload.
+func TestChaosProtocolSweepIsDeterministic(t *testing.T) {
+	g := ProtocolGrid(true)
+	g.Requests = 12
+
+	serial := sweep.Run(sweep.Config{Jobs: 1}, g.Jobs())
+	parallel := sweep.Run(sweep.Config{Jobs: 8}, g.Jobs())
+
+	for _, r := range serial {
+		if r.TimedOut || r.Err != "" {
+			t.Errorf("%s: timed_out=%v err=%q", r.ID, r.TimedOut, r.Err)
+		}
+	}
+	serialText := Format(g, g.Rows(serial))
+	parallelText := Format(g, g.Rows(parallel))
+	if serialText != parallelText {
+		t.Errorf("parallel text differs from serial:\nserial:\n%s\nparallel:\n%s", serialText, parallelText)
 	}
 }
 
