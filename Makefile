@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-json race bench bench-smoke bench-json results ci
+.PHONY: build test vet lint race bench bench-smoke bench-json results ci
 
 build:
 	$(GO) build ./...
@@ -8,15 +8,11 @@ build:
 vet: build
 	$(GO) vet ./...
 
-# lint runs simlint, the determinism/unit-safety multichecker
-# (see DESIGN.md "Determinism invariants").
+# lint runs simlint, the determinism/unit-safety multichecker (see
+# DESIGN.md "Determinism invariants"), and writes its simlint/v1 report —
+# surviving findings plus the complete //lint:allow inventory (pass,
+# position, reason, used) — to simlint_report.json for the CI artifact.
 lint: build
-	$(GO) run ./cmd/simlint ./...
-
-# lint-json additionally writes the simlint/v1 report — surviving findings
-# plus the complete //lint:allow inventory (pass, position, reason, used) —
-# to simlint_report.json for the CI artifact.
-lint-json: build
 	$(GO) run ./cmd/simlint -json simlint_report.json ./...
 
 test:
@@ -53,7 +49,7 @@ results: build
 	$(GO) run ./cmd/nisim scalebig -sizes 64 -scale 0.2 -shards 4 -jobs 1 -baseline -json scale_results.json
 
 # ci is the full verification gate: compile everything, vet, enforce the
-# determinism invariants (all eight simlint passes plus the stale-escape
+# determinism invariants (all seven simlint passes plus the stale-escape
 # check), and run the test suite under the race detector, which includes
 # TestGridIdentity: every registered grid at jobs=1 vs jobs=8 and, for
 # sharded grids, shards=1 vs shards=4.

@@ -78,7 +78,7 @@ type Diagnostic struct {
 
 // All returns the full simlint suite in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{DetRand, MapOrder, SimTime, NoGoroutine, NoAlloc, Exhaustive, ChanConfine, ExportDoc}
+	return []*Analyzer{DetRand, MapOrder, SimTime, NoGoroutine, NoAlloc, Exhaustive, ExportDoc}
 }
 
 // Run executes one analyzer over a loaded package and returns its findings

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/types"
 	"strconv"
+	"strings"
 )
 
 // NoGoroutine keeps model and kernel code single-threaded. The event loop
@@ -30,6 +31,13 @@ var NoGoroutine = &Analyzer{
 		"for fanning out whole simulations, the sweep orchestrator",
 	Skip: isPartitionPkgPath,
 	Run:  runNoGoroutine,
+}
+
+// isPartitionPkgPath reports the partition layer, the one package whose
+// business is shard worker goroutines, channels and sync.
+func isPartitionPkgPath(path string) bool {
+	return path == "sim/partition" || path == "internal/sim/partition" ||
+		strings.HasSuffix(path, "/internal/sim/partition")
 }
 
 func runNoGoroutine(pass *Pass) {

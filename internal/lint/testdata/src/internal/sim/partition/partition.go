@@ -3,8 +3,8 @@
 // spun up at construction, an atomic spin barrier (epoch / published
 // window end / arrival counter), per-shard outboxes drained between
 // windows, and channel operations — all of it the layer's subject matter,
-// so chanconfine and nogoroutine skip the package entirely (no want
-// comments — none of these operations may be reported).
+// so nogoroutine skips the package entirely (no want comments — none of
+// these operations may be reported).
 package partition
 
 import (

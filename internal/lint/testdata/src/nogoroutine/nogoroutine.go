@@ -16,8 +16,9 @@ func spawn(work func()) {
 }
 
 func pipe(c chan int) { // want `channel type`
-	c <- 1 // want `channel send`
-	v := <-c // want `channel receive`
+	c = make(chan int, 1) // want `channel type`
+	c <- 1                // want `channel send`
+	v := <-c              // want `channel receive`
 	_ = v
 	close(c) // want `channel close`
 }

@@ -15,11 +15,11 @@ import (
 
 const hFault = 7
 
-// faultWorkload streams count 512-byte messages node0 -> node1 and returns
-// the machine's stats plus the number of application messages delivered.
-func faultWorkload(t *testing.T, cfg machine.Config, count int) (*stats.Machine, int) {
+// faultWorkload streams count 512-byte messages node0 -> node1 on m and
+// returns the machine's stats plus the number of application messages
+// delivered.
+func faultWorkload(t *testing.T, m *machine.Machine, count int) (*stats.Machine, int) {
 	t.Helper()
-	m := machine.New(cfg)
 	received := 0
 	for _, n := range m.Nodes {
 		n.EP.Register(hFault, func(ep *msglayer.Endpoint, msg *msglayer.Message) { received++ })
@@ -77,8 +77,8 @@ func faultCfg(kind nic.Kind, rate float64, seed uint64) machine.Config {
 
 func TestFaultRunsAreDeterministic(t *testing.T) {
 	// Same seed, same workload: bit-identical execution time and counters.
-	a, recvA := faultWorkload(t, faultCfg(nic.CNI32Qm, 0.05, 11), 40)
-	b, recvB := faultWorkload(t, faultCfg(nic.CNI32Qm, 0.05, 11), 40)
+	a, recvA := faultWorkload(t, machine.New(faultCfg(nic.CNI32Qm, 0.05, 11)), 40)
+	b, recvB := faultWorkload(t, machine.New(faultCfg(nic.CNI32Qm, 0.05, 11)), 40)
 	if recvA != 40 || recvB != 40 {
 		t.Fatalf("lost messages despite reliability: %d / %d of 40", recvA, recvB)
 	}
@@ -90,7 +90,7 @@ func TestFaultRunsAreDeterministic(t *testing.T) {
 		t.Fatalf("stats diverged between identical seeded runs:\n%+v\n%+v", snap(ta), snap(tb))
 	}
 	// A different seed must produce a different fault pattern.
-	c, _ := faultWorkload(t, faultCfg(nic.CNI32Qm, 0.05, 12), 40)
+	c, _ := faultWorkload(t, machine.New(faultCfg(nic.CNI32Qm, 0.05, 12)), 40)
 	if tc := c.Total(); tc.FaultDrops == ta.FaultDrops && tc.Retransmits == ta.Retransmits &&
 		c.ExecTime == a.ExecTime {
 		t.Fatal("seeds 11 and 12 produced an identical run")
@@ -107,26 +107,8 @@ func TestZeroRatePlaneMatchesNilPlane(t *testing.T) {
 	withPlane := machine.New(base)
 	withPlane.Net.SetFaultPlane(faults.New(faults.Config{Seed: 99}))
 
-	run := func(m *machine.Machine) (*stats.Machine, int) {
-		received := 0
-		for _, n := range m.Nodes {
-			n.EP.Register(hFault, func(ep *msglayer.Endpoint, msg *msglayer.Message) { received++ })
-		}
-		st := m.Run(func(n *machine.Node) {
-			if n.ID == 0 {
-				for i := 0; i < 25; i++ {
-					n.EP.Send(1, hFault, 512, 0)
-				}
-				n.Barrier()
-				return
-			}
-			n.EP.WaitUntil(func() bool { return received >= 25 })
-			n.Barrier()
-		})
-		return st, received
-	}
-	stPlain, recvPlain := run(plain)
-	stPlane, recvPlane := run(withPlane)
+	stPlain, recvPlain := faultWorkload(t, plain, 25)
+	stPlane, recvPlane := faultWorkload(t, withPlane, 25)
 	if recvPlain != 25 || recvPlane != 25 {
 		t.Fatalf("delivery mismatch: %d / %d", recvPlain, recvPlane)
 	}
@@ -144,7 +126,7 @@ func TestDefaultRunTouchesNoReliabilityMachinery(t *testing.T) {
 	// is untouched.
 	cfg := machine.DefaultConfig(nic.CNI32Qm, 8)
 	cfg.Nodes = 2
-	st, received := faultWorkload(t, cfg, 20)
+	st, received := faultWorkload(t, machine.New(cfg), 20)
 	if received != 20 {
 		t.Fatalf("delivered %d of 20", received)
 	}
@@ -157,6 +139,31 @@ func TestDefaultRunTouchesNoReliabilityMachinery(t *testing.T) {
 	}
 }
 
+// watchdogDiag runs faultWorkload at one and two engine shards, requires
+// both runs to panic with byte-identical diagnostics (the serial tick and
+// the partitioned barrier sample the same sim times), and returns it.
+func watchdogDiag(t *testing.T, cfg machine.Config, count int) string {
+	t.Helper()
+	var diags []string
+	for _, shards := range []int{1, 2} {
+		cfg.Shards = shards
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("shards=%d: stranded run did not panic", shards)
+				}
+				diags = append(diags, r.(string))
+			}()
+			faultWorkload(t, machine.New(cfg), count)
+		}()
+	}
+	if diags[0] != diags[1] {
+		t.Fatalf("diagnostic differs across shard counts:\nshards=1:\n%s\nshards=2:\n%s", diags[0], diags[1])
+	}
+	return diags[0]
+}
+
 func TestWatchdogDiagnosesUnreliableLoss(t *testing.T) {
 	// Reliability off + drops on: the workload strands, and instead of
 	// hanging (the spinning send path never drains the event queue) Run
@@ -165,18 +172,7 @@ func TestWatchdogDiagnosesUnreliableLoss(t *testing.T) {
 	cfg.Nodes = 2
 	cfg.Faults = faults.Config{Seed: 1, Drop: 0.3}
 	cfg.StallHorizon = 100 * sim.Microsecond
-	var diag string
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				diag = r.(string)
-			}
-		}()
-		faultWorkload(t, cfg, 30)
-	}()
-	if diag == "" {
-		t.Fatal("stranded unreliable run did not panic")
-	}
+	diag := watchdogDiag(t, cfg, 30)
 	if !strings.Contains(diag, "netsim: network not quiescent") {
 		t.Fatalf("diagnostic missing the quiescence report:\n%s", diag)
 	}
@@ -197,18 +193,7 @@ func TestWatchdogDiagnosesStarvation(t *testing.T) {
 	cfg.Net.Reliability = netsim.DefaultReliability()
 	cfg.Faults = faults.Config{Seed: 1, ForceBounce: 1.0}
 	cfg.StallHorizon = 20 * sim.Microsecond
-	var diag string
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				diag = r.(string)
-			}
-		}()
-		faultWorkload(t, cfg, 10)
-	}()
-	if diag == "" {
-		t.Fatal("starved run did not panic")
-	}
+	diag := watchdogDiag(t, cfg, 10)
 	if !strings.Contains(diag, "starvation") {
 		t.Fatalf("diagnostic is not the starvation report:\n%s", diag)
 	}
@@ -225,7 +210,7 @@ func TestDuplicationSuppressedEndToEnd(t *testing.T) {
 	cfg.Nodes = 2
 	cfg.Net.Reliability = netsim.DefaultReliability()
 	cfg.Faults = faults.Config{Seed: 4, Duplicate: 0.5, CtlDrop: 0.3}
-	st, received := faultWorkload(t, cfg, 40)
+	st, received := faultWorkload(t, machine.New(cfg), 40)
 	if received != 40 {
 		t.Fatalf("handler ran %d times, want exactly 40", received)
 	}
@@ -248,7 +233,7 @@ func TestOutageRecovery(t *testing.T) {
 		Seed:    2,
 		Outages: []faults.Outage{{Endpoint: 0, Start: 10 * sim.Microsecond, End: 60 * sim.Microsecond}},
 	}
-	st, received := faultWorkload(t, cfg, 30)
+	st, received := faultWorkload(t, machine.New(cfg), 30)
 	if received != 30 {
 		t.Fatalf("delivered %d of 30 across the outage", received)
 	}

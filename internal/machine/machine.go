@@ -8,6 +8,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"nisim/internal/cache"
 	"nisim/internal/faults"
@@ -82,13 +83,14 @@ type Config struct {
 	// partitions (internal/sim/partition): nodes are divided into
 	// contiguous shards, each driven by its own engine on its own worker
 	// goroutine, synchronized at time-window barriers sized by the network
-	// latency (the lookahead). 0 or 1 is today's serial engine,
-	// byte-for-byte. Values above Nodes are clamped; a machine whose
-	// Tracer is set falls back to serial automatically (the tracer is one
-	// shared event stream), as does a network with no positive latency to
-	// use as lookahead. Every NI spec partitions — including the throttled
-	// CNI32Qm, whose credit returns ride the message layer — and so does
-	// every workload. Results are byte-identical across shard counts; only
+	// latency (the lookahead). 0 or 1 is the serial engine, which Run
+	// treats as the one-shard case. Values above Nodes are clamped; a
+	// machine whose Tracer is set falls back to serial automatically (the
+	// tracer is one shared event stream), as does a network with no
+	// positive latency to use as lookahead. Every NI spec partitions —
+	// including the throttled CNI32Qm, whose credit returns ride the
+	// message layer — and so does every workload. Results, watchdog
+	// diagnostics included, are byte-identical across shard counts; only
 	// wall-clock time changes (see DESIGN.md §10).
 	Shards int
 }
@@ -266,123 +268,24 @@ func build(cfg Config, shards int) *Machine {
 // Run executes prog on every node (as that node's processor software) until
 // all instances return, then records the parallel execution time and tears
 // the machine down. A Machine runs exactly one program.
+//
+// A serial machine is the one-shard case of a partitioned one: both share
+// the completion ledger, the watchdog and the exit path, and differ only in
+// how simulated time advances to the next watchdog sample.
 func (m *Machine) Run(prog func(n *Node)) *stats.Machine {
 	if m.ran {
 		panic("machine: Run called twice")
 	}
 	m.ran = true
 	m.registerBarrier()
-	if m.group != nil {
-		return m.runSharded(prog)
-	}
 
-	done := 0
-	for _, n := range m.Nodes {
-		n := n
-		p := m.Eng.Spawn(fmt.Sprintf("app-%d", n.ID), func(p *sim.Process) {
-			prog(n)
-			done++
-		})
-		n.Proc.Bind(p)
-	}
-
-	// Livelock/starvation watchdog, armed for fault runs and on request: a
-	// lost message with the reliability layer off leaves software spinning
-	// (poll-while-blocked), so the event queue never drains and the
-	// quiescence check below never fires. Instead, sample network progress
-	// every StallHorizon. Two equal activity samples with flow-control
-	// buffers still held mean nothing can ever advance (livelock). Activity
-	// rising tick after tick with not one delivery is the other failure
-	// mode — a sustained bounce/retransmission storm starving the workload —
-	// and is diagnosed distinctly. The tick stops rescheduling once it is
-	// the only event source, handing stall detection back to the queue-drain
-	// path.
-	stalled := ""
-	if !m.Cfg.Faults.Zero() || m.Cfg.Watchdog {
-		horizon := m.Cfg.StallHorizon
-		if horizon <= 0 {
-			horizon = DefaultStallHorizon
-		}
-		starveAfter := int64(DefaultStarvationTicks)
-		if m.Cfg.StarvationHorizon > 0 {
-			// Ceiling division: detection happens on whole watchdog ticks.
-			starveAfter = int64(m.Cfg.StarvationHorizon / horizon)
-			if m.Cfg.StarvationHorizon%horizon != 0 {
-				starveAfter++
-			}
-			if starveAfter < 1 {
-				starveAfter = 1
-			}
-		}
-		last, lastDel := int64(-1), int64(-1)
-		starvedTicks := int64(0)
-		var tick func()
-		tick = func() {
-			if done >= len(m.Nodes) || stalled != "" {
-				return
-			}
-			act, del := m.Net.Progress()
-			if act == last {
-				if r := m.Eng.StallReport(); r != "" {
-					stalled = fmt.Sprintf("machine: no network progress for %v with %d/%d nodes finished at %v\n%s",
-						horizon, done, len(m.Nodes), m.Eng.Now(), r)
-					return
-				}
-			} else if del == lastDel {
-				starvedTicks++
-				if starvedTicks >= starveAfter {
-					if r := m.Net.StarvationReport(); r != "" {
-						stalled = fmt.Sprintf("machine: sustained overload starvation — network churning for %v without a delivery, %d/%d nodes finished at %v\n%s",
-							sim.Time(starvedTicks)*horizon, done, len(m.Nodes), m.Eng.Now(), r)
-						return
-					}
-				}
-			} else {
-				starvedTicks = 0
-			}
-			last, lastDel = act, del
-			if m.Eng.Pending() > 0 {
-				m.Eng.After(horizon, tick)
-			}
-		}
-		m.Eng.After(horizon, tick)
-	}
-
-	m.Eng.RunWhile(func() bool { return done < len(m.Nodes) && stalled == "" })
-	if stalled != "" {
-		m.Eng.Drain()
-		panic(stalled)
-	}
-	if done < len(m.Nodes) && m.Eng.Pending() == 0 {
-		// The event queue drained with nodes still running: a lost message,
-		// ack, or bounce stranded them. Fail loudly with the quiescence
-		// diagnostic instead of silently returning a truncated run.
-		report := m.Eng.StallReport()
-		m.Eng.Drain()
-		panic(fmt.Sprintf("machine: simulation stalled with %d/%d nodes finished at %v\n%s",
-			done, len(m.Nodes), m.Eng.Now(), report))
-	}
-	m.Stats.ExecTime = m.Eng.Now()
-	m.Eng.Drain()
-	return m.Stats
-}
-
-// runSharded is Run on a partitioned machine: programs are spawned on
-// their nodes' shard engines and the partition group drives conservative
-// windows, with the watchdog and stall detection replicated at the window
-// barriers (windows are capped to land exactly on the watchdog's sampling
-// boundaries, so the sampled state matches the serial tick's). Completion,
-// stall, and starvation semantics — including the panic messages — are
-// identical to the serial path.
-func (m *Machine) runSharded(prog func(n *Node)) *stats.Machine {
-	N := len(m.Nodes)
 	// Per-shard completion counts and finish times: each is written only
-	// within its own shard's execution, and the coordinator reads them only
-	// at barriers.
+	// within its own shard's execution, and a partitioned run reads them
+	// only at barriers.
+	N := len(m.Nodes)
 	done := make([]int, m.Shards())
 	doneAt := make([]sim.Time, m.Shards())
 	for _, n := range m.Nodes {
-		n := n
 		s := m.shardOf[n.ID]
 		eng := m.Engines[s]
 		p := eng.Spawn(fmt.Sprintf("app-%d", n.ID), func(p *sim.Process) {
@@ -392,7 +295,7 @@ func (m *Machine) runSharded(prog func(n *Node)) *stats.Machine {
 		})
 		n.Proc.Bind(p)
 	}
-	total := func() int {
+	finished := func() int {
 		t := 0
 		for _, d := range done {
 			t += d
@@ -400,106 +303,133 @@ func (m *Machine) runSharded(prog func(n *Node)) *stats.Machine {
 		return t
 	}
 
-	stalled := ""
-	var ctrl partition.Control
-	if !m.Cfg.Faults.Zero() || m.Cfg.Watchdog {
-		horizon := m.Cfg.StallHorizon
-		if horizon <= 0 {
-			horizon = DefaultStallHorizon
-		}
-		starveAfter := int64(DefaultStarvationTicks)
-		if m.Cfg.StarvationHorizon > 0 {
-			starveAfter = int64(m.Cfg.StarvationHorizon / horizon)
-			if m.Cfg.StarvationHorizon%horizon != 0 {
-				starveAfter++
+	wd := newWatchdog(m.Cfg)
+	if m.group == nil {
+		// The serial watchdog is an engine event every horizon. RunWhile
+		// stops before the next event once every node is done or a sample
+		// has failed, so a tick never sees either; it stops rescheduling
+		// once it is the only event source, handing stall detection back
+		// to the queue-drain check below.
+		if wd.horizon > 0 {
+			var tick func()
+			tick = func() {
+				if wd.sample(m, m.Eng.Now(), done[0]) && m.Eng.Pending() > 0 {
+					m.Eng.After(wd.horizon, tick)
+				}
 			}
-			if starveAfter < 1 {
-				starveAfter = 1
-			}
+			m.Eng.After(wd.horizon, tick)
 		}
-		last, lastDel := int64(-1), int64(-1)
-		starvedTicks := int64(0)
-		nextTick := horizon
-		// Cap windows at the next sampling boundary so barriers land on the
-		// exact sim times the serial watchdog ticks at.
-		ctrl.CapWindow = func(now, proposed sim.Time) sim.Time {
-			if proposed > nextTick {
-				return nextTick
-			}
-			return proposed
-		}
-		ctrl.AfterWindow = func(end sim.Time) bool {
-			if total() >= N {
+		m.Eng.RunWhile(func() bool { return done[0] < N && wd.stalled == "" })
+	} else {
+		// The partitioned watchdog samples at window barriers, with windows
+		// capped at the next sampling boundary so barriers land on the
+		// exact sim times the serial tick fires at.
+		next := wd.horizon
+		ctrl := partition.Control{AfterWindow: func(end sim.Time) bool {
+			if finished() >= N {
 				return false
 			}
-			if end == nextTick {
-				nextTick += horizon
-				act, del := m.Net.Progress()
-				switch {
-				case act == last:
-					if r := m.Eng.StallReport(); r != "" {
-						stalled = fmt.Sprintf("machine: no network progress for %v with %d/%d nodes finished at %v\n%s",
-							horizon, total(), N, end, r)
-						return false
-					}
-				case del == lastDel:
-					starvedTicks++
-					if starvedTicks >= starveAfter {
-						if r := m.Net.StarvationReport(); r != "" {
-							stalled = fmt.Sprintf("machine: sustained overload starvation — network churning for %v without a delivery, %d/%d nodes finished at %v\n%s",
-								sim.Time(starvedTicks)*horizon, total(), N, end, r)
-							return false
-						}
-					}
-				default:
-					starvedTicks = 0
-				}
-				last, lastDel = act, del
+			if wd.horizon > 0 && end == next {
+				next += wd.horizon
+				return wd.sample(m, end, finished())
 			}
 			return true
+		}}
+		if wd.horizon > 0 {
+			ctrl.CapWindow = func(now, proposed sim.Time) sim.Time { return min(proposed, next) }
 		}
-	} else {
-		ctrl.AfterWindow = func(end sim.Time) bool { return total() < N }
+		// Close on every exit path, panics included: an escaped panic must
+		// not leave shard workers spinning on the barrier epoch. Close is
+		// idempotent, so the failure path inside the group closing first is
+		// fine.
+		func() {
+			defer m.group.Close()
+			m.group.Run(ctrl)
+		}()
 	}
 
-	// Close on every exit path, panics included: an escaped panic must not
-	// leave shard workers spinning on the barrier epoch. Close is
-	// idempotent, so the failure path inside the group closing first is
-	// fine.
-	finished := func() bool {
-		defer m.group.Close()
-		return m.group.Run(ctrl)
-	}()
-	if stalled != "" {
-		m.drainAll()
-		panic(stalled)
+	switch {
+	case wd.stalled != "":
+	case finished() < N:
+		// Every event queue drained with nodes still running: a lost
+		// message, ack, or bounce stranded them. Fail loudly with the
+		// quiescence diagnostic instead of silently returning a truncated
+		// run.
+		wd.stalled = fmt.Sprintf("machine: simulation stalled with %d/%d nodes finished at %v\n%s",
+			finished(), N, m.Eng.Now(), m.Eng.StallReport())
+	default:
+		m.Stats.ExecTime = slices.Max(doneAt)
 	}
-	if !finished && total() < N {
-		// Every shard's queue drained with nodes still running: a lost
-		// message, ack, or bounce stranded them — same diagnosis as the
-		// serial path.
-		report := m.Eng.StallReport()
-		now := m.Eng.Now()
-		m.drainAll()
-		panic(fmt.Sprintf("machine: simulation stalled with %d/%d nodes finished at %v\n%s",
-			total(), N, now, report))
-	}
-	exec := sim.Time(0)
-	for _, t := range doneAt {
-		if t > exec {
-			exec = t
-		}
-	}
-	m.Stats.ExecTime = exec
-	m.drainAll()
-	return m.Stats
-}
-
-// drainAll kills every shard's live processes.
-func (m *Machine) drainAll() {
 	for _, eng := range m.Engines {
 		eng.Drain()
 	}
+	if wd.stalled != "" {
+		panic(wd.stalled)
+	}
+	return m.Stats
+}
+
+// watchdog is the livelock/starvation detector, armed for fault runs and
+// on request (Config.Watchdog). A lost message with the reliability layer
+// off leaves software spinning (poll-while-blocked), so the event queue
+// never drains and Run's queue-drain check never fires. Instead, network
+// progress is sampled every horizon. Two equal activity samples with
+// flow-control buffers still held mean nothing can ever advance
+// (livelock). Activity rising sample after sample with not one delivery is
+// the other failure mode — a sustained bounce/retransmission storm
+// starving the workload — and is diagnosed distinctly.
+type watchdog struct {
+	horizon       sim.Time // sampling interval; zero when disarmed
+	starveAfter   int64    // starvation patience, in samples
+	last, lastDel int64    // the previous sample's activity and deliveries
+	starved       int64    // consecutive samples of activity without delivery
+	stalled       string   // the diagnostic, once a sample has failed
+}
+
+func newWatchdog(cfg Config) watchdog {
+	if cfg.Faults.Zero() && !cfg.Watchdog {
+		return watchdog{}
+	}
+	w := watchdog{horizon: cfg.StallHorizon, starveAfter: DefaultStarvationTicks, last: -1, lastDel: -1}
+	if w.horizon <= 0 {
+		w.horizon = DefaultStallHorizon
+	}
+	if cfg.StarvationHorizon > 0 {
+		// Ceiling division: detection happens on whole samples.
+		w.starveAfter = int64(cfg.StarvationHorizon / w.horizon)
+		if cfg.StarvationHorizon%w.horizon != 0 {
+			w.starveAfter++
+		}
+	}
+	return w
+}
+
+// sample takes one progress sample at now, with done of the machine's
+// nodes finished, and reports whether the run may go on. When it returns
+// false, stalled holds the livelock or starvation diagnostic.
+func (w *watchdog) sample(m *Machine, now sim.Time, done int) bool {
+	act, del := m.Net.Progress()
+	switch {
+	case act == w.last:
+		if r := m.Eng.StallReport(); r != "" {
+			w.stalled = fmt.Sprintf("machine: no network progress for %v with %d/%d nodes finished at %v\n%s",
+				w.horizon, done, len(m.Nodes), now, r)
+			return false
+		}
+	case del == w.lastDel:
+		w.starved++
+		if w.starved >= w.starveAfter {
+			if r := m.Net.StarvationReport(); r != "" {
+				w.stalled = fmt.Sprintf("machine: sustained overload starvation — network churning for %v without a delivery, %d/%d nodes finished at %v\n%s",
+					sim.Time(w.starved)*w.horizon, done, len(m.Nodes), now, r)
+				return false
+			}
+		}
+	default:
+		w.starved = 0
+	}
+	w.last, w.lastDel = act, del
+	return true
 }
 
 // Reserved messaging-layer handler ids (applications use ids below 200).

@@ -35,18 +35,11 @@ func (a Ablation) Delta() float64 {
 	return a.Disabled/a.Enabled - 1
 }
 
-// AblatePrefetch measures the CNI send-side prefetch: 256-byte round-trip
-// latency (µs) with and without it, for both prefetching CNIs.
-func AblatePrefetch() []Ablation {
-	var out []Ablation
-	for _, kind := range prefetchKinds {
-		out = append(out, prefetchRow(kind))
-	}
-	return out
-}
-
+// prefetchKinds are the CNIs whose send-side prefetch prefetchRow ablates.
 var prefetchKinds = []nic.Kind{nic.CNI512Q, nic.CNI32Qm}
 
+// prefetchRow measures the CNI send-side prefetch: 256-byte round-trip
+// latency (µs) with and without it.
 func prefetchRow(kind nic.Kind) Ablation {
 	on := machine.DefaultConfig(kind, 8)
 	off := on
@@ -59,13 +52,9 @@ func prefetchRow(kind nic.Kind) Ablation {
 	}
 }
 
-// AblateBypass measures the CNI_32Q_m receive-cache bypass: large-message
-// bandwidth (MB/s, inverted so Delta>0 means bypass helps) and em3d
-// execution time with and without it.
-func AblateBypass(p workload.Params) []Ablation {
-	return []Ablation{bypassExecRow(p), bypassBwRow()}
-}
-
+// bypassConfigs toggle the CNI_32Q_m receive-cache bypass, measured by em3d
+// execution time and by large-message bandwidth (MB/s, inverted so Delta>0
+// means bypass helps).
 func bypassConfigs() (on, off machine.Config) {
 	on = machine.DefaultConfig(nic.CNI32Qm, 8)
 	off = on
@@ -94,12 +83,8 @@ func bypassBwRow() Ablation {
 	}
 }
 
-// AblateDeadSuppress measures dead-message suppression: without it, every
+// deadSuppressConfigs toggle dead-message suppression: without it, every
 // consumed block is written back to memory on reclamation.
-func AblateDeadSuppress(p workload.Params) []Ablation {
-	return []Ablation{deadSuppressExecRow(p), deadSuppressBwRow()}
-}
-
 func deadSuppressConfigs() (on, off machine.Config) {
 	on = machine.DefaultConfig(nic.CNI32Qm, 8)
 	off = on
@@ -135,16 +120,8 @@ type CacheSizePoint struct {
 	Em3dUS float64 // em3d execution time
 }
 
-// AblateCacheSize sweeps the CNI_32Q_m NI cache capacity — how much SRAM
+// cacheSizePoint samples one CNI_32Q_m NI cache capacity — how much SRAM
 // does the "CNI with cache" need before it behaves like one?
-func AblateCacheSize(blocks []int, p workload.Params) []CacheSizePoint {
-	var out []CacheSizePoint
-	for _, b := range blocks {
-		out = append(out, cacheSizePoint(b, p))
-	}
-	return out
-}
-
 func cacheSizePoint(b int, p workload.Params) CacheSizePoint {
 	cfg := machine.DefaultConfig(nic.CNI32Qm, 8)
 	cfg.NI.CNICacheBlocks = b
@@ -162,16 +139,8 @@ type ThresholdPoint struct {
 	DsmcUS float64
 }
 
-// AblateUdmaThreshold sweeps the UDMA small-message fallback threshold
+// thresholdPoint samples one UDMA small-message fallback threshold
 // (§6.1.1 fixes it at 96 bytes for the macrobenchmarks).
-func AblateUdmaThreshold(thresholds []int, p workload.Params) []ThresholdPoint {
-	var out []ThresholdPoint
-	for _, th := range thresholds {
-		out = append(out, thresholdPoint(th, p))
-	}
-	return out
-}
-
 func thresholdPoint(th int, p workload.Params) ThresholdPoint {
 	cfg := machine.DefaultConfig(nic.UDMA, 8)
 	cfg.NI.UDMAThresholdBytes = th
@@ -190,19 +159,9 @@ type IOBusPoint struct {
 	BwMBps float64
 }
 
-// AblateIOBus moves the fifo NIs behind an I/O bridge — the paper's
-// motivation for memory-bus NIs ("I/O buses offer latencies and bandwidth
-// that are a factor of two to ten worse").
-func AblateIOBus(bridges []sim.Time) []IOBusPoint {
-	var out []IOBusPoint
-	for _, kind := range ioBusKinds {
-		for _, br := range bridges {
-			out = append(out, ioBusPoint(kind, br))
-		}
-	}
-	return out
-}
-
+// ioBusKinds are the fifo NIs ioBusPoint moves behind an I/O bridge — the
+// paper's motivation for memory-bus NIs ("I/O buses offer latencies and
+// bandwidth that are a factor of two to ten worse").
 var ioBusKinds = []nic.Kind{nic.CM5, nic.AP3000}
 
 func ioBusPoint(kind nic.Kind, br sim.Time) IOBusPoint {

@@ -1,14 +1,39 @@
 package macro
 
 import (
+	"strings"
 	"testing"
 
 	"nisim/internal/sim"
+	"nisim/internal/sweep"
 	"nisim/internal/workload"
 )
 
+// runSerial runs jobs one at a time, failing the test on any job error.
+func runSerial(t *testing.T, jobs []sweep.Job) []sweep.Result {
+	t.Helper()
+	results := sweep.RunSerial(jobs)
+	for _, r := range results {
+		if r.Err != "" {
+			t.Fatalf("%s: %s", r.ID, r.Err)
+		}
+	}
+	return results
+}
+
+// mechanismRows runs one study's rows of AblateMechanismJobs.
+func mechanismRows(t *testing.T, study string) []Ablation {
+	var jobs []sweep.Job
+	for _, j := range AblateMechanismJobs(workload.Params{Iters: 0.3}) {
+		if strings.HasPrefix(j.ID, "ablate/"+study+"/") {
+			jobs = append(jobs, j)
+		}
+	}
+	return AblationRows(runSerial(t, jobs))
+}
+
 func TestAblatePrefetchHelps(t *testing.T) {
-	for _, a := range AblatePrefetch() {
+	for _, a := range mechanismRows(t, "prefetch") {
 		if a.Delta() < -0.01 {
 			t.Errorf("%s: disabling prefetch improved %s by %.1f%%", a.Name, a.Metric, -100*a.Delta())
 		}
@@ -16,7 +41,7 @@ func TestAblatePrefetchHelps(t *testing.T) {
 }
 
 func TestAblateDeadSuppressHelps(t *testing.T) {
-	for _, a := range AblateDeadSuppress(workload.Params{Iters: 0.3}) {
+	for _, a := range mechanismRows(t, "deadsuppress") {
 		if a.Delta() < -0.02 {
 			t.Errorf("%s: disabling suppression improved %s by %.1f%%", a.Name, a.Metric, -100*a.Delta())
 		}
@@ -29,8 +54,7 @@ func TestAblateBypassTradesThroughputForNetwork(t *testing.T) {
 	// variant), which is exactly why the paper needed the bypass — without
 	// it the network, not the sender, absorbs the stall. Assert the
 	// direction so the trade-off stays visible.
-	rows := AblateBypass(workload.Params{Iters: 0.3})
-	for _, a := range rows {
+	for _, a := range mechanismRows(t, "bypass") {
 		if a.Metric == "4096B inv-bw us/KB" && a.Delta() > 0.05 {
 			t.Errorf("bypass ablation lost its throughput trade-off: %+.1f%%", 100*a.Delta())
 		}
@@ -38,7 +62,8 @@ func TestAblateBypassTradesThroughputForNetwork(t *testing.T) {
 }
 
 func TestAblateCacheSizeMonotone(t *testing.T) {
-	pts := AblateCacheSize([]int{8, 32, 128}, workload.Params{Iters: 0.3})
+	blocks := []int{8, 32, 128}
+	pts := CacheSizePoints(blocks, runSerial(t, CacheSizeJobs(blocks, workload.Params{Iters: 0.3})))
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -52,7 +77,8 @@ func TestAblateCacheSizeMonotone(t *testing.T) {
 }
 
 func TestAblateUdmaThresholdPaperChoiceReasonable(t *testing.T) {
-	pts := AblateUdmaThreshold([]int{0, 96}, workload.Params{Iters: 0.3})
+	ths := []int{0, 96}
+	pts := ThresholdPoints(ths, runSerial(t, UdmaThresholdJobs(ths, workload.Params{Iters: 0.3})))
 	if pts[1].DsmcUS > pts[0].DsmcUS*1.02 {
 		t.Errorf("96B threshold (%.0f us) worse than always-DMA (%.0f us) on dsmc",
 			pts[1].DsmcUS, pts[0].DsmcUS)
@@ -60,7 +86,8 @@ func TestAblateUdmaThresholdPaperChoiceReasonable(t *testing.T) {
 }
 
 func TestAblateIOBusDegradesMonotonically(t *testing.T) {
-	pts := AblateIOBus([]sim.Time{0, 250 * sim.Nanosecond, 1000 * sim.Nanosecond})
+	bridges := []sim.Time{0, 250 * sim.Nanosecond, 1000 * sim.Nanosecond}
+	pts := IOBusPoints(bridges, runSerial(t, IOBusJobs(bridges)))
 	byKind := map[string][]IOBusPoint{}
 	for _, p := range pts {
 		byKind[p.Kind.ShortName()] = append(byKind[p.Kind.ShortName()], p)

@@ -124,7 +124,7 @@ func ThresholdPoints(thresholds []int, results []sweep.Result) []ThresholdPoint 
 }
 
 // IOBusJobs returns the NI-placement grid: each fifo NI behind each I/O-bus
-// bridge latency, kinds outer as AblateIOBus orders them.
+// bridge latency, kinds outer.
 func IOBusJobs(bridges []sim.Time) []sweep.Job {
 	var jobs []sweep.Job
 	for _, kind := range ioBusKinds {

@@ -40,8 +40,8 @@ func ExecJob(experiment string, kind nic.Kind, bufs int, app workload.App, p wor
 }
 
 // Figure1Jobs returns the Figure 1 grid: per application, the CM-5-like NI
-// with one flow-control buffer and with infinite buffering, in that order
-// (Figure1Rows depends on the pairing).
+// with one flow-control buffer (the figure's configuration) and with
+// infinite buffering, in that order (Figure1Rows depends on the pairing).
 func Figure1Jobs(p workload.Params) []sweep.Job {
 	var jobs []sweep.Job
 	for _, app := range workload.Apps() {
@@ -102,7 +102,9 @@ func Fig3aGrid(p workload.Params) NormGrid {
 }
 
 // Fig3bGrid is Figure 3b: the four coherent NIs at eight buffers,
-// normalized to the AP3000-like NI with eight buffers.
+// normalized to the AP3000-like NI with eight buffers. (These NIs buffer
+// in main memory, so they are insensitive to the flow-control buffer
+// count.)
 func Fig3bGrid(p workload.Params) NormGrid {
 	return NormGrid{
 		Name: "fig3b", BaseKind: nic.AP3000, BaseBufs: 8,
@@ -112,7 +114,8 @@ func Fig3bGrid(p workload.Params) NormGrid {
 }
 
 // Fig4Grid is Figure 4: the single-cycle NI_2w at each flow-control buffer
-// level, normalized to CNI_32Q_m on the memory bus.
+// level, normalized to CNI_32Q_m on the memory bus (whose main-memory
+// buffering makes it independent of the level).
 func Fig4Grid(p workload.Params) NormGrid {
 	return NormGrid{
 		Name: "fig4", BaseKind: nic.CNI32Qm, BaseBufs: 8,

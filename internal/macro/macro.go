@@ -9,7 +9,6 @@ import (
 	"nisim/internal/netsim"
 	"nisim/internal/nic"
 	"nisim/internal/stats"
-	"nisim/internal/sweep"
 	"nisim/internal/workload"
 )
 
@@ -31,17 +30,6 @@ type Figure1Row struct {
 	BufferingFraction float64
 }
 
-// Figure1 regenerates Figure 1. Each application runs twice: once with one
-// flow-control buffer (the figure's configuration) and once with infinite
-// buffering. The buffering component is the differential; the transfer
-// component is the measured transfer work under infinite buffering, as a
-// share of the one-buffer execution time. This serial entry point runs the
-// Figure1Jobs grid one cell at a time; drivers that want parallelism
-// submit the same grid through the orchestrator themselves.
-func Figure1(p workload.Params) []Figure1Row {
-	return Figure1Rows(sweep.RunSerial(Figure1Jobs(p)))
-}
-
 // BufferLevels are the flow-control buffer counts of Figure 3a and
 // Figure 4 (Infinite renders as the black bar).
 var BufferLevels = []int{1, 2, 8, netsim.Infinite}
@@ -55,30 +43,4 @@ type Cell struct {
 	Normalized float64
 	// ExecUS is the raw execution time in microseconds.
 	ExecUS float64
-}
-
-// Figure3a regenerates Figure 3a: the three fifo-based NIs at each
-// flow-control buffer level, normalized to the AP3000-like NI with eight
-// buffers. Serial; parallel drivers submit Fig3aGrid through the
-// orchestrator instead.
-func Figure3a(p workload.Params) []Cell {
-	g := Fig3aGrid(p)
-	return g.Cells(sweep.RunSerial(g.Jobs()))
-}
-
-// Figure3b regenerates Figure 3b: the four fully or partially coherent
-// NIs with eight flow-control buffers, normalized to the AP3000-like NI
-// with eight buffers. (These NIs buffer in main memory, so they are
-// insensitive to the flow-control buffer count.)
-func Figure3b(p workload.Params) []Cell {
-	g := Fig3bGrid(p)
-	return g.Cells(sweep.RunSerial(g.Jobs()))
-}
-
-// Figure4 regenerates Figure 4: the single-cycle (register-mapped) NI_2w
-// at each flow-control buffer level, normalized to CNI_32Q_m on the memory
-// bus (whose main-memory buffering makes it independent of the level).
-func Figure4(p workload.Params) []Cell {
-	g := Fig4Grid(p)
-	return g.Cells(sweep.RunSerial(g.Jobs()))
 }

@@ -18,7 +18,7 @@ func norm(t *testing.T, kind nic.Kind, bufs int, app workload.App) float64 {
 }
 
 func TestFigure1FractionsSane(t *testing.T) {
-	rows := Figure1(quick)
+	rows := Figure1Rows(runSerial(t, Figure1Jobs(quick)))
 	if len(rows) != 7 {
 		t.Fatalf("%d rows, want 7", len(rows))
 	}
@@ -36,7 +36,7 @@ func TestFigure1FractionsSane(t *testing.T) {
 }
 
 func TestFigure1BuffersMatterMostForEm3dSpsolve(t *testing.T) {
-	rows := Figure1(quick)
+	rows := Figure1Rows(runSerial(t, Figure1Jobs(quick)))
 	byApp := map[workload.App]Figure1Row{}
 	var maxOther float64
 	for _, r := range rows {
@@ -148,7 +148,8 @@ func TestFigure4SingleCycleVsCNI32Qm(t *testing.T) {
 }
 
 func TestFigure4CellsComplete(t *testing.T) {
-	cells := Figure4(workload.Params{Iters: 0.15})
+	g := Fig4Grid(workload.Params{Iters: 0.15})
+	cells := g.Cells(runSerial(t, g.Jobs()))
 	if len(cells) != len(workload.Apps())*len(BufferLevels) {
 		t.Fatalf("cells = %d", len(cells))
 	}

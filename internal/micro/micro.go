@@ -9,7 +9,6 @@ import (
 	"nisim/internal/netsim"
 	"nisim/internal/nic"
 	"nisim/internal/sim"
-	"nisim/internal/sweep"
 )
 
 const (
@@ -130,12 +129,3 @@ var (
 	LatencyPayloads   = []int{8, 64, 256}
 	BandwidthPayloads = []int{8, 64, 256, 4096}
 )
-
-// Table5 regenerates the full Table 5: seven NIs plus CNI_32Qm+Throttle
-// (bandwidth only, as in the paper), with flow-control buffers = 8. It
-// runs the standard grid serially; drivers that want parallelism submit
-// StandardSpec's jobs through the orchestrator themselves.
-func Table5(quick bool) []Table5Row {
-	s := StandardSpec(quick)
-	return s.Rows(sweep.RunSerial(s.Jobs()))
-}

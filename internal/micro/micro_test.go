@@ -5,6 +5,7 @@ import (
 
 	"nisim/internal/nic"
 	"nisim/internal/sim"
+	"nisim/internal/sweep"
 )
 
 // These tests assert the paper's qualitative Table 5 claims (§6.1). They use
@@ -134,7 +135,8 @@ func TestTable5Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	rows := Table5(true)
+	s := StandardSpec(true)
+	rows := s.Rows(sweep.RunSerial(s.Jobs()))
 	if len(rows) != 8 {
 		t.Fatalf("Table5 rows = %d, want 8", len(rows))
 	}

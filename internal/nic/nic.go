@@ -65,55 +65,42 @@ func PaperSeven() []Kind {
 	return []Kind{CM5, UDMA, AP3000, StarTJR, MemoryChannel, CNI512Q, CNI32Qm}
 }
 
+// kindInfo is one named design point: its CLI/report identifier, its
+// display name, and its Table 2 decomposition.
+type kindInfo struct {
+	short, long string
+	spec        Spec
+}
+
+// namedKinds describes every named Kind, indexed by Kind.
+var namedKinds = [numKinds]kindInfo{
+	CM5:             {"cm5", "NI_2w (CM-5-like)", Spec{Send: UncachedWordEngine, Recv: UncachedWordEngine, Buffering: FifoVM}},
+	CM5SingleCycle:  {"cm5-1cycle", "single-cycle NI_2w", Spec{Send: RegisterWordEngine, Recv: RegisterWordEngine, Buffering: FifoVM}},
+	UDMA:            {"udma", "NI_64w+Udma (Udma-based)", Spec{Send: UDMAEngine, Recv: UDMAEngine, Buffering: FifoVM}},
+	AP3000:          {"ap3000", "NI_16w+Blkbuf (AP3000-like)", Spec{Send: BlockBufEngine, Recv: BlockBufEngine, Buffering: FifoVM}},
+	StarTJR:         {"startjr", "CNI_0Qm (Start-JR-like)", Spec{Send: CoherentEngine, Recv: CoherentEngine, Buffering: MemoryRing}},
+	MemoryChannel:   {"memchannel", "Memory Channel-like", Spec{Send: ReflectiveEngine, Recv: CoherentEngine, Buffering: MemoryRing}},
+	CNI512Q:         {"cni512q", "CNI_512Q", Spec{Send: CoherentEngine, Recv: CoherentEngine, Buffering: NIRing}},
+	CNI32Qm:         {"cni32qm", "CNI_32Qm", Spec{Send: CoherentEngine, Recv: CoherentEngine, Buffering: NICachedRing}},
+	CNI32QmThrottle: {"cni32qm-throttle", "CNI_32Qm+Throttle", Spec{Send: CoherentEngine, Recv: CoherentEngine, Buffering: NICachedRing, Throttle: true}},
+}
+
+// named reports whether k is one of the named design points.
+func (k Kind) named() bool { return k >= 0 && k < numKinds }
+
 func (k Kind) String() string {
-	switch k {
-	case CM5:
-		return "NI_2w (CM-5-like)"
-	case CM5SingleCycle:
-		return "single-cycle NI_2w"
-	case UDMA:
-		return "NI_64w+Udma (Udma-based)"
-	case AP3000:
-		return "NI_16w+Blkbuf (AP3000-like)"
-	case StarTJR:
-		return "CNI_0Qm (Start-JR-like)"
-	case MemoryChannel:
-		return "Memory Channel-like"
-	case CNI512Q:
-		return "CNI_512Q"
-	case CNI32Qm:
-		return "CNI_32Qm"
-	case CNI32QmThrottle:
-		return "CNI_32Qm+Throttle"
-	default: //lint:allow exhaustive String falls back to Kind(%d) for invalid values; report output is byte-identity-locked
+	if !k.named() {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+	return namedKinds[k].long
 }
 
 // ShortName returns a compact identifier usable in CLI flags and reports.
 func (k Kind) ShortName() string {
-	switch k {
-	case CM5:
-		return "cm5"
-	case CM5SingleCycle:
-		return "cm5-1cycle"
-	case UDMA:
-		return "udma"
-	case AP3000:
-		return "ap3000"
-	case StarTJR:
-		return "startjr"
-	case MemoryChannel:
-		return "memchannel"
-	case CNI512Q:
-		return "cni512q"
-	case CNI32Qm:
-		return "cni32qm"
-	case CNI32QmThrottle:
-		return "cni32qm-throttle"
-	default: //lint:allow exhaustive ShortName falls back to kind%d for invalid values; flag round-trips are locked by TestKindByName
+	if !k.named() {
 		return fmt.Sprintf("kind%d", int(k))
 	}
+	return namedKinds[k].short
 }
 
 // KindByName resolves a ShortName back to a Kind.
@@ -368,7 +355,7 @@ type Env struct {
 // memory, and network endpoint. Every named kind is built by composing its
 // Spec — there are no monolithic implementations.
 func New(kind Kind, env *Env) NI {
-	if kind < 0 || kind >= numKinds {
+	if !kind.named() {
 		panic(fmt.Sprintf("nic: unknown kind %d", int(kind)))
 	}
 	return compose(SpecFor(kind), kind, env)

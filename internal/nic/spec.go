@@ -340,28 +340,10 @@ const Custom Kind = -1
 // SpecFor returns the design-space decomposition of a named Kind (the
 // Table 2 classification as a Spec).
 func SpecFor(kind Kind) Spec {
-	switch kind {
-	case CM5:
-		return Spec{Send: UncachedWordEngine, Recv: UncachedWordEngine, Buffering: FifoVM}
-	case CM5SingleCycle:
-		return Spec{Send: RegisterWordEngine, Recv: RegisterWordEngine, Buffering: FifoVM}
-	case UDMA:
-		return Spec{Send: UDMAEngine, Recv: UDMAEngine, Buffering: FifoVM}
-	case AP3000:
-		return Spec{Send: BlockBufEngine, Recv: BlockBufEngine, Buffering: FifoVM}
-	case StarTJR:
-		return Spec{Send: CoherentEngine, Recv: CoherentEngine, Buffering: MemoryRing}
-	case MemoryChannel:
-		return Spec{Send: ReflectiveEngine, Recv: CoherentEngine, Buffering: MemoryRing}
-	case CNI512Q:
-		return Spec{Send: CoherentEngine, Recv: CoherentEngine, Buffering: NIRing}
-	case CNI32Qm:
-		return Spec{Send: CoherentEngine, Recv: CoherentEngine, Buffering: NICachedRing}
-	case CNI32QmThrottle:
-		return Spec{Send: CoherentEngine, Recv: CoherentEngine, Buffering: NICachedRing, Throttle: true}
-	default:
+	if !kind.named() {
 		panic(fmt.Sprintf("nic: no spec for kind %d", int(kind)))
 	}
+	return namedKinds[kind].spec
 }
 
 // KindOf returns the named Kind a spec reproduces, or Custom when the spec

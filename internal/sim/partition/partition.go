@@ -14,8 +14,7 @@
 // it only changes how much simulated time each barrier round covers.
 //
 // This package is the one sanctioned home for cross-shard communication in
-// the simulation core (the chanconfine and nogoroutine lint passes
-// whitelist it): worker goroutines own their shard's engine exclusively
+// the simulation core (the nogoroutine lint pass whitelists it): worker goroutines own their shard's engine exclusively
 // between barriers, and every handoff between them rides this package's
 // barrier protocol. Windows arrive hundreds of thousands of times per run,
 // so the barrier is a spin protocol on three atomics — an epoch the
