@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race bench bench-smoke bench-json results ci
+.PHONY: build test vet lint race bench bench-smoke bench-json results perf-check ci
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,21 @@ bench-json: build
 results: build
 	$(GO) run ./cmd/nisim chaos -quick -baseline -json chaos_results.json
 	$(GO) run ./cmd/nisim scalebig -sizes 64 -scale 0.2 -shards 4 -jobs 1 -baseline -json scale_results.json
+
+# perf-check runs each perfbench workload once, briefly and untraced, and
+# fails unless its last line reports "correct":true, i.e. every cell
+# matched perfbench/reference. It gates the benchmark's correctness, not
+# its wall-clock (perfbench itself exits 0 even when a cell is wrong).
+# perfbench/run.sh rewrites perfbench/go.mod, so the file is saved before
+# the runs and restored after.
+perf-check:
+	@mkdir -p .bench_build && cp perfbench/go.mod .bench_build/go.mod.saved
+	@status=0; for w in pingpong apps16 overload scale256; do \
+		last=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+		echo "$$w: $$last"; \
+		case "$$last" in *'"correct":true'*) ;; *) echo "perf-check: $$w is not correct" >&2; status=1 ;; esac; \
+	done; \
+	cp .bench_build/go.mod.saved perfbench/go.mod; exit $$status
 
 # ci is the full verification gate: compile everything, vet, enforce the
 # determinism invariants (all seven simlint passes plus the stale-escape

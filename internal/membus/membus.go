@@ -99,9 +99,6 @@ func (k Kind) coherent() bool {
 	return false
 }
 
-// carriesData reports whether the transaction has a data phase.
-func (k Kind) carriesData() bool { return k != Upgrade && k != Invalidate }
-
 // Transaction is one bus operation. Fill in Kind, Addr, Size and Done;
 // Requester identifies the issuing snooper so it is excluded from snooping.
 type Transaction struct {

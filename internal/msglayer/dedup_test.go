@@ -18,24 +18,30 @@ func TestFragArgRoundTrip(t *testing.T) {
 }
 
 func TestMarkDoneRingEviction(t *testing.T) {
-	ep := &Endpoint{done: make(map[[2]uint64]struct{})}
-	for i := 0; i < doneWindow+16; i++ {
-		ep.markDone([2]uint64{3, uint64(i)})
-	}
-	if len(ep.done) != doneWindow {
-		t.Fatalf("done set holds %d entries, want exactly %d", len(ep.done), doneWindow)
-	}
-	// The oldest 16 were evicted; the newest survive.
-	if _, ok := ep.done[[2]uint64{3, 0}]; ok {
-		t.Fatal("oldest entry not evicted")
-	}
-	if _, ok := ep.done[[2]uint64{3, 15}]; ok {
-		t.Fatal("entry 15 should have been evicted")
-	}
-	if _, ok := ep.done[[2]uint64{3, 16}]; !ok {
-		t.Fatal("entry 16 wrongly evicted")
-	}
-	if _, ok := ep.done[[2]uint64{3, doneWindow + 15}]; !ok {
-		t.Fatal("newest entry missing")
+	for _, c := range []struct {
+		name  string
+		depth int
+	}{
+		{"eager", doneWindow},
+		{"rendezvous", rdvDoneWindow},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := newDoneSet(c.depth)
+			for i := 0; i < c.depth+16; i++ {
+				d.add([2]uint64{3, uint64(i)})
+			}
+			if len(d.keys) != c.depth {
+				t.Fatalf("done set holds %d entries, want exactly %d", len(d.keys), c.depth)
+			}
+			// The oldest 16 were evicted; the newest survive.
+			for _, e := range []struct {
+				seq  int
+				want bool
+			}{{0, false}, {15, false}, {16, true}, {c.depth + 15, true}} {
+				if got := d.has([2]uint64{3, uint64(e.seq)}); got != e.want {
+					t.Fatalf("entry %d present = %v, want %v", e.seq, got, e.want)
+				}
+			}
+		})
 	}
 }

@@ -83,8 +83,7 @@ func DefaultConfig() Config {
 // bits 0..15  fragment index
 // bits 16..31 fragment count
 // bits 32..55 per-sender message sequence number
-// (the application's own Arg travels in the first fragment's payload
-// accounting; we keep it in the assembly record).
+// The application's own Arg rides in the first fragment's Channel field.
 func fragArg(idx, total int, seq uint64) uint64 {
 	return uint64(idx) | uint64(total)<<16 | (seq&0xFFFFFF)<<32
 }
@@ -93,19 +92,59 @@ func fragIdx(a uint64) int    { return int(a & 0xFFFF) }
 func fragTotal(a uint64) int  { return int(a >> 16 & 0xFFFF) }
 func fragSeq(a uint64) uint64 { return a >> 32 & 0xFFFFFF }
 
-type assembly struct {
-	m        *Message
+// inbound is one message being reassembled, by either protocol: eager
+// fragments from the receive queue, keyed (src, seq), or rendezvous put
+// frames from the put sink, keyed (src, xfer). Records recycle through the
+// endpoint's free list.
+type inbound struct {
+	key      [2]uint64
+	m        Message // PayloadLen accumulates as fragments land
+	buf      []byte  // payload store; an eager delivery hands it to the handler
+	got      []bool  // fragment indexes already placed (duplicate suppression)
 	received int
-	bytes    int
-	got      []bool    // fragment indexes already integrated (duplicate suppression)
-	next     *assembly // endpoint free-list link
+	next     *inbound // free-list link
 }
 
-// doneWindow bounds the per-endpoint memory of completed (src, seq) pairs
-// kept for duplicate suppression. Sequence numbers are monotonic per
-// sender, so a window thousands deep comfortably outlasts any duplicate
-// the network can still deliver.
-const doneWindow = 1 << 13
+// doneSet remembers the last depth completed keys, so late duplicates of a
+// finished message (retransmissions whose ack was lost, network-duplicated
+// copies, stale rendezvous requests) are suppressed rather than reassembled
+// into a phantom message. Keys are monotonic per sender, so a set thousands
+// deep outlasts any duplicate the network can still deliver.
+type doneSet struct {
+	depth int
+	keys  map[[2]uint64]struct{}
+	ring  [][2]uint64 // eviction order
+	head  int
+}
+
+// Done-set depths. The eager 24-bit sequences and the rendezvous 16-bit
+// transfer ids are independent counters, so each protocol keeps its own
+// set: a shared one would let an eager completion mask a rendezvous
+// transfer (or vice versa) whenever the numbers collide.
+const (
+	doneWindow    = 1 << 13
+	rdvDoneWindow = 1 << 12
+)
+
+func newDoneSet(depth int) doneSet {
+	return doneSet{depth: depth, keys: make(map[[2]uint64]struct{})}
+}
+
+func (d *doneSet) has(key [2]uint64) bool {
+	_, ok := d.keys[key]
+	return ok
+}
+
+func (d *doneSet) add(key [2]uint64) {
+	d.keys[key] = struct{}{} //lint:allow noalloc done set is bounded by its depth; past it the paired delete frees a bucket for every insert
+	if len(d.ring) < d.depth {
+		d.ring = append(d.ring, key) //lint:allow noalloc eviction ring grows once to its depth, then recycles slots in place
+		return
+	}
+	delete(d.keys, d.ring[d.head])
+	d.ring[d.head] = key
+	d.head = (d.head + 1) % d.depth
+}
 
 // Endpoint is one node's messaging-layer endpoint.
 type Endpoint struct {
@@ -115,11 +154,9 @@ type Endpoint struct {
 	maxFrag  int // max payload bytes per network message
 	handlers map[int]Handler
 	seq      uint64
-	partials map[[2]uint64]*assembly // key: (src, seq)
-	freeAsm  *assembly               // recycled assembly records (see newAssembly)
-	done     map[[2]uint64]struct{}  // recently completed (src, seq) pairs
-	doneQ    [][2]uint64             // eviction ring for done
-	doneHead int
+	partials map[[2]uint64]*inbound // eager reassembly, key (src, seq)
+	done     doneSet                // completed eager (src, seq) pairs
+	free     *inbound               // recycled reassembly records, both protocols
 
 	// rdv is the rendezvous protocol state, nil unless the Config selects
 	// Rendezvous AND the NI exposes an RDMA engine. Every receive path
@@ -142,8 +179,8 @@ func New(pr *proc.Proc, ni nic.NI, netCfg netsim.Config, cfg Config) *Endpoint {
 		cfg:      cfg,
 		maxFrag:  netCfg.MaxNetMsg - netsim.HeaderBytes,
 		handlers: make(map[int]Handler),
-		partials: make(map[[2]uint64]*assembly),
-		done:     make(map[[2]uint64]struct{}),
+		partials: make(map[[2]uint64]*inbound),
+		done:     newDoneSet(doneWindow),
 	}
 	if cfg.Protocol == Rendezvous {
 		// Degrades to nil — purely eager — on NIs without an RDMA engine,
@@ -203,27 +240,11 @@ func (ep *Endpoint) send(dst, handler int, payload []byte, payloadLen int, arg u
 	}
 	ep.seq++
 	seq := ep.seq
-	total := (payloadLen + ep.maxFrag - 1) / ep.maxFrag
-	if total == 0 {
-		total = 1
-	}
-
-	ep.pr.Work(stats.Transfer, ep.cfg.SendCycles)
-	ep.pr.Stats.MessagesSent++
-	ep.pr.Stats.BytesSent += int64(payloadLen + netsim.HeaderBytes)
-	if handler < ReservedHandlerBase {
-		// Table 4 histograms application messages only, not runtime-internal
-		// traffic such as barriers.
-		ep.pr.Stats.RecordMessageSize(payloadLen + netsim.HeaderBytes)
-	}
-
-	sendTime := ep.pr.P.Now()
+	total := ep.frags(payloadLen)
+	sendTime := ep.countSend(handler, payloadLen)
 	for i := 0; i < total; i++ {
 		lo := i * ep.maxFrag
-		hi := lo + ep.maxFrag
-		if hi > payloadLen {
-			hi = payloadLen
-		}
+		hi := min(lo+ep.maxFrag, payloadLen)
 		nm := &netsim.Message{
 			Src:        ep.pr.ID,
 			Dst:        dst,
@@ -235,9 +256,6 @@ func (ep *Endpoint) send(dst, handler int, payload []byte, payloadLen int, arg u
 		if payload != nil {
 			nm.Payload = payload[lo:hi]
 		}
-		// The application-level arg rides in every fragment's unused header
-		// space; we keep it on the netsim message via a side table-free
-		// trick: the first fragment's Channel field.
 		if i == 0 {
 			nm.Channel = int(arg)
 		}
@@ -245,15 +263,47 @@ func (ep *Endpoint) send(dst, handler int, payload []byte, payloadLen int, arg u
 		if i > 0 {
 			ep.pr.Work(stats.Transfer, ep.cfg.FragCycles)
 		}
-		// Poll-while-blocked: drain incoming messages until the NI can take
-		// this fragment.
-		for !ep.ni.CanSend(nm) {
-			if !ep.PollOne() {
-				ep.pr.P.SleepAs(stats.Buffering, ep.cfg.SpinWait)
-			}
-		}
-		ep.ni.Send(ep.pr, nm)
+		ep.push(nm)
 	}
+}
+
+// frags is the number of network messages a payload of n bytes takes.
+func (ep *Endpoint) frags(n int) int {
+	return max(1, (n+ep.maxFrag-1)/ep.maxFrag)
+}
+
+// countSend charges and counts one application message on the send side,
+// the same for both protocols, and returns its SendTime stamp. Table 4
+// histograms application messages only, not runtime-internal traffic such
+// as barriers.
+func (ep *Endpoint) countSend(handler, payloadLen int) sim.Time {
+	ep.pr.Work(stats.Transfer, ep.cfg.SendCycles)
+	ep.pr.Stats.MessagesSent++
+	ep.pr.Stats.BytesSent += int64(payloadLen + netsim.HeaderBytes)
+	if handler < ReservedHandlerBase {
+		ep.pr.Stats.RecordMessageSize(payloadLen + netsim.HeaderBytes)
+	}
+	return ep.pr.P.Now()
+}
+
+// push hands one network message to the NI, polling while blocked until
+// the NI can take it.
+func (ep *Endpoint) push(nm *netsim.Message) {
+	for !ep.ni.CanSend(nm) {
+		ep.pollOrSpin()
+	}
+	ep.ni.Send(ep.pr, nm)
+}
+
+// pollOrSpin is one step of poll-while-blocked: process one arrival, or
+// sleep one spin interval when there is none. Reports whether it processed
+// one.
+func (ep *Endpoint) pollOrSpin() bool {
+	if ep.PollOne() {
+		return true
+	}
+	ep.pr.P.SleepAs(stats.Buffering, ep.cfg.SpinWait)
+	return false
 }
 
 // PollOne polls the NI once; if a fragment is available it is received and,
@@ -286,8 +336,7 @@ func (ep *Endpoint) waitOne() {
 		ep.accept(ep.ni.Recv(ep.pr))
 		return
 	}
-	for !ep.PollOne() {
-		ep.pr.P.SleepAs(stats.Buffering, ep.cfg.SpinWait)
+	for !ep.pollOrSpin() {
 	}
 }
 
@@ -312,23 +361,9 @@ func (ep *Endpoint) Drain() {
 	}
 }
 
-// markDone remembers a completed (src, seq) pair so late duplicates of its
-// fragments — retransmissions whose ack was lost, or network-duplicated
-// copies — are suppressed rather than reassembled into a phantom message.
-func (ep *Endpoint) markDone(key [2]uint64) {
-	ep.done[key] = struct{}{} //lint:allow noalloc done set is bounded by the window; past it the paired delete frees a bucket for every insert
-	if len(ep.doneQ) < doneWindow {
-		ep.doneQ = append(ep.doneQ, key) //lint:allow noalloc done ring grows once to its window bound, then recycles slots in place
-		return
-	}
-	delete(ep.done, ep.doneQ[ep.doneHead])
-	ep.doneQ[ep.doneHead] = key
-	ep.doneHead = (ep.doneHead + 1) % doneWindow
-}
-
 // accept integrates one network fragment, dispatching the handler when the
-// application message is complete. Duplicate fragments (per-(src,seq)
-// sequence numbers plus per-assembly fragment bitmaps) are suppressed.
+// application message is complete. Duplicates of completed messages are
+// suppressed by the done set, duplicate fragments by the record's bitmap.
 func (ep *Endpoint) accept(nm *netsim.Message) {
 	if ep.rdv != nil {
 		switch nm.Handler {
@@ -341,60 +376,80 @@ func (ep *Endpoint) accept(nm *netsim.Message) {
 		}
 	}
 	key := [2]uint64{uint64(nm.Src), fragSeq(nm.Arg)}
-	total := fragTotal(nm.Arg)
-	if _, dup := ep.done[key]; dup {
+	if ep.done.has(key) {
 		ep.pr.Stats.DupSuppressed++
 		return
 	}
-	a := ep.partials[key]
-	if a == nil {
-		a = ep.newAssembly(total)
-		a.m = &Message{ //lint:allow noalloc delivery contract: the handler owns the Message, so one is freshly built per application message
-			Src:      nm.Src,
-			Dst:      ep.pr.ID,
-			Handler:  nm.Handler,
-			SendTime: nm.SendTime,
-		}
-		ep.partials[key] = a //lint:allow noalloc partials map holds at most the in-flight reassembly population; completed keys free buckets
+	idx, total := fragIdx(nm.Arg), fragTotal(nm.Arg)
+	in := ep.partials[key]
+	if in == nil {
+		in = ep.newInbound(key, total)
+		in.m = Message{Src: nm.Src, Dst: ep.pr.ID, Handler: nm.Handler, SendTime: nm.SendTime}
+		ep.partials[key] = in //lint:allow noalloc partials map holds at most the in-flight reassembly population; completed keys free buckets
 	}
-	if idx := fragIdx(nm.Arg); idx < len(a.got) {
-		if a.got[idx] {
-			ep.pr.Stats.DupSuppressed++
-			return
-		}
-		a.got[idx] = true
+	if !ep.place(in, idx, total, nm) {
+		return
 	}
-	if fragIdx(nm.Arg) == 0 {
-		a.m.Arg = uint64(nm.Channel)
+	if idx == 0 {
+		in.m.Arg = uint64(nm.Channel)
 	}
-	if nm.Payload != nil {
-		if a.m.Payload == nil {
-			a.m.Payload = make([]byte, 0, total*ep.maxFrag) //lint:allow noalloc delivery contract: the handler owns the payload, so byte-carrying messages allocate their backing store
-		}
-		// Fragments can arrive out of order after a bounce; order within the
-		// payload matters only for byte-carrying messages, which we place.
-		off := fragIdx(nm.Arg) * ep.maxFrag
-		need := off + nm.PayloadLen
-		if len(a.m.Payload) < need {
-			a.m.Payload = append(a.m.Payload, make([]byte, need-len(a.m.Payload))...) //lint:allow noalloc growth stays within the capacity reserved above; the scratch zero slice sizes the gap left by reordering
-		}
-		copy(a.m.Payload[off:need], nm.Payload)
-	}
-	a.bytes += nm.PayloadLen
-	a.received++
-	if a.received < total {
+	if in.received < total {
 		return
 	}
 	delete(ep.partials, key)
-	ep.markDone(key)
-	m, bytes := a.m, a.bytes
-	ep.releaseAssembly(a)
-	m.PayloadLen = bytes
+	ep.done.add(key)
+	// The eager delivery contract: the handler owns its Message and payload,
+	// so it gets a fresh copy, and a record whose payload store went with it
+	// gives the store up.
+	m := new(Message) //lint:allow noalloc delivery contract: the handler owns the Message, so one is freshly built per eager message
+	*m = in.m
+	if m.Payload != nil {
+		in.buf = nil
+	}
+	ep.release(in)
 	m.ArriveTime = ep.pr.P.Now()
-	ep.pr.Stats.MessagesReceived++
-	ep.pr.Stats.BytesReceived += int64(bytes + netsim.HeaderBytes)
+	ep.dispatch(m, total)
+}
 
-	ep.pr.Work(stats.Transfer, ep.cfg.RecvCycles+ep.cfg.FragCycles*int64(total-1))
+// place integrates fragment idx of a total-fragment message into in,
+// copying any payload bytes to their offset (fragments can arrive out of
+// order after a bounce). A duplicate fragment is counted and reported
+// false.
+func (ep *Endpoint) place(in *inbound, idx, total int, nm *netsim.Message) bool {
+	if total != len(in.got) || idx >= total {
+		panic(fmt.Sprintf("msglayer: node %d fragment %d/%d does not match its message (%d fragments)",
+			ep.pr.ID, idx, total, len(in.got)))
+	}
+	if in.got[idx] {
+		ep.pr.Stats.DupSuppressed++
+		return false
+	}
+	in.got[idx] = true
+	if nm.Payload != nil {
+		if in.m.Payload == nil {
+			need := total * ep.maxFrag
+			if cap(in.buf) < need {
+				in.buf = make([]byte, need) //lint:allow noalloc payload store grows to the largest message seen, then recycles; an eager delivery takes it, by contract
+			}
+			in.m.Payload = in.buf[:need]
+		}
+		copy(in.m.Payload[idx*ep.maxFrag:], nm.Payload)
+	}
+	in.m.PayloadLen += nm.PayloadLen
+	in.received++
+	return true
+}
+
+// dispatch runs the handler for a completed message, charging the
+// per-message receive cost plus the per-fragment cost of every fragment
+// past the first. The handler sees exactly PayloadLen payload bytes.
+func (ep *Endpoint) dispatch(m *Message, frags int) {
+	if m.Payload != nil {
+		m.Payload = m.Payload[:m.PayloadLen]
+	}
+	ep.pr.Stats.MessagesReceived++
+	ep.pr.Stats.BytesReceived += int64(m.PayloadLen + netsim.HeaderBytes)
+	ep.pr.Work(stats.Transfer, ep.cfg.RecvCycles+ep.cfg.FragCycles*int64(frags-1))
 	h := ep.handlers[m.Handler]
 	if h == nil {
 		panic(fmt.Sprintf("msglayer: node %d has no handler %d", ep.pr.ID, m.Handler))
@@ -403,34 +458,30 @@ func (ep *Endpoint) accept(nm *netsim.Message) {
 	h(ep, m)
 }
 
-// newAssembly takes a reassembly record from the endpoint's free list,
-// resizing and clearing its fragment bitmap for total fragments. Only the
-// bookkeeping record and bitmap are recycled; the Message is always freshly
-// allocated because the handler it is delivered to owns it.
-func (ep *Endpoint) newAssembly(total int) *assembly {
-	a := ep.freeAsm
-	if a == nil {
-		a = &assembly{} //lint:allow noalloc one record per concurrently reassembling message, recycled through the free list thereafter
+// newInbound takes a reassembly record from the free list, its fragment
+// bitmap sized and cleared for total fragments.
+func (ep *Endpoint) newInbound(key [2]uint64, total int) *inbound {
+	in := ep.free
+	if in == nil {
+		in = &inbound{} //lint:allow noalloc one record per concurrently reassembling message, recycled through the free list thereafter
 	} else {
-		ep.freeAsm = a.next
-		a.next = nil
-		a.received, a.bytes = 0, 0
+		ep.free = in.next
+		in.next = nil
 	}
-	if cap(a.got) < total {
-		a.got = make([]bool, total) //lint:allow noalloc bitmap grows to the largest fragment count seen, then recycles
+	in.key, in.received = key, 0
+	if cap(in.got) < total {
+		in.got = make([]bool, total) //lint:allow noalloc bitmap grows to the largest fragment count seen, then recycles
 	} else {
-		a.got = a.got[:total]
-		for i := range a.got {
-			a.got[i] = false
-		}
+		in.got = in.got[:total]
+		clear(in.got)
 	}
-	return a
+	return in
 }
 
-// releaseAssembly returns a completed record to the free list. The caller
-// must have detached a.m first.
-func (ep *Endpoint) releaseAssembly(a *assembly) {
-	a.m = nil
-	a.next = ep.freeAsm
-	ep.freeAsm = a
+// release returns a record to the free list once nothing refers to its
+// Message any more.
+func (ep *Endpoint) release(in *inbound) {
+	in.m = Message{}
+	in.next = ep.free
+	ep.free = in
 }

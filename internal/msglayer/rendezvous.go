@@ -1,5 +1,5 @@
 // Rendezvous protocol: the messaging layer's second transfer protocol,
-// layered over the RDMA engine's one-sided puts. Eager transfer (send.go's
+// layered over the RDMA engine's one-sided puts. Eager transfer (msglayer.go's
 // path, the paper's baseline) pushes every fragment through the receiver's
 // buffering layer and charges the receiving processor per fragment. For
 // large messages that is exactly the traffic admission control evicts and
@@ -16,6 +16,7 @@ import (
 
 	"nisim/internal/netsim"
 	"nisim/internal/nic"
+	"nisim/internal/sim"
 	"nisim/internal/stats"
 )
 
@@ -80,37 +81,6 @@ func decodeRTS(a uint64) (xfer uint32, bytes, handler int) {
 	return uint32(a & 0xFFFF), int(a >> 16 & 0xFFFF_FFFF), int(a >> 48)
 }
 
-// rdvDoneWindow bounds the memory of completed (src, xfer) transfers kept
-// for duplicate suppression, a separate window from the eager path's: the
-// 16-bit xfer ids and the eager 24-bit fragment sequences are independent
-// counters, so sharing one done-set would let an eager completion mask a
-// rendezvous transfer (or vice versa) whenever the numbers collide.
-const rdvDoneWindow = 1 << 12
-
-// rdvSend is the sender-side state of one in-flight handshake. Send blocks
-// until the CTS arrives, so only handler-reentrant sends nest these.
-type rdvSend struct {
-	cts  bool
-	next *rdvSend // free-list link
-}
-
-// rdvRecv is the receiver-side state of one granted transfer: the
-// reassembly buffer one-sided frames land in. The delivered Message and
-// its payload buffer are recycled across transfers — a rendezvous handler
-// must copy anything it keeps past its return, the zero-copy discipline
-// one-sided transfer exists to provide (eager deliveries keep their
-// handler-owned fresh Message).
-type rdvRecv struct {
-	key      [2]uint64 // (src, xfer)
-	m        Message
-	buf      []byte // recycled payload backing store
-	got      []bool // frame indexes already placed (duplicate suppression)
-	total    int    // frames expected, from the RTS byte count
-	received int
-	bytes    int      // payload bytes placed
-	next     *rdvRecv // free-list link
-}
-
 // rendezvous is the per-endpoint protocol state, nil unless the Config
 // selects Rendezvous and the NI exposes an RDMA engine.
 type rendezvous struct {
@@ -124,24 +94,29 @@ type rendezvous struct {
 	// frame per control message because the sender retains it until acked.
 	ctl []*netsim.Message
 
-	seq  uint32 // rolling 16-bit transfer id
-	out  map[uint32]*rdvSend
-	free *rdvSend
+	seq uint32 // rolling 16-bit transfer id
+	// out holds this endpoint's handshakes awaiting their CTS, by xfer id:
+	// false until the grant arrives. Send blocks until then, so only
+	// handler-reentrant sends nest.
+	out map[uint32]bool
 
-	in     map[[2]uint64]*rdvRecv
-	freeRx *rdvRecv
+	// in holds the granted transfers still receiving frames, key (src, xfer).
+	// Their records come from the endpoint's shared free list; unlike an
+	// eager delivery, the handler is handed the record's own Message and
+	// payload store, which recycle after it returns — a rendezvous handler
+	// must copy anything it keeps, the zero-copy discipline one-sided
+	// transfer exists to provide.
+	in map[[2]uint64]*inbound
 
 	// Completed transfers awaiting processor-side dispatch. The put sink
 	// runs in network-event context where no processor cycles can be
 	// charged, so completion is split: the sink records arrival, and
 	// deliverOne (called from PollOne/waitOne in process context) charges
 	// the dispatch cost and runs the handler.
-	complete []*rdvRecv
+	complete []*inbound
 	compHead int
 
-	done     map[[2]uint64]struct{}
-	doneQ    [][2]uint64
-	doneHead int
+	done doneSet // completed (src, xfer) pairs
 }
 
 // newRendezvous wires the protocol to the endpoint's RDMA engine, or
@@ -159,9 +134,9 @@ func newRendezvous(ep *Endpoint) *rendezvous {
 		ep:        ep,
 		rd:        rd,
 		threshold: ep.cfg.RendezvousThreshold,
-		out:       make(map[uint32]*rdvSend),
-		in:        make(map[[2]uint64]*rdvRecv),
-		done:      make(map[[2]uint64]struct{}),
+		out:       make(map[uint32]bool),
+		in:        make(map[[2]uint64]*inbound),
+		done:      newDoneSet(rdvDoneWindow),
 	}
 	if r.threshold <= 0 {
 		r.threshold = DefaultRendezvousThreshold
@@ -178,52 +153,27 @@ func newRendezvous(ep *Endpoint) *rendezvous {
 //lint:hotpath
 func (r *rendezvous) send(dst, handler int, payload []byte, payloadLen int, arg uint64) {
 	ep := r.ep
-	ep.pr.Work(stats.Transfer, ep.cfg.SendCycles)
-	ep.pr.Stats.MessagesSent++
-	ep.pr.Stats.BytesSent += int64(payloadLen + netsim.HeaderBytes)
-	if handler < ReservedHandlerBase {
-		ep.pr.Stats.RecordMessageSize(payloadLen + netsim.HeaderBytes)
-	}
-	sendTime := ep.pr.P.Now()
-
+	sendTime := ep.countSend(handler, payloadLen)
 	r.seq++
 	xfer := r.seq & 0xFFFF
-	st := r.newSend()
-	r.out[xfer] = st //lint:allow noalloc outstanding-send map holds at most the concurrent handshake population; completed transfers free buckets
+	r.out[xfer] = false //lint:allow noalloc outstanding-send map holds at most the concurrent handshake population; completed transfers free buckets
 
 	ep.pr.Work(stats.Transfer, ep.cfg.RdvCtlCycles)
-	rts := r.ctlFrame()
-	rts.Src, rts.Dst, rts.Handler = ep.pr.ID, dst, hRTS
-	rts.Channel = int(arg)
-	rts.Arg = rtsArg(xfer, payloadLen, handler)
-	rts.PayloadLen = 0
-	rts.SendTime = sendTime
-	ep.pr.Stats.FragmentsSent++
-	for !ep.ni.CanSend(rts) {
-		if !ep.PollOne() {
-			ep.pr.P.SleepAs(stats.Buffering, ep.cfg.SpinWait)
-		}
-	}
-	ep.ni.Send(ep.pr, rts)
+	r.sendCtl(dst, hRTS, int(arg), rtsArg(xfer, payloadLen, handler), sendTime)
 
 	// Poll-while-waiting for the grant: the receiver may be sending to us
 	// (or handshaking with us) in the meantime, and a blocked spin here is
 	// exactly the fetch deadlock §3.2 warns about.
-	for !st.cts {
-		if !ep.PollOne() {
-			ep.pr.P.SleepAs(stats.Buffering, ep.cfg.SpinWait)
-		}
+	for !r.out[xfer] {
+		ep.pollOrSpin()
 	}
 	delete(r.out, xfer)
-	r.releaseSend(st)
 
 	// Granted: move the payload one-sidedly. The put bypasses the
 	// receiver's buffering layer entirely — frames route to the put sink,
 	// not the receive queue, so they can neither bounce nor be evicted.
 	for !r.rd.CanPut() {
-		if !ep.PollOne() {
-			ep.pr.P.SleepAs(stats.Buffering, ep.cfg.SpinWait)
-		}
+		ep.pollOrSpin()
 	}
 	r.rd.Put(ep.pr, nic.PutOp{
 		Dst:        dst,
@@ -233,6 +183,21 @@ func (r *rendezvous) send(dst, handler int, payload []byte, payloadLen int, arg 
 		PayloadLen: payloadLen,
 		SendTime:   sendTime,
 	})
+}
+
+// sendCtl sends one header-only control message (RTS or CTS); the caller
+// has charged its composition.
+//
+//lint:hotpath
+func (r *rendezvous) sendCtl(dst, handler, channel int, arg uint64, sendTime sim.Time) {
+	nm := r.ctlFrame()
+	nm.Src, nm.Dst, nm.Handler = r.ep.pr.ID, dst, handler
+	nm.Channel = channel
+	nm.Arg = arg
+	nm.PayloadLen = 0
+	nm.SendTime = sendTime
+	r.ep.pr.Stats.FragmentsSent++
+	r.ep.push(nm)
 }
 
 // onRTS grants (or re-grants) a transfer: create the reassembly record and
@@ -247,22 +212,15 @@ func (r *rendezvous) onRTS(nm *netsim.Message) {
 	ep.pr.Work(stats.Transfer, ep.cfg.RdvCtlCycles)
 	xfer, bytes, handler := decodeRTS(nm.Arg)
 	key := [2]uint64{uint64(nm.Src), uint64(xfer)}
-	if _, dup := r.done[key]; dup {
+	if r.done.has(key) {
 		ep.pr.Stats.DupSuppressed++
 		r.recycleCtl(nm)
 		return
 	}
-	rx := r.in[key]
-	if rx == nil {
-		rx = r.newRecv(key, bytes)
-		rx.m = Message{
-			Src:      nm.Src,
-			Dst:      ep.pr.ID,
-			Handler:  handler,
-			Arg:      uint64(nm.Channel),
-			SendTime: nm.SendTime,
-		}
-		r.in[key] = rx //lint:allow noalloc inbound map holds at most the concurrently granted transfers; completions free buckets
+	if r.in[key] == nil {
+		in := ep.newInbound(key, ep.frags(bytes))
+		in.m = Message{Src: nm.Src, Dst: ep.pr.ID, Handler: handler, Arg: uint64(nm.Channel), SendTime: nm.SendTime}
+		r.in[key] = in //lint:allow noalloc inbound map holds at most the concurrently granted transfers; completions free buckets
 	} else {
 		ep.pr.Stats.DupSuppressed++
 	}
@@ -270,19 +228,7 @@ func (r *rendezvous) onRTS(nm *netsim.Message) {
 	r.recycleCtl(nm)
 
 	ep.pr.Work(stats.Transfer, ep.cfg.RdvCtlCycles)
-	cts := r.ctlFrame()
-	cts.Src, cts.Dst, cts.Handler = ep.pr.ID, src, hCTS
-	cts.Channel = 0
-	cts.Arg = uint64(xfer)
-	cts.PayloadLen = 0
-	cts.SendTime = ep.pr.P.Now()
-	ep.pr.Stats.FragmentsSent++
-	for !ep.ni.CanSend(cts) {
-		if !ep.PollOne() {
-			ep.pr.P.SleepAs(stats.Buffering, ep.cfg.SpinWait)
-		}
-	}
-	ep.ni.Send(ep.pr, cts)
+	r.sendCtl(src, hCTS, 0, uint64(xfer), ep.pr.P.Now())
 }
 
 // onCTS releases the sender blocked in send. A CTS for an unknown transfer
@@ -292,8 +238,9 @@ func (r *rendezvous) onRTS(nm *netsim.Message) {
 //lint:hotpath
 func (r *rendezvous) onCTS(nm *netsim.Message) {
 	r.ep.pr.Work(stats.Transfer, r.ep.cfg.RdvCtlCycles)
-	if st := r.out[uint32(nm.Arg&0xFFFF)]; st != nil {
-		st.cts = true
+	xfer := uint32(nm.Arg & 0xFFFF)
+	if _, waiting := r.out[xfer]; waiting {
+		r.out[xfer] = true //lint:allow noalloc overwrites a key send inserted; the map does not grow
 	} else {
 		r.ep.pr.Stats.DupSuppressed++
 	}
@@ -305,49 +252,30 @@ func (r *rendezvous) onCTS(nm *netsim.Message) {
 // bookkeeping only: placement, duplicate suppression, and completion
 // queueing. Frame contents are only valid for the duration of the call
 // (settled frames return to the sender's pool), so payload bytes are
-// copied into the reassembly buffer here.
+// copied into the reassembly record here.
 //
 //lint:hotpath
 func (r *rendezvous) putSink(nm *netsim.Message) {
 	xfer, idx, total := nic.DecodePutFrame(nm.Arg)
-	key := [2]uint64{uint64(nm.Src), uint64(xfer)}
-	rx := r.in[key]
-	if rx == nil {
+	in := r.in[[2]uint64{uint64(nm.Src), uint64(xfer)}]
+	if in == nil {
 		// A late duplicate of a completed transfer (reliability retransmit
 		// whose ack was lost).
 		r.ep.pr.Stats.DupSuppressed++
 		return
 	}
-	if total != rx.total || idx >= len(rx.got) {
-		panic(fmt.Sprintf("msglayer: node %d put frame %d/%d does not match granted transfer (%d frames)",
-			r.ep.pr.ID, idx, total, rx.total))
-	}
-	if rx.got[idx] {
-		r.ep.pr.Stats.DupSuppressed++
-		return
-	}
-	rx.got[idx] = true
-	if nm.Payload != nil {
-		if rx.m.Payload == nil {
-			rx.m.Payload = r.recvBuf(rx)
-		}
-		copy(rx.m.Payload[idx*r.ep.maxFrag:], nm.Payload[:nm.PayloadLen])
-	}
-	rx.bytes += nm.PayloadLen
-	rx.received++
-	if rx.received < rx.total {
+	if !r.ep.place(in, idx, total, nm) || in.received < total {
 		return
 	}
 	// Last frame: the message has fully arrived. Dispatch cost is the
 	// processor's, so completion is handed to deliverOne.
-	delete(r.in, key)
-	rx.m.ArriveTime = r.ep.pr.P.Now()
-	r.complete = append(r.complete, rx) //lint:allow noalloc completion ring reaches steady-state capacity after the first bursts; the rendezvous gate proves warm rounds stay alloc-free
+	delete(r.in, in.key)
+	in.m.ArriveTime = r.ep.pr.P.Now()
+	r.complete = append(r.complete, in) //lint:allow noalloc completion ring reaches steady-state capacity after the first bursts; the rendezvous gate proves warm rounds stay alloc-free
 }
 
-// deliverOne dispatches one completed transfer, charging the same
-// per-message receive cost the eager path charges (RecvCycles plus
-// FragCycles per additional frame). It runs in process context from
+// deliverOne dispatches one completed transfer through the same dispatch
+// the eager path uses. It runs in process context from
 // PollOne/waitOne/Drain. Reports whether a message was delivered.
 //
 //lint:hotpath
@@ -355,39 +283,20 @@ func (r *rendezvous) deliverOne() bool {
 	if r.compHead >= len(r.complete) {
 		return false
 	}
-	rx := r.complete[r.compHead]
+	in := r.complete[r.compHead]
 	r.complete[r.compHead] = nil
 	r.compHead++
 	if r.compHead == len(r.complete) {
 		r.complete = r.complete[:0]
 		r.compHead = 0
 	}
-	r.markDone(rx.key)
-
-	ep := r.ep
-	rx.m.PayloadLen = rx.bytes
-	ep.pr.Stats.MessagesReceived++
-	ep.pr.Stats.BytesReceived += int64(rx.bytes + netsim.HeaderBytes)
-	ep.pr.Work(stats.Transfer, ep.cfg.RecvCycles+ep.cfg.FragCycles*int64(rx.total-1))
-	h := ep.handlers[rx.m.Handler]
-	if h == nil {
-		panic(fmt.Sprintf("msglayer: node %d has no handler %d", ep.pr.ID, rx.m.Handler))
-	}
-	ep.Delivered++
-	h(ep, &rx.m)
+	r.done.add(in.key)
+	r.ep.dispatch(&in.m, len(in.got))
 	// The record (and the Message the handler just saw) recycles only
 	// after the handler returns; reentrant receives inside the handler use
 	// other records.
-	r.releaseRecv(rx)
+	r.ep.release(in)
 	return true
-}
-
-// pending reports undelivered rendezvous work: completions awaiting
-// dispatch or granted transfers still receiving frames.
-//
-//lint:hotpath
-func (r *rendezvous) pending() bool {
-	return r.compHead < len(r.complete) || len(r.in) > 0
 }
 
 // ctlFrame returns a control frame for an RTS or CTS, recycled from a
@@ -420,90 +329,4 @@ func (r *rendezvous) recycleCtl(nm *netsim.Message) {
 	nm.Payload = nil
 	nm.PayloadLen = 0
 	r.ctl = append(r.ctl, nm) //lint:allow noalloc pool append reaches steady-state capacity once the first handshakes complete
-}
-
-//lint:hotpath
-func (r *rendezvous) newSend() *rdvSend {
-	st := r.free
-	if st == nil {
-		return &rdvSend{} //lint:allow noalloc one record per concurrently outstanding handshake, recycled thereafter
-	}
-	r.free = st.next
-	st.next = nil
-	st.cts = false
-	return st
-}
-
-//lint:hotpath
-func (r *rendezvous) releaseSend(st *rdvSend) {
-	st.next = r.free
-	r.free = st
-}
-
-// newRecv takes a reassembly record from the free list, sizing its frame
-// bitmap for the transfer's byte count (frames are cut at the same
-// boundary the RDMA engine cuts them: the network payload maximum).
-//
-//lint:hotpath
-func (r *rendezvous) newRecv(key [2]uint64, bytes int) *rdvRecv {
-	total := (bytes + r.ep.maxFrag - 1) / r.ep.maxFrag
-	if total == 0 {
-		total = 1
-	}
-	rx := r.freeRx
-	if rx == nil {
-		rx = &rdvRecv{} //lint:allow noalloc one record per concurrently granted transfer, recycled thereafter
-	} else {
-		r.freeRx = rx.next
-		rx.next = nil
-		rx.received, rx.bytes = 0, 0
-	}
-	rx.key = key
-	rx.total = total
-	if cap(rx.got) < total {
-		rx.got = make([]bool, total) //lint:allow noalloc bitmap grows to the largest transfer seen, then recycles
-	} else {
-		rx.got = rx.got[:total]
-		for i := range rx.got {
-			rx.got[i] = false
-		}
-	}
-	return rx
-}
-
-// recvBuf returns rx's payload backing store sized for the granted byte
-// count, growing the recycled buffer only when a larger transfer arrives.
-//
-//lint:hotpath
-func (r *rendezvous) recvBuf(rx *rdvRecv) []byte {
-	need := rx.total * r.ep.maxFrag
-	if cap(rx.buf) < need {
-		rx.buf = make([]byte, need) //lint:allow noalloc backing store grows to the largest transfer seen, then recycles
-	}
-	return rx.buf[:need]
-}
-
-//lint:hotpath
-func (r *rendezvous) releaseRecv(rx *rdvRecv) {
-	rx.m = Message{}
-	rx.next = r.freeRx
-	r.freeRx = rx
-}
-
-// markDone remembers a completed (src, xfer) pair in the rendezvous done
-// window so late duplicate frames and stale RTS retransmissions are
-// suppressed. A fresh RTS reusing a wrapped 16-bit xfer id evicts nothing
-// early: the window is far deeper than any plausible in-flight population,
-// and entries age out as new completions push through the ring.
-//
-//lint:hotpath
-func (r *rendezvous) markDone(key [2]uint64) {
-	r.done[key] = struct{}{} //lint:allow noalloc done set is bounded by the window; past it the paired delete frees a bucket for every insert
-	if len(r.doneQ) < rdvDoneWindow {
-		r.doneQ = append(r.doneQ, key) //lint:allow noalloc done ring grows once to its window bound
-		return
-	}
-	delete(r.done, r.doneQ[r.doneHead])
-	r.doneQ[r.doneHead] = key
-	r.doneHead = (r.doneHead + 1) % rdvDoneWindow
 }

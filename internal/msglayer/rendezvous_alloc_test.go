@@ -19,9 +19,9 @@ import (
 // seals them until acked) — with symmetric ping-pong traffic so every pool
 // circulates: RTS/CTS frames between the two endpoints' control pools, put
 // frames between the two RDMA engines' pools (receiver adoption), and the
-// reassembly records through each endpoint's free lists. The warm-up must
-// outlast the rendezvous done window so the duplicate-suppression map and
-// ring reach their steady-state footprint.
+// inbound records through each endpoint's free list. The warm-up must
+// outlast the rendezvous done set's depth so its map and eviction ring
+// reach their steady-state footprint.
 func TestRendezvousAllocFree(t *testing.T) {
 	eng := sim.NewEngine()
 	netCfg := netsim.DefaultConfig()
@@ -91,8 +91,8 @@ func TestRendezvousAllocFree(t *testing.T) {
 			t.Fatal("round did not complete")
 		}
 	}
-	// Warm past the done window: each round completes one transfer per
-	// endpoint, and the window must fill before markDone stops growing.
+	// Warm past the done-set depth: each round completes one transfer per
+	// endpoint, and the ring must fill before the set stops growing.
 	for i := 0; i < rdvDoneWindow+64; i++ {
 		round()
 	}

@@ -34,7 +34,7 @@ func TestRendezvousDelivery(t *testing.T) {
 	for _, size := range []int{1024, 1240, 1241, 4096} {
 		m := rdvMachine(1024, nil)
 		const h = 1
-		var gotLen int
+		var gotLen, gotBytes int
 		var gotArg uint64
 		var payloadOK bool
 		for _, n := range m.Nodes {
@@ -42,9 +42,10 @@ func TestRendezvousDelivery(t *testing.T) {
 				// Rendezvous deliveries recycle the Message and its payload
 				// buffer across transfers: copy out everything checked.
 				gotLen = msg.PayloadLen
+				gotBytes = len(msg.Payload)
 				gotArg = msg.Arg
 				payloadOK = true
-				for _, b := range msg.Payload[:msg.PayloadLen] {
+				for _, b := range msg.Payload {
 					if b != byte(size) {
 						payloadOK = false
 						break
@@ -65,6 +66,9 @@ func TestRendezvousDelivery(t *testing.T) {
 		})
 		if gotLen != size {
 			t.Fatalf("size %d: got %d payload bytes", size, gotLen)
+		}
+		if gotBytes != gotLen {
+			t.Fatalf("size %d: handler saw %d payload bytes, want PayloadLen %d", size, gotBytes, gotLen)
 		}
 		if gotArg != 99 {
 			t.Fatalf("size %d: arg = %d, want 99", size, gotArg)
@@ -186,7 +190,7 @@ func TestRendezvousUnderFaults(t *testing.T) {
 	for _, n := range m.Nodes {
 		n.EP.Register(h, func(ep *msglayer.Endpoint, msg *msglayer.Message) {
 			delivered++
-			for _, b := range msg.Payload[:msg.PayloadLen] {
+			for _, b := range msg.Payload {
 				if b != 0x5A {
 					corrupted++
 					break

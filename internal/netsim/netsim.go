@@ -245,20 +245,6 @@ func (nw *Network) Delivered() int64 {
 	return d
 }
 
-// Activity returns a monotonic count of protocol progress events
-// (injections, accept/bounce decisions, buffer releases). Two equal
-// samples a long interval apart mean the network made no progress between
-// them — with held buffers, a lost-message stall even if processors are
-// still spinning. Like Delivered, the count is kept per endpoint and
-// summed on read.
-func (nw *Network) Activity() int64 {
-	var a int64
-	for _, ep := range nw.eps {
-		a += ep.activity
-	}
-	return a
-}
-
 // Progress returns the two watchdog counters together: protocol activity
 // (injections, decisions, buffer releases) and accepted deliveries. Rising
 // activity with flat deliveries over a long interval is the signature of

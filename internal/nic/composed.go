@@ -9,18 +9,16 @@ import (
 
 // sendEngine is the transmit half of a fifo-family transfer engine: the
 // processor-side work of handing one message to the network, plus the
-// re-push costs the FifoVM buffering policy charges when a bounced message
+// re-push cost the FifoVM buffering policy charges when a bounced message
 // must go out again.
 type sendEngine interface {
 	// send performs the full transmit path: path overhead, status checks,
 	// acquiring an outgoing flow-control buffer, pushing the bytes, and
 	// injection.
 	send(pr *proc.Proc, m *netsim.Message)
-	// serviceRepush is the cost of re-pushing a bounced message noticed
-	// while the processor waits inside Recv.
-	serviceRepush(pr *proc.Proc, m *netsim.Message)
-	// retryRepush is the re-push cost of an explicit RetryOne.
-	retryRepush(pr *proc.Proc, m *netsim.Message)
+	// repush is the cost of re-pushing a bounced message, whether noticed
+	// while the processor waits inside Recv or serviced by RetryOne.
+	repush(pr *proc.Proc, m *netsim.Message)
 }
 
 // recvEngine is the receive half of a fifo-family transfer engine: the
@@ -36,7 +34,7 @@ type recvEngine interface {
 	// receive drains the head message out of the fifo window and pops it.
 	receive(pr *proc.Proc) *netsim.Message
 	// retryConsume charges reading a bounced message back out of the
-	// network before retryRepush sends it again.
+	// network before repush sends it again.
 	retryConsume(pr *proc.Proc, m *netsim.Message)
 }
 
@@ -191,7 +189,7 @@ func (x *composed) Recv(pr *proc.Proc) *netsim.Message {
 	if x.spec.Recv == CoherentEngine {
 		return x.coh.recv(pr)
 	}
-	x.hw.waitForMessageServicing(pr, func(b *netsim.Message) { x.send.serviceRepush(pr, b) }) //lint:allow noalloc non-escaping service callback invoked synchronously; the composed gate proves the round stays alloc-free
+	x.hw.waitForMessageServicing(pr, func(b *netsim.Message) { x.send.repush(pr, b) }) //lint:allow noalloc non-escaping service callback invoked synchronously; the composed gate proves the round stays alloc-free
 	x.recv.pollHit(pr)
 	m := x.recv.receive(pr)
 	if tr := x.env.Trace; tr != nil {
@@ -243,7 +241,7 @@ func (x *composed) RetryOne(pr *proc.Proc) {
 	}
 	x.hw.retryOne(pr, func(b *netsim.Message) { //lint:allow noalloc non-escaping retry callback invoked synchronously; gated by TestAdmissionControlAllocFree
 		x.recv.retryConsume(pr, b)
-		x.send.retryRepush(pr, b)
+		x.send.repush(pr, b)
 	})
 }
 

@@ -89,10 +89,6 @@ func (b *blockBufEngine) receive(pr *proc.Proc) *netsim.Message {
 	return b.hw.pop()
 }
 
-// serviceRepush implements sendEngine.
-//lint:hotpath
-func (b *blockBufEngine) serviceRepush(pr *proc.Proc, m *netsim.Message) { b.push(pr, m) }
-
 // retryConsume implements recvEngine: the processor consumes the returned
 // message via block loads.
 //lint:hotpath
@@ -102,9 +98,9 @@ func (b *blockBufEngine) retryConsume(pr *proc.Proc, m *netsim.Message) {
 	}
 }
 
-// retryRepush implements sendEngine: re-push through the block buffer.
+// repush implements sendEngine: re-push through the block buffer.
 //lint:hotpath
-func (b *blockBufEngine) retryRepush(pr *proc.Proc, m *netsim.Message) { b.push(pr, m) }
+func (b *blockBufEngine) repush(pr *proc.Proc, m *netsim.Message) { b.push(pr, m) }
 
 // reflectiveEngine is the Memory Channel-like send engine. Unlike the
 // AP3000's fifo protocol, the Memory Channel send side is reflective
@@ -151,18 +147,11 @@ func (r *reflectiveEngine) push(pr *proc.Proc, m *netsim.Message) {
 	}
 }
 
-// serviceRepush implements sendEngine: under FifoVM buffering a returned
-// message is simply streamed through the window again (reflective memory
-// has no doorbell or status protocol to replay).
+// repush implements sendEngine: under FifoVM buffering a returned message
+// is simply streamed through the window again (reflective memory has no
+// doorbell or status protocol to replay).
 //lint:hotpath
-func (r *reflectiveEngine) serviceRepush(pr *proc.Proc, m *netsim.Message) {
-	pr.Work(stats.Transfer, reflSendCycles)
-	r.push(pr, m)
-}
-
-// retryRepush implements sendEngine.
-//lint:hotpath
-func (r *reflectiveEngine) retryRepush(pr *proc.Proc, m *netsim.Message) {
+func (r *reflectiveEngine) repush(pr *proc.Proc, m *netsim.Message) {
 	pr.Work(stats.Transfer, reflSendCycles)
 	r.push(pr, m)
 }

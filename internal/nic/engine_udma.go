@@ -58,19 +58,42 @@ func (u *udmaEngine) initiate(pr *proc.Proc) {
 	pr.P.SleepAs(stats.Transfer, u.env.Cfg.UDMAMasterSwitch)
 }
 
-// awaitDMA models the software waiting for a UDMA transfer to complete by
-// polling the NI's completion register (the paper's messaging layer "waits
-// until each UDMA transfer is complete").
-func (u *udmaEngine) awaitDMA(pr *proc.Proc, done *bool, doneCond *sim.Cond) {
-	for !*done {
+// dma runs an NI-managed block DMA: one bus transaction of the given kind
+// per block from base, chained so each issues when the previous completes,
+// then injection of m (nil on the receive side). The software waits for the
+// whole transfer by polling the NI's completion register (the paper's
+// messaging layer "waits until each UDMA transfer is complete").
+func (u *udmaEngine) dma(pr *proc.Proc, kind membus.Kind, base membus.Addr, blocks int, m *netsim.Message) {
+	done := false
+	doneCond := sim.NewCond(u.env.Eng) //lint:allow noalloc NI-managed DMA allocates once per large transfer; the AllocsPerRun gate covers the sub-threshold word path
+	var step func(i int)
+	step = func(i int) { //lint:allow noalloc per-transfer DMA chain closure; large-message path is outside the gated hot set
+		if i == blocks {
+			if m != nil {
+				u.env.EP.Inject(m)
+			}
+			done = true
+			doneCond.Broadcast()
+			return
+		}
+		u.env.Bus.Issue(&membus.Transaction{ //lint:allow noalloc DMA block transfers are full split transactions, not scratch accesses; one per block per transfer
+			Kind: kind,
+			Addr: base + membus.Addr(i*membus.BlockSize),
+			Done: func() { step(i + 1) }, //lint:allow noalloc continuation closure advancing the per-transfer DMA chain
+		})
+	}
+	step(0)
+	for !done {
 		doneCond.WaitAs(pr.P, stats.Transfer)
 	}
 	pr.UncachedRead(stats.Transfer, RegUdmaStat, 8)
 }
 
-// repush is the software cost of re-sending a returned message: small
-// messages are re-pushed through the window; for UDMA transfers the data
-// still sits in the NI, so the software re-runs the initiation sequence.
+// repush implements sendEngine: the software cost of re-sending a returned
+// message. Small messages are re-pushed through the window; for UDMA
+// transfers the data still sits in the NI, so the software re-runs the
+// initiation sequence.
+//lint:hotpath
 func (u *udmaEngine) repush(pr *proc.Proc, m *netsim.Message) {
 	if !u.useDMA(m) {
 		words := wordsFor(m, u.env.Cfg.UncachedWordBytes)
@@ -115,25 +138,7 @@ func (u *udmaEngine) send(pr *proc.Proc, m *netsim.Message) {
 
 	// NI-managed DMA: coherent block reads of the source buffer, then
 	// injection. The software waits for completion (paper's simplification).
-	done := false
-	doneCond := sim.NewCond(u.env.Eng) //lint:allow noalloc NI-managed DMA allocates once per large transfer; the AllocsPerRun gate covers the sub-threshold word path
-	blocks := blocksFor(m)
-	var fetch func(i int)
-	fetch = func(i int) { //lint:allow noalloc per-transfer DMA chain closure; large-message path is outside the gated hot set
-		if i == blocks {
-			u.env.EP.Inject(m)
-			done = true
-			doneCond.Broadcast()
-			return
-		}
-		u.env.Bus.Issue(&membus.Transaction{ //lint:allow noalloc DMA block reads are full split transactions, not scratch accesses; one per block per transfer
-			Kind: membus.GetS,
-			Addr: src + membus.Addr(i*membus.BlockSize),
-			Done: func() { fetch(i + 1) }, //lint:allow noalloc continuation closure advancing the per-transfer DMA chain
-		})
-	}
-	fetch(0)
-	u.awaitDMA(pr, &done, doneCond)
+	u.dma(pr, membus.GetS, src, blocksFor(m), m)
 }
 
 // pollMiss implements recvEngine.
@@ -172,34 +177,13 @@ func (u *udmaEngine) receive(pr *proc.Proc) *netsim.Message {
 	pr.UncachedRead(stats.Transfer, FifoBase, 8)
 	dst := u.staging()
 	u.initiate(pr)
-	done := false
-	doneCond := sim.NewCond(u.env.Eng) //lint:allow noalloc NI-managed DMA allocates once per large transfer; the AllocsPerRun gate covers the sub-threshold word path
-	blocks := blocksFor(m)
-	var store func(i int)
-	store = func(i int) { //lint:allow noalloc per-transfer DMA chain closure; large-message path is outside the gated hot set
-		if i == blocks {
-			done = true
-			doneCond.Broadcast()
-			return
-		}
-		u.env.Bus.Issue(&membus.Transaction{ //lint:allow noalloc DMA block deposits are full split transactions, not scratch accesses; one per block per transfer
-			Kind: membus.WriteInvalidate,
-			Addr: dst + membus.Addr(i*membus.BlockSize),
-			Done: func() { store(i + 1) }, //lint:allow noalloc continuation closure advancing the per-transfer DMA chain
-		})
-	}
-	store(0)
-	u.awaitDMA(pr, &done, doneCond)
+	u.dma(pr, membus.WriteInvalidate, dst, blocksFor(m), nil)
 	// The handler will read the data from memory; that cost lands on the
 	// consumer's cached reads of the staging buffer.
 	pr.CachedRead(stats.Transfer, dst, m.Size())
 	recordRecv(u.env, m)
 	return u.hw.pop()
 }
-
-// serviceRepush implements sendEngine.
-//lint:hotpath
-func (u *udmaEngine) serviceRepush(pr *proc.Proc, m *netsim.Message) { u.repush(pr, m) }
 
 // retryConsume implements recvEngine: the processor examines the returned
 // message in the window before re-pushing it.
@@ -215,7 +199,3 @@ func (u *udmaEngine) retryConsume(pr *proc.Proc, m *netsim.Message) {
 		pr.UncachedRead(pr.P.Category, FifoBase, 8)
 	}
 }
-
-// retryRepush implements sendEngine.
-//lint:hotpath
-func (u *udmaEngine) retryRepush(pr *proc.Proc, m *netsim.Message) { u.repush(pr, m) }

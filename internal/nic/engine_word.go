@@ -128,10 +128,6 @@ func (n *wordEngine) receive(pr *proc.Proc) *netsim.Message {
 	return n.hw.pop()
 }
 
-// serviceRepush implements sendEngine: the re-push cost while Recv waits.
-//lint:hotpath
-func (n *wordEngine) serviceRepush(pr *proc.Proc, m *netsim.Message) { n.push(pr, m) }
-
 // retryConsume implements recvEngine: the processor first consumes the
 // returned message from the network (it comes back through the receive
 // path). The retry handler is messaging software — register mapping does
@@ -142,9 +138,9 @@ func (n *wordEngine) retryConsume(pr *proc.Proc, m *netsim.Message) {
 	n.popWords(pr, m)
 }
 
-// retryRepush implements sendEngine: re-push word by word.
+// repush implements sendEngine: re-push word by word.
 //lint:hotpath
-func (n *wordEngine) retryRepush(pr *proc.Proc, m *netsim.Message) { n.push(pr, m) }
+func (n *wordEngine) repush(pr *proc.Proc, m *netsim.Message) { n.push(pr, m) }
 
 // popWords is the word-loop cost of draining one message out of the fifo
 // window (shared by normal receive and bounce consumption).

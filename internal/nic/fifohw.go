@@ -97,18 +97,10 @@ func (f *fifoHW) pop() *netsim.Message {
 	return m
 }
 
-// waitForMessage parks the processor until a message is waiting. The idle
-// time is charged to the compute category (it is communication wait, not an
-// NI data-transfer or buffering cost).
-func (f *fifoHW) waitForMessage(pr *proc.Proc) {
-	for f.recvQ.len() == 0 {
-		f.recvCond.WaitAs(pr.P, stats.Compute)
-	}
-}
-
-// waitForMessageServicing is waitForMessage for NIs whose software must
-// also re-push returned messages while it waits. Incoming messages take
-// priority over retries.
+// waitForMessageServicing parks the processor until a message is waiting,
+// re-pushing returned messages while it waits; incoming messages take
+// priority over retries. The idle time is charged to the compute category
+// (it is communication wait, not an NI data-transfer or buffering cost).
 func (f *fifoHW) waitForMessageServicing(pr *proc.Proc, repush func(m *netsim.Message)) {
 	for {
 		if f.recvQ.len() > 0 {

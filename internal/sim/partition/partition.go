@@ -176,9 +176,6 @@ func New(engines []*sim.Engine, shardOf []int, lookahead sim.Time) *Group {
 // Shards returns the number of engine shards.
 func (g *Group) Shards() int { return len(g.engines) }
 
-// Lookahead returns the conservative window lookahead.
-func (g *Group) Lookahead() sim.Time { return g.lookahead }
-
 // ShardOf returns the shard index owning node id. Together with Post it
 // satisfies netsim.Router.
 func (g *Group) ShardOf(node int) int { return g.shardOf[node] }

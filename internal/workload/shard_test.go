@@ -41,18 +41,12 @@ func TestShardedRunIsByteIdentical(t *testing.T) {
 
 // TestEverythingShardable pins the property that retired the old serial
 // fallback: every macrobenchmark confines its cross-node state to
-// messages and per-node tables, so Shardable is total, and the formerly
-// serial-only kernels — message-counting quiescence apps and the
-// throttled CNI's credit coupling — now run partitioned byte-identically
-// to serial. The grid here crosses the five formerly-unshardable apps
-// with a plain kind and the throttle spec that used to force the
-// fallback.
+// messages and per-node tables, so the formerly serial-only kernels —
+// message-counting quiescence apps and the throttled CNI's credit
+// coupling — run partitioned byte-identically to serial. The grid here
+// crosses the five formerly-unshardable apps with a plain kind and the
+// throttle spec that used to force the fallback.
 func TestEverythingShardable(t *testing.T) {
-	for _, app := range Apps() {
-		if !Shardable(app) {
-			t.Fatalf("%s reports not Shardable; the predicate must be total now", app)
-		}
-	}
 	p := Params{Iters: 0.2}
 	for _, kind := range []nic.Kind{nic.CM5, nic.CNI32QmThrottle} {
 		for _, app := range []App{Dsmc, Em3d, Moldyn, Spsolve, Unstructured} {

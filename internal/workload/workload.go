@@ -92,15 +92,6 @@ func Program(app App, p Params, nodes int) func(n *machine.Node) {
 	}
 }
 
-// Shardable reports whether app's program tolerates a partitioned machine
-// (machine.Config.Shards > 1) — today, always true. Every kernel confines
-// its cross-node interaction to messages and pre-sized per-node tables
-// (the runState quiescence ledger keeps one slot per node, reconciled by
-// hQuiesce count reports), so any node may run on any shard goroutine. The
-// predicate survives as the documented property new kernels must keep,
-// and tests assert it stays total.
-func Shardable(App) bool { return true }
-
 // Run builds a machine with cfg, runs app on it, and returns the
 // statistics.
 func Run(cfg machine.Config, app App, p Params) *stats.Machine {
