@@ -1,9 +1,13 @@
 GO ?= go
 
-.PHONY: build test vet lint race bench bench-smoke bench-json results perf-check ci
+.PHONY: build fmt test vet lint race bench bench-smoke bench-json results perf-check ci
 
 build:
 	$(GO) build ./...
+
+# fmt fails if any Go file differs from gofmt's output, and names it.
+fmt:
+	@files=$$(gofmt -l .); test -z "$$files" || { echo "gofmt needed on:" $$files >&2; exit 1; }
 
 vet: build
 	$(GO) vet ./...
@@ -63,9 +67,9 @@ perf-check:
 	done; \
 	cp .bench_build/go.mod.saved perfbench/go.mod; exit $$status
 
-# ci is the full verification gate: compile everything, vet, enforce the
-# determinism invariants (all seven simlint passes plus the stale-escape
-# check), and run the test suite under the race detector, which includes
-# TestGridIdentity: every registered grid at jobs=1 vs jobs=8 and, for
-# sharded grids, shards=1 vs shards=4.
-ci: build vet lint race
+# ci is the full verification gate: compile everything, check gofmt, vet,
+# enforce the determinism invariants (all seven simlint passes plus the
+# stale-escape check), and run the test suite under the race detector,
+# which includes TestGridIdentity: every registered grid at jobs=1 vs
+# jobs=8 and, for sharded grids, shards=1 vs shards=4.
+ci: build fmt vet lint race

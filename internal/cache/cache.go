@@ -25,21 +25,14 @@ const (
 	Modified
 )
 
+// stateNames holds each State's one-letter name, indexed by the State.
+var stateNames = [...]string{Invalid: "I", Shared: "S", Exclusive: "E", Owned: "O", Modified: "M"}
+
 func (s State) String() string {
-	switch s {
-	case Invalid:
-		return "I"
-	case Shared:
-		return "S"
-	case Exclusive:
-		return "E"
-	case Owned:
-		return "O"
-	case Modified:
-		return "M"
-	default: //lint:allow exhaustive String falls back to "?" for invalid states; report output is byte-identity-locked
+	if s < 0 || int(s) >= len(stateNames) {
 		return "?"
 	}
+	return stateNames[s]
 }
 
 // Dirty reports whether the state holds data newer than the home's copy.
@@ -48,10 +41,25 @@ func (s State) Dirty() bool { return s == Owned || s == Modified }
 // Valid reports whether the state holds readable data.
 func (s State) Valid() bool { return s != Invalid }
 
-type line struct {
-	tag   membus.Addr // block address
-	state State
+// line is one cache line packed into a word: the block address it holds,
+// with its State in the low bits the BlockSize alignment leaves free.
+type line uint64
+
+const stateBits = membus.BlockSize - 1
+
+func (l line) block() membus.Addr { return membus.Addr(l &^ stateBits) }
+func (l line) state() State       { return State(l & stateBits) }
+
+// holds reports whether l caches block in a valid state. A nil line, the
+// slot of a page never installed into, holds nothing.
+func (l *line) holds(block membus.Addr) bool {
+	return l != nil && l.state().Valid() && l.block() == block
 }
+
+func (l *line) set(block membus.Addr, s State) { *l = line(block) | line(s) }
+
+// pageLines is the number of lines in one page of the tag store: 4 KiB.
+const pageLines = 512
 
 // Config holds cache geometry and latencies.
 type Config struct {
@@ -71,12 +79,18 @@ func DefaultConfig() Config {
 
 // Cache is a direct-mapped MOESI cache attached to a memory bus.
 type Cache struct {
-	name  string
-	eng   *sim.Engine
-	bus   *membus.Bus
-	cfg   Config
-	lines []line
-	node  *stats.Node
+	name string
+	eng  *sim.Engine
+	bus  *membus.Bus
+	cfg  Config
+	node *stats.Node
+	mask int // number of lines - 1
+
+	// pages is the tag store, pageLines lines a page. A page is allocated
+	// when the first line in it is installed; until then all its lines
+	// read as Invalid. A large direct-mapped cache on a many-node machine
+	// touches few of its pages, so memory follows the lines a run uses.
+	pages []*[pageLines]line
 
 	// Hits and Misses count processor accesses.
 	Hits, Misses int64
@@ -95,7 +109,8 @@ func New(name string, e *sim.Engine, b *membus.Bus, cfg Config, node *stats.Node
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("cache: size %d is not a power-of-two multiple of the block size", cfg.SizeBytes))
 	}
-	c := &Cache{name: name, eng: e, bus: b, cfg: cfg, lines: make([]line, n), node: node}
+	pages := make([]*[pageLines]line, (n+pageLines-1)/pageLines)
+	c := &Cache{name: name, eng: e, bus: b, cfg: cfg, node: node, mask: n - 1, pages: pages}
 	b.AttachSnooper(c)
 	return c
 }
@@ -104,15 +119,35 @@ func New(name string, e *sim.Engine, b *membus.Bus, cfg Config, node *stats.Node
 func (c *Cache) SnooperName() string { return c.name }
 
 func (c *Cache) index(block membus.Addr) int {
-	return int(block/membus.BlockSize) & (len(c.lines) - 1)
+	return int(block/membus.BlockSize) & c.mask
+}
+
+// slot returns the line block maps to, or nil if no line of its page has
+// ever been installed.
+func (c *Cache) slot(block membus.Addr) *line {
+	i := c.index(block)
+	pg := c.pages[i/pageLines]
+	if pg == nil {
+		return nil
+	}
+	return &pg[i%pageLines]
+}
+
+// install returns the line block maps to, allocating its page on the first
+// install. Only the miss path calls it.
+func (c *Cache) install(block membus.Addr) *line {
+	pg := &c.pages[c.index(block)/pageLines]
+	if *pg == nil {
+		*pg = new([pageLines]line) //lint:allow noalloc at most nlines/512 pages per cache, each allocated once on its first install; amortized like the event pool miss
+	}
+	return c.slot(block)
 }
 
 // StateOf returns the coherence state of the block containing a.
 func (c *Cache) StateOf(a membus.Addr) State {
 	block := membus.BlockOf(a)
-	l := &c.lines[c.index(block)]
-	if l.state.Valid() && l.tag == block {
-		return l.state
+	if l := c.slot(block); l.holds(block) {
+		return l.state()
 	}
 	return Invalid
 }
@@ -124,18 +159,18 @@ func (c *Cache) Snoop(t *membus.Transaction) membus.SnoopReply {
 		return membus.SnoopReply{}
 	}
 	block := membus.BlockOf(t.Addr)
-	l := &c.lines[c.index(block)]
-	if !l.state.Valid() || l.tag != block {
+	l := c.slot(block)
+	if !l.holds(block) {
 		return membus.SnoopReply{}
 	}
 	switch t.Kind { //lint:allow exhaustive only kinds the bus snoops (Kind.coherent) reach Snoop; others never arrive
 	case membus.GetS:
-		switch l.state {
+		switch l.state() {
 		case Modified, Owned:
-			l.state = Owned
+			l.set(block, Owned)
 			return membus.SnoopReply{Owner: true, Shared: true, SupplyLatency: c.cfg.SupplyLat}
 		case Exclusive:
-			l.state = Shared
+			l.set(block, Shared)
 			return membus.SnoopReply{Owner: true, Shared: true, SupplyLatency: c.cfg.SupplyLat}
 		case Shared:
 			return membus.SnoopReply{Shared: true}
@@ -143,8 +178,8 @@ func (c *Cache) Snoop(t *membus.Transaction) membus.SnoopReply {
 			panic("cache: snoop GetS on invalid line state")
 		}
 	case membus.GetX, membus.Upgrade, membus.Invalidate, membus.WriteInvalidate:
-		owner := l.state.Dirty() || l.state == Exclusive
-		l.state = Invalid
+		owner := l.state().Dirty() || l.state() == Exclusive
+		l.set(block, Invalid)
 		if c.OnInvalidate != nil {
 			c.OnInvalidate(block)
 		}
@@ -159,11 +194,11 @@ func (c *Cache) Snoop(t *membus.Transaction) membus.SnoopReply {
 
 // evict writes back the victim line for block if dirty. Blocking.
 func (c *Cache) evict(p *sim.Process, l *line) {
-	if l.state.Dirty() {
+	if l.state().Dirty() {
 		c.Writebacks++
-		c.bus.AccessFrom(p, c, membus.Writeback, l.tag, 0)
+		c.bus.AccessFrom(p, c, membus.Writeback, l.block(), 0)
 	}
-	l.state = Invalid
+	l.set(l.block(), Invalid)
 }
 
 // Read performs a processor load of size bytes at a, blocking p until the
@@ -206,13 +241,13 @@ func (c *Cache) access(p *sim.Process, a membus.Addr, size int, write bool) {
 	if membus.BlockOf(a+membus.Addr(size)-1) != block {
 		panic(fmt.Sprintf("cache: access %#x size %d spans blocks", a, size))
 	}
-	l := &c.lines[c.index(block)]
-	hit := l.state.Valid() && l.tag == block
+	l := c.slot(block)
+	hit := l.holds(block)
 
-	if hit && (!write || l.state == Modified || l.state == Exclusive) {
+	if hit && (!write || l.state() == Modified || l.state() == Exclusive) {
 		c.Hits++
 		if write {
-			l.state = Modified
+			l.set(block, Modified)
 		}
 		p.Sleep(c.cfg.HitLatency)
 		return
@@ -223,8 +258,8 @@ func (c *Cache) access(p *sim.Process, a membus.Addr, size int, write bool) {
 		c.Hits++
 		c.bus.AccessFrom(p, c, membus.Upgrade, block, 0)
 		// Re-check: a racing snoop may have invalidated us while upgrading.
-		if l.state.Valid() && l.tag == block {
-			l.state = Modified
+		if l.holds(block) {
+			l.set(block, Modified)
 			return
 		}
 		// Fall through to a full miss.
@@ -232,7 +267,9 @@ func (c *Cache) access(p *sim.Process, a membus.Addr, size int, write bool) {
 	}
 
 	c.Misses++
-	if l.state.Valid() && l.tag != block {
+	if l == nil {
+		l = c.install(block)
+	} else if l.state().Valid() && l.block() != block {
 		c.evict(p, l)
 	}
 	kind := membus.GetS
@@ -240,21 +277,20 @@ func (c *Cache) access(p *sim.Process, a membus.Addr, size int, write bool) {
 		kind = membus.GetX
 	}
 	shared, fromCache := c.bus.FillFrom(p, c, kind, block)
-	l.tag = block
-	if write {
-		l.state = Modified
-	} else if shared || fromCache {
-		l.state = Shared
-	} else {
-		l.state = Exclusive
+	switch {
+	case write:
+		l.set(block, Modified)
+	case shared || fromCache:
+		l.set(block, Shared)
+	default:
+		l.set(block, Exclusive)
 	}
 }
 
 // Flush writes back (if dirty) and invalidates the block containing a.
 func (c *Cache) Flush(p *sim.Process, a membus.Addr) {
 	block := membus.BlockOf(a)
-	l := &c.lines[c.index(block)]
-	if l.state.Valid() && l.tag == block {
+	if l := c.slot(block); l.holds(block) {
 		c.evict(p, l)
 	}
 }

@@ -143,25 +143,6 @@ func TestGetXInvalidatesAndSupplies(t *testing.T) {
 	}
 }
 
-func TestConflictEvictionWritesBack(t *testing.T) {
-	r := newRig(t, 1)
-	c := r.caches[0]
-	// 64 KB cache => conflicting addresses differ by 1<<16.
-	r.runProc(t, func(p *sim.Process) {
-		c.Write(p, 0x100, 8)
-		c.Read(p, 0x100+1<<16, 8)
-	})
-	if c.Writebacks != 1 {
-		t.Fatalf("writebacks = %d, want 1", c.Writebacks)
-	}
-	if r.mem.Writes != 1 {
-		t.Fatalf("mem writes = %d, want 1", r.mem.Writes)
-	}
-	if c.StateOf(0x100) != Invalid {
-		t.Fatalf("victim still valid")
-	}
-}
-
 func TestOnInvalidateFires(t *testing.T) {
 	r := newRig(t, 2)
 	c0, c1 := r.caches[0], r.caches[1]
@@ -333,5 +314,102 @@ func TestMemWatch(t *testing.T) {
 	})
 	if len(seen) != 1 || seen[0] != 0x6000 {
 		t.Fatalf("watcher saw %v, want [0x6000]", seen)
+	}
+}
+
+// A block whose page of the tag store was never installed into reads as
+// Invalid and snoops as a miss, without allocating the page.
+func TestAbsentPageReadsInvalid(t *testing.T) {
+	r := newRig(t, 1)
+	c := r.caches[0]
+	const a = 0x2_0000 + 0x140
+	getx := &membus.Transaction{Kind: membus.GetX, Addr: a}
+	if got := c.StateOf(a); got != Invalid {
+		t.Errorf("StateOf on absent page = %v, want I", got)
+	}
+	if got := c.Snoop(getx); got != (membus.SnoopReply{}) {
+		t.Errorf("Snoop on absent page = %+v, want empty reply", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.StateOf(a) }); n != 0 {
+		t.Errorf("StateOf allocs/op = %v, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Snoop(getx) }); n != 0 {
+		t.Errorf("Snoop allocs/op = %v, want 0", n)
+	}
+	for k, pg := range c.pages {
+		if pg != nil {
+			t.Errorf("page %d allocated by reads and snoops alone", k)
+		}
+	}
+}
+
+// The packed line holds every State alongside the highest block address of
+// DRAM ([0, 1 GB), as in the machine's address map) without either field
+// disturbing the other.
+func TestLinePackRoundTrip(t *testing.T) {
+	const top = membus.Addr(1<<30) - membus.BlockSize
+	for s := Invalid; s <= Modified; s++ {
+		for _, block := range []membus.Addr{0, membus.BlockSize, top} {
+			var l line
+			l.set(block, s)
+			if l.block() != block || l.state() != s {
+				t.Errorf("set(%#x, %v) reads back (%#x, %v)", block, s, l.block(), l.state())
+			}
+			if want := s.Valid(); l.holds(block) != want {
+				t.Errorf("set(%#x, %v).holds = %v, want %v", block, s, !want, want)
+			}
+		}
+	}
+}
+
+// A conflict miss between two blocks that share an index writes the dirty
+// victim back to its own address, whether the victim was the first line
+// installed in its page of the tag store or the page already held others.
+func TestConflictEvictionWritesBack(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		first bool // victim is the page's first install
+	}{{"first install in page", true}, {"populated page", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 1)
+			c := r.caches[0]
+			// 64 KB cache => conflicting addresses differ by 1<<16.
+			const victim, other = 0x100, 0x100 + 1<<16
+			var written []membus.Addr
+			r.mem.Watch(0, 1<<30, func(tr *membus.Transaction) {
+				if tr.Kind == membus.Writeback {
+					written = append(written, tr.Addr)
+				}
+			})
+			r.runProc(t, func(p *sim.Process) {
+				if !tc.first {
+					c.Read(p, victim+membus.BlockSize, 8) // same page, next index
+				}
+				c.Write(p, victim, 8)
+				c.Read(p, other, 8)
+			})
+			if c.Writebacks != 1 || len(written) != 1 || written[0] != victim {
+				t.Fatalf("writebacks = %d to %#x, want 1 to %#x", c.Writebacks, written, membus.Addr(victim))
+			}
+			if c.StateOf(victim) != Invalid || c.StateOf(other) != Exclusive {
+				t.Fatalf("after conflict: victim %v, other %v; want I, E", c.StateOf(victim), c.StateOf(other))
+			}
+		})
+	}
+}
+
+// Installing a line allocates its own page of the tag store and no other.
+func TestInstallAllocatesOnlyItsPage(t *testing.T) {
+	n := len(newRig(t, 1).caches[0].pages)
+	for k := 0; k < n; k++ {
+		r := newRig(t, 1)
+		c := r.caches[0]
+		a := membus.Addr(k*pageLines*membus.BlockSize + 5*membus.BlockSize)
+		r.runProc(t, func(p *sim.Process) { c.Read(p, a, 8) })
+		for j, pg := range c.pages {
+			if (pg != nil) != (j == k) {
+				t.Errorf("install into page %d: page %d allocated = %v", k, j, pg != nil)
+			}
+		}
 	}
 }

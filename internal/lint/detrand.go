@@ -52,8 +52,8 @@ var globalRandFuncs = map[string]bool{
 // seededSourceCtors construct explicitly seeded sources; a rand.New whose
 // argument is a direct call to one of these is the sanctioned pattern.
 var seededSourceCtors = map[string]bool{
-	"NewSource": true, // math/rand
-	"NewPCG":    true, // math/rand/v2
+	"NewSource":  true, // math/rand
+	"NewPCG":     true, // math/rand/v2
 	"NewChaCha8": true,
 }
 

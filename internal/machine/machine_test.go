@@ -3,6 +3,7 @@ package machine
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"nisim/internal/msglayer"
@@ -285,4 +286,24 @@ func TestFlowBufferSweepHelps(t *testing.T) {
 func ExampleNode() {
 	fmt.Println("see examples/quickstart")
 	// Output: see examples/quickstart
+}
+
+// Building a machine costs memory in proportion to what a run can touch
+// before it starts, not to the capacity of its nodes' structures: a
+// 256-node scalefig1 machine (CM-5 NI, one flow-control buffer) has 256 MB
+// of processor cache, but a cache allocates its tag store page by page as
+// lines are installed. Dense 1 MB tag arrays alone would cost 64 MiB here.
+func TestMachineNewFootprint(t *testing.T) {
+	cfg := DefaultConfig(nic.CM5, 1)
+	cfg.Nodes = 256
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := New(cfg)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("256-node machine.New allocated %.2f MiB", got)
+	if got >= 4 {
+		t.Fatalf("256-node machine.New allocated %.1f MiB, want < 4 MiB", got)
+	}
 }

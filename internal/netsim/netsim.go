@@ -275,21 +275,28 @@ func (nw *Network) Failures() []*DeliveryError {
 // message (or endpoint) as the receiver; the message's net back-pointer
 // resolves the acting endpoint. They replace the per-hop closures that
 // previously allocated a fresh environment for every network transit.
+//
 //lint:hotpath
 func msgArrive(recv any, _ uint64) { m := recv.(*Message); m.net.eps[m.Dst].arrive(m) }
+
 //lint:hotpath
-func msgEject(recv any, _ uint64)  { m := recv.(*Message); m.net.eps[m.Dst].eject(m) }
+func msgEject(recv any, _ uint64) { m := recv.(*Message); m.net.eps[m.Dst].eject(m) }
+
 //lint:hotpath
 func msgDecide(recv any, _ uint64) { m := recv.(*Message); m.net.eps[m.Dst].decide(m) }
+
 //lint:hotpath
 func msgOneSided(recv any, _ uint64) { m := recv.(*Message); m.net.eps[m.Dst].oneSidedDeliver(m) }
+
 //lint:hotpath
-func msgAcked(recv any, _ uint64)  { m := recv.(*Message); m.net.eps[m.Src].acked(m) }
+func msgAcked(recv any, _ uint64) { m := recv.(*Message); m.net.eps[m.Src].acked(m) }
+
 //lint:hotpath
 func msgBounced(recv any, _ uint64) {
 	m := recv.(*Message)
 	m.net.eps[m.Src].bounced(m)
 }
+
 //lint:hotpath
 func msgRetryInject(recv any, _ uint64) {
 	m := recv.(*Message)
@@ -299,10 +306,13 @@ func msgRetryInject(recv any, _ uint64) {
 	}
 	ep.Inject(m)
 }
+
 //lint:hotpath
 func msgAckTimeout(recv any, _ uint64) { m := recv.(*Message); m.net.eps[m.Src].ackTimeout(m) }
+
 //lint:hotpath
-func epReleaseOut(recv any, _ uint64)  { recv.(*Endpoint).releaseOut() }
+func epReleaseOut(recv any, _ uint64) { recv.(*Endpoint).releaseOut() }
+
 //lint:hotpath
 func epNotifyOutFree(recv any, _ uint64) {
 	ep := recv.(*Endpoint)

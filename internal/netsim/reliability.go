@@ -301,7 +301,7 @@ func (ep *Endpoint) abandon(m *Message, reason string) {
 		ep.Stats.DeliveryFailures++
 	}
 	err := &DeliveryError{Msg: m, Attempts: m.attempts, Time: ep.eng.Now(), Reason: reason} //lint:allow noalloc at most one structured error per abandoned message, off the steady-state path
-	ep.failures = append(ep.failures, err)                                                 //lint:allow noalloc failure log grows once per abandoned message, not per delivery
+	ep.failures = append(ep.failures, err)                                                  //lint:allow noalloc failure log grows once per abandoned message, not per delivery
 	if m.oneSided != 0 {
 		// One-sided sends hold no outgoing buffer; settle the frame so the
 		// sender's engine can reuse it.

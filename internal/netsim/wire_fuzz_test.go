@@ -16,7 +16,7 @@ import (
 // fuzzer starts from the wire images the fault machinery actually emits.
 func fuzzSeeds(f *testing.F) {
 	f.Add(0, 1, 0, 0, []byte(nil), uint64(0), uint64(0), uint8(0))
-	f.Add(3, 7, 2, 1, []byte{0xff}, uint64(42), uint64(1), uint8(0))            // 1-byte partial word
+	f.Add(3, 7, 2, 1, []byte{0xff}, uint64(42), uint64(1), uint8(0))                  // 1-byte partial word
 	f.Add(1, 0, 4, 0, bytes.Repeat([]byte{0xa5}, 20), uint64(0), uint64(9), uint8(0)) // spsolve payload
 	f.Add(5, 6, 1, 2, bytes.Repeat([]byte{0x5a}, 248), uint64(7), uint64(100), uint8(0))
 	f.Add(6, 5, 1, 2, bytes.Repeat([]byte{0x5a}, 249), uint64(7), uint64(101), uint8(0)) // 249: partial word

@@ -24,6 +24,7 @@ func newBlockBufEngine(env *Env, hw *fifoHW) *blockBufEngine {
 // send implements sendEngine: check status, then per 64-byte chunk copy the
 // payload into the block buffer and block-store it to the NI fifo; finally
 // ring the doorbell.
+//
 //lint:hotpath
 func (b *blockBufEngine) send(pr *proc.Proc, m *netsim.Message) {
 	pr.Work(stats.Transfer, b.env.Cfg.BlkbufPathCycles)
@@ -57,6 +58,7 @@ func (b *blockBufEngine) push(pr *proc.Proc, m *netsim.Message) {
 }
 
 // pollMiss implements recvEngine.
+//
 //lint:hotpath
 func (b *blockBufEngine) pollMiss(pr *proc.Proc) {
 	// Unsuccessful poll: monitoring cost attributable to buffering.
@@ -64,6 +66,7 @@ func (b *blockBufEngine) pollMiss(pr *proc.Proc) {
 }
 
 // pollHit implements recvEngine.
+//
 //lint:hotpath
 func (b *blockBufEngine) pollHit(pr *proc.Proc) {
 	pr.UncachedRead(stats.Transfer, RegStatus, 8)
@@ -71,6 +74,7 @@ func (b *blockBufEngine) pollHit(pr *proc.Proc) {
 
 // receive implements recvEngine: per 64-byte chunk, load the block buffer
 // from the NI fifo (12-cycle overhead) and drain it into registers/cache.
+//
 //lint:hotpath
 func (b *blockBufEngine) receive(pr *proc.Proc) *netsim.Message {
 	m := b.hw.head()
@@ -91,6 +95,7 @@ func (b *blockBufEngine) receive(pr *proc.Proc) *netsim.Message {
 
 // retryConsume implements recvEngine: the processor consumes the returned
 // message via block loads.
+//
 //lint:hotpath
 func (b *blockBufEngine) retryConsume(pr *proc.Proc, m *netsim.Message) {
 	for remaining := m.Size(); remaining > 0; remaining -= membus.BlockSize {
@@ -99,6 +104,7 @@ func (b *blockBufEngine) retryConsume(pr *proc.Proc, m *netsim.Message) {
 }
 
 // repush implements sendEngine: re-push through the block buffer.
+//
 //lint:hotpath
 func (b *blockBufEngine) repush(pr *proc.Proc, m *netsim.Message) { b.push(pr, m) }
 
@@ -123,6 +129,7 @@ const reflSendCycles = 30
 
 // send implements sendEngine: fill the block buffer and block-store each
 // 64-byte chunk into the mapped send window.
+//
 //lint:hotpath
 func (r *reflectiveEngine) send(pr *proc.Proc, m *netsim.Message) {
 	pr.Work(stats.Transfer, reflSendCycles)
@@ -150,6 +157,7 @@ func (r *reflectiveEngine) push(pr *proc.Proc, m *netsim.Message) {
 // repush implements sendEngine: under FifoVM buffering a returned message
 // is simply streamed through the window again (reflective memory has no
 // doorbell or status protocol to replay).
+//
 //lint:hotpath
 func (r *reflectiveEngine) repush(pr *proc.Proc, m *netsim.Message) {
 	pr.Work(stats.Transfer, reflSendCycles)

@@ -93,6 +93,7 @@ func (u *udmaEngine) dma(pr *proc.Proc, kind membus.Kind, base membus.Addr, bloc
 // message. Small messages are re-pushed through the window; for UDMA
 // transfers the data still sits in the NI, so the software re-runs the
 // initiation sequence.
+//
 //lint:hotpath
 func (u *udmaEngine) repush(pr *proc.Proc, m *netsim.Message) {
 	if !u.useDMA(m) {
@@ -109,6 +110,7 @@ func (u *udmaEngine) repush(pr *proc.Proc, m *netsim.Message) {
 }
 
 // send implements sendEngine.
+//
 //lint:hotpath
 func (u *udmaEngine) send(pr *proc.Proc, m *netsim.Message) {
 	pr.Work(stats.Transfer, u.env.Cfg.FifoPathCycles)
@@ -142,6 +144,7 @@ func (u *udmaEngine) send(pr *proc.Proc, m *netsim.Message) {
 }
 
 // pollMiss implements recvEngine.
+//
 //lint:hotpath
 func (u *udmaEngine) pollMiss(pr *proc.Proc) {
 	// Unsuccessful poll: monitoring cost attributable to buffering.
@@ -149,12 +152,14 @@ func (u *udmaEngine) pollMiss(pr *proc.Proc) {
 }
 
 // pollHit implements recvEngine.
+//
 //lint:hotpath
 func (u *udmaEngine) pollHit(pr *proc.Proc) {
 	pr.UncachedRead(stats.Transfer, RegStatus, 8)
 }
 
 // receive implements recvEngine.
+//
 //lint:hotpath
 func (u *udmaEngine) receive(pr *proc.Proc) *netsim.Message {
 	m := u.hw.head()
@@ -187,6 +192,7 @@ func (u *udmaEngine) receive(pr *proc.Proc) *netsim.Message {
 
 // retryConsume implements recvEngine: the processor examines the returned
 // message in the window before re-pushing it.
+//
 //lint:hotpath
 func (u *udmaEngine) retryConsume(pr *proc.Proc, m *netsim.Message) {
 	if !u.useDMA(m) {

@@ -66,6 +66,7 @@ func (n *wordEngine) pathCycles() int64 {
 // per Cfg.SubMsgBytes chunk, as on the CM-5, whose fifo messages held at
 // most a few words — and fire the doorbell. The processor manages the whole
 // transfer.
+//
 //lint:hotpath
 func (n *wordEngine) send(pr *proc.Proc, m *netsim.Message) {
 	pr.Work(stats.Transfer, n.pathCycles())
@@ -104,6 +105,7 @@ func (n *wordEngine) push(pr *proc.Proc, m *netsim.Message) {
 }
 
 // pollMiss implements recvEngine: one status read with nothing waiting.
+//
 //lint:hotpath
 func (n *wordEngine) pollMiss(pr *proc.Proc) {
 	// An unsuccessful poll is pure monitoring cost — the price of
@@ -115,10 +117,12 @@ func (n *wordEngine) pollMiss(pr *proc.Proc) {
 }
 
 // pollHit implements recvEngine: the status read preceding a receive.
+//
 //lint:hotpath
 func (n *wordEngine) pollHit(pr *proc.Proc) { n.statusRead(pr) }
 
 // receive implements recvEngine: pop the head message word by word.
+//
 //lint:hotpath
 func (n *wordEngine) receive(pr *proc.Proc) *netsim.Message {
 	m := n.hw.head()
@@ -132,6 +136,7 @@ func (n *wordEngine) receive(pr *proc.Proc) *netsim.Message {
 // returned message from the network (it comes back through the receive
 // path). The retry handler is messaging software — register mapping does
 // not shrink it — hence the fixed fifo-path charge.
+//
 //lint:hotpath
 func (n *wordEngine) retryConsume(pr *proc.Proc, m *netsim.Message) {
 	pr.Work(pr.P.Category, n.env.Cfg.FifoPathCycles)
@@ -139,6 +144,7 @@ func (n *wordEngine) retryConsume(pr *proc.Proc, m *netsim.Message) {
 }
 
 // repush implements sendEngine: re-push word by word.
+//
 //lint:hotpath
 func (n *wordEngine) repush(pr *proc.Proc, m *netsim.Message) { n.push(pr, m) }
 

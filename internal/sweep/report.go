@@ -26,10 +26,10 @@ type JobTiming struct {
 // lives here and nowhere else, so stripping it (see Canonical) yields a
 // byte-identical report for any worker count.
 type Timing struct {
-	Jobs      int         `json:"jobs"`
-	NumCPU    int         `json:"num_cpu"`
-	GoVersion string      `json:"go_version"`
-	WallMS    float64     `json:"wall_ms"`
+	Jobs      int     `json:"jobs"`
+	NumCPU    int     `json:"num_cpu"`
+	GoVersion string  `json:"go_version"`
+	WallMS    float64 `json:"wall_ms"`
 	// Speedup is this sweep's wall time relative to a serial (jobs=1) run
 	// of the same grid, when the driver measured one (nisim <grid>
 	// -baseline).
@@ -41,8 +41,8 @@ type Timing struct {
 // sweep: the configuration grid and its metrics (deterministic for a given
 // seed), plus the timing sidecar (host-dependent).
 type Report struct {
-	Schema     string   `json:"schema"`
-	Experiment string   `json:"experiment"`
+	Schema     string `json:"schema"`
+	Experiment string `json:"experiment"`
 	// GitRev is the source revision the binary was run from, best-effort
 	// (empty outside a git checkout).
 	GitRev string `json:"git_rev,omitempty"`
