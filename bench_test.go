@@ -144,26 +144,9 @@ func BenchmarkTable4(b *testing.B) {
 	}
 }
 
-// BenchmarkEngine measures the raw discrete-event core: how many scheduled
-// events the simulator retires per second.
-func BenchmarkEngine(b *testing.B) {
-	e := sim.NewEngine()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			e.After(sim.Nanosecond, tick)
-		}
-	}
-	b.ResetTimer()
-	e.After(sim.Nanosecond, tick)
-	e.Run()
-}
-
-// BenchmarkEngineTyped measures the same tick chain on the typed-event
-// path: shared handler, pooled records, no closure per event. Compare
-// against BenchmarkEngine for the refactor's per-event win.
+// BenchmarkEngineTyped measures the raw discrete-event core: how many
+// scheduled events the simulator retires per second, each a typed event on
+// a pooled record.
 func BenchmarkEngineTyped(b *testing.B) {
 	e := sim.NewEngine()
 	type state struct{ n int }

@@ -33,7 +33,8 @@ var MapOrder = &Analyzer{
 // events or transfer control between processes: reaching one of these from
 // a map-ordered loop makes the event queue order run-dependent.
 var simSchedNames = map[string]bool{
-	"At": true, "After": true, "Spawn": true, "Step": true,
+	"AtEvent": true, "AfterEvent": true, "AtEventPosted": true, "AtEventStamped": true,
+	"AtTimer": true, "AfterTimer": true, "Spawn": true, "Step": true,
 	"Run": true, "RunUntil": true, "RunWhile": true,
 	"Sleep": true, "SleepAs": true, "Yield": true,
 	"Park": true, "ParkAs": true, "Unpark": true,

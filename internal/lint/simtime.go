@@ -7,10 +7,10 @@ import (
 )
 
 // SimTime enforces unit discipline on sim.Time. Simulated time is integer
-// picoseconds; a bare numeric literal where sim.Time is expected ("After(100,
-// ...)" — 100 what?) compiles silently but carries no unit, and a raw
-// integer→sim.Time conversion at a call boundary launders an unitless count
-// into a duration. Durations must be composed from the kernel's unit
+// picoseconds; a bare numeric literal where sim.Time is expected
+// ("AfterEvent(100, ...)" — 100 what?) compiles silently but carries no
+// unit, and a raw integer→sim.Time conversion at a call boundary launders
+// an unitless count into a duration. Durations must be composed from the kernel's unit
 // constants (2*sim.Nanosecond, clock.Cycles(3), cfg.Latency).
 //
 // Accepted forms:

@@ -13,11 +13,11 @@ import (
 
 func schedulesDirect(e *sim.Engine, delays map[int]int) {
 	for k, v := range delays {
-		e.After(sim.Time(v)*sim.Nanosecond, func() { _ = k }) // want `reaches the event queue`
+		e.AfterEvent(sim.Time(v)*sim.Nanosecond, nil, nil, uint64(k)) // want `reaches the event queue`
 	}
 }
 
-func helper(e *sim.Engine) { e.After(sim.Nanosecond, nil) }
+func helper(e *sim.Engine) { e.AfterEvent(sim.Nanosecond, nil, nil, 0) }
 
 func wake(e *sim.Engine) { helper(e) }
 

@@ -22,11 +22,14 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// At schedules fn at absolute time t.
-func (e *Engine) At(t Time, fn func()) {}
+// Handler is the code half of a typed event.
+type Handler func(recv any, arg uint64)
 
-// After schedules fn d after now.
-func (e *Engine) After(d Time, fn func()) {}
+// AtEvent schedules h(recv, arg) at absolute time t.
+func (e *Engine) AtEvent(t Time, h Handler, recv any, arg uint64) {}
+
+// AfterEvent schedules h(recv, arg) d after now.
+func (e *Engine) AfterEvent(d Time, h Handler, recv any, arg uint64) {}
 
 // Spawn starts a cooperative process.
 func (e *Engine) Spawn(name string, body func(p *Process)) *Process { return &Process{} }

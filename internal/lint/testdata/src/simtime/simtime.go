@@ -13,12 +13,12 @@ type Cfg struct {
 }
 
 func schedule(e *sim.Engine, n int64) {
-	e.After(100, nil)                        // want `bare constant 100`
-	e.After(0, nil)                          // zero needs no unit
-	e.After(2*sim.Nanosecond, nil)           // composed from a unit constant
-	e.After(tick, nil)                       // named constant carries the unit
-	e.After(sim.Time(n), nil)                // want `raw integer→sim.Time conversion`
-	e.After(sim.Time(n)*sim.Nanosecond, nil) // scalar scaling of a unit
+	e.AfterEvent(100, nil, nil, 0)                        // want `bare constant 100`
+	e.AfterEvent(0, nil, nil, 0)                          // zero needs no unit
+	e.AfterEvent(2*sim.Nanosecond, nil, nil, 0)           // composed from a unit constant
+	e.AfterEvent(tick, nil, nil, 0)                       // named constant carries the unit
+	e.AfterEvent(sim.Time(n), nil, nil, 0)                // want `raw integer→sim.Time conversion`
+	e.AfterEvent(sim.Time(n)*sim.Nanosecond, nil, nil, 0) // scalar scaling of a unit
 }
 
 func configs() []Cfg {

@@ -52,4 +52,4 @@ func leakTransitive(e *sim.Engine) {
 	}()
 }
 
-func tick(e *sim.Engine) { e.After(sim.Nanosecond, func() {}) }
+func tick(e *sim.Engine) { e.AfterEvent(sim.Nanosecond, nil, nil, 0) }

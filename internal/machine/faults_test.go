@@ -173,6 +173,10 @@ func TestWatchdogDiagnosesUnreliableLoss(t *testing.T) {
 	cfg.Faults = faults.Config{Seed: 1, Drop: 0.3}
 	cfg.StallHorizon = 100 * sim.Microsecond
 	diag := watchdogDiag(t, cfg, 30)
+	const first = "machine: no network progress for 100.000us with 0/2 nodes finished at 200.000us"
+	if got, _, _ := strings.Cut(diag, "\n"); got != first {
+		t.Fatalf("diagnostic first line = %q, want %q", got, first)
+	}
 	if !strings.Contains(diag, "netsim: network not quiescent") {
 		t.Fatalf("diagnostic missing the quiescence report:\n%s", diag)
 	}
@@ -194,8 +198,10 @@ func TestWatchdogDiagnosesStarvation(t *testing.T) {
 	cfg.Faults = faults.Config{Seed: 1, ForceBounce: 1.0}
 	cfg.StallHorizon = 20 * sim.Microsecond
 	diag := watchdogDiag(t, cfg, 10)
-	if !strings.Contains(diag, "starvation") {
-		t.Fatalf("diagnostic is not the starvation report:\n%s", diag)
+	// Eight 20us horizons of churn, sampled on the tick at 180us.
+	const first = "machine: sustained overload starvation — network churning for 160.000us without a delivery, 0/2 nodes finished at 180.000us"
+	if got, _, _ := strings.Cut(diag, "\n"); got != first {
+		t.Fatalf("diagnostic first line = %q, want %q", got, first)
 	}
 	if !strings.Contains(diag, "endpoint 0") {
 		t.Fatalf("diagnostic does not name the starved endpoint:\n%s", diag)

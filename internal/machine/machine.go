@@ -69,12 +69,6 @@ type Config struct {
 	// arrival starves the workload without a single injected fault.
 	Watchdog bool
 
-	// StarvationHorizon is how long network activity may keep rising with
-	// zero deliveries before the watchdog declares sustained-overload
-	// starvation (distinct from livelock, where activity itself is flat).
-	// Zero selects DefaultStarvationTicks stall horizons.
-	StarvationHorizon sim.Time
-
 	// Tracer, when non-nil, receives a structured event line per bus
 	// transaction (and any other subsystems wired to it). Off by default.
 	Tracer *trace.Tracer
@@ -101,9 +95,10 @@ type Config struct {
 // millisecond on the Table 3 network).
 const DefaultStallHorizon = 2 * sim.Millisecond
 
-// DefaultStarvationTicks is the default starvation patience in stall
-// horizons: activity rising for this many consecutive watchdog ticks with
-// not one delivery is a bounce/retry storm, not a slow receiver.
+// DefaultStarvationTicks is the starvation patience in stall horizons:
+// activity rising for this many consecutive watchdog ticks with not one
+// delivery is sustained-overload starvation (a bounce/retry storm, not a
+// slow receiver), distinct from livelock, where activity itself is flat.
 const DefaultStarvationTicks = 8
 
 // DefaultConfig returns the paper's system parameters with the given NI and
@@ -311,13 +306,7 @@ func (m *Machine) Run(prog func(n *Node)) *stats.Machine {
 		// once it is the only event source, handing stall detection back
 		// to the queue-drain check below.
 		if wd.horizon > 0 {
-			var tick func()
-			tick = func() {
-				if wd.sample(m, m.Eng.Now(), done[0]) && m.Eng.Pending() > 0 {
-					m.Eng.After(wd.horizon, tick)
-				}
-			}
-			m.Eng.After(wd.horizon, tick)
+			m.Eng.AfterEvent(wd.horizon, watchdogTick, &serialTick{m: m, wd: &wd, done: &done[0]}, 0)
 		}
 		m.Eng.RunWhile(func() bool { return done[0] < N && wd.stalled == "" })
 	} else {
@@ -380,7 +369,6 @@ func (m *Machine) Run(prog func(n *Node)) *stats.Machine {
 // starving the workload — and is diagnosed distinctly.
 type watchdog struct {
 	horizon       sim.Time // sampling interval; zero when disarmed
-	starveAfter   int64    // starvation patience, in samples
 	last, lastDel int64    // the previous sample's activity and deliveries
 	starved       int64    // consecutive samples of activity without delivery
 	stalled       string   // the diagnostic, once a sample has failed
@@ -390,18 +378,27 @@ func newWatchdog(cfg Config) watchdog {
 	if cfg.Faults.Zero() && !cfg.Watchdog {
 		return watchdog{}
 	}
-	w := watchdog{horizon: cfg.StallHorizon, starveAfter: DefaultStarvationTicks, last: -1, lastDel: -1}
+	w := watchdog{horizon: cfg.StallHorizon, last: -1, lastDel: -1}
 	if w.horizon <= 0 {
 		w.horizon = DefaultStallHorizon
 	}
-	if cfg.StarvationHorizon > 0 {
-		// Ceiling division: detection happens on whole samples.
-		w.starveAfter = int64(cfg.StarvationHorizon / w.horizon)
-		if cfg.StarvationHorizon%w.horizon != 0 {
-			w.starveAfter++
-		}
-	}
 	return w
+}
+
+// serialTick is the receiver of the serial engine's watchdog tick.
+type serialTick struct {
+	m    *Machine
+	wd   *watchdog
+	done *int // nodes finished; the serial machine is shard 0
+}
+
+// watchdogTick samples progress and re-arms itself every horizon while the
+// run may go on and other events remain.
+func watchdogTick(recv any, _ uint64) {
+	t := recv.(*serialTick)
+	if t.wd.sample(t.m, t.m.Eng.Now(), *t.done) && t.m.Eng.Pending() > 0 {
+		t.m.Eng.AfterEvent(t.wd.horizon, watchdogTick, t, 0)
+	}
 }
 
 // sample takes one progress sample at now, with done of the machine's
@@ -418,7 +415,7 @@ func (w *watchdog) sample(m *Machine, now sim.Time, done int) bool {
 		}
 	case del == w.lastDel:
 		w.starved++
-		if w.starved >= w.starveAfter {
+		if w.starved >= DefaultStarvationTicks {
 			if r := m.Net.StarvationReport(); r != "" {
 				w.stalled = fmt.Sprintf("machine: sustained overload starvation — network churning for %v without a delivery, %d/%d nodes finished at %v\n%s",
 					sim.Time(w.starved)*w.horizon, done, len(m.Nodes), now, r)

@@ -18,11 +18,11 @@ func TestSerializedAccess(t *testing.T) {
 		t.Fatalf("second access latency %v, want 240ns (queued)", d)
 	}
 	// After time passes, the module frees up.
-	eng.At(500*sim.Nanosecond, func() {
+	eng.AtEvent(500*sim.Nanosecond, func(any, uint64) {
 		if d := m.HomeLatency(&membus.Transaction{Kind: membus.GetS}); d != 120*sim.Nanosecond {
 			t.Errorf("post-idle access latency %v, want 120ns", d)
 		}
-	})
+	}, nil, 0)
 	eng.Run()
 }
 

@@ -23,7 +23,7 @@ func bounceRun(t *testing.T, cfg Config, release sim.Time) (*stats.Node, sim.Tim
 	if !sender.TryAcquireOut() {
 		t.Fatal("no out buffer")
 	}
-	eng.After(0, func() { sender.Inject(NewSized(0, 1, 0, 8)) })
+	eng.AfterEvent(0, func(any, uint64) { sender.Inject(NewSized(0, 1, 0, 8)) }, nil, 0)
 	eng.Run()
 	if len(acceptedAt) != 1 {
 		t.Fatal("setup message not accepted")
@@ -32,8 +32,8 @@ func bounceRun(t *testing.T, cfg Config, release sim.Time) (*stats.Node, sim.Tim
 	if !sender.TryAcquireOut() {
 		t.Fatal("no credit after first ack")
 	}
-	eng.After(0, func() { sender.Inject(NewSized(0, 1, 0, 8)) })
-	eng.After(release, recv.ReleaseIn)
+	eng.AfterEvent(0, func(any, uint64) { sender.Inject(NewSized(0, 1, 0, 8)) }, nil, 0)
+	eng.AfterEvent(release, func(any, uint64) { recv.ReleaseIn() }, nil, 0)
 	eng.Run()
 	if len(acceptedAt) != 2 {
 		t.Fatalf("bounced message never accepted (%d accepts)", len(acceptedAt))
@@ -104,7 +104,7 @@ func TestSoftwareRetryUnderContention(t *testing.T) {
 	if !sender.TryAcquireOut() {
 		t.Fatal("no out buffer")
 	}
-	eng.After(0, func() { sender.Inject(NewSized(0, 1, 0, 8)) })
+	eng.AfterEvent(0, func(any, uint64) { sender.Inject(NewSized(0, 1, 0, 8)) }, nil, 0)
 	eng.Run()
 	if delivered != 1 {
 		t.Fatal("setup message not accepted")
@@ -113,7 +113,7 @@ func TestSoftwareRetryUnderContention(t *testing.T) {
 		t.Fatal("no credit after first ack")
 	}
 	m2 := NewSized(0, 1, 0, 8)
-	eng.After(0, func() { sender.Inject(m2) })
+	eng.AfterEvent(0, func(any, uint64) { sender.Inject(m2) }, nil, 0)
 	eng.Run()
 	if len(queue) != 1 || queue[0] != m2 {
 		t.Fatalf("software bounce queue = %v", queue)
@@ -127,7 +127,7 @@ func TestSoftwareRetryUnderContention(t *testing.T) {
 		t.Fatalf("bounced message released its out buffer early: %d free", sender.OutFree())
 	}
 	recv.ReleaseIn()
-	eng.After(0, func() { sender.Inject(queue[0]) })
+	eng.AfterEvent(0, func(any, uint64) { sender.Inject(queue[0]) }, nil, 0)
 	eng.Run()
 	if delivered != 2 {
 		t.Fatalf("re-pushed message never accepted (delivered=%d)", delivered)

@@ -643,12 +643,6 @@ func (ep *Endpoint) Inject(m *Message) {
 	ep.post(m.Dst, arriveAt, msgArrive, arr, 0)
 }
 
-// InjectWait acquires an outgoing buffer (blocking p) and injects m.
-func (ep *Endpoint) InjectWait(p *sim.Process, m *Message) {
-	ep.AcquireOut(p)
-	ep.Inject(m)
-}
-
 // Put injects m as a one-sided RDMA put frame. No outgoing flow-control
 // buffer is acquired and none is needed at the receiver: the rendezvous
 // handshake (or explicit registration) already reserved the landing memory,

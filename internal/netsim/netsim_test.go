@@ -24,7 +24,7 @@ func TestPointToPointLatency(t *testing.T) {
 	if !nw.Endpoint(0).TryAcquireOut() {
 		t.Fatal("no out buffer")
 	}
-	eng.After(0, func() { nw.Endpoint(0).Inject(m) })
+	eng.AfterEvent(0, func(any, uint64) { nw.Endpoint(0).Inject(m) }, nil, 0)
 	eng.Run()
 	// 16ns injection + 40ns latency + 16ns ejection = 72ns.
 	if arrived != 72*sim.Nanosecond {
@@ -45,7 +45,7 @@ func TestAckFreesSenderBuffer(t *testing.T) {
 	if ep.TryAcquireOut() {
 		t.Fatal("second acquire should fail with 1 buffer")
 	}
-	eng.After(0, func() { ep.Inject(NewSized(0, 1, 0, 8)) })
+	eng.AfterEvent(0, func(any, uint64) { ep.Inject(NewSized(0, 1, 0, 8)) }, nil, 0)
 	eng.Run()
 	if ep.OutFree() != 1 {
 		t.Fatalf("out buffer not freed by ack: OutFree=%d", ep.OutFree())
@@ -64,7 +64,7 @@ func TestBounceAndRetry(t *testing.T) {
 	if !nw.Endpoint(0).TryAcquireOut() {
 		t.Fatal("no out buffer")
 	}
-	eng.After(0, func() { nw.Endpoint(0).Inject(NewSized(0, 1, 0, 8)) })
+	eng.AfterEvent(0, func(any, uint64) { nw.Endpoint(0).Inject(NewSized(0, 1, 0, 8)) }, nil, 0)
 	eng.Run()
 	if len(accepted) != 1 {
 		t.Fatalf("first message not accepted")
@@ -73,18 +73,18 @@ func TestBounceAndRetry(t *testing.T) {
 	// succeed once we release.
 	m2 := NewSized(0, 1, 0, 8)
 	sent := false
-	eng.After(0, func() {
+	eng.AfterEvent(0, func(any, uint64) {
 		if nw.Endpoint(0).TryAcquireOut() {
 			t.Error("out buffer should still be held? (bufs=1, first acked)")
 		}
 		_ = sent
-	})
+	}, nil, 0)
 	// The first send was acked, so the out buffer is free again.
 	if !nw.Endpoint(0).TryAcquireOut() {
 		t.Fatal("out buffer should be free after ack")
 	}
-	eng.After(0, func() { nw.Endpoint(0).Inject(m2) })
-	eng.After(500*sim.Nanosecond, func() { recv.ReleaseIn() })
+	eng.AfterEvent(0, func(any, uint64) { nw.Endpoint(0).Inject(m2) }, nil, 0)
+	eng.AfterEvent(500*sim.Nanosecond, func(any, uint64) { recv.ReleaseIn() }, nil, 0)
 	eng.Run()
 	if st.Bounces < 1 {
 		t.Fatalf("expected at least one bounce, got %d", st.Bounces)
@@ -134,14 +134,14 @@ func TestInjectionSerialization(t *testing.T) {
 		nw.Endpoint(1).ReleaseIn()
 	}
 	ep := nw.Endpoint(0)
-	eng.After(0, func() {
+	eng.AfterEvent(0, func(any, uint64) {
 		for i := 0; i < 3; i++ {
 			if !ep.TryAcquireOut() {
 				t.Fatal("out of buffers")
 			}
 			ep.Inject(NewSized(0, 1, 0, 248)) // 256B wire
 		}
-	})
+	}, nil, 0)
 	eng.Run()
 	if len(arrivals) != 3 {
 		t.Fatalf("arrivals = %d, want 3", len(arrivals))
@@ -159,14 +159,14 @@ func TestInfiniteBuffers(t *testing.T) {
 	count := 0
 	nw.Endpoint(1).OnAccept = func(m *Message) { count++ } // never released
 	ep := nw.Endpoint(0)
-	eng.After(0, func() {
+	eng.AfterEvent(0, func(any, uint64) {
 		for i := 0; i < 1000; i++ {
 			if !ep.TryAcquireOut() {
 				t.Fatal("infinite buffers exhausted")
 			}
 			ep.Inject(NewSized(0, 1, 0, 8))
 		}
-	})
+	}, nil, 0)
 	eng.Run()
 	if count != 1000 {
 		t.Fatalf("accepted %d, want 1000", count)
@@ -182,7 +182,7 @@ func TestOnOutFreeCallback(t *testing.T) {
 	if !ep.TryAcquireOut() {
 		t.Fatal("no buffer")
 	}
-	eng.After(0, func() { ep.Inject(NewSized(0, 1, 0, 8)) })
+	eng.AfterEvent(0, func(any, uint64) { ep.Inject(NewSized(0, 1, 0, 8)) }, nil, 0)
 	eng.Run()
 	if freed != 1 {
 		t.Fatalf("OnOutFree fired %d times, want 1", freed)
@@ -223,7 +223,7 @@ func TestFlowControlConservation(t *testing.T) {
 				accepted[m]++
 				// Random-ish hold time derived from message identity.
 				hold := sim.Time(50+int(m.Arg%7)*100) * sim.Nanosecond
-				eng.After(hold, ep.ReleaseIn)
+				eng.AfterEvent(hold, func(any, uint64) { ep.ReleaseIn() }, nil, 0)
 			}
 		}
 		var msgs []*Message
@@ -235,18 +235,18 @@ func TestFlowControlConservation(t *testing.T) {
 			msgs = append(msgs, m)
 			at := sim.Time(i*30) * sim.Nanosecond
 			ep := nw.Endpoint(src)
-			eng.At(at, func() {
+			eng.AtEvent(at, func(any, uint64) {
 				// Sender process: wait for a buffer via polling retry.
 				var try func()
 				try = func() {
 					if ep.TryAcquireOut() {
 						ep.Inject(m)
 					} else {
-						eng.After(100*sim.Nanosecond, try)
+						eng.AfterEvent(100*sim.Nanosecond, func(any, uint64) { try() }, nil, 0)
 					}
 				}
 				try()
-			})
+			}, nil, 0)
 		}
 		eng.Run()
 		if len(accepted) != len(msgs) {
@@ -274,13 +274,16 @@ func TestSwitchBufferTable(t *testing.T) {
 	}
 }
 
-func TestInjectWaitAcquiresAndInjects(t *testing.T) {
+func TestAcquireOutBlocksUntilCredit(t *testing.T) {
+	// One buffer, three sends: the second and third AcquireOut block until
+	// the receiver's release returns the credit.
 	eng, nw := newNet(2, 1)
 	got := 0
 	nw.Endpoint(1).OnAccept = func(m *Message) { got++; nw.Endpoint(1).ReleaseIn() }
 	eng.Spawn("s", func(p *sim.Process) {
 		for i := 0; i < 3; i++ {
-			nw.Endpoint(0).InjectWait(p, NewSized(0, 1, 0, 8))
+			nw.Endpoint(0).AcquireOut(p)
+			nw.Endpoint(0).Inject(NewSized(0, 1, 0, 8))
 		}
 	})
 	eng.Run()
@@ -345,10 +348,10 @@ func TestOnBounceOverridesHardwareRetry(t *testing.T) {
 	nw.Endpoint(0).OnBounce = func(m *Message) { bounced = append(bounced, m) }
 	accepted := 0
 	nw.Endpoint(1).OnAccept = func(m *Message) { accepted++ } // never released
-	eng.After(0, func() {
+	eng.AfterEvent(0, func(any, uint64) {
 		nw.Endpoint(0).TryAcquireOut()
 		nw.Endpoint(0).Inject(NewSized(0, 1, 0, 8))
-	})
+	}, nil, 0)
 	// Fill the single in-buffer first so the second message bounces.
 	eng.Run()
 	if accepted != 1 {
@@ -360,7 +363,7 @@ func TestOnBounceOverridesHardwareRetry(t *testing.T) {
 	if !nw.Endpoint(0).TryAcquireOut() {
 		t.Fatal("no credit after ack")
 	}
-	eng.After(0, func() { nw.Endpoint(0).Inject(m2) })
+	eng.AfterEvent(0, func(any, uint64) { nw.Endpoint(0).Inject(m2) }, nil, 0)
 	eng.Run()
 	if len(bounced) != 1 || bounced[0] != m2 {
 		t.Fatalf("OnBounce got %v", bounced)

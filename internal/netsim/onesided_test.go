@@ -50,7 +50,7 @@ func TestOneSidedPutBypassesBuffers(t *testing.T) {
 	recv.Admit = func(m *Message) AdmitDecision { return AdmitDrop }
 
 	m := NewSized(0, 1, 0, 64)
-	r.eng.After(0, func() { send.Put(m) })
+	r.eng.AfterEvent(0, func(any, uint64) { send.Put(m) }, nil, 0)
 	r.eng.Run()
 
 	if len(r.puts) != 1 || r.puts[0] != m {
@@ -83,7 +83,7 @@ func TestOneSidedGetDelivery(t *testing.T) {
 	r := newOneSidedRig(t, DefaultConfig())
 	g := NewSized(0, 1, 0, 0)
 	g.Arg = 0xabcd<<32 | 512
-	r.eng.After(0, func() { r.nw.Endpoint(0).Get(g) })
+	r.eng.AfterEvent(0, func(any, uint64) { r.nw.Endpoint(0).Get(g) }, nil, 0)
 	r.eng.Run()
 	if len(r.gets) != 1 || r.gets[0].Arg != g.Arg {
 		t.Fatalf("OnGet saw %d requests, want 1 carrying arg %#x", len(r.gets), g.Arg)
@@ -111,7 +111,7 @@ func TestOneSidedReliableSettle(t *testing.T) {
 	r := newOneSidedRig(t, relCfg())
 	send := r.nw.Endpoint(0)
 	m := NewSized(0, 1, 0, 64)
-	r.eng.After(0, func() { send.Put(m) })
+	r.eng.AfterEvent(0, func(any, uint64) { send.Put(m) }, nil, 0)
 	r.eng.Run()
 
 	if len(r.settled) != 1 || r.settled[0] != m {
@@ -134,7 +134,7 @@ func TestOneSidedReliableSettle(t *testing.T) {
 	if m.IsPut() || m.Seq != 0 {
 		t.Fatalf("Recycle left state behind: IsPut=%v Seq=%d", m.IsPut(), m.Seq)
 	}
-	r.eng.After(0, func() { send.Put(m) })
+	r.eng.AfterEvent(0, func(any, uint64) { send.Put(m) }, nil, 0)
 	r.eng.Run()
 	if m.Seq == firstSeq || m.Seq == 0 {
 		t.Errorf("recycled frame reused sequence number %d", m.Seq)
@@ -195,7 +195,7 @@ func TestOneSidedFaultRecovery(t *testing.T) {
 			send := r.nw.Endpoint(0)
 			send.Fault = &lossPlane{n: 1, verdict: tc.verdict}
 			m := NewMessage(0, 1, 0, []byte{1, 2, 3, 4})
-			r.eng.After(0, func() { send.Put(m) })
+			r.eng.AfterEvent(0, func(any, uint64) { send.Put(m) }, nil, 0)
 			r.eng.Run()
 			if len(r.puts) != 1 {
 				t.Fatalf("put delivered %d times through the fault, want exactly 1", len(r.puts))
@@ -226,7 +226,7 @@ func TestOneSidedAbandon(t *testing.T) {
 	failures := 0
 	send.OnDeliveryError = func(err *DeliveryError) { failures++ }
 	m := NewSized(0, 1, 0, 64)
-	r.eng.After(0, func() { send.Put(m) })
+	r.eng.AfterEvent(0, func(any, uint64) { send.Put(m) }, nil, 0)
 	r.eng.Run()
 
 	if len(r.puts) != 0 {
@@ -243,51 +243,5 @@ func TestOneSidedAbandon(t *testing.T) {
 	}
 	if rep := r.nw.QuiescenceReport(); rep != "" {
 		t.Errorf("network not quiescent after abandon:\n%s", rep)
-	}
-}
-
-// TestOneSidedWireRoundTrip pins the put/get wire flags: the one-sided kind
-// survives encode/decode, and a frame claiming both kinds is rejected.
-func TestOneSidedWireRoundTrip(t *testing.T) {
-	put := NewMessage(0, 1, 0, []byte{9, 9, 9})
-	put.oneSided = oneSidedPut
-	put.SealChecksum()
-	get := NewSized(1, 0, 0, 0)
-	get.Arg = 4096
-	get.oneSided = oneSidedGet
-	get.SealChecksum()
-
-	for _, m := range []*Message{put, get} {
-		w, err := m.AppendWire(nil)
-		if err != nil {
-			t.Fatalf("AppendWire: %v", err)
-		}
-		got, err := ParseWire(w)
-		if err != nil {
-			t.Fatalf("ParseWire: %v", err)
-		}
-		if got.IsPut() != m.IsPut() || got.IsGet() != m.IsGet() {
-			t.Errorf("one-sided kind lost on the wire: got put=%v get=%v want put=%v get=%v",
-				got.IsPut(), got.IsGet(), m.IsPut(), m.IsGet())
-		}
-		if !got.ChecksumOK() {
-			t.Error("one-sided frame fails checksum after round trip")
-		}
-		// Truncation after the header must still be rejected for one-sided
-		// frames with payload bytes.
-		if m.Payload != nil {
-			if _, err := ParseWire(w[:len(w)-1]); err == nil {
-				t.Error("ParseWire accepted a truncated put frame")
-			}
-		}
-	}
-
-	w, err := put.AppendWire(nil)
-	if err != nil {
-		t.Fatalf("AppendWire: %v", err)
-	}
-	w[1] |= flagGet // now claims both put and get
-	if _, err := ParseWire(w); err == nil {
-		t.Error("ParseWire accepted a frame flagged as both put and get")
 	}
 }

@@ -65,7 +65,7 @@ func TestSerializationCeiling(t *testing.T) {
 	if !nw.Endpoint(0).TryAcquireOut() {
 		t.Fatal("no out buffer")
 	}
-	eng.After(0, func() { nw.Endpoint(0).Inject(NewSized(0, 1, 0, 1)) }) // 9B wire
+	eng.AfterEvent(0, func(any, uint64) { nw.Endpoint(0).Inject(NewSized(0, 1, 0, 1)) }, nil, 0) // 9B wire
 	eng.Run()
 	// 5ns inject + 40ns latency + 5ns eject = 50ns.
 	if arrived != 50*sim.Nanosecond {
@@ -94,7 +94,7 @@ func TestDropThenRetransmitRecovers(t *testing.T) {
 	if !sender.TryAcquireOut() {
 		t.Fatal("no out buffer")
 	}
-	eng.After(0, func() { sender.Inject(NewSized(0, 1, 0, 8)) })
+	eng.AfterEvent(0, func(any, uint64) { sender.Inject(NewSized(0, 1, 0, 8)) }, nil, 0)
 	eng.Run()
 	if delivered != 1 {
 		t.Fatalf("delivered %d, want 1", delivered)
@@ -132,7 +132,7 @@ func TestAckLossCausesDuplicateButSingleRelease(t *testing.T) {
 	if !sender.TryAcquireOut() {
 		t.Fatal("no out buffer")
 	}
-	eng.After(0, func() { sender.Inject(NewSized(0, 1, 0, 8)) })
+	eng.AfterEvent(0, func(any, uint64) { sender.Inject(NewSized(0, 1, 0, 8)) }, nil, 0)
 	eng.Run()
 	// The first copy is accepted but its ack is destroyed; the timeout
 	// retransmits, the second copy is accepted and acked. The receiver saw
@@ -172,7 +172,7 @@ func TestCorruptionDetectedAndRetransmitted(t *testing.T) {
 		t.Fatal("no out buffer")
 	}
 	m := NewMessage(0, 1, 0, payload)
-	eng.After(0, func() { sender.Inject(m) })
+	eng.AfterEvent(0, func(any, uint64) { sender.Inject(m) }, nil, 0)
 	eng.Run()
 	if got == nil {
 		t.Fatal("message never delivered")
@@ -193,31 +193,48 @@ func TestCorruptionDetectedAndRetransmitted(t *testing.T) {
 }
 
 func TestChecksumCoversHeaderAndPayload(t *testing.T) {
-	m := NewMessage(0, 1, 3, []byte{1, 2, 3})
-	m.Seq = 7
-	m.SealChecksum()
-	if !m.ChecksumOK() {
-		t.Fatal("fresh checksum does not verify")
-	}
-	m.Payload[1] ^= 0x10
-	if m.ChecksumOK() {
-		t.Fatal("payload bit flip not detected")
-	}
-	m.Payload[1] ^= 0x10
-	m.Handler = 4
-	if m.ChecksumOK() {
-		t.Fatal("header field change not detected")
-	}
-	m.Handler = 3
-	if !m.ChecksumOK() {
-		t.Fatal("restored message does not verify")
-	}
-	c := m.corruptedCopy(13)
-	if c.ChecksumOK() {
-		t.Fatal("corrupted copy verifies")
-	}
-	if !m.ChecksumOK() || !bytes.Equal(m.Payload, []byte{1, 2, 3}) {
-		t.Fatal("corruptedCopy mutated the original")
+	// The 1- and 249-byte payloads end in a partial word; a synthetic
+	// payload carries no bytes, so its corruption rides the corrupt flag.
+	for _, tc := range []struct {
+		name string
+		m    *Message
+	}{
+		{"3B", NewMessage(0, 1, 3, []byte{1, 2, 3})},
+		{"1B", NewMessage(3, 7, 2, []byte{0xff})},
+		{"20B", NewMessage(1, 0, 4, bytes.Repeat([]byte{0xa5}, 20))},
+		{"249B", NewMessage(6, 5, 1, bytes.Repeat([]byte{0x5a}, 249))},
+		{"synthetic", NewSized(1, 2, 3, 64)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.m
+			m.Seq = 7
+			m.SealChecksum()
+			if !m.ChecksumOK() {
+				t.Fatal("fresh checksum does not verify")
+			}
+			orig := bytes.Clone(m.Payload)
+			for i := range m.Payload {
+				m.Payload[i] ^= 0x10
+				if m.ChecksumOK() {
+					t.Fatalf("flip of payload byte %d not detected", i)
+				}
+				m.Payload[i] ^= 0x10
+			}
+			m.Handler++
+			if m.ChecksumOK() {
+				t.Fatal("header field change not detected")
+			}
+			m.Handler--
+			if !m.ChecksumOK() {
+				t.Fatal("restored message does not verify")
+			}
+			if c := m.corruptedCopy(13); c.ChecksumOK() {
+				t.Fatal("corrupted copy verifies")
+			}
+			if !m.ChecksumOK() || !bytes.Equal(m.Payload, orig) {
+				t.Fatal("corruptedCopy mutated the original")
+			}
+		})
 	}
 }
 
@@ -235,7 +252,7 @@ func TestMaxAttemptsSurfacesDeliveryError(t *testing.T) {
 	if !sender.TryAcquireOut() {
 		t.Fatal("no out buffer")
 	}
-	eng.After(0, func() { sender.Inject(NewSized(0, 1, 0, 8)) })
+	eng.AfterEvent(0, func(any, uint64) { sender.Inject(NewSized(0, 1, 0, 8)) }, nil, 0)
 	eng.Run() // must terminate: the bounded attempt count abandons the send
 	if gotErr == nil {
 		t.Fatal("OnDeliveryError never invoked")
@@ -271,7 +288,7 @@ func TestBouncesDoNotCountTowardRetransmissionBudget(t *testing.T) {
 	if !sender.TryAcquireOut() {
 		t.Fatal("no out buffer")
 	}
-	eng.After(0, func() { sender.Inject(NewSized(0, 1, 0, 8)) })
+	eng.AfterEvent(0, func(any, uint64) { sender.Inject(NewSized(0, 1, 0, 8)) }, nil, 0)
 	eng.Run()
 	if delivered != 1 {
 		t.Fatal("setup message not accepted")
@@ -281,8 +298,8 @@ func TestBouncesDoNotCountTowardRetransmissionBudget(t *testing.T) {
 	if !sender.TryAcquireOut() {
 		t.Fatal("no credit after first ack")
 	}
-	eng.After(0, func() { sender.Inject(NewSized(0, 1, 0, 8)) })
-	eng.After(20*sim.Microsecond, recv.ReleaseIn)
+	eng.AfterEvent(0, func(any, uint64) { sender.Inject(NewSized(0, 1, 0, 8)) }, nil, 0)
+	eng.AfterEvent(20*sim.Microsecond, func(any, uint64) { recv.ReleaseIn() }, nil, 0)
 	eng.Run()
 	if delivered != 2 {
 		t.Fatalf("second message never accepted (delivered=%d)", delivered)
@@ -310,8 +327,8 @@ func TestStaleBounceOfAckedMessageIsDiscarded(t *testing.T) {
 	if !sender.TryAcquireOut() {
 		t.Fatal("no out buffer")
 	}
-	eng.After(0, func() { sender.Inject(NewSized(0, 1, 0, 8)) })
-	eng.After(5*sim.Microsecond, recv.ReleaseIn)
+	eng.AfterEvent(0, func(any, uint64) { sender.Inject(NewSized(0, 1, 0, 8)) }, nil, 0)
+	eng.AfterEvent(5*sim.Microsecond, func(any, uint64) { recv.ReleaseIn() }, nil, 0)
 	eng.Run()
 	if delivered != 1 {
 		t.Fatalf("delivered %d, want 1 (duplicate bounced against held buffer)", delivered)

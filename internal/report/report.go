@@ -28,15 +28,6 @@ func (t *Table) Row(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// Rowf appends a row of formatted cells.
-func (t *Table) Rowf(format []string, args ...any) {
-	cells := make([]string, len(format))
-	for i, f := range format {
-		cells[i] = fmt.Sprintf(f, args[i])
-	}
-	t.Row(cells...)
-}
-
 // WriteTo renders the table.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	widths := make([]int, len(t.header))
@@ -113,9 +104,6 @@ func Bar(v float64, width int) string {
 	}
 	return b.String()
 }
-
-// Percent formats a fraction as a percentage.
-func Percent(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
 
 // ReliabilitySummary renders a node record's fault-injection and
 // reliable-delivery counters as a compact one-line summary, omitting zero

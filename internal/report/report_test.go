@@ -38,15 +38,6 @@ func TestTableExtraCellsDropped(t *testing.T) {
 	}
 }
 
-func TestRowf(t *testing.T) {
-	tbl := NewTable("x", "y")
-	tbl.Rowf([]string{"%.2f", "%d"}, 1.234, 42)
-	out := tbl.String()
-	if !strings.Contains(out, "1.23") || !strings.Contains(out, "42") {
-		t.Fatalf("Rowf output wrong:\n%s", out)
-	}
-}
-
 func TestBar(t *testing.T) {
 	b := Bar(1.0, 20)
 	if len(b) != 20 {
@@ -64,12 +55,6 @@ func TestBar(t *testing.T) {
 	}
 	if len(Bar(100, 10)) != 10 {
 		t.Fatal("clipping failed")
-	}
-}
-
-func TestPercent(t *testing.T) {
-	if Percent(0.123) != "12.3%" {
-		t.Fatalf("Percent = %q", Percent(0.123))
 	}
 }
 

@@ -2,25 +2,6 @@ package sim
 
 import "testing"
 
-// BenchmarkScheduleClosure is the pre-refactor idiom: one closure per
-// scheduled event. The closure environment still allocates at the caller;
-// only the event record and heap slot are pooled.
-func BenchmarkScheduleClosure(b *testing.B) {
-	e := NewEngine()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			e.After(Nanosecond, tick)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.After(Nanosecond, tick)
-	e.Run()
-}
-
 // BenchmarkScheduleTyped is the hot-path idiom: shared handler, pointer
 // receiver, pooled record — zero allocations per event.
 func BenchmarkScheduleTyped(b *testing.B) {

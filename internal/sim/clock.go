@@ -18,14 +18,6 @@ func GHz(f int64) Clock { return Clock{Period: Nanosecond / Time(f)} }
 // Cycles returns the duration of n cycles.
 func (c Clock) Cycles(n int64) Time { return Time(n) * c.Period }
 
-// CyclesIn returns the number of whole cycles in d, rounding up.
-func (c Clock) CyclesIn(d Time) int64 {
-	if c.Period <= 0 {
-		return 0
-	}
-	return int64((d + c.Period - 1) / c.Period)
-}
-
 // Align rounds t up to the next cycle boundary of this clock (boundaries at
 // multiples of Period from time zero).
 func (c Clock) Align(t Time) Time {

@@ -33,44 +33,6 @@ func TestAlignDegenerateClock(t *testing.T) {
 	}
 }
 
-func TestCyclesInEdges(t *testing.T) {
-	c := MHz(250) // 4 ns period
-	if got := c.CyclesIn(0); got != 0 {
-		t.Fatalf("CyclesIn(0) = %d, want 0", got)
-	}
-	if got := c.CyclesIn(c.Period); got != 1 {
-		t.Fatalf("CyclesIn(one period) = %d, want 1", got)
-	}
-	if got := c.CyclesIn(3 * c.Period); got != 3 {
-		t.Fatalf("CyclesIn(3 periods) = %d, want 3", got)
-	}
-	// A partial cycle rounds up.
-	if got := c.CyclesIn(3*c.Period + Picosecond); got != 4 {
-		t.Fatalf("CyclesIn(3 periods + 1ps) = %d, want 4", got)
-	}
-	if got := c.CyclesIn(Picosecond); got != 1 {
-		t.Fatalf("CyclesIn(1ps) = %d, want 1", got)
-	}
-}
-
-func TestCyclesInNegativeDuration(t *testing.T) {
-	c := MHz(250)
-	// Negative durations never yield positive cycle counts.
-	for _, d := range []Time{-Picosecond, -c.Period, -10 * Nanosecond, -Second} {
-		if got := c.CyclesIn(d); got > 0 {
-			t.Fatalf("CyclesIn(%v) = %d, want <= 0", d, got)
-		}
-	}
-}
-
-func TestCyclesInDegenerateClock(t *testing.T) {
-	for _, c := range []Clock{{Period: 0}, {Period: -Nanosecond}} {
-		if got := c.CyclesIn(10 * Nanosecond); got != 0 {
-			t.Fatalf("CyclesIn with Period=%v = %d, want 0", c.Period, got)
-		}
-	}
-}
-
 func TestCyclesZeroAndNegativeCounts(t *testing.T) {
 	c := GHz(1)
 	if got := c.Cycles(0); got != 0 {

@@ -1,5 +1,5 @@
 // Package sim provides a deterministic discrete-event simulation engine
-// with two programming models: plain scheduled callbacks for hardware
+// with two programming models: typed scheduled events for hardware
 // state machines, and cooperative processes (coroutines that the engine
 // switches to and from directly, via iter.Pull) for software running on
 // simulated processors.
@@ -59,11 +59,6 @@ type Engine struct {
 	stepped uint64 // number of events executed
 
 	quiescence []func() string
-
-	// OnStall, if non-nil, receives the stall report when Run drains the
-	// event queue while a registered quiescence check still reports held
-	// state (a lost message, ack, or bounce has stranded some component).
-	OnStall func(report string)
 }
 
 // NewEngine returns an engine positioned at time zero with an empty queue.
@@ -105,18 +100,6 @@ func checkDelay(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-}
-
-// At schedules fn to run at absolute time t. Each call allocates a closure
-// environment at the caller; hot paths should prefer AtEvent.
-func (e *Engine) At(t Time, fn func()) {
-	e.schedule(t).fn = fn
-}
-
-// After schedules fn to run d picoseconds from now.
-func (e *Engine) After(d Time, fn func()) {
-	checkDelay(d)
-	e.At(e.now+d, fn)
 }
 
 // AtEvent schedules the typed event h(recv, arg) at absolute time t. The
@@ -231,35 +214,24 @@ func (e *Engine) Step() bool {
 	// Capture the callback, then recycle the record before dispatching: the
 	// generation bump invalidates any Timer still pointing here, and the
 	// record is immediately reusable by whatever the handler schedules.
-	fn, h, recv, arg := ev.fn, ev.h, ev.recv, ev.arg
+	h, recv, arg := ev.h, ev.recv, ev.arg
 	e.release(ev)
-	if h != nil {
-		h(recv, arg)
-	} else {
-		fn()
-	}
+	h(recv, arg)
 	return true
 }
 
-// Run executes events until the queue is empty or Stop is called. If the
-// queue drains naturally while a quiescence check reports held state, the
-// stall report is delivered to OnStall (when set): an event-driven
-// simulation that runs out of events with work still outstanding has lost
-// a message, not finished.
+// Run executes events until the queue is empty or Stop is called. A queue
+// that drains with work still outstanding has lost a message, not
+// finished; StallReport tells the two apart.
 func (e *Engine) Run() {
 	for e.Step() {
-	}
-	if !e.stopped && e.OnStall != nil {
-		if r := e.StallReport(); r != "" {
-			e.OnStall(r)
-		}
 	}
 }
 
 // RegisterQuiescence adds a quiescence check: a function that returns a
 // non-empty diagnostic when its component still holds unfinished work
 // (unreleased buffers, in-flight messages), and "" when quiescent. Checks
-// run when the event queue drains (see Run and StallReport).
+// run only through StallReport.
 func (e *Engine) RegisterQuiescence(fn func() string) {
 	e.quiescence = append(e.quiescence, fn)
 }

@@ -10,9 +10,10 @@ import (
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.At(30*Nanosecond, func() { got = append(got, 3) })
-	e.At(10*Nanosecond, func() { got = append(got, 1) })
-	e.At(20*Nanosecond, func() { got = append(got, 2) })
+	note := func(_ any, arg uint64) { got = append(got, int(arg)) }
+	e.AtEvent(30*Nanosecond, note, nil, 3)
+	e.AtEvent(10*Nanosecond, note, nil, 1)
+	e.AtEvent(20*Nanosecond, note, nil, 2)
 	e.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("events out of order: %v", got)
@@ -25,9 +26,9 @@ func TestEngineOrdering(t *testing.T) {
 func TestEngineFIFOAtSameTime(t *testing.T) {
 	e := NewEngine()
 	var got []int
+	note := func(_ any, arg uint64) { got = append(got, int(arg)) }
 	for i := 0; i < 10; i++ {
-		i := i
-		e.At(5*Nanosecond, func() { got = append(got, i) })
+		e.AtEvent(5*Nanosecond, note, nil, uint64(i))
 	}
 	e.Run()
 	for i, v := range got {
@@ -39,23 +40,23 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10*Nanosecond, func() {})
+	e.AtEvent(10*Nanosecond, func(any, uint64) {}, nil, 0)
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.At(5*Nanosecond, func() {})
+	e.AtEvent(5*Nanosecond, func(any, uint64) {}, nil, 0)
 }
 
 func TestEngineAfterAndNesting(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	e.After(10*Nanosecond, func() {
+	e.AfterEvent(10*Nanosecond, func(any, uint64) {
 		fired = append(fired, e.Now())
-		e.After(15*Nanosecond, func() { fired = append(fired, e.Now()) })
-	})
+		e.AfterEvent(15*Nanosecond, func(any, uint64) { fired = append(fired, e.Now()) }, nil, 0)
+	}, nil, 0)
 	e.Run()
 	if len(fired) != 2 || fired[0] != 10*Nanosecond || fired[1] != 25*Nanosecond {
 		t.Fatalf("nested scheduling wrong: %v", fired)
@@ -66,7 +67,7 @@ func TestRunUntil(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.At(Time(i)*Nanosecond, func() { count++ })
+		e.AtEvent(Time(i)*Nanosecond, func(any, uint64) { count++ }, nil, 0)
 	}
 	e.RunUntil(5 * Nanosecond)
 	if count != 5 {
@@ -85,7 +86,7 @@ func TestRunWhile(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.At(Time(i)*Nanosecond, func() { count++ })
+		e.AtEvent(Time(i)*Nanosecond, func(any, uint64) { count++ }, nil, 0)
 	}
 	e.RunWhile(func() bool { return count < 3 })
 	if count != 3 {
@@ -96,8 +97,8 @@ func TestRunWhile(t *testing.T) {
 func TestStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	e.At(1*Nanosecond, func() { count++; e.Stop() })
-	e.At(2*Nanosecond, func() { count++ })
+	e.AtEvent(1*Nanosecond, func(any, uint64) { count++; e.Stop() }, nil, 0)
+	e.AtEvent(2*Nanosecond, func(any, uint64) { count++ }, nil, 0)
 	e.Run()
 	if count != 1 {
 		t.Fatalf("Stop did not halt the loop: count=%d", count)
@@ -119,7 +120,7 @@ func TestEventOrderIsTotalOrder(t *testing.T) {
 		var got []rec
 		for i, s := range stamps {
 			i, at := i, Time(s)*Nanosecond
-			e.At(at, func() { got = append(got, rec{at, i}) })
+			e.AtEvent(at, func(any, uint64) { got = append(got, rec{at, i}) }, nil, 0)
 		}
 		e.Run()
 		if len(got) != len(stamps) {
@@ -155,13 +156,13 @@ func TestAfterDelayExact(t *testing.T) {
 		}
 		d := Time(rng.Intn(100)) * Nanosecond
 		base := e.Now()
-		e.After(d, func() {
+		e.AfterEvent(d, func(any, uint64) {
 			if e.Now() != base+d {
 				errs++
 			}
 			schedule(depth + 1)
 			schedule(depth + 1)
-		})
+		}, nil, 0)
 	}
 	schedule(0)
 	e.Run()
@@ -197,9 +198,6 @@ func TestClock(t *testing.T) {
 	if bus.Cycles(3) != 12*Nanosecond {
 		t.Fatalf("Cycles(3) = %v", bus.Cycles(3))
 	}
-	if bus.CyclesIn(9*Nanosecond) != 3 {
-		t.Fatalf("CyclesIn(9ns) = %d, want 3", bus.CyclesIn(9*Nanosecond))
-	}
 	if bus.Align(9*Nanosecond) != 12*Nanosecond {
 		t.Fatalf("Align(9ns) = %v, want 12ns", bus.Align(9*Nanosecond))
 	}
@@ -211,7 +209,7 @@ func TestClock(t *testing.T) {
 func TestEventsAndPendingCounters(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {
-		e.After(Nanosecond, func() {})
+		e.AfterEvent(Nanosecond, func(any, uint64) {}, nil, 0)
 	}
 	if e.Pending() != 5 {
 		t.Fatalf("Pending = %d", e.Pending())
@@ -229,7 +227,7 @@ func TestNegativeAfterPanics(t *testing.T) {
 			t.Fatal("negative delay did not panic")
 		}
 	}()
-	e.After(-Nanosecond, func() {})
+	e.AfterEvent(-Nanosecond, func(any, uint64) {}, nil, 0)
 }
 
 func TestTimeConversions(t *testing.T) {

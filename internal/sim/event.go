@@ -2,14 +2,10 @@ package sim
 
 // Typed events and cancellable timers: the allocation-free scheduling path.
 //
-// The engine's original API schedules closures (At/After). Every call site
-// in a hot loop — a message hop, a bus phase, a process resume — then
-// allocates a fresh closure capturing its operands, and the old
-// container/heap plumbing boxed each record into an interface on push. A
-// long simulation schedules hundreds of millions of events, so the garbage
-// collector ends up on the critical path of every experiment cell.
-//
-// The typed path splits an event into code and data halves:
+// Every event is typed. A closure per event would allocate its captured
+// operands at every hop, bus phase and process resume, which put the
+// garbage collector on the critical path of every experiment cell; so an
+// event is split into code and data halves instead:
 //
 //   - the code half is a Handler, a package-level func (or method
 //     expression wrapper) shared by every event of its kind — creating one
@@ -19,16 +15,16 @@ package sim
 //
 // Event records themselves are pooled on a free list and reused, so a
 // steady-state schedule→fire cycle performs zero heap allocations (gated by
-// TestTypedScheduleAllocFree). Closure events ride the same pooled records;
-// only their captured environments still allocate, at the caller.
+// TestTypedScheduleAllocFree).
 //
 // Determinism: pooling and cancellation cannot reorder same-time events.
-// The heap orders strictly by (at, seq); seq is assigned once per schedule
-// call from a monotonic counter and is never reused by a recycled record,
-// so FIFO order among same-timestamp events is exactly the order of the
-// schedule calls, as before. Cancellation removes a record without touching
-// the (at, seq) keys of any other record, and a binary heap's pop order is
-// a pure function of the surviving keys.
+// The heap orders by a key that ends in seq (see the heap order note
+// below); seq is assigned once per schedule call from a monotonic counter
+// and is never reused by a recycled record, so FIFO order among node-local
+// same-timestamp events is exactly the order of the schedule calls.
+// Cancellation removes a record without touching the key of any other
+// record, and a binary heap's pop order is a pure function of the
+// surviving keys.
 
 // Handler is the code half of a typed event: a package-level function (or a
 // wrapper around a method) invoked with the event's receiver and argument
@@ -45,8 +41,7 @@ type event struct {
 	ordSeq  uint64 // per-posting-node sequence; 0 when ord is 0
 	seq     uint64
 
-	fn   func()  // closure event (At/After); nil on the typed path
-	h    Handler // typed event (AtEvent and friends); nil on the closure path
+	h    Handler
 	recv any
 	arg  uint64
 
@@ -106,7 +101,7 @@ const maxPooledEvents = 4096
 // The generation bump invalidates every outstanding Timer handle on it.
 func (e *Engine) release(ev *event) {
 	ev.gen++
-	ev.fn, ev.h, ev.recv = nil, nil, nil
+	ev.h, ev.recv = nil, nil
 	ev.idx = -1
 	if e.pooled >= maxPooledEvents {
 		return

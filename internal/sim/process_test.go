@@ -316,7 +316,7 @@ func TestYieldOrdersAfterCurrentEvents(t *testing.T) {
 		p.Yield()
 		order = append(order, "after")
 	})
-	e.After(0, func() { order = append(order, "event") })
+	e.AfterEvent(0, func(any, uint64) { order = append(order, "event") }, nil, 0)
 	e.Run()
 	// The spawned process starts first (scheduled first), yields, the plain
 	// event runs, then the process resumes.

@@ -16,34 +16,24 @@ func TestStallReportConcatenatesCheckers(t *testing.T) {
 	}
 }
 
-func TestOnStallFiresWhenQueueDrainsWithHeldState(t *testing.T) {
+func TestStallReportAfterRunDrainsWithHeldState(t *testing.T) {
 	e := NewEngine()
-	held := true
-	e.RegisterQuiescence(func() string {
-		if held {
-			return "resource held"
-		}
-		return ""
-	})
-	var got string
-	e.OnStall = func(r string) { got = r }
+	e.RegisterQuiescence(func() string { return "resource held" })
 	// A process parks on a condition nobody ever signals: the event queue
 	// drains with the process still live.
 	e.Spawn("waiter", func(p *Process) { NewCond(e).Wait(p) })
 	e.Run()
-	if !strings.Contains(got, "resource held") {
-		t.Fatalf("OnStall got %q, want the checker's report", got)
+	if r := e.StallReport(); !strings.Contains(r, "resource held") {
+		t.Fatalf("StallReport after Run = %q, want the checker's report", r)
 	}
 }
 
-func TestOnStallSilentWhenQuiescent(t *testing.T) {
+func TestStallReportEmptyWhenQuiescent(t *testing.T) {
 	e := NewEngine()
 	e.RegisterQuiescence(func() string { return "" })
-	called := false
-	e.OnStall = func(string) { called = true }
-	e.At(10*Nanosecond, func() {})
+	e.AtEvent(10*Nanosecond, func(any, uint64) {}, nil, 0)
 	e.Run()
-	if called {
-		t.Fatal("OnStall fired on a cleanly quiescent run")
+	if r := e.StallReport(); r != "" {
+		t.Fatalf("StallReport after a cleanly quiescent run = %q, want empty", r)
 	}
 }

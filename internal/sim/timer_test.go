@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestTimerStopRemovesEvent(t *testing.T) {
 	e := NewEngine()
@@ -73,28 +76,29 @@ func TestStaleTimerCannotCancelRecycledEvent(t *testing.T) {
 	}
 }
 
-// TestSameTimeFIFOMixedKinds verifies FIFO-at-same-timestamp across closure
-// events, typed events, and timers interleaved: the firing order is exactly
-// the scheduling order.
+// TestSameTimeFIFOMixedKinds verifies FIFO-at-same-timestamp across typed
+// events, timers and a process resume interleaved: among node-local events
+// the firing order is exactly the scheduling order. Network posts that tie
+// on (time, schedule stamp) follow them, ordered by posting node.
 func TestSameTimeFIFOMixedKinds(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	note := func(recv any, arg uint64) { got = append(got, int(arg)) }
+	note := func(_ any, arg uint64) { got = append(got, int(arg)) }
 	at := 5 * Nanosecond
-	e.At(at, func() { got = append(got, 0) })
-	e.AtEvent(at, note, nil, 1)
+	e.AtEvent(at, note, nil, 0)
+	e.Spawn("p", func(p *Process) {
+		p.Sleep(at) // the resume lands between the event above and the timer below
+		got = append(got, 1)
+	})
+	e.RunUntil(0)
+	e.AtEventPosted(at, 9, 1, note, nil, 5)
 	e.AtTimer(at, note, nil, 2)
-	e.At(at, func() { got = append(got, 3) })
-	e.AtEvent(at, note, nil, 4)
+	e.AtEventPosted(at, 2, 7, note, nil, 4)
+	e.AtEvent(at, note, nil, 3)
 	e.Run()
-	want := []int{0, 1, 2, 3, 4}
-	if len(got) != len(want) {
+	want := []int{0, 1, 2, 3, 4, 5}
+	if !slices.Equal(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
 	}
 }
 
@@ -219,7 +223,7 @@ func TestHeapShrinksAfterDrain(t *testing.T) {
 	e := NewEngine()
 	const burst = 4 * minHeapCap
 	for i := 0; i < burst; i++ {
-		e.At(Time(i)*Nanosecond, func() {})
+		e.AtEvent(Time(i)*Nanosecond, func(any, uint64) {}, nil, 0)
 	}
 	peak := cap(e.pq.a)
 	if peak < burst {
@@ -231,7 +235,7 @@ func TestHeapShrinksAfterDrain(t *testing.T) {
 	}
 	// The engine must still work after shrinking.
 	fired := false
-	e.After(Nanosecond, func() { fired = true })
+	e.AfterEvent(Nanosecond, func(any, uint64) { fired = true }, nil, 0)
 	e.Run()
 	if !fired {
 		t.Fatal("event lost after heap shrink")
@@ -243,7 +247,7 @@ func TestHeapShrinksAfterDrain(t *testing.T) {
 func TestEventPoolBounded(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 2*maxPooledEvents; i++ {
-		e.At(Time(i)*Picosecond, func() {})
+		e.AtEvent(Time(i)*Picosecond, func(any, uint64) {}, nil, 0)
 	}
 	e.Run()
 	if e.pooled > maxPooledEvents {

@@ -31,20 +31,6 @@ const (
 	numCategories
 )
 
-// CategoryName returns a human-readable name for a processor-time category.
-func CategoryName(c int) string {
-	switch c {
-	case Compute:
-		return "compute"
-	case Transfer:
-		return "transfer"
-	case Buffering:
-		return "buffering"
-	default:
-		return fmt.Sprintf("category%d", c)
-	}
-}
-
 // Node accumulates statistics for a single machine node.
 type Node struct {
 	// TimeIn[c] is the processor time attributed to category c.
@@ -120,15 +106,6 @@ func (n *Node) RecordMessageSize(bytes int) { n.sizes.Add(bytes) }
 
 // Sizes returns the message-size histogram.
 func (n *Node) Sizes() *Histogram { return n.sizes }
-
-// BusyTime returns total attributed (non-idle) processor time.
-func (n *Node) BusyTime() sim.Time {
-	var t sim.Time
-	for _, v := range n.TimeIn {
-		t += v
-	}
-	return t
-}
 
 // Machine aggregates statistics across all nodes of a simulated machine.
 type Machine struct {
@@ -340,20 +317,6 @@ func (h *Histogram) Fraction(v int) float64 {
 		return 0
 	}
 	return float64(h.counts[v]) / float64(h.total)
-}
-
-// FractionBetween returns the share of values v with lo <= v <= hi.
-func (h *Histogram) FractionBetween(lo, hi int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var c int64
-	for v, n := range h.counts {
-		if v >= lo && v <= hi {
-			c += n
-		}
-	}
-	return float64(c) / float64(h.total)
 }
 
 // Mean returns the average recorded value.

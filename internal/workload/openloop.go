@@ -49,19 +49,6 @@ type OpenLoopParams struct {
 	OutageEnd sim.Time
 }
 
-// DefaultOpenLoop returns a modest five-request-per-microsecond-per-client
-// load with the 32B/128B request/response mix of a small RPC.
-func DefaultOpenLoop() OpenLoopParams {
-	return OpenLoopParams{
-		MeanGap:    2 * sim.Microsecond,
-		Requests:   50,
-		ReqBytes:   32,
-		RespBytes:  128,
-		Seed:       1,
-		DrainGrace: 50 * sim.Microsecond,
-	}
-}
-
 // OpenLoopResult aggregates one run's delivered service.
 type OpenLoopResult struct {
 	// Issued and Completed count requests sent and responses delivered.

@@ -9,6 +9,10 @@ import (
 	"nisim/internal/sim"
 )
 
+// smallRPC is a modest five-request-per-microsecond-per-client load with
+// the 32B/128B request/response mix of a small RPC.
+var smallRPC = OpenLoopParams{MeanGap: 2 * sim.Microsecond, Requests: 50, ReqBytes: 32, RespBytes: 128, Seed: 1, DrainGrace: 50 * sim.Microsecond}
+
 func olConfig(nodes int) machine.Config {
 	cfg := machine.DefaultConfig(nic.CNI32Qm, 16)
 	cfg.Nodes = nodes
@@ -18,7 +22,7 @@ func olConfig(nodes int) machine.Config {
 // A lightly loaded lossless run completes every request and measures sane
 // latencies.
 func TestOpenLoopCompletesUnderLightLoad(t *testing.T) {
-	p := DefaultOpenLoop()
+	p := smallRPC
 	p.Requests = 20
 	p.MeanGap = 4 * sim.Microsecond
 	res, _ := RunOpenLoop(olConfig(4), p)
@@ -45,7 +49,7 @@ func TestOpenLoopCompletesUnderLightLoad(t *testing.T) {
 // Equal seeds reproduce the run bit-identically; a different seed moves
 // the arrival schedule.
 func TestOpenLoopDeterministic(t *testing.T) {
-	p := DefaultOpenLoop()
+	p := smallRPC
 	p.Requests = 10
 	run := func(seed uint64) (sim.Time, sim.Time) {
 		q := p
@@ -78,7 +82,7 @@ func TestOpenLoopOverloadDegradesNotHangs(t *testing.T) {
 	cfg.Watchdog = true
 	cfg.StallHorizon = 200 * sim.Microsecond
 
-	p := DefaultOpenLoop()
+	p := smallRPC
 	p.Requests = 30
 	p.MeanGap = 200 * sim.Nanosecond // far past a fifo NI's service rate
 	p.DrainGrace = 30 * sim.Microsecond

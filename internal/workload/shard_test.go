@@ -73,7 +73,7 @@ func TestShardedRendezvousIsByteIdentical(t *testing.T) {
 	cfg.NISpec = &spec
 	cfg.Msg.Protocol = msglayer.Rendezvous
 	cfg.Msg.RendezvousThreshold = 1024
-	p := DefaultOpenLoop()
+	p := smallRPC
 	p.ReqBytes, p.RespBytes = 2048, 32
 
 	serialRes, serialStats := RunOpenLoop(cfg, p)
@@ -101,7 +101,7 @@ func TestShardedRendezvousIsByteIdentical(t *testing.T) {
 func TestShardedOpenLoopIsByteIdentical(t *testing.T) {
 	for _, kind := range []nic.Kind{nic.UDMA, nic.CNI32Qm, nic.CNI32QmThrottle} {
 		cfg := machine.DefaultConfig(kind, 8)
-		p := DefaultOpenLoop()
+		p := smallRPC
 		serialRes, serialStats := RunOpenLoop(cfg, p)
 		for _, shards := range []int{2, 4} {
 			c := cfg

@@ -129,7 +129,7 @@ func TestAppsExerciseAllTimeCategories(t *testing.T) {
 	tot := st.Total()
 	for _, c := range []int{stats.Compute, stats.Transfer, stats.Buffering} {
 		if tot.TimeIn[c] <= 0 {
-			t.Errorf("category %s empty", stats.CategoryName(c))
+			t.Errorf("category %d empty", c)
 		}
 	}
 }

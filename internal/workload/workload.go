@@ -54,9 +54,6 @@ type Params struct {
 	Iters float64
 }
 
-// DefaultParams is the standard scale.
-func DefaultParams() Params { return Params{Iters: 1} }
-
 func (p Params) scale(n int) int {
 	v := int(float64(n)*p.Iters + 0.5)
 	if v < 1 {

@@ -48,7 +48,7 @@ func TestTable4MessageMix(t *testing.T) {
 		app, peaks := app, peaks
 		t.Run(string(app), func(t *testing.T) {
 			cfg := machine.DefaultConfig(nic.CNI32Qm, 8)
-			st := Run(cfg, app, DefaultParams())
+			st := Run(cfg, app, Params{Iters: 1})
 			sizes := st.Total().Sizes()
 			if sizes.Total() < 100 {
 				t.Fatalf("too few messages (%d) for a distribution check", sizes.Total())
@@ -67,7 +67,7 @@ func TestTable4MessageMix(t *testing.T) {
 // The unstructured app's non-control messages average ~351 bytes (Table 4).
 func TestUnstructuredAverageSize(t *testing.T) {
 	cfg := machine.DefaultConfig(nic.CNI32Qm, 8)
-	st := Run(cfg, Unstructured, DefaultParams())
+	st := Run(cfg, Unstructured, Params{Iters: 1})
 	sizes := st.Total().Sizes()
 	// Average over the 12..1812 range (excluding the 8-byte peak).
 	var sum, cnt float64
