@@ -120,11 +120,6 @@ func (m *Message) origin() *Message {
 	return m
 }
 
-// NewMessage builds a message with the given payload bytes.
-func NewMessage(src, dst, handler int, payload []byte) *Message {
-	return &Message{Src: src, Dst: dst, Handler: handler, Payload: payload, PayloadLen: len(payload)}
-}
-
 // NewSized builds a message with a synthetic payload of n bytes.
 func NewSized(src, dst, handler, n int) *Message {
 	return &Message{Src: src, Dst: dst, Handler: handler, PayloadLen: n}

@@ -381,8 +381,14 @@ func TestMessageString(t *testing.T) {
 	if m.String() == "" || m.Size() != 48 {
 		t.Fatalf("String/Size wrong: %q %d", m.String(), m.Size())
 	}
-	b := NewMessage(0, 1, 2, []byte{1, 2, 3})
+	b := payloadMessage(0, 1, 2, []byte{1, 2, 3})
 	if b.PayloadLen != 3 || b.Size() != 11 {
-		t.Fatalf("NewMessage sizes wrong: %d %d", b.PayloadLen, b.Size())
+		t.Fatalf("payload message sizes wrong: %d %d", b.PayloadLen, b.Size())
 	}
+}
+
+// payloadMessage builds a message carrying the given payload bytes, as
+// msglayer's fragmenter does.
+func payloadMessage(src, dst, handler int, payload []byte) *Message {
+	return &Message{Src: src, Dst: dst, Handler: handler, Payload: payload, PayloadLen: len(payload)}
 }

@@ -194,7 +194,7 @@ func TestOneSidedFaultRecovery(t *testing.T) {
 			r := newOneSidedRig(t, relCfg())
 			send := r.nw.Endpoint(0)
 			send.Fault = &lossPlane{n: 1, verdict: tc.verdict}
-			m := NewMessage(0, 1, 0, []byte{1, 2, 3, 4})
+			m := payloadMessage(0, 1, 0, []byte{1, 2, 3, 4})
 			r.eng.AfterEvent(0, func(any, uint64) { send.Put(m) }, nil, 0)
 			r.eng.Run()
 			if len(r.puts) != 1 {

@@ -171,7 +171,7 @@ func TestCorruptionDetectedAndRetransmitted(t *testing.T) {
 	if !sender.TryAcquireOut() {
 		t.Fatal("no out buffer")
 	}
-	m := NewMessage(0, 1, 0, payload)
+	m := payloadMessage(0, 1, 0, payload)
 	eng.AfterEvent(0, func(any, uint64) { sender.Inject(m) }, nil, 0)
 	eng.Run()
 	if got == nil {
@@ -199,10 +199,10 @@ func TestChecksumCoversHeaderAndPayload(t *testing.T) {
 		name string
 		m    *Message
 	}{
-		{"3B", NewMessage(0, 1, 3, []byte{1, 2, 3})},
-		{"1B", NewMessage(3, 7, 2, []byte{0xff})},
-		{"20B", NewMessage(1, 0, 4, bytes.Repeat([]byte{0xa5}, 20))},
-		{"249B", NewMessage(6, 5, 1, bytes.Repeat([]byte{0x5a}, 249))},
+		{"3B", payloadMessage(0, 1, 3, []byte{1, 2, 3})},
+		{"1B", payloadMessage(3, 7, 2, []byte{0xff})},
+		{"20B", payloadMessage(1, 0, 4, bytes.Repeat([]byte{0xa5}, 20))},
+		{"249B", payloadMessage(6, 5, 1, bytes.Repeat([]byte{0x5a}, 249))},
 		{"synthetic", NewSized(1, 2, 3, 64)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

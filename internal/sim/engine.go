@@ -82,8 +82,8 @@ func (e *Engine) schedule(t Time) *event {
 	return e.scheduleKeyed(t, e.now, 0, 0)
 }
 
-// scheduleKeyed is schedule with the full explicit heap key: the schedule
-// stamp plus the network-post ordinal pair (see the heap order note in
+// scheduleKeyed is schedule with the full explicit queue key: the schedule
+// stamp plus the network-post ordinal pair (see the key order note in
 // event.go). The key fields must be in place before the push.
 func (e *Engine) scheduleKeyed(t, schedAt Time, ord, ordSeq uint64) *event {
 	if t < e.now {
@@ -92,7 +92,7 @@ func (e *Engine) scheduleKeyed(t, schedAt Time, ord, ordSeq uint64) *event {
 	ev := e.alloc()
 	e.seq++
 	ev.at, ev.schedAt, ev.ord, ev.ordSeq, ev.seq = t, schedAt, ord, ordSeq, e.seq
-	e.pq.push(ev)
+	e.pq.push(ev, e.now)
 	return ev
 }
 
@@ -115,7 +115,7 @@ func (e *Engine) AtEvent(t Time, h Handler, recv any, arg uint64) {
 
 // AtEventPosted schedules the typed event h(recv, arg) at absolute time t
 // as a network post from node src with per-node sequence postSeq. Posts
-// carry their posting node's identity in the heap key, so two posts that
+// carry their posting node's identity in the queue key, so two posts that
 // tie on (time, schedule stamp) order by (src, postSeq) — a pure function
 // of the simulation's content — instead of by engine insertion order. The
 // netsim endpoints use this for every message-derived event, which is what
@@ -136,7 +136,7 @@ func (e *Engine) AtEventPosted(t Time, src int, postSeq uint64, h Handler, recv 
 // at a window barrier, the destination engine's clock is the window
 // boundary, not the instant the source shard scheduled the event — passing
 // the source's clock as schedAt and the source node's post ordinal slots
-// the event into the heap exactly where the serial engine's AtEventPosted
+// the event into the queue exactly where the serial engine's AtEventPosted
 // would have placed it. schedAt must not exceed t.
 func (e *Engine) AtEventStamped(t, schedAt Time, src int, postSeq uint64, h Handler, recv any, arg uint64) {
 	if schedAt > t {
@@ -150,10 +150,11 @@ func (e *Engine) AtEventStamped(t, schedAt Time, src int, postSeq uint64, h Hand
 // false when the queue is empty. The partitioned runtime uses this at each
 // barrier to size the next conservative window.
 func (e *Engine) NextEventAt() (t Time, ok bool) {
-	if e.pq.len() == 0 {
+	ev := e.pq.peek(e.now)
+	if ev == nil {
 		return 0, false
 	}
-	return e.pq.a[0].at, true
+	return ev.at, true
 }
 
 // RunWindow executes every pending event with a timestamp strictly before
@@ -163,7 +164,10 @@ func (e *Engine) NextEventAt() (t Time, ok bool) {
 // before it is safe to run without coordination. An empty window just
 // advances the clock.
 func (e *Engine) RunWindow(end Time) {
-	for !e.stopped && e.pq.len() > 0 && e.pq.a[0].at < end {
+	for !e.stopped {
+		if ev := e.pq.peek(e.now); ev == nil || ev.at >= end {
+			break
+		}
 		e.Step()
 	}
 	if !e.stopped && e.now < end {
@@ -205,10 +209,13 @@ func (e *Engine) AfterTimer(d Time, h Handler, recv any, arg uint64) Timer {
 //
 //lint:hotpath
 func (e *Engine) Step() bool {
-	if e.stopped || e.pq.len() == 0 {
+	if e.stopped {
 		return false
 	}
-	ev := e.pq.pop()
+	ev := e.pq.pop(e.now)
+	if ev == nil {
+		return false
+	}
 	e.now = ev.at
 	e.stepped++
 	// Capture the callback, then recycle the record before dispatching: the
@@ -254,7 +261,10 @@ func (e *Engine) StallReport() string {
 
 // RunUntil executes events with timestamps <= t, then sets the clock to t.
 func (e *Engine) RunUntil(t Time) {
-	for !e.stopped && e.pq.len() > 0 && e.pq.a[0].at <= t {
+	for !e.stopped {
+		if ev := e.pq.peek(e.now); ev == nil || ev.at > t {
+			break
+		}
 		e.Step()
 	}
 	if !e.stopped && e.now < t {

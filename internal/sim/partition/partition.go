@@ -40,7 +40,7 @@ import (
 // Record is one cross-shard event handoff: a typed event captured by the
 // source shard's outbox during a window and integrated into the destination
 // shard's queue at the next barrier. At and SchedAt reproduce the exact
-// heap key a serial engine would have used ((at, schedAt, ord, ordSeq) —
+// queue key a serial engine would have used ((at, schedAt, ord, ordSeq) —
 // see sim.AtEventStamped); Src and Seq make the barrier merge order total
 // and deterministic.
 type Record struct {
@@ -53,7 +53,7 @@ type Record struct {
 	Src, Dst int
 	// Seq is the source node's per-node post sequence (netsim's postSeq),
 	// the final merge tie-break and the ordSeq half of the destination
-	// engine's heap key (see sim.AtEventPosted).
+	// engine's queue key (see sim.AtEventPosted).
 	Seq uint64
 	// H is the typed event's handler, exactly as a serial engine would
 	// schedule it.
@@ -64,7 +64,7 @@ type Record struct {
 	Arg uint64
 }
 
-// byKey orders records by (At, SchedAt, Src, Seq) — the serial heap key
+// byKey orders records by (At, SchedAt, Src, Seq) — the serial queue key
 // extended with a total deterministic tie-break, so the barrier merge is
 // independent of outbox traversal order.
 func byKey(a, b Record) bool {

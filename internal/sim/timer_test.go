@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -154,8 +155,9 @@ func TestCancelMiddleEventPreservesOrder(t *testing.T) {
 }
 
 // TestTypedScheduleAllocFree is the allocation gate for the hot path: a
-// steady-state schedule→fire cycle of typed events must not allocate, and
-// neither may arming and stopping a timer.
+// steady-state schedule→fire cycle of typed events must not allocate in
+// either tier of the queue, and neither may arming and stopping a timer in
+// either tier.
 func TestTypedScheduleAllocFree(t *testing.T) {
 	e := NewEngine()
 	type node struct{ count int }
@@ -168,26 +170,33 @@ func TestTypedScheduleAllocFree(t *testing.T) {
 			e.AfterEvent(Nanosecond, tick, nd, 0)
 		}
 	}
-	// Warm the pool.
+	// Warm the pool and the far heap's backing array.
 	e.AfterEvent(Nanosecond, tick, n, 0)
 	e.AfterEvent(Nanosecond, tick, n, 0)
+	e.AfterEvent(2*nearHorizon, tick, n, 1)
 	e.Run()
 
-	allocs := testing.AllocsPerRun(1000, func() {
-		e.AfterEvent(Nanosecond, tick, n, 0)
-		for e.Step() {
+	for _, c := range []struct {
+		name string
+		d    Time
+	}{{"near", Nanosecond}, {"far", 2 * nearHorizon}} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			e.AfterEvent(c.d, tick, n, 0)
+			for e.Step() {
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s-tier typed schedule/fire allocates %.1f per run, want 0", c.name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("typed schedule/fire allocates %.1f per run, want 0", allocs)
-	}
-
-	allocs = testing.AllocsPerRun(1000, func() {
-		tm := e.AfterTimer(Nanosecond, tick, n, 0)
-		tm.Stop()
-	})
-	if allocs != 0 {
-		t.Fatalf("timer arm/stop allocates %.1f per run, want 0", allocs)
+		allocs = testing.AllocsPerRun(1000, func() {
+			tm := e.AfterTimer(c.d, tick, n, 0)
+			if !tm.Stop() {
+				t.Fatal("Stop on a pending timer reported false")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s-tier timer arm/stop allocates %.1f per run, want 0", c.name, allocs)
+		}
 	}
 }
 
@@ -217,21 +226,22 @@ func TestProcessResumeAllocFree(t *testing.T) {
 	e.Drain()
 }
 
-// TestHeapShrinksAfterDrain verifies the backing array contracts once a
-// large burst drains, instead of pinning peak-queue memory for the run.
+// TestHeapShrinksAfterDrain verifies the far heap's backing array
+// contracts once a large burst scheduled beyond the near tier drains,
+// instead of pinning peak-queue memory for the run.
 func TestHeapShrinksAfterDrain(t *testing.T) {
 	e := NewEngine()
 	const burst = 4 * minHeapCap
 	for i := 0; i < burst; i++ {
-		e.AtEvent(Time(i)*Nanosecond, func(any, uint64) {}, nil, 0)
+		e.AtEvent(nearHorizon+Time(i)*Nanosecond, func(any, uint64) {}, nil, 0)
 	}
-	peak := cap(e.pq.a)
+	peak := cap(e.pq.far)
 	if peak < burst {
-		t.Fatalf("cap %d after %d pushes, want >= %d", peak, burst, burst)
+		t.Fatalf("far cap %d after %d pushes beyond the horizon, want >= %d", peak, burst, burst)
 	}
 	e.Run()
-	if got := cap(e.pq.a); got >= peak {
-		t.Fatalf("heap cap %d did not shrink from peak %d after drain", got, peak)
+	if got := cap(e.pq.far); got >= peak {
+		t.Fatalf("far heap cap %d did not shrink from peak %d after drain", got, peak)
 	}
 	// The engine must still work after shrinking.
 	fired := false
@@ -240,6 +250,24 @@ func TestHeapShrinksAfterDrain(t *testing.T) {
 	if !fired {
 		t.Fatal("event lost after heap shrink")
 	}
+}
+
+// TestNewEngineFootprint bounds what one engine costs before it runs
+// anything: the near tier's bucket arrays live inline in the Engine, so a
+// wider ring shows up here (and in every cell's setup time).
+func TestNewEngineFootprint(t *testing.T) {
+	const n = 64
+	engines := make([]*Engine, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range engines {
+		engines[i] = NewEngine()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 8<<10 {
+		t.Fatalf("NewEngine allocates %d bytes, want <= %d", per, 8<<10)
+	}
+	runtime.KeepAlive(engines)
 }
 
 // TestEventPoolBounded verifies the free list stops growing at its cap so
