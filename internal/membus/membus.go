@@ -121,6 +121,8 @@ type Transaction struct {
 	home         Target
 	homeSupplies bool
 	waiter       *sim.Process
+	then         sim.Handler // AccessThen's continuation
+	thenRecv     any
 	completed    bool
 
 	// scratch marks a record owned by the bus's reuse pool (see Access);
@@ -133,7 +135,8 @@ type Transaction struct {
 }
 
 // complete finishes the transaction: the caller's Done hook runs first, then
-// any process blocked in IssueAndWait is released.
+// any process blocked in IssueAndWait is released, or the continuation
+// of an AccessThen scheduled.
 func (t *Transaction) complete() {
 	t.completed = true
 	if t.Done != nil {
@@ -141,6 +144,9 @@ func (t *Transaction) complete() {
 	}
 	if t.waiter != nil {
 		t.waiter.Unpark()
+	}
+	if t.then != nil {
+		t.bus.eng.AfterEvent(0, t.then, t.thenRecv, 0)
 	}
 }
 
@@ -419,13 +425,11 @@ func (b *Bus) release(t *Transaction) {
 	}
 }
 
-// Access issues a fire-and-forget transaction — Kind, Addr, Size only, no
-// Done hook, no Requester — and blocks the calling process until it
-// completes. It is the allocation-free variant of IssueAndWait for the
-// processor cost primitives, which never inspect the transaction
-// afterwards: the record comes from the bus's scratch pool and returns to
-// it when the last phase event referencing it has fired.
-func (b *Bus) Access(p *sim.Process, k Kind, a Addr, size int) {
+// scratch takes a record from the bus's reuse pool for a fire-and-forget
+// access of kind k at a (size 0 means a block): no Done hook, no
+// Requester. The record returns to the pool when its last reference is
+// released (see release).
+func (b *Bus) scratch(k Kind, a Addr, size int) *Transaction {
 	var t *Transaction
 	if n := len(b.pool); n > 0 {
 		t = b.pool[n-1]
@@ -435,9 +439,17 @@ func (b *Bus) Access(p *sim.Process, k Kind, a Addr, size int) {
 		t = &Transaction{scratch: true} //lint:allow noalloc pool miss: scratch records are amortized to zero once the pool warms
 	}
 	t.Kind, t.Addr, t.Size = k, a, size
-	t.refs = 1 // the issuer's reference, released below
-	b.IssueAndWait(p, t)
-	b.release(t)
+	return t
+}
+
+// Access issues a fire-and-forget transaction — Kind, Addr, Size only, no
+// Done hook, no Requester — and blocks the calling process until it
+// completes. It is the allocation-free variant of IssueAndWait for the
+// processor cost primitives, which never inspect the transaction
+// afterwards: the record comes from the bus's scratch pool and returns to
+// it when the last phase event referencing it has fired.
+func (b *Bus) Access(p *sim.Process, k Kind, a Addr, size int) {
+	b.AccessFrom(p, nil, k, a, size)
 }
 
 // AccessFrom is Access with a requesting snooper: the pooled variant of
@@ -446,15 +458,7 @@ func (b *Bus) Access(p *sim.Process, k Kind, a Addr, size int) {
 // behavior are identical to IssueAndWait with a fresh record carrying the
 // same fields; only the allocation disappears.
 func (b *Bus) AccessFrom(p *sim.Process, req Snooper, k Kind, a Addr, size int) {
-	var t *Transaction
-	if n := len(b.pool); n > 0 {
-		t = b.pool[n-1]
-		b.pool = b.pool[:n-1]
-		*t = Transaction{scratch: true}
-	} else {
-		t = &Transaction{scratch: true} //lint:allow noalloc pool miss: scratch records are amortized to zero once the pool warms
-	}
-	t.Kind, t.Addr, t.Size = k, a, size
+	t := b.scratch(k, a, size)
 	t.Requester = req
 	t.refs = 1 // the issuer's reference, released below
 	b.IssueAndWait(p, t)
@@ -466,19 +470,34 @@ func (b *Bus) AccessFrom(p *sim.Process, req Snooper, k Kind, a Addr, size int) 
 // requester needs to pick the MOESI fill state, captured before the
 // scratch record returns to the pool.
 func (b *Bus) FillFrom(p *sim.Process, req Snooper, k Kind, a Addr) (shared, fromCache bool) {
-	var t *Transaction
-	if n := len(b.pool); n > 0 {
-		t = b.pool[n-1]
-		b.pool = b.pool[:n-1]
-		*t = Transaction{scratch: true}
-	} else {
-		t = &Transaction{scratch: true} //lint:allow noalloc pool miss: scratch records are amortized to zero once the pool warms
-	}
-	t.Kind, t.Addr = k, a
+	t := b.scratch(k, a, 0)
 	t.Requester = req
 	t.refs = 1 // the issuer's reference, released below
 	b.IssueAndWait(p, t)
 	shared, fromCache = t.Shared, t.FromCache
 	b.release(t)
 	return shared, fromCache
+}
+
+// AccessThen issues the access Access would and returns at once: on
+// completion it schedules the typed event then(recv, 0) at that instant,
+// the slot in which Access's Unpark of its waiting process would have
+// been scheduled. No issuer holds the record, so it returns to the pool
+// when its last phase event has fired.
+//
+//lint:hotpath
+func (b *Bus) AccessThen(k Kind, a Addr, size int, then sim.Handler, recv any) {
+	t := b.scratch(k, a, size)
+	t.then, t.thenRecv = then, recv
+	b.Issue(t)
+}
+
+// AccessUnpark issues the access Access would and returns at once: on
+// completion it unparks p, which is expected to have parked itself.
+//
+//lint:hotpath
+func (b *Bus) AccessUnpark(p *sim.Process, k Kind, a Addr, size int) {
+	t := b.scratch(k, a, size)
+	t.waiter = p
+	b.Issue(t)
 }

@@ -29,9 +29,10 @@ type recvEngine interface {
 	// pollMiss charges an unsuccessful poll (monitoring cost; lands in the
 	// buffering category — the price of limited buffering, §3.2).
 	pollMiss(pr *proc.Proc)
-	// pollHit charges the status check preceding a successful receive.
-	pollHit(pr *proc.Proc)
-	// receive drains the head message out of the fifo window and pops it.
+	// receive charges the status check that found the head message, then
+	// drains it out of the fifo window and pops it. The two are one call:
+	// nothing but the processor pops recvQ and OnAccept only appends, so
+	// the head the status check saw is the head receive drains.
 	receive(pr *proc.Proc) *netsim.Message
 	// retryConsume charges reading a bounced message back out of the
 	// network before repush sends it again.
@@ -174,7 +175,6 @@ func (x *composed) Poll(pr *proc.Proc) (*netsim.Message, bool) {
 		x.recv.pollMiss(pr)
 		return nil, false
 	}
-	x.recv.pollHit(pr)
 	m := x.recv.receive(pr)
 	if tr := x.env.Trace; tr != nil {
 		tr("engine recv complete engine=%s src=%d size=%dB", x.spec.Recv, m.Src, m.Size())
@@ -190,7 +190,6 @@ func (x *composed) Recv(pr *proc.Proc) *netsim.Message {
 		return x.coh.recv(pr)
 	}
 	x.hw.waitForMessageServicing(pr, func(b *netsim.Message) { x.send.repush(pr, b) }) //lint:allow noalloc non-escaping service callback invoked synchronously; the composed gate proves the round stays alloc-free
-	x.recv.pollHit(pr)
 	m := x.recv.receive(pr)
 	if tr := x.env.Trace; tr != nil {
 		tr("engine recv complete engine=%s src=%d size=%dB", x.spec.Recv, m.Src, m.Size())

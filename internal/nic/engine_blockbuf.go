@@ -21,40 +21,40 @@ func newBlockBufEngine(env *Env, hw *fifoHW) *blockBufEngine {
 	return &blockBufEngine{env: env, hw: hw}
 }
 
+// blockChunks describes the block-buffer loop over bytes: per 64-byte
+// chunk, one block access of kind k with the buffer's flush or load
+// overhead (§6.1.1: Cfg.BlockBufCycles) and, when copies is set, the
+// instructions copying the chunk from registers/cache into the buffer
+// before a store, or out of it after a load: one per 8 bytes.
+func (f *fifoHW) blockChunks(k membus.Kind, bytes int, copies bool) *fifoSteps {
+	c := f.train()
+	c.bytes, c.unit, c.chunk = bytes, membus.BlockSize, -1
+	c.move = uncached(k, FifoBase, membus.BlockSize)
+	c.move.Cycles = f.env.Cfg.BlockBufCycles
+	if copies {
+		c.fill = k == membus.BlockWrite
+		c.drain = !c.fill
+	}
+	return c
+}
+
 // send implements sendEngine: check status, then per 64-byte chunk copy the
 // payload into the block buffer and block-store it to the NI fifo; finally
 // ring the doorbell.
 //
 //lint:hotpath
 func (b *blockBufEngine) send(pr *proc.Proc, m *netsim.Message) {
-	pr.Work(stats.Transfer, b.env.Cfg.BlkbufPathCycles)
-	pr.UncachedRead(stats.Transfer, RegStatus, 8)
-	for !b.env.EP.TryAcquireOut() {
-		b.env.Stats.SendBlocked++
-		b.env.EP.WaitOut(pr.P)
-		pr.UncachedRead(stats.Transfer, RegStatus, 8)
-	}
+	b.hw.acquire(pr, proc.Step{Cycles: b.env.Cfg.BlkbufPathCycles}, statusRead())
 	b.push(pr, m)
 	b.env.EP.Inject(m)
 }
 
-// push moves the message through the block buffer into the NI fifo; it is
-// also the cost of re-pushing a returned message.
+// push moves the message through the block buffer into the NI fifo and
+// rings the doorbell; it is also the cost of re-pushing a returned message.
 func (b *blockBufEngine) push(pr *proc.Proc, m *netsim.Message) {
-	remaining := m.Size()
-	for remaining > 0 {
-		chunk := remaining
-		if chunk > membus.BlockSize {
-			chunk = membus.BlockSize
-		}
-		// Fill the block buffer from registers/cache: one instruction per
-		// 8 bytes.
-		pr.Work(stats.Transfer, int64((chunk+7)/8))
-		// Flush the block buffer to the NI fifo (12-cycle overhead, §6.1.1).
-		pr.BlockWrite(stats.Transfer, FifoBase, b.env.Cfg.BlockBufCycles)
-		remaining -= chunk
-	}
-	pr.UncachedWrite(stats.Transfer, RegGo, 8)
+	c := b.hw.blockChunks(membus.BlockWrite, m.Size(), true)
+	c.tail = doorbell()
+	c.start(pr, stats.Transfer)
 }
 
 // pollMiss implements recvEngine.
@@ -65,30 +65,16 @@ func (b *blockBufEngine) pollMiss(pr *proc.Proc) {
 	pr.UncachedRead(stats.Buffering, RegStatus, 8)
 }
 
-// pollHit implements recvEngine.
-//
-//lint:hotpath
-func (b *blockBufEngine) pollHit(pr *proc.Proc) {
-	pr.UncachedRead(stats.Transfer, RegStatus, 8)
-}
-
-// receive implements recvEngine: per 64-byte chunk, load the block buffer
-// from the NI fifo (12-cycle overhead) and drain it into registers/cache.
+// receive implements recvEngine: the status read that found the message,
+// then per 64-byte chunk, load the block buffer from the NI fifo and drain
+// it into registers/cache.
 //
 //lint:hotpath
 func (b *blockBufEngine) receive(pr *proc.Proc) *netsim.Message {
 	m := b.hw.head()
-	pr.Work(stats.Transfer, b.env.Cfg.BlkbufPathCycles)
-	remaining := m.Size()
-	for remaining > 0 {
-		chunk := remaining
-		if chunk > membus.BlockSize {
-			chunk = membus.BlockSize
-		}
-		pr.BlockRead(stats.Transfer, FifoBase, b.env.Cfg.BlockBufCycles)
-		pr.Work(stats.Transfer, int64((chunk+7)/8))
-		remaining -= chunk
-	}
+	c := b.hw.blockChunks(membus.BlockRead, m.Size(), true)
+	c.lead = [2]proc.Step{statusRead(), {Cycles: b.env.Cfg.BlkbufPathCycles}}
+	c.start(pr, stats.Transfer)
 	recordRecv(b.env, m)
 	return b.hw.pop()
 }
@@ -98,9 +84,7 @@ func (b *blockBufEngine) receive(pr *proc.Proc) *netsim.Message {
 //
 //lint:hotpath
 func (b *blockBufEngine) retryConsume(pr *proc.Proc, m *netsim.Message) {
-	for remaining := m.Size(); remaining > 0; remaining -= membus.BlockSize {
-		pr.BlockRead(pr.P.Category, FifoBase, b.env.Cfg.BlockBufCycles)
-	}
+	b.hw.blockChunks(membus.BlockRead, m.Size(), false).start(pr, pr.P.Category)
 }
 
 // repush implements sendEngine: re-push through the block buffer.
@@ -132,26 +116,9 @@ const reflSendCycles = 30
 //
 //lint:hotpath
 func (r *reflectiveEngine) send(pr *proc.Proc, m *netsim.Message) {
-	pr.Work(stats.Transfer, reflSendCycles)
-	for !r.env.EP.TryAcquireOut() {
-		r.env.Stats.SendBlocked++
-		r.env.EP.WaitOut(pr.P)
-	}
-	r.push(pr, m)
+	r.hw.acquire(pr, proc.Step{Cycles: reflSendCycles}, proc.Step{})
+	r.hw.blockChunks(membus.BlockWrite, m.Size(), true).start(pr, stats.Transfer)
 	r.env.EP.Inject(m)
-}
-
-func (r *reflectiveEngine) push(pr *proc.Proc, m *netsim.Message) {
-	remaining := m.Size()
-	for remaining > 0 {
-		chunk := remaining
-		if chunk > membus.BlockSize {
-			chunk = membus.BlockSize
-		}
-		pr.Work(stats.Transfer, int64((chunk+7)/8))
-		pr.BlockWrite(stats.Transfer, FifoBase, r.env.Cfg.BlockBufCycles)
-		remaining -= chunk
-	}
 }
 
 // repush implements sendEngine: under FifoVM buffering a returned message
@@ -160,6 +127,7 @@ func (r *reflectiveEngine) push(pr *proc.Proc, m *netsim.Message) {
 //
 //lint:hotpath
 func (r *reflectiveEngine) repush(pr *proc.Proc, m *netsim.Message) {
-	pr.Work(stats.Transfer, reflSendCycles)
-	r.push(pr, m)
+	c := r.hw.blockChunks(membus.BlockWrite, m.Size(), true)
+	c.lead[0].Cycles = reflSendCycles
+	c.start(pr, stats.Transfer)
 }

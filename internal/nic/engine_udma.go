@@ -50,12 +50,38 @@ func (u *udmaEngine) staging() membus.Addr {
 	return udmaStagingBase + membus.Addr(u.stagingSeq%256)*1024
 }
 
-// initiate models the two-instruction UDMA start plus the bus-master
-// handoff from processor to NI.
+// start runs the two-instruction UDMA start: an uncached store of the
+// buffer address, then an uncached load that checks and commits the start.
+func (u *udmaEngine) start(pr *proc.Proc, category int) {
+	u.hw.lead(pr, category, uncached(membus.UncachedWrite, RegUdmaAddr, 8), uncached(membus.UncachedRead, RegUdmaStat, 8))
+}
+
+// initiate models the UDMA start plus the bus-master handoff from
+// processor to NI.
 func (u *udmaEngine) initiate(pr *proc.Proc) {
-	pr.UncachedWrite(stats.Transfer, RegUdmaAddr, 8)
-	pr.UncachedRead(stats.Transfer, RegUdmaStat, 8)
+	u.start(pr, stats.Transfer)
 	pr.P.SleepAs(stats.Transfer, u.env.Cfg.UDMAMasterSwitch)
+}
+
+// words describes the uncached-word loop through the 64-word window: per
+// Cfg.UncachedWordBytes word, loop cycles of software, then one window
+// access of kind k.
+func (u *udmaEngine) words(k membus.Kind, bytes int, loop int64) *fifoSteps {
+	w := u.env.Cfg.UncachedWordBytes
+	c := u.hw.train()
+	c.bytes, c.unit, c.chunk = bytes, w, -1
+	c.move = uncached(k, FifoBase, w)
+	c.move.Cycles = loop
+	return c
+}
+
+// head describes the software examining a message head in the window
+// (size and destination buffer): two 8-byte loads.
+func (u *udmaEngine) head() *fifoSteps {
+	c := u.hw.train()
+	c.bytes, c.unit, c.chunk = 16, 8, -1
+	c.move = uncached(membus.UncachedRead, FifoBase, 8)
+	return c
 }
 
 // dma runs an NI-managed block DMA: one bus transaction of the given kind
@@ -92,42 +118,29 @@ func (u *udmaEngine) dma(pr *proc.Proc, kind membus.Kind, base membus.Addr, bloc
 // repush implements sendEngine: the software cost of re-sending a returned
 // message. Small messages are re-pushed through the window; for UDMA
 // transfers the data still sits in the NI, so the software re-runs the
-// initiation sequence.
+// start sequence.
 //
 //lint:hotpath
 func (u *udmaEngine) repush(pr *proc.Proc, m *netsim.Message) {
 	if !u.useDMA(m) {
-		words := wordsFor(m, u.env.Cfg.UncachedWordBytes)
-		for i := 0; i < words; i++ {
-			pr.Work(stats.Buffering, u.env.Cfg.WordLoopCycles)
-			pr.UncachedWrite(stats.Buffering, FifoBase, u.env.Cfg.UncachedWordBytes)
-		}
-		pr.UncachedWrite(stats.Buffering, RegGo, 8)
+		c := u.words(membus.UncachedWrite, m.Size(), u.env.Cfg.WordLoopCycles)
+		c.tail = doorbell()
+		c.start(pr, stats.Buffering)
 		return
 	}
-	pr.UncachedWrite(stats.Buffering, RegUdmaAddr, 8)
-	pr.UncachedRead(stats.Buffering, RegUdmaStat, 8)
+	u.start(pr, stats.Buffering)
 }
 
 // send implements sendEngine.
 //
 //lint:hotpath
 func (u *udmaEngine) send(pr *proc.Proc, m *netsim.Message) {
-	pr.Work(stats.Transfer, u.env.Cfg.FifoPathCycles)
-	pr.UncachedRead(stats.Transfer, RegStatus, 8)
-	for !u.env.EP.TryAcquireOut() {
-		u.env.Stats.SendBlocked++
-		u.env.EP.WaitOut(pr.P)
-		pr.UncachedRead(stats.Transfer, RegStatus, 8)
-	}
+	u.hw.acquire(pr, proc.Step{Cycles: u.env.Cfg.FifoPathCycles}, statusRead())
 	if !u.useDMA(m) {
 		// CM-5-style uncached pushes through the 64-word window.
-		words := wordsFor(m, u.env.Cfg.UncachedWordBytes)
-		for i := 0; i < words; i++ {
-			pr.Work(stats.Transfer, u.env.Cfg.WordLoopCycles)
-			pr.UncachedWrite(stats.Transfer, FifoBase, u.env.Cfg.UncachedWordBytes)
-		}
-		pr.UncachedWrite(stats.Transfer, RegGo, 8)
+		c := u.words(membus.UncachedWrite, m.Size(), u.env.Cfg.WordLoopCycles)
+		c.tail = doorbell()
+		c.start(pr, stats.Transfer)
 		u.env.EP.Inject(m)
 		return
 	}
@@ -151,25 +164,18 @@ func (u *udmaEngine) pollMiss(pr *proc.Proc) {
 	pr.UncachedRead(stats.Buffering, RegStatus, 8)
 }
 
-// pollHit implements recvEngine.
-//
-//lint:hotpath
-func (u *udmaEngine) pollHit(pr *proc.Proc) {
-	pr.UncachedRead(stats.Transfer, RegStatus, 8)
-}
-
-// receive implements recvEngine.
+// receive implements recvEngine: the status read that found the message,
+// the path cycles, then the message drained through the window or
+// deposited by UDMA.
 //
 //lint:hotpath
 func (u *udmaEngine) receive(pr *proc.Proc) *netsim.Message {
 	m := u.hw.head()
-	pr.Work(stats.Transfer, u.env.Cfg.FifoPathCycles)
+	lead := [2]proc.Step{statusRead(), {Cycles: u.env.Cfg.FifoPathCycles}}
 	if !u.useDMA(m) {
-		words := wordsFor(m, u.env.Cfg.UncachedWordBytes)
-		for i := 0; i < words; i++ {
-			pr.Work(stats.Transfer, u.env.Cfg.WordLoopCycles)
-			pr.UncachedRead(stats.Transfer, FifoBase, u.env.Cfg.UncachedWordBytes)
-		}
+		c := u.words(membus.UncachedRead, m.Size(), u.env.Cfg.WordLoopCycles)
+		c.lead = lead
+		c.start(pr, stats.Transfer)
 		recordRecv(u.env, m)
 		return u.hw.pop()
 	}
@@ -178,8 +184,9 @@ func (u *udmaEngine) receive(pr *proc.Proc) *netsim.Message {
 	// 64-word window to find its size and destination buffer, then initiates
 	// the UDMA that deposits it into main memory without further processor
 	// involvement, and waits for completion.
-	pr.UncachedRead(stats.Transfer, FifoBase, 8)
-	pr.UncachedRead(stats.Transfer, FifoBase, 8)
+	c := u.head()
+	c.lead = lead
+	c.start(pr, stats.Transfer)
 	dst := u.staging()
 	u.initiate(pr)
 	u.dma(pr, membus.WriteInvalidate, dst, blocksFor(m), nil)
@@ -196,12 +203,8 @@ func (u *udmaEngine) receive(pr *proc.Proc) *netsim.Message {
 //lint:hotpath
 func (u *udmaEngine) retryConsume(pr *proc.Proc, m *netsim.Message) {
 	if !u.useDMA(m) {
-		words := wordsFor(m, u.env.Cfg.UncachedWordBytes)
-		for i := 0; i < words; i++ {
-			pr.UncachedRead(pr.P.Category, FifoBase, u.env.Cfg.UncachedWordBytes)
-		}
-	} else {
-		pr.UncachedRead(pr.P.Category, FifoBase, 8)
-		pr.UncachedRead(pr.P.Category, FifoBase, 8)
+		u.words(membus.UncachedRead, m.Size(), 0).start(pr, pr.P.Category)
+		return
 	}
+	u.head().start(pr, pr.P.Category)
 }

@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"nisim/internal/membus"
 	"nisim/internal/netsim"
 	"nisim/internal/proc"
 	"nisim/internal/stats"
@@ -16,6 +17,9 @@ import (
 // (Figure 4's single-cycle NI_2w, approximating register-mapped NIs such as
 // the MIT M-machine): every access costs one processor cycle and no bus
 // transaction.
+//
+// Every processor access sequence runs as one access train (fifoTrain), so
+// the processor parks once per sequence instead of once per word.
 type wordEngine struct {
 	env         *Env
 	hw          *fifoHW
@@ -26,108 +30,90 @@ func newWordEngine(env *Env, hw *fifoHW, singleCycle bool) *wordEngine {
 	return &wordEngine{env: env, hw: hw, singleCycle: singleCycle}
 }
 
-// statusRead models checking an NI status register: send-space on the send
-// side, receive-ready on the receive side.
-func (n *wordEngine) statusRead(pr *proc.Proc) {
+// access is one processor access to the NI: an uncached bus access, or one
+// processor cycle when the NI is register-mapped.
+func (n *wordEngine) access(k membus.Kind, a membus.Addr, size int) proc.Step {
 	if n.singleCycle {
-		pr.Work(stats.Transfer, 1)
-		return
+		return proc.Step{Cycles: 1}
 	}
-	pr.UncachedRead(stats.Transfer, RegStatus, 8)
+	return uncached(k, a, size)
 }
 
-// moveWord models one fifo-window access of Cfg.UncachedWordBytes.
-func (n *wordEngine) moveWord(pr *proc.Proc, load bool) {
-	pr.Work(stats.Transfer, n.env.Cfg.WordLoopCycles)
+// status is a read of an NI status register: send-space on the send side,
+// receive-ready on the receive side.
+func (n *wordEngine) status() proc.Step {
+	return n.access(membus.UncachedRead, RegStatus, 8)
+}
+
+// path is the per-message software cost of this engine's messaging path.
+// The memory-bus NI_2w pays the full fifo path (uncached-access juggling);
+// the register-mapped variant exists precisely to strip that to almost
+// nothing (the M-machine's motivation).
+func (n *wordEngine) path() proc.Step {
 	if n.singleCycle {
-		pr.Work(stats.Transfer, 1)
-		return
+		return proc.Step{Cycles: 15}
 	}
-	if load {
-		pr.UncachedRead(stats.Transfer, FifoBase, n.env.Cfg.UncachedWordBytes)
+	return proc.Step{Cycles: n.env.Cfg.FifoPathCycles}
+}
+
+// words describes the word loop moving bytes through the two-word window
+// with accesses of kind k: per Cfg.UncachedWordBytes word, the loop
+// overhead and one window access, and a status read opening each
+// Cfg.SubMsgBytes sub-message, as on the CM-5, whose fifo messages held at
+// most a few words.
+func (n *wordEngine) words(k membus.Kind, bytes int) *fifoSteps {
+	cfg := &n.env.Cfg
+	c := n.hw.train()
+	c.bytes, c.unit = bytes, cfg.UncachedWordBytes
+	c.move = n.access(k, FifoBase, cfg.UncachedWordBytes)
+	c.chunk, c.status = cfg.SubMsgBytes/cfg.UncachedWordBytes, n.status()
+	if n.singleCycle {
+		c.pre = cfg.WordLoopCycles
 	} else {
-		pr.UncachedWrite(stats.Transfer, FifoBase, n.env.Cfg.UncachedWordBytes)
+		c.move.Cycles = cfg.WordLoopCycles
 	}
-}
-
-// pathCycles is the per-message software cost of this engine's messaging
-// path. The memory-bus NI_2w pays the full fifo path (uncached-access
-// juggling); the register-mapped variant exists precisely to strip that to
-// almost nothing (the M-machine's motivation).
-func (n *wordEngine) pathCycles() int64 {
-	if n.singleCycle {
-		return 15
-	}
-	return n.env.Cfg.FifoPathCycles
+	return c
 }
 
 // send implements sendEngine: check send space, push the message through
-// the two-word fifo window as a train of sub-messages — one status check
-// per Cfg.SubMsgBytes chunk, as on the CM-5, whose fifo messages held at
-// most a few words — and fire the doorbell. The processor manages the whole
-// transfer.
+// the two-word fifo window, and fire the doorbell. The processor manages
+// the whole transfer.
 //
 //lint:hotpath
 func (n *wordEngine) send(pr *proc.Proc, m *netsim.Message) {
-	pr.Work(stats.Transfer, n.pathCycles())
-	n.statusRead(pr)
-	// An outgoing flow-control buffer is the send fifo slot; without one
-	// the processor spins on the status register (buffering stall).
-	for !n.env.EP.TryAcquireOut() {
-		n.env.Stats.SendBlocked++
-		n.env.EP.WaitOut(pr.P)
-		n.statusRead(pr)
-	}
+	n.hw.acquire(pr, n.path(), n.status())
 	n.push(pr, m)
 	n.env.EP.Inject(m)
 }
 
 // push moves the message through the two-word window and fires the
-// doorbell; it is also the cost of re-pushing a returned message.
+// doorbell, whose final uncached store launches the message; it is also
+// the cost of re-pushing a returned message.
 func (n *wordEngine) push(pr *proc.Proc, m *netsim.Message) {
-	w := n.env.Cfg.UncachedWordBytes
-	wordsPerChunk := n.env.Cfg.SubMsgBytes / w
-	for sent, word := 0, 0; sent < m.Size(); {
-		if word == wordsPerChunk {
-			n.statusRead(pr)
-			word = 0
-		}
-		n.moveWord(pr, false)
-		sent += w
-		word++
-	}
-	// Doorbell: the final uncached store launches the message.
-	if !n.singleCycle {
-		pr.UncachedWrite(stats.Transfer, RegGo, 8)
-	} else {
-		pr.Work(stats.Transfer, 1)
-	}
+	c := n.words(membus.UncachedWrite, m.Size())
+	c.tail = n.access(membus.UncachedWrite, RegGo, 8)
+	c.start(pr, stats.Transfer)
 }
 
 // pollMiss implements recvEngine: one status read with nothing waiting.
+// It is charged to Transfer, as the CM-5 engine always has, although the
+// recvEngine contract puts a miss in the buffering category; moving it
+// would change every CM-5 breakdown.
 //
 //lint:hotpath
 func (n *wordEngine) pollMiss(pr *proc.Proc) {
-	// An unsuccessful poll is pure monitoring cost — the price of
-	// limited buffering (§3.2) — so it lands in the buffering category.
-	prev := pr.P.Category
-	pr.P.Category = stats.Buffering
-	n.statusRead(pr)
-	pr.P.Category = prev
+	n.hw.lead(pr, stats.Transfer, n.status(), proc.Step{})
 }
 
-// pollHit implements recvEngine: the status read preceding a receive.
-//
-//lint:hotpath
-func (n *wordEngine) pollHit(pr *proc.Proc) { n.statusRead(pr) }
-
-// receive implements recvEngine: pop the head message word by word.
+// receive implements recvEngine: the status read that found the message,
+// then pop the head message word by word.
 //
 //lint:hotpath
 func (n *wordEngine) receive(pr *proc.Proc) *netsim.Message {
 	m := n.hw.head()
-	pr.Work(stats.Transfer, n.pathCycles())
-	n.popWords(pr, m)
+	c := n.words(membus.UncachedRead, m.Size())
+	c.lead = [2]proc.Step{n.status(), n.path()}
+	c.start(pr, stats.Transfer)
 	recordRecv(n.env, m)
 	return n.hw.pop()
 }
@@ -140,26 +126,10 @@ func (n *wordEngine) receive(pr *proc.Proc) *netsim.Message {
 //lint:hotpath
 func (n *wordEngine) retryConsume(pr *proc.Proc, m *netsim.Message) {
 	pr.Work(pr.P.Category, n.env.Cfg.FifoPathCycles)
-	n.popWords(pr, m)
+	n.words(membus.UncachedRead, m.Size()).start(pr, stats.Transfer)
 }
 
 // repush implements sendEngine: re-push word by word.
 //
 //lint:hotpath
 func (n *wordEngine) repush(pr *proc.Proc, m *netsim.Message) { n.push(pr, m) }
-
-// popWords is the word-loop cost of draining one message out of the fifo
-// window (shared by normal receive and bounce consumption).
-func (n *wordEngine) popWords(pr *proc.Proc, m *netsim.Message) {
-	w := n.env.Cfg.UncachedWordBytes
-	wordsPerChunk := n.env.Cfg.SubMsgBytes / w
-	for got, word := 0, 0; got < m.Size(); {
-		if word == wordsPerChunk {
-			n.statusRead(pr)
-			word = 0
-		}
-		n.moveWord(pr, true)
-		got += w
-		word++
-	}
-}

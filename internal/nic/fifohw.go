@@ -2,6 +2,7 @@ package nic
 
 import (
 	"nisim/internal/mainmem"
+	"nisim/internal/membus"
 	"nisim/internal/netsim"
 	"nisim/internal/proc"
 	"nisim/internal/sim"
@@ -28,6 +29,7 @@ type fifoHW struct {
 	recvQ    msgQueue
 	bounced  msgQueue // returned-to-sender messages awaiting re-push
 	recvCond *sim.Cond
+	steps    *fifoSteps // the processor's fifo train cursor (see train)
 }
 
 func newFifoHW(env *Env) *fifoHW {
@@ -118,4 +120,132 @@ func (f *fifoHW) waitForMessageServicing(pr *proc.Proc, repush func(m *netsim.Me
 // counters are maintained by the messaging layer on reassembly.
 func recordRecv(env *Env, m *netsim.Message) {
 	env.Stats.FragmentsReceived++
+}
+
+// uncached is one uncached processor access to the NI.
+func uncached(k membus.Kind, a membus.Addr, size int) proc.Step {
+	return proc.Step{Access: true, Kind: k, Addr: a, Size: size}
+}
+
+// statusRead is the uncached read of the NI status register.
+func statusRead() proc.Step { return uncached(membus.UncachedRead, RegStatus, 8) }
+
+// doorbell is the uncached store that launches a pushed message.
+func doorbell() proc.Step { return uncached(membus.UncachedWrite, RegGo, 8) }
+
+// fifoTrain describes one processor transfer through the fifo window as an
+// access train (proc.Train): up to two lead steps, then the message moved
+// unit bytes at a time, then an optional tail step (the doorbell). Each
+// unit is pre cycles of work, the move step (normally the unit's access),
+// and, for block-buffer copies, the instructions filling the buffer before
+// the access (fill) or draining it after (drain), one per 8 bytes of the
+// unit. A status read opens every sub-message of chunk units; chunk < 0
+// means the message is one sub-message. Zero steps are skipped.
+type fifoTrain struct {
+	lead        [2]proc.Step
+	bytes, unit int
+	pre         int64
+	move        proc.Step
+	fill, drain bool
+	chunk       int
+	status      proc.Step
+	tail        proc.Step
+}
+
+// fifoSteps is the cursor a node's fifo trains run on: the train being
+// walked plus the loop's own counters, so no step list is built.
+type fifoSteps struct {
+	fifoTrain
+	tr    proc.Train
+	led   int  // lead steps taken
+	left  int  // message bytes still to move
+	units int  // units moved in the current sub-message
+	phase int  // the next step of the head unit: status, pre, move, drain
+	ended bool // the tail step was taken
+}
+
+// train returns the node's fifo train cursor reset to an empty train, for
+// an engine to describe in place and then start. A processor runs one
+// train at a time, so the node's fifo engines share the cursor. It is
+// allocated on the first transfer, not when the machine is built.
+func (f *fifoHW) train() *fifoSteps {
+	if f.steps == nil {
+		f.steps = new(fifoSteps) //lint:allow noalloc once per node, on its first fifo transfer
+	}
+	*f.steps = fifoSteps{}
+	return f.steps
+}
+
+// start runs the described train on pr charged to category.
+//
+//lint:hotpath
+func (c *fifoSteps) start(pr *proc.Proc, category int) {
+	c.left = c.bytes
+	c.tr.Run(pr, category, c)
+}
+
+// lead runs a train of at most two steps.
+func (f *fifoHW) lead(pr *proc.Proc, category int, a, b proc.Step) {
+	c := f.train()
+	c.lead = [2]proc.Step{a, b}
+	c.start(pr, category)
+}
+
+// acquire is the fifo engines' send prologue: the path cycles and a check
+// of the status register, then, while no outgoing flow-control buffer (the
+// send fifo slot) is free, a wait and another check; the spin is a
+// buffering stall. A zero status step means the engine checks nothing.
+func (f *fifoHW) acquire(pr *proc.Proc, path, status proc.Step) {
+	f.lead(pr, stats.Transfer, path, status)
+	for !f.env.EP.TryAcquireOut() {
+		f.env.Stats.SendBlocked++
+		f.env.EP.WaitOut(pr.P)
+		f.lead(pr, stats.Transfer, status, proc.Step{})
+	}
+}
+
+// Next implements proc.Steps.
+//
+//lint:hotpath
+func (c *fifoSteps) Next(s *proc.Step) bool {
+	*s = proc.Step{}
+	switch {
+	case c.led < len(c.lead):
+		*s = c.lead[c.led]
+		c.led++
+	case c.left > 0:
+		switch c.phase {
+		case 0:
+			if c.units == c.chunk {
+				c.units = 0
+				*s = c.status
+			}
+		case 1:
+			s.Cycles = c.pre
+			if c.fill {
+				s.Cycles = c.copyCycles()
+			}
+		case 2:
+			*s = c.move
+		case 3:
+			if c.drain {
+				s.Cycles = c.copyCycles()
+			}
+			c.left -= c.unit
+			c.units++
+		}
+		c.phase = (c.phase + 1) % 4
+	case !c.ended:
+		c.ended = true
+		*s = c.tail
+	default:
+		return false
+	}
+	return true
+}
+
+// copyCycles is the instruction count of copying the head unit through
+// the block buffer: one per 8 bytes.
+func (c *fifoSteps) copyCycles() int64 {
+	return int64((min(c.left, c.unit) + 7) / 8)
 }

@@ -1,9 +1,11 @@
 package nic
 
 import (
+	"fmt"
 	"testing"
 
 	"nisim/internal/netsim"
+	"nisim/internal/proc"
 	"nisim/internal/sim"
 )
 
@@ -25,58 +27,70 @@ func TestComposedSendRecvAllocFree(t *testing.T) {
 	for _, k := range []Kind{CM5, CM5SingleCycle, AP3000, UDMA} {
 		k := k
 		t.Run(k.ShortName(), func(t *testing.T) {
-			r := newTwoNodes(t, k, 8, nil)
-			// 8 B payload: the word designs' native size, and under the
-			// UDMA threshold so its uncached-word fallback is exercised.
-			m := netsim.NewSized(0, 1, 1, 8)
-
-			// One long-lived sender and receiver perform one round each
-			// time the test releases one: AllocsPerRun cannot re-spawn
-			// processes per round without measuring the spawn itself.
-			const total = 230
-			release, got := 0, 0
-			p0 := r.eng.Spawn("sender", func(p *sim.Process) {
-				pr, ni := r.procs[0], r.nis[0]
-				for i := 0; i < total; i++ {
-					for release <= i {
-						p.Sleep(100 * sim.Nanosecond)
-					}
-					for !ni.CanSend(m) {
-						p.Sleep(100 * sim.Nanosecond)
-					}
-					ni.Send(pr, m)
-				}
-			})
-			r.procs[0].Bind(p0)
-			p1 := r.eng.Spawn("receiver", func(p *sim.Process) {
-				pr, ni := r.procs[1], r.nis[1]
-				for got < total {
-					if _, ok := ni.Poll(pr); ok {
-						got++
-					} else {
-						p.Sleep(100 * sim.Nanosecond)
-					}
-				}
-			})
-			r.procs[1].Bind(p1)
-
-			running := func() bool { return got < release }
-			round := func() {
-				release++
-				r.eng.RunWhile(running)
-				if got != release {
-					t.Fatalf("round %d did not complete: got=%d", release, got)
-				}
-			}
-			// Warm the pools: event records, scratch transactions, queue
-			// backing arrays, flow-control state.
-			for i := 0; i < 20; i++ {
-				round()
-			}
-			if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
-				t.Errorf("composed send/recv round allocates %.1f per run, want 0", allocs)
+			// 8 B payload: the word designs' native size. 64 B: a CM-5
+			// access train spanning several sub-messages, and
+			// block-buffer trains of two chunks. Both stay under the UDMA
+			// threshold, so its uncached-word fallback is exercised.
+			for _, payload := range []int{8, 64} {
+				payload := payload
+				t.Run(fmt.Sprintf("%dB", payload), func(t *testing.T) {
+					composedRoundAllocFree(t, k, payload)
+				})
 			}
 		})
+	}
+}
+
+// composedRoundAllocFree is one TestComposedSendRecvAllocFree case.
+func composedRoundAllocFree(t *testing.T, k Kind, payload int) {
+	r := newTwoNodes(t, k, 8, nil)
+	m := netsim.NewSized(0, 1, 1, payload)
+
+	// One long-lived sender and receiver perform one round each
+	// time the test releases one: AllocsPerRun cannot re-spawn
+	// processes per round without measuring the spawn itself.
+	const total = 230
+	release, got := 0, 0
+	p0 := r.eng.Spawn("sender", func(p *sim.Process) {
+		pr, ni := r.procs[0], r.nis[0]
+		for i := 0; i < total; i++ {
+			for release <= i {
+				p.Sleep(100 * sim.Nanosecond)
+			}
+			for !ni.CanSend(m) {
+				p.Sleep(100 * sim.Nanosecond)
+			}
+			ni.Send(pr, m)
+		}
+	})
+	r.procs[0].Bind(p0)
+	p1 := r.eng.Spawn("receiver", func(p *sim.Process) {
+		pr, ni := r.procs[1], r.nis[1]
+		for got < total {
+			if _, ok := ni.Poll(pr); ok {
+				got++
+			} else {
+				p.Sleep(100 * sim.Nanosecond)
+			}
+		}
+	})
+	r.procs[1].Bind(p1)
+
+	running := func() bool { return got < release }
+	round := func() {
+		release++
+		r.eng.RunWhile(running)
+		if got != release {
+			t.Fatalf("round %d did not complete: got=%d", release, got)
+		}
+	}
+	// Warm the pools: event records, scratch transactions, queue
+	// backing arrays, flow-control state.
+	for i := 0; i < 20; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Errorf("composed send/recv round allocates %.1f per run, want 0", allocs)
 	}
 }
 
@@ -160,5 +174,38 @@ func TestAdmissionControlAllocFree(t *testing.T) {
 	}
 	if r.nodes[1].AdmitBounces < 200 {
 		t.Errorf("gated rounds stopped exercising the refuse path: %d admission bounces", r.nodes[1].AdmitBounces)
+	}
+}
+
+// cm5Exchange runs rounds of a 2-node CM-5 ping-pong of payload-byte
+// messages and returns the engine's process resumes per message.
+func cm5Exchange(t *testing.T, rounds, payload int) float64 {
+	r := newTwoNodes(t, CM5, 8, nil)
+	r.run(t, func(pr *proc.Proc, ni NI) {
+		for i := 0; i < rounds; i++ {
+			ni.Send(pr, netsim.NewSized(0, 1, 1, payload))
+			ni.Recv(pr)
+		}
+	}, func(pr *proc.Proc, ni NI) {
+		for i := 0; i < rounds; i++ {
+			ni.Recv(pr)
+			ni.Send(pr, netsim.NewSized(1, 0, 1, payload))
+		}
+	})
+	return float64(r.eng.Resumes()) / float64(2*rounds)
+}
+
+// TestCM5ResumesPerMessage pins the host process switches a CM-5 message
+// costs. A 64 B payload plus its header is nine fifo words and four
+// sub-message status reads on each side. Issued one access at a time that
+// was 50.02 resumes per message, two per word. As access trains the sender
+// resumes after its path and status read and after its push, and the
+// receiver after its wait and after its receive train: four per message,
+// plus the two process starts over the run.
+func TestCM5ResumesPerMessage(t *testing.T) {
+	const rounds = 50
+	got := cm5Exchange(t, rounds, 64)
+	if want := 4 + 2.0/(2*rounds); got != want {
+		t.Fatalf("%.2f resumes per 64 B CM-5 message, want %.2f", got, want)
 	}
 }

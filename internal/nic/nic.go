@@ -376,11 +376,6 @@ func blocksFor(m *netsim.Message) int {
 	return (m.Size() + membus.BlockSize - 1) / membus.BlockSize
 }
 
-// wordsFor returns how many w-byte fifo words m occupies.
-func wordsFor(m *netsim.Message, w int) int {
-	return (m.Size() + w - 1) / w
-}
-
 // regsTarget is the membus.Target for the uncached control registers: a
 // fixed, non-serialized access latency with an optional write hook.
 type regsTarget struct {

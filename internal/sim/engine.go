@@ -57,6 +57,7 @@ type Engine struct {
 	procs   procList // live processes, in spawn order
 	stopped bool
 	stepped uint64 // number of events executed
+	resumes uint64 // number of switches into a process
 
 	quiescence []func() string
 }
@@ -71,6 +72,11 @@ func (e *Engine) Now() Time { return e.now }
 
 // Events returns the number of events executed so far.
 func (e *Engine) Events() uint64 { return e.stepped }
+
+// Resumes returns the number of times the engine has switched into a
+// process, a process's start included. Each is one host coroutine switch
+// there and one back, so it counts what process-context costs the host.
+func (e *Engine) Resumes() uint64 { return e.resumes }
 
 // Pending returns the number of events currently scheduled.
 func (e *Engine) Pending() int { return e.pq.len() }

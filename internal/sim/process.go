@@ -120,6 +120,7 @@ func (p *Process) resume() {
 	if p.done {
 		return
 	}
+	p.eng.resumes++
 	p.next()
 }
 
@@ -216,11 +217,19 @@ func (p *Process) ParkAs(category int) {
 // no-op for done processes. Safe to call from engine or process context.
 //
 //lint:hotpath
-func (p *Process) Unpark() {
+func (p *Process) Unpark() { p.UnparkAfter(0) }
+
+// UnparkAfter schedules a parked process to resume d picoseconds from now:
+// the wakeup Sleep(d) would have scheduled, for a process that parked
+// instead of sleeping while event-context code ran its steps. It is a
+// no-op for done processes.
+//
+//lint:hotpath
+func (p *Process) UnparkAfter(d Time) {
 	if p.done {
 		return
 	}
-	p.eng.AfterEvent(0, procResume, p, 0)
+	p.eng.AfterEvent(d, procResume, p, 0)
 }
 
 func (p *Process) account(start Time) {
