@@ -52,15 +52,18 @@ results: build
 	$(GO) run ./cmd/nisim chaos -quick -baseline -json chaos_results.json
 	$(GO) run ./cmd/nisim scalebig -sizes 64 -scale 0.2 -shards 4 -jobs 1 -baseline -json scale_results.json
 
-# perf-check runs each perfbench workload once, briefly and untraced, and
-# fails unless its last line reports "correct":true, i.e. every cell
-# matched perfbench/reference. It gates the benchmark's correctness, not
-# its wall-clock (perfbench itself exits 0 even when a cell is wrong).
-# perfbench/run.sh rewrites perfbench/go.mod, so the file is saved before
-# the runs and restored after.
+# perf-check runs perfbench's own tests (the benchmark compiles against
+# the simulator's internal packages, and nothing else builds it), then
+# each perfbench workload once, briefly and untraced, and fails unless its
+# last line reports "correct":true, i.e. every cell matched
+# perfbench/reference. It gates the benchmark's correctness, not its
+# wall-clock (perfbench itself exits 0 even when a cell is wrong).
+# -mod=mod and perfbench/run.sh rewrite perfbench/go.mod, so the file is
+# saved before and restored after.
 perf-check:
 	@mkdir -p .bench_build && cp perfbench/go.mod .bench_build/go.mod.saved
-	@status=0; for w in pingpong apps16 overload scale256; do \
+	@status=0; (cd perfbench && GOFLAGS=-mod=mod $(GO) test .) || status=1; \
+	for w in pingpong apps16 overload scale256; do \
 		last=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
 		echo "$$w: $$last"; \
 		case "$$last" in *'"correct":true'*) ;; *) echo "perf-check: $$w is not correct" >&2; status=1 ;; esac; \

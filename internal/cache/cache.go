@@ -276,7 +276,7 @@ func (c *Cache) access(p *sim.Process, a membus.Addr, size int, write bool) {
 	if write {
 		kind = membus.GetX
 	}
-	shared, fromCache := c.bus.FillFrom(p, c, kind, block)
+	shared, fromCache := c.bus.AccessFrom(p, c, kind, block, 0)
 	switch {
 	case write:
 		l.set(block, Modified)

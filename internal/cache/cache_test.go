@@ -249,10 +249,10 @@ func TestBusUncachedAccessTiming(t *testing.T) {
 	var readT, writeT sim.Time
 	r.runProc(t, func(p *sim.Process) {
 		start := p.Now()
-		r.bus.IssueAndWait(p, &membus.Transaction{Kind: membus.UncachedRead, Addr: 1 << 30, Size: 8})
+		r.bus.Access(p, membus.UncachedRead, 1<<30, 8)
 		readT = p.Now() - start
 		start = p.Now()
-		r.bus.IssueAndWait(p, &membus.Transaction{Kind: membus.UncachedWrite, Addr: 1 << 30, Size: 8})
+		r.bus.Access(p, membus.UncachedWrite, 1<<30, 8)
 		writeT = p.Now() - start
 	})
 	// Read: 8ns addr + 60ns device + 8ns turn+1 beat = 76ns.
@@ -276,7 +276,7 @@ func TestBusContentionSerializes(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		r.eng.Spawn("w", func(p *sim.Process) {
-			r.bus.IssueAndWait(p, &membus.Transaction{Kind: membus.UncachedWrite, Addr: 1 << 30, Size: 8})
+			r.bus.Access(p, membus.UncachedWrite, 1<<30, 8)
 			finish[i] = p.Now()
 		})
 	}

@@ -63,31 +63,19 @@ const (
 	WriteInvalidate
 )
 
+// kindNames holds each Kind's name, indexed by the Kind.
+var kindNames = [...]string{
+	GetS: "GetS", GetX: "GetX", Upgrade: "Upgrade", Writeback: "Writeback",
+	UncachedRead: "UncachedRead", UncachedWrite: "UncachedWrite",
+	BlockRead: "BlockRead", BlockWrite: "BlockWrite",
+	Invalidate: "Invalidate", WriteInvalidate: "WriteInvalidate",
+}
+
 func (k Kind) String() string {
-	switch k {
-	case GetS:
-		return "GetS"
-	case GetX:
-		return "GetX"
-	case Upgrade:
-		return "Upgrade"
-	case Writeback:
-		return "Writeback"
-	case UncachedRead:
-		return "UncachedRead"
-	case UncachedWrite:
-		return "UncachedWrite"
-	case BlockRead:
-		return "BlockRead"
-	case BlockWrite:
-		return "BlockWrite"
-	case Invalidate:
-		return "Invalidate"
-	case WriteInvalidate:
-		return "WriteInvalidate"
-	default: //lint:allow exhaustive String falls back to Kind(%d) for invalid values; report output is byte-identity-locked
+	if k < 0 || int(k) >= len(kindNames) {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+	return kindNames[k]
 }
 
 // coherent reports whether the transaction is snooped by caches.
@@ -99,54 +87,41 @@ func (k Kind) coherent() bool {
 	return false
 }
 
-// Transaction is one bus operation. Fill in Kind, Addr, Size and Done;
-// Requester identifies the issuing snooper so it is excluded from snooping.
+// Transaction is one bus operation, as the snoopers and the home device
+// see it. Issuers do not build one: Issue and AccessFrom fill a record
+// from the bus's pool, which the bus recycles once the transaction's last
+// phase event has fired.
 type Transaction struct {
 	Kind      Kind
 	Addr      Addr
-	Size      int // bytes; defaults to BlockSize for block kinds
-	Requester Snooper
-	// Done, if non-nil, runs at the simulated time the transaction completes
-	// (data delivered to the requester, or write accepted by the bus).
-	Done func()
+	Size      int     // bytes
+	Requester Snooper // the issuing snooper, excluded from snooping; nil for none
 	// FromCache is set by the bus when the data was supplied cache-to-cache.
 	FromCache bool
 	// Shared is set by the bus when another snooper retains a copy.
 	Shared bool
 
 	// The bus threads its per-phase state through the transaction itself so
-	// the phases can run as shared typed-event handlers instead of freshly
-	// allocated closures (three per transaction on the old path).
+	// the phases run as shared typed-event handlers, not closures.
 	bus          *Bus
 	home         Target
 	homeSupplies bool
-	waiter       *sim.Process
-	then         sim.Handler // AccessThen's continuation
-	thenRecv     any
-	completed    bool
-
-	// scratch marks a record owned by the bus's reuse pool (see Access);
-	// refs counts the outstanding references to it — pending phase events
-	// plus the issuer — so it is only recycled once the last event that
-	// could touch it has fired (a write's home access lands after the
-	// issuer has already been released).
-	scratch bool
-	refs    int8
+	// done(doneRecv, 0), if done is non-nil, runs inline at the simulated
+	// time the transaction completes: data delivered to the requester, or
+	// write accepted by the bus.
+	done     sim.Handler
+	doneRecv any
+	// refs counts the outstanding references to the record — pending phase
+	// events plus a blocked issuer — so it returns to the pool only once
+	// the last one that could touch it is gone (a write's home access lands
+	// after its issuer has already been released).
+	refs int8
 }
 
-// complete finishes the transaction: the caller's Done hook runs first, then
-// any process blocked in IssueAndWait is released, or the continuation
-// of an AccessThen scheduled.
+// complete finishes the transaction by running its completion hook.
 func (t *Transaction) complete() {
-	t.completed = true
-	if t.Done != nil {
-		t.Done()
-	}
-	if t.waiter != nil {
-		t.waiter.Unpark()
-	}
-	if t.then != nil {
-		t.bus.eng.AfterEvent(0, t.then, t.thenRecv, 0)
+	if t.done != nil {
+		t.done(t.doneRecv, 0)
 	}
 }
 
@@ -255,7 +230,7 @@ type Bus struct {
 	ranges   []mapping
 	freeAt   sim.Time
 	node     *stats.Node
-	pool     []*Transaction // recycled scratch transactions (see Access)
+	pool     []*Transaction // recycled transaction records (see release)
 
 	// Trace, if non-nil, receives a line per transaction (debugging).
 	Trace func(format string, args ...any)
@@ -312,26 +287,46 @@ func (b *Bus) dataBeats(size int) int64 {
 	return beats
 }
 
-// Issue places t on the bus. The transaction proceeds asynchronously; Done
-// fires at completion. Issue may be called from any simulation context.
-func (b *Bus) Issue(t *Transaction) {
-	if t.Size == 0 {
-		t.Size = BlockSize
+// Issue places a transaction of kind k at a, moving size bytes (0 means a
+// block), on the bus on behalf of req, which the snoop pass skips (nil
+// when the issuer is not a snooper). It returns at once; when the
+// transaction completes, done(recv, 0) runs inline at that simulated time,
+// unless done is nil. Issue may be called from any simulation context.
+//
+//lint:hotpath
+func (b *Bus) Issue(req Snooper, k Kind, a Addr, size int, done sim.Handler, recv any) {
+	b.issue(req, k, a, size, done, recv)
+}
+
+// issue is Issue returning the record, for a blocked issuer to read back.
+func (b *Bus) issue(req Snooper, k Kind, a Addr, size int, done sim.Handler, recv any) *Transaction {
+	var t *Transaction
+	if n := len(b.pool); n > 0 {
+		t = b.pool[n-1]
+		b.pool = b.pool[:n-1]
+	} else {
+		t = new(Transaction) //lint:allow noalloc pool miss: records are amortized to zero once the pool warms
+	}
+	if size == 0 {
+		size = BlockSize
+	}
+	*t = Transaction{
+		Kind: k, Addr: a, Size: size, Requester: req,
+		bus: b, done: done, doneRecv: recv,
+		refs: 1, // the pending address-phase event
 	}
 	if b.node != nil {
 		b.node.BusTransactions++
-		switch t.Kind { //lint:allow exhaustive stat classification counts only the two paper-visible transfer families; coherence kinds need no counter
+		switch k { //lint:allow exhaustive stat classification counts only the two paper-visible transfer families; coherence kinds need no counter
 		case UncachedRead, UncachedWrite:
 			b.node.UncachedAccesses++
 		case BlockRead, BlockWrite:
 			b.node.BlockBufTransfers++
 		}
 	}
-	t.bus = b
-	t.completed = false
-	t.refs++ // the pending address-phase event
 	_, addrEnd := b.reserve(b.eng.Now(), b.timing.ArbAddrCycles)
 	b.eng.AtEvent(addrEnd, txnAddressPhase, t, 0)
+	return t
 }
 
 // addressPhase runs at the end of the arbitration+address occupancy: snoop,
@@ -401,103 +396,31 @@ func (b *Bus) addressPhase(t *Transaction) {
 	}
 }
 
-// IssueAndWait issues t and blocks the calling process until it completes.
-// The blocked time is charged to the process's current category. Unlike the
-// old implementation, no wrapper closure is allocated around t.Done: the
-// transaction records the waiting process and the completion handler
-// unparks it after the Done hook runs.
-func (b *Bus) IssueAndWait(p *sim.Process, t *Transaction) {
-	t.waiter = p
-	b.Issue(t)
-	for !t.completed {
-		p.Park()
-	}
-	t.waiter = nil
-}
-
-// release drops one reference to t and recycles scratch records once the
-// last reference — pending phase event or issuer — is gone. Caller-owned
-// transactions carry the same counts but are never pooled.
+// release drops one reference to t and returns the record to the pool
+// once the last one is gone.
 func (b *Bus) release(t *Transaction) {
 	t.refs--
-	if t.refs == 0 && t.scratch {
-		b.pool = append(b.pool, t) //lint:allow noalloc scratch pool grows to the peak concurrent-access count, then is reused
+	if t.refs == 0 {
+		b.pool = append(b.pool, t) //lint:allow noalloc the pool grows to the peak in-flight transaction count, then is reused
 	}
 }
 
-// scratch takes a record from the bus's reuse pool for a fire-and-forget
-// access of kind k at a (size 0 means a block): no Done hook, no
-// Requester. The record returns to the pool when its last reference is
-// released (see release).
-func (b *Bus) scratch(k Kind, a Addr, size int) *Transaction {
-	var t *Transaction
-	if n := len(b.pool); n > 0 {
-		t = b.pool[n-1]
-		b.pool = b.pool[:n-1]
-		*t = Transaction{scratch: true}
-	} else {
-		t = &Transaction{scratch: true} //lint:allow noalloc pool miss: scratch records are amortized to zero once the pool warms
-	}
-	t.Kind, t.Addr, t.Size = k, a, size
-	return t
-}
-
-// Access issues a fire-and-forget transaction — Kind, Addr, Size only, no
-// Done hook, no Requester — and blocks the calling process until it
-// completes. It is the allocation-free variant of IssueAndWait for the
-// processor cost primitives, which never inspect the transaction
-// afterwards: the record comes from the bus's scratch pool and returns to
-// it when the last phase event referencing it has fired.
+// Access is AccessFrom for an issuer that is not a snooper, such as the
+// processor's uncached and block-buffer accesses.
 func (b *Bus) Access(p *sim.Process, k Kind, a Addr, size int) {
 	b.AccessFrom(p, nil, k, a, size)
 }
 
-// AccessFrom is Access with a requesting snooper: the pooled variant of
-// the coherent device engines' per-block ring transfers, which must name
-// themselves so the snoop pass skips the issuer. Timing and coherence
-// behavior are identical to IssueAndWait with a fresh record carrying the
-// same fields; only the allocation disappears.
-func (b *Bus) AccessFrom(p *sim.Process, req Snooper, k Kind, a Addr, size int) {
-	t := b.scratch(k, a, size)
-	t.Requester = req
-	t.refs = 1 // the issuer's reference, released below
-	b.IssueAndWait(p, t)
-	b.release(t)
-}
-
-// FillFrom is AccessFrom for cache miss fills: it reports the snoop
-// results (line shared elsewhere, data supplied cache-to-cache) the
-// requester needs to pick the MOESI fill state, captured before the
-// scratch record returns to the pool.
-func (b *Bus) FillFrom(p *sim.Process, req Snooper, k Kind, a Addr) (shared, fromCache bool) {
-	t := b.scratch(k, a, 0)
-	t.Requester = req
-	t.refs = 1 // the issuer's reference, released below
-	b.IssueAndWait(p, t)
+// AccessFrom issues the transaction Issue would and blocks p until it
+// completes, charging the blocked time to p's current category. It
+// reports the snoop results a cache needs to pick its MOESI fill state:
+// whether another snooper retains a copy, and whether the data came
+// cache-to-cache.
+func (b *Bus) AccessFrom(p *sim.Process, req Snooper, k Kind, a Addr, size int) (shared, fromCache bool) {
+	t := b.issue(req, k, a, size, sim.UnparkHandler, p)
+	t.refs++ // the issuer's reference, released below
+	p.Park()
 	shared, fromCache = t.Shared, t.FromCache
 	b.release(t)
 	return shared, fromCache
-}
-
-// AccessThen issues the access Access would and returns at once: on
-// completion it schedules the typed event then(recv, 0) at that instant,
-// the slot in which Access's Unpark of its waiting process would have
-// been scheduled. No issuer holds the record, so it returns to the pool
-// when its last phase event has fired.
-//
-//lint:hotpath
-func (b *Bus) AccessThen(k Kind, a Addr, size int, then sim.Handler, recv any) {
-	t := b.scratch(k, a, size)
-	t.then, t.thenRecv = then, recv
-	b.Issue(t)
-}
-
-// AccessUnpark issues the access Access would and returns at once: on
-// completion it unparks p, which is expected to have parked itself.
-//
-//lint:hotpath
-func (b *Bus) AccessUnpark(p *sim.Process, k Kind, a Addr, size int) {
-	t := b.scratch(k, a, size)
-	t.waiter = p
-	b.Issue(t)
 }

@@ -44,6 +44,18 @@ func (s *ownerSnooper) Snoop(t *Transaction) SnoopReply {
 	return SnoopReply{}
 }
 
+// doneLog records the simulated time of each completion hook it is
+// passed to as recv.
+type doneLog struct {
+	eng *sim.Engine
+	at  []sim.Time
+}
+
+func logDone(recv any, _ uint64) {
+	l := recv.(*doneLog)
+	l.at = append(l.at, l.eng.Now())
+}
+
 func newBus() (*sim.Engine, *Bus, *fixedTarget) {
 	eng := sim.NewEngine()
 	bus := New(eng, DefaultTiming(), stats.NewNode())
@@ -62,16 +74,19 @@ func TestKindStringsAreDistinct(t *testing.T) {
 		}
 		seen[s] = true
 	}
+	if s := Kind(len(kinds)).String(); s != "Kind(10)" {
+		t.Fatalf("out-of-range kind prints %q, want Kind(10)", s)
+	}
 }
 
 func TestReadFromHomeTiming(t *testing.T) {
 	eng, bus, home := newBus()
-	var done sim.Time
-	bus.Issue(&Transaction{Kind: GetS, Addr: 0x100, Done: func() { done = eng.Now() }})
+	done := &doneLog{eng: eng}
+	bus.Issue(nil, GetS, 0x100, 0, logDone, done)
 	eng.Run()
 	// addr 8ns + 120ns + turnaround+2 beats 12ns = 140ns
-	if done != 140*sim.Nanosecond {
-		t.Fatalf("GetS completed at %v, want 140ns", done)
+	if len(done.at) != 1 || done.at[0] != 140*sim.Nanosecond {
+		t.Fatalf("GetS completed at %v, want [140ns]", done.at)
 	}
 	if len(home.accesses) != 1 {
 		t.Fatalf("home saw %d accesses, want 1", len(home.accesses))
@@ -83,11 +98,14 @@ func TestOwnerSuppliesInsteadOfHome(t *testing.T) {
 	own := &ownerSnooper{block: 0x200, supply: 24 * sim.Nanosecond}
 	bus.AttachSnooper(own)
 	var done sim.Time
-	tr := &Transaction{Kind: GetS, Addr: 0x200, Done: func() { done = eng.Now() }}
-	bus.Issue(tr)
+	var shared, fromCache bool
+	eng.Spawn("reader", func(p *sim.Process) {
+		shared, fromCache = bus.AccessFrom(p, nil, GetS, 0x200, 0)
+		done = p.Now()
+	})
 	eng.Run()
-	if !tr.FromCache {
-		t.Fatal("owner did not supply")
+	if !fromCache || !shared {
+		t.Fatalf("owner did not supply: shared=%v fromCache=%v", shared, fromCache)
 	}
 	if done != 44*sim.Nanosecond {
 		t.Fatalf("cache-to-cache GetS at %v, want 44ns", done)
@@ -101,12 +119,13 @@ func TestUpgradeAndInvalidateSkipHome(t *testing.T) {
 	eng, bus, home := newBus()
 	sn := &inertSnooper{}
 	bus.AttachSnooper(sn)
-	fired := 0
-	bus.Issue(&Transaction{Kind: Upgrade, Addr: 0x40, Done: func() { fired++ }})
-	bus.Issue(&Transaction{Kind: Invalidate, Addr: 0x80, Done: func() { fired++ }})
+	done := &doneLog{eng: eng}
+	bus.Issue(nil, Upgrade, 0x40, 0, logDone, done)
+	bus.Issue(nil, Invalidate, 0x80, 0, logDone, done)
 	eng.Run()
-	if fired != 2 {
-		t.Fatalf("address-only transactions completed %d, want 2", fired)
+	// Each completes at the end of its own 8ns address phase.
+	if len(done.at) != 2 || done.at[0] != 8*sim.Nanosecond || done.at[1] != 16*sim.Nanosecond {
+		t.Fatalf("address-only transactions completed at %v, want [8ns 16ns]", done.at)
 	}
 	if len(home.accesses) != 0 {
 		t.Fatalf("home touched by address-only transactions: %v", home.accesses)
@@ -120,7 +139,7 @@ func TestWriteInvalidateReachesHomeAndSnoopers(t *testing.T) {
 	eng, bus, home := newBus()
 	sn := &inertSnooper{}
 	bus.AttachSnooper(sn)
-	bus.Issue(&Transaction{Kind: WriteInvalidate, Addr: 0x40})
+	bus.Issue(nil, WriteInvalidate, 0x40, 0, nil, nil)
 	eng.Run()
 	if len(home.accesses) != 1 || home.accesses[0] != WriteInvalidate {
 		t.Fatalf("home accesses = %v", home.accesses)
@@ -134,10 +153,10 @@ func TestUncachedBypassesSnoopers(t *testing.T) {
 	eng, bus, _ := newBus()
 	sn := &inertSnooper{}
 	bus.AttachSnooper(sn)
-	bus.Issue(&Transaction{Kind: UncachedRead, Addr: 0x40, Size: 8})
-	bus.Issue(&Transaction{Kind: UncachedWrite, Addr: 0x40, Size: 8})
-	bus.Issue(&Transaction{Kind: BlockRead, Addr: 0x40})
-	bus.Issue(&Transaction{Kind: BlockWrite, Addr: 0x40})
+	bus.Issue(nil, UncachedRead, 0x40, 8, nil, nil)
+	bus.Issue(nil, UncachedWrite, 0x40, 8, nil, nil)
+	bus.Issue(nil, BlockRead, 0x40, 0, nil, nil)
+	bus.Issue(nil, BlockWrite, 0x40, 0, nil, nil)
 	eng.Run()
 	if len(sn.seen) != 0 {
 		t.Fatalf("uncached/block transactions were snooped: %v", sn.seen)
@@ -148,7 +167,7 @@ func TestRequesterNotSnooped(t *testing.T) {
 	eng, bus, _ := newBus()
 	sn := &inertSnooper{}
 	bus.AttachSnooper(sn)
-	bus.Issue(&Transaction{Kind: GetS, Addr: 0x40, Requester: sn})
+	bus.Issue(sn, GetS, 0x40, 0, nil, nil)
 	eng.Run()
 	if len(sn.seen) != 0 {
 		t.Fatal("requester snooped its own transaction")
@@ -164,7 +183,7 @@ func TestTwoOwnersPanics(t *testing.T) {
 			t.Fatal("two owners did not panic")
 		}
 	}()
-	bus.Issue(&Transaction{Kind: GetS, Addr: 0x40})
+	bus.Issue(nil, GetS, 0x40, 0, nil, nil)
 	eng.Run()
 }
 
@@ -177,7 +196,7 @@ func TestUnmappedAddressPanics(t *testing.T) {
 			t.Fatal("unmapped address did not panic")
 		}
 	}()
-	bus.Issue(&Transaction{Kind: GetS, Addr: 0x2000})
+	bus.Issue(nil, GetS, 0x2000, 0, nil, nil)
 	eng.Run()
 }
 
@@ -197,37 +216,65 @@ func TestBusSerializationProperty(t *testing.T) {
 	f := func(nRaw uint8) bool {
 		n := int(nRaw)%20 + 2
 		eng, bus, _ := newBus()
-		var last sim.Time
+		done := &doneLog{eng: eng}
 		for i := 0; i < n; i++ {
-			bus.Issue(&Transaction{Kind: UncachedWrite, Addr: Addr(i) * 8, Size: 8, Done: func() {
-				last = eng.Now()
-			}})
+			bus.Issue(nil, UncachedWrite, Addr(i)*8, 8, logDone, done)
 		}
 		eng.Run()
 		// Each uncached write occupies >= 16ns of bus time.
-		return last >= sim.Time(n)*16*sim.Nanosecond
+		return len(done.at) == n && done.at[n-1] >= sim.Time(n)*16*sim.Nanosecond
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: Done callbacks fire in a valid order — a transaction issued
+// Property: completion hooks fire in a valid order — a transaction issued
 // strictly after another completes cannot finish before it (FIFO address
 // phases with equal service times).
 func TestFIFOCompletionOrder(t *testing.T) {
 	eng, bus, _ := newBus()
 	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		bus.Issue(&Transaction{Kind: GetS, Addr: Addr(i) * 64, Done: func() {
-			order = append(order, i)
-		}})
+	marks := make([]orderMark, 10)
+	for i := range marks {
+		marks[i] = orderMark{order: &order, i: i}
+		bus.Issue(nil, GetS, Addr(i)*64, 0, markDone, &marks[i])
 	}
 	eng.Run()
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("completion order %v", order)
 		}
+	}
+}
+
+// orderMark is a completion hook's recv that appends its index to order.
+type orderMark struct {
+	order *[]int
+	i     int
+}
+
+func markDone(recv any, _ uint64) {
+	m := recv.(*orderMark)
+	*m.order = append(*m.order, m.i)
+}
+
+// TestRecordsAreRecycled checks the pool: once warm, issuing transactions
+// with a completion hook allocates nothing.
+func TestRecordsAreRecycled(t *testing.T) {
+	eng, bus, _ := newBus()
+	done := &doneLog{eng: eng, at: make([]sim.Time, 0, 1024)}
+	round := func() {
+		done.at = done.at[:0]
+		bus.Issue(nil, GetS, 0x40, 0, logDone, done)
+		bus.Issue(nil, UncachedWrite, 0x80, 8, logDone, done)
+		eng.Run()
+		if len(done.at) != 2 {
+			t.Fatalf("%d completions, want 2", len(done.at))
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("Issue round allocates %.1f per run, want 0", n)
 	}
 }

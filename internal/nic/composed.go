@@ -189,7 +189,7 @@ func (x *composed) Recv(pr *proc.Proc) *netsim.Message {
 	if x.spec.Recv == CoherentEngine {
 		return x.coh.recv(pr)
 	}
-	x.hw.waitForMessageServicing(pr, func(b *netsim.Message) { x.send.repush(pr, b) }) //lint:allow noalloc non-escaping service callback invoked synchronously; the composed gate proves the round stays alloc-free
+	x.hw.waitForMessageServicing(pr, x.send)
 	m := x.recv.receive(pr)
 	if tr := x.env.Trace; tr != nil {
 		tr("engine recv complete engine=%s src=%d size=%dB", x.spec.Recv, m.Src, m.Size())
@@ -238,10 +238,7 @@ func (x *composed) RetryOne(pr *proc.Proc) {
 	if x.spec.Buffering != FifoVM {
 		return
 	}
-	x.hw.retryOne(pr, func(b *netsim.Message) { //lint:allow noalloc non-escaping retry callback invoked synchronously; gated by TestAdmissionControlAllocFree
-		x.recv.retryConsume(pr, b)
-		x.send.repush(pr, b)
-	})
+	x.hw.retryOne(pr, x.send, x.recv)
 }
 
 // Idle implements NI: fifo-family sends complete synchronously inside

@@ -180,13 +180,12 @@ func (c *coherent) snoopCompose(a membus.Addr) {
 	}
 	c.fetched[prev] = true
 	c.env.Stats.Prefetches++
-	c.env.Bus.Issue(&membus.Transaction{
-		Kind:      membus.GetS,
-		Addr:      c.sendRing.addr(prev),
-		Requester: c,
-		Done:      func() { c.ring.prefetchStored() },
-	})
+	c.env.Bus.Issue(c, membus.GetS, c.sendRing.addr(prev), 0, prefetchDone, c)
 }
+
+// prefetchDone is the completion hook of a send-queue prefetch: the
+// fetched block's local store.
+func prefetchDone(recv any, _ uint64) { recv.(*coherent).ring.prefetchStored() }
 
 // send is the processor side of a coherent transmit: compose the message
 // into cacheable queue memory and ring the doorbell; the NI manages the

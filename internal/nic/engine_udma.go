@@ -30,6 +30,16 @@ type udmaEngine struct {
 	// stagingSeq rotates DMA staging buffers through a DRAM region so that
 	// consecutive transfers do not artificially hit in the cache.
 	stagingSeq int
+
+	// The block chain of the DMA in flight (see dma): the kind and address
+	// of its next block, the blocks still to issue, the message to inject
+	// when the last completes (nil on the receive side), and the process
+	// waiting for it.
+	dmaKind membus.Kind
+	dmaNext membus.Addr
+	dmaLeft int
+	dmaMsg  *netsim.Message
+	dmaProc *sim.Process
 }
 
 // udmaStagingBase is the DRAM region UDMA deposits received messages into
@@ -90,29 +100,37 @@ func (u *udmaEngine) head() *fifoSteps {
 // whole transfer by polling the NI's completion register (the paper's
 // messaging layer "waits until each UDMA transfer is complete").
 func (u *udmaEngine) dma(pr *proc.Proc, kind membus.Kind, base membus.Addr, blocks int, m *netsim.Message) {
-	done := false
-	doneCond := sim.NewCond(u.env.Eng) //lint:allow noalloc NI-managed DMA allocates once per large transfer; the AllocsPerRun gate covers the sub-threshold word path
-	var step func(i int)
-	step = func(i int) { //lint:allow noalloc per-transfer DMA chain closure; large-message path is outside the gated hot set
-		if i == blocks {
-			if m != nil {
-				u.env.EP.Inject(m)
-			}
-			done = true
-			doneCond.Broadcast()
-			return
-		}
-		u.env.Bus.Issue(&membus.Transaction{ //lint:allow noalloc DMA block transfers are full split transactions, not scratch accesses; one per block per transfer
-			Kind: kind,
-			Addr: base + membus.Addr(i*membus.BlockSize),
-			Done: func() { step(i + 1) }, //lint:allow noalloc continuation closure advancing the per-transfer DMA chain
-		})
+	if u.dmaProc != nil {
+		panic("nic: UDMA transfer started while another is in flight")
 	}
-	step(0)
-	for !done {
-		doneCond.WaitAs(pr.P, stats.Transfer)
-	}
+	u.dmaKind, u.dmaNext, u.dmaLeft, u.dmaMsg, u.dmaProc = kind, base, blocks, m, pr.P
+	u.issueBlock()
+	pr.P.ParkAs(stats.Transfer)
 	pr.UncachedRead(stats.Transfer, RegUdmaStat, 8)
+}
+
+// issueBlock puts the chain's next block on the bus.
+func (u *udmaEngine) issueBlock() {
+	a := u.dmaNext
+	u.dmaNext += membus.BlockSize
+	u.dmaLeft--
+	u.env.Bus.Issue(nil, u.dmaKind, a, 0, dmaBlockDone, u)
+}
+
+// dmaBlockDone is the completion hook of a DMA block: it issues the next
+// block, or after the last injects the message and wakes the software.
+func dmaBlockDone(recv any, _ uint64) {
+	u := recv.(*udmaEngine)
+	if u.dmaLeft > 0 {
+		u.issueBlock()
+		return
+	}
+	if u.dmaMsg != nil {
+		u.env.EP.Inject(u.dmaMsg)
+	}
+	p := u.dmaProc
+	u.dmaMsg, u.dmaProc = nil, nil
+	p.Unpark()
 }
 
 // repush implements sendEngine: the software cost of re-sending a returned

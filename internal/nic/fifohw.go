@@ -60,12 +60,13 @@ func newFifoHW(env *Env) *fifoHW {
 	return f
 }
 
-// retryOne re-sends the oldest returned message. The repush callback
-// charges the processor the design's re-push cost; the time, and the
-// injection, count as processor-involved buffering work. Callers must
-// prefer consuming incoming messages over retrying (consume-first avoids
-// livelock between mutually bouncing senders).
-func (f *fifoHW) retryOne(pr *proc.Proc, repush func(m *netsim.Message)) {
+// retryOne re-sends the oldest returned message: the receive engine, when
+// non-nil, charges reading it back off the network, and the send engine
+// its re-push; the time, and the injection, count as processor-involved
+// buffering work. Callers must prefer consuming incoming messages over
+// retrying (consume-first avoids livelock between mutually bouncing
+// senders).
+func (f *fifoHW) retryOne(pr *proc.Proc, send sendEngine, recv recvEngine) {
 	m := f.bounced.pop()
 	f.env.Stats.Retries++
 	if tr := f.env.Trace; tr != nil {
@@ -73,7 +74,10 @@ func (f *fifoHW) retryOne(pr *proc.Proc, repush func(m *netsim.Message)) {
 	}
 	prev := pr.P.Category
 	pr.P.Category = stats.Buffering
-	repush(m)
+	if recv != nil {
+		recv.retryConsume(pr, m)
+	}
+	send.repush(pr, m)
 	pr.P.Category = prev
 	f.env.EP.Inject(m)
 }
@@ -100,16 +104,17 @@ func (f *fifoHW) pop() *netsim.Message {
 }
 
 // waitForMessageServicing parks the processor until a message is waiting,
-// re-pushing returned messages while it waits; incoming messages take
-// priority over retries. The idle time is charged to the compute category
-// (it is communication wait, not an NI data-transfer or buffering cost).
-func (f *fifoHW) waitForMessageServicing(pr *proc.Proc, repush func(m *netsim.Message)) {
+// re-pushing returned messages with the send engine while it waits;
+// incoming messages take priority over retries. The idle time is charged
+// to the compute category (it is communication wait, not an NI
+// data-transfer or buffering cost).
+func (f *fifoHW) waitForMessageServicing(pr *proc.Proc, send sendEngine) {
 	for {
 		if f.recvQ.len() > 0 {
 			return
 		}
 		if f.bounced.len() > 0 {
-			f.retryOne(pr, repush)
+			f.retryOne(pr, send, nil)
 			continue
 		}
 		f.recvCond.WaitAs(pr.P, stats.Compute)

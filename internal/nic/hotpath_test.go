@@ -13,16 +13,15 @@ import (
 // hot paths: once warm, a complete send→deliver→poll round through the
 // processor-driven designs must not allocate. The path under test spans
 // the composed dispatch, the fifo engine (uncached words, register words,
-// block-buffer transfers, UDMA's small-message fallback), the fifo window
-// hardware queues, the bus's scratch-transaction pool, and netsim's pooled
-// delivery — regressing any of them to a per-message allocation (a closure
-// in dispatch, a fresh bus transaction per access, a queue that strands
-// its backing array) fails this test.
+// block-buffer transfers, UDMA's small-message fallback and its DMA block
+// chain), the fifo window hardware queues, the bus's transaction pool,
+// and netsim's pooled delivery — regressing any of them to a per-message
+// allocation (a closure in dispatch, a fresh bus transaction per access, a
+// queue that strands its backing array) fails this test.
 //
-// The NI-managed designs are not gated here: the UDMA large-message path
-// and the coherent engine run device state machines that allocate per
-// block (DMA chain closures, ring bookkeeping); their hot software costs
-// go through the same primitives this test covers.
+// The coherent engine is not gated here: its device state machines keep
+// ring bookkeeping that allocates; its hot software costs go through the
+// same primitives this test covers.
 func TestComposedSendRecvAllocFree(t *testing.T) {
 	for _, k := range []Kind{CM5, CM5SingleCycle, AP3000, UDMA} {
 		k := k
@@ -31,7 +30,13 @@ func TestComposedSendRecvAllocFree(t *testing.T) {
 			// access train spanning several sub-messages, and
 			// block-buffer trains of two chunks. Both stay under the UDMA
 			// threshold, so its uncached-word fallback is exercised.
-			for _, payload := range []int{8, 64} {
+			payloads := []int{8, 64}
+			if k == UDMA {
+				// A 256 B message, the network's largest: above the
+				// threshold, so the DMA block chain runs on both sides.
+				payloads = append(payloads, 248)
+			}
+			for _, payload := range payloads {
 				payload := payload
 				t.Run(fmt.Sprintf("%dB", payload), func(t *testing.T) {
 					composedRoundAllocFree(t, k, payload)
@@ -46,10 +51,16 @@ func composedRoundAllocFree(t *testing.T, k Kind, payload int) {
 	r := newTwoNodes(t, k, 8, nil)
 	m := netsim.NewSized(0, 1, 1, payload)
 
+	// Warm the pools: event records, bus transactions, queue backing
+	// arrays, flow-control state. A UDMA transfer also stages through the
+	// next of 256 rotating DRAM buffers, whose first touch installs cache
+	// tag pages, so the warm-up runs past one full rotation.
+	const warm = 20 + 256
+	// AllocsPerRun below makes one extra, unmeasured run.
+	const total = warm + 1 + 200
 	// One long-lived sender and receiver perform one round each
 	// time the test releases one: AllocsPerRun cannot re-spawn
 	// processes per round without measuring the spawn itself.
-	const total = 230
 	release, got := 0, 0
 	p0 := r.eng.Spawn("sender", func(p *sim.Process) {
 		pr, ni := r.procs[0], r.nis[0]
@@ -84,9 +95,7 @@ func composedRoundAllocFree(t *testing.T, k Kind, payload int) {
 			t.Fatalf("round %d did not complete: got=%d", release, got)
 		}
 	}
-	// Warm the pools: event records, scratch transactions, queue
-	// backing arrays, flow-control state.
-	for i := 0; i < 20; i++ {
+	for i := 0; i < warm; i++ {
 		round()
 	}
 	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {

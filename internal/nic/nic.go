@@ -377,21 +377,16 @@ func blocksFor(m *netsim.Message) int {
 }
 
 // regsTarget is the membus.Target for the uncached control registers: a
-// fixed, non-serialized access latency with an optional write hook.
+// fixed, non-serialized access latency.
 type regsTarget struct {
 	latency sim.Time
-	onWrite func(t *membus.Transaction)
 }
 
 func (r *regsTarget) TargetName() string { return "ni-regs" }
 
 func (r *regsTarget) HomeLatency(t *membus.Transaction) sim.Time { return r.latency }
 
-func (r *regsTarget) HomeAccess(t *membus.Transaction) {
-	if t.Kind == membus.UncachedWrite && r.onWrite != nil {
-		r.onWrite(t)
-	}
-}
+func (r *regsTarget) HomeAccess(t *membus.Transaction) {}
 
 // CatalogEntry is one row of the paper's Table 2.
 type CatalogEntry struct {

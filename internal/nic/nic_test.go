@@ -315,6 +315,28 @@ func TestKindNamesRoundTrip(t *testing.T) {
 	}
 }
 
+// The layer enums print their table name, and an unset or out-of-range
+// value its numeric fallback.
+func TestLayerEnumStrings(t *testing.T) {
+	for _, c := range []struct{ got, want string }{
+		{UncachedWordEngine.String(), "uword"},
+		{RDMAEngine.String(), "rdma"},
+		{EngineNone.String(), "engine0"},
+		{numEngines.String(), "engine8"},
+		{FifoVM.String(), "fifovm"},
+		{NICachedRing.String(), "nicache"},
+		{BufferingNone.String(), "buffering0"},
+		{Buffering(-1).String(), "buffering-1"},
+		{RefuseBounce.String(), "bounce"},
+		{RefuseDrop.String(), "drop"},
+		{numRefuseActions.String(), "refuse2"},
+	} {
+		if c.got != c.want {
+			t.Errorf("String() = %q, want %q", c.got, c.want)
+		}
+	}
+}
+
 func TestCatalogMatchesTable2(t *testing.T) {
 	cat := Catalog()
 	if len(cat) != 7 {

@@ -265,11 +265,7 @@ func (r *cachedRing) reclaim() {
 		if c.env.Cfg.DisableDeadSuppress {
 			// Ablation: without dead-message suppression each reclaimed
 			// block is written back to its main-memory home.
-			c.env.Bus.Issue(&membus.Transaction{
-				Kind:      membus.Writeback,
-				Addr:      c.recvRing.addr(li),
-				Requester: c,
-			})
+			c.env.Bus.Issue(c, membus.Writeback, c.recvRing.addr(li), 0, nil, nil)
 		}
 	}
 }

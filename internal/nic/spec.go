@@ -52,25 +52,21 @@ const (
 	numEngines
 )
 
-func (e Engine) String() string {
-	switch e {
-	case UncachedWordEngine:
-		return "uword"
-	case RegisterWordEngine:
-		return "regword"
-	case BlockBufEngine:
-		return "blkbuf"
-	case ReflectiveEngine:
-		return "reflective"
-	case UDMAEngine:
-		return "udma"
-	case CoherentEngine:
-		return "coherent"
-	case RDMAEngine:
-		return "rdma"
-	default: //lint:allow exhaustive String falls back to engine%d for invalid values; report output is byte-identity-locked
-		return fmt.Sprintf("engine%d", int(e))
+// engineNames holds each Engine's name, indexed by the Engine.
+var engineNames = [...]string{
+	UncachedWordEngine: "uword", RegisterWordEngine: "regword", BlockBufEngine: "blkbuf",
+	ReflectiveEngine: "reflective", UDMAEngine: "udma", CoherentEngine: "coherent", RDMAEngine: "rdma",
+}
+
+func (e Engine) String() string { return enumName(engineNames[:], int(e), "engine") }
+
+// enumName returns names[i], or prefix followed by i for a value outside
+// the table or without a name.
+func enumName(names []string, i int, prefix string) string {
+	if i < 0 || i >= len(names) || names[i] == "" {
+		return fmt.Sprintf("%s%d", prefix, i)
 	}
+	return names[i]
 }
 
 // fifoFamily reports whether e moves data through the shared fifo hardware
@@ -115,20 +111,10 @@ const (
 	numBufferings
 )
 
-func (b Buffering) String() string {
-	switch b {
-	case FifoVM:
-		return "fifovm"
-	case MemoryRing:
-		return "memring"
-	case NIRing:
-		return "niring"
-	case NICachedRing:
-		return "nicache"
-	default: //lint:allow exhaustive String falls back to buffering%d for invalid values; report output is byte-identity-locked
-		return fmt.Sprintf("buffering%d", int(b))
-	}
-}
+// bufferingNames holds each Buffering's name, indexed by the Buffering.
+var bufferingNames = [...]string{FifoVM: "fifovm", MemoryRing: "memring", NIRing: "niring", NICachedRing: "nicache"}
+
+func (b Buffering) String() string { return enumName(bufferingNames[:], int(b), "buffering") }
 
 // RefuseAction is what an overload policy does with an arrival it refuses
 // at the admission watermark.
@@ -147,16 +133,10 @@ const (
 	numRefuseActions
 )
 
-func (r RefuseAction) String() string {
-	switch r {
-	case RefuseBounce:
-		return "bounce"
-	case RefuseDrop:
-		return "drop"
-	default: //lint:allow exhaustive String falls back to refuse%d for invalid values; report output is byte-identity-locked
-		return fmt.Sprintf("refuse%d", int(r))
-	}
-}
+// refuseNames holds each RefuseAction's name, indexed by the action.
+var refuseNames = [...]string{RefuseBounce: "bounce", RefuseDrop: "drop"}
+
+func (r RefuseAction) String() string { return enumName(refuseNames[:], int(r), "refuse") }
 
 // EvictChoice is whether an over-watermark arrival may displace buffered
 // work instead of being refused.

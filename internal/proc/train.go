@@ -1,6 +1,9 @@
 package proc
 
-import "nisim/internal/membus"
+import (
+	"nisim/internal/membus"
+	"nisim/internal/sim"
+)
 
 // Step is one step of an access train: Cycles processor cycles of work,
 // then, when Access is set, one bus access of Kind at Addr moving Size
@@ -52,8 +55,8 @@ func (t *Train) fetch(s *Step) bool {
 // call point the process would have used: a Work of d at AfterEvent(d),
 // the slot Sleep takes, and an access from its completion at
 // AfterEvent(0), the slot Unpark takes. The last step wakes the process
-// itself (UnparkAfter or the access's Unpark), so every event keeps its
-// queue key and the event count is unchanged. The blocked time is charged
+// itself (UnparkAfter, or an access hook of sim.UnparkHandler), so every
+// event keeps its queue key and the event count is unchanged. The blocked time is charged
 // once, and the categories' sums are those of the per-step sleeps.
 //
 //lint:hotpath
@@ -79,6 +82,16 @@ func trainStep(recv any, _ uint64) {
 	t.advance()
 }
 
+// trainAccessDone is the completion hook of a mid-train access. It
+// schedules the train's continuation at AfterEvent(0), the slot the
+// process's Unpark would have taken, rather than advancing inline.
+//
+//lint:hotpath
+func trainAccessDone(recv any, _ uint64) {
+	t := recv.(*Train)
+	t.pr.Eng.AfterEvent(0, trainStep, t, 0)
+}
+
 // advance performs the train's next scheduling step: the current step's
 // work, then its access, then the steps after it.
 func (t *Train) advance() {
@@ -98,9 +111,9 @@ func (t *Train) advance() {
 		if s.Access {
 			s.Access = false
 			if t.more {
-				pr.Bus.AccessThen(s.Kind, s.Addr, s.Size, trainStep, t)
+				pr.Bus.Issue(nil, s.Kind, s.Addr, s.Size, trainAccessDone, t)
 			} else {
-				pr.Bus.AccessUnpark(pr.P, s.Kind, s.Addr, s.Size)
+				pr.Bus.Issue(nil, s.Kind, s.Addr, s.Size, sim.UnparkHandler, pr.P)
 			}
 			return
 		}

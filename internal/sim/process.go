@@ -219,6 +219,12 @@ func (p *Process) ParkAs(category int) {
 //lint:hotpath
 func (p *Process) Unpark() { p.UnparkAfter(0) }
 
+// UnparkHandler is Unpark as a Handler whose recv is the *Process: the
+// completion hook that wakes a process parked on an event-context step.
+//
+//lint:hotpath
+func UnparkHandler(recv any, _ uint64) { recv.(*Process).Unpark() }
+
 // UnparkAfter schedules a parked process to resume d picoseconds from now:
 // the wakeup Sleep(d) would have scheduled, for a process that parked
 // instead of sleeping while event-context code ran its steps. It is a

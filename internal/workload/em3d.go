@@ -26,9 +26,10 @@ func em3dProgram(p Params, nodes int) func(n *machine.Node) {
 		N := n.Size()
 		r := rng(Em3d, n.ID)
 		// Static bipartite graph: ~5 remote neighbor nodes (degree 5, 10%
-		// remote in the paper's input).
+		// remote in the paper's input), or every other node on a machine
+		// too small to have 5.
 		var nbrs []int
-		for len(nbrs) < 5 {
+		for len(nbrs) < min(5, N-1) {
 			d := r.Intn(N)
 			if d == n.ID {
 				continue

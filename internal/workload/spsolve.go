@@ -34,8 +34,14 @@ func spsolveProgram(p Params, nodes int) func(n *machine.Node) {
 	edgeDest := func(level, node, k, N int) int {
 		if k%10 != 0 {
 			// Trains of edges funnel to three next-level owners, giving each
-			// receiver a fan-in of ~3 bursty upstream senders.
-			return (node + 1 + (level+k/20)%3) % N
+			// receiver a fan-in of ~3 bursty upstream senders. On fewer than
+			// four nodes an owner can wrap around to the node itself; its
+			// edges go to the next node instead.
+			d := (node + 1 + (level+k/20)%3) % N
+			if d == node {
+				d = (node + 1) % N
+			}
+			return d
 		}
 		r := rand.New(rand.NewSource(int64(level)*1_000_003 + int64(node)*8009 + int64(k)))
 		d := r.Intn(N - 1)

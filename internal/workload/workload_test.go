@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -24,6 +25,26 @@ func TestAllAppsComplete(t *testing.T) {
 				t.Fatalf("conservation violated: sent %d received %d", tot.MessagesSent, tot.MessagesReceived)
 			}
 		})
+	}
+}
+
+// Every app runs to completion on the smallest machines nisim accepts:
+// em3d draws its neighbors from fewer than 5 peers, and spsolve's edge
+// trains would otherwise wrap around to the sending node.
+func TestAppsRunOnSmallMachines(t *testing.T) {
+	for _, app := range Apps() {
+		for nodes := 2; nodes <= 6; nodes++ {
+			app, nodes := app, nodes
+			t.Run(fmt.Sprintf("%s/%d", app, nodes), func(t *testing.T) {
+				cfg := machine.DefaultConfig(nic.CM5, 8)
+				cfg.Nodes = nodes
+				st := Run(cfg, app, Params{Iters: 0.1})
+				tot := st.Total()
+				if tot.MessagesSent == 0 || tot.MessagesSent != tot.MessagesReceived {
+					t.Fatalf("sent %d, received %d", tot.MessagesSent, tot.MessagesReceived)
+				}
+			})
+		}
 	}
 }
 
