@@ -237,7 +237,7 @@ func build(cfg Config, shards int) *Machine {
 			ni = nic.New(cfg.NIKind, env)
 		}
 		node := &Node{ID: i, Proc: pr, NI: ni, mach: m}
-		node.EP = msglayer.New(pr, ni, cfg.Net, cfg.Msg)
+		node.EP = msglayer.New(pr, ni, ep, cfg.Msg)
 		m.Nodes = append(m.Nodes, node)
 	}
 	// Wire peer-NI identity resolution for send-throttled NIs. The lookup

@@ -1,6 +1,10 @@
 package msglayer
 
-import "testing"
+import (
+	"testing"
+
+	"nisim/internal/sim"
+)
 
 func TestFragArgRoundTrip(t *testing.T) {
 	for _, c := range []struct {
@@ -17,31 +21,57 @@ func TestFragArgRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMarkDoneRingEviction fills the one done set past its depth with keys
+// of each protocol and checks that exactly the oldest are evicted.
 func TestMarkDoneRingEviction(t *testing.T) {
 	for _, c := range []struct {
-		name  string
-		depth int
+		name string
+		key  func(i int) [2]uint64
 	}{
-		{"eager", doneWindow},
-		{"rendezvous", rdvDoneWindow},
+		{"eager", func(i int) [2]uint64 { return [2]uint64{3, uint64(i)} }},
+		{"rendezvous", func(i int) [2]uint64 { return rdvKey(3, uint32(i)) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			d := newDoneSet(c.depth)
-			for i := 0; i < c.depth+16; i++ {
-				d.add([2]uint64{3, uint64(i)})
+			d := newDoneSet(doneWindow)
+			for i := 0; i < doneWindow+16; i++ {
+				d.add(c.key(i))
 			}
-			if len(d.keys) != c.depth {
-				t.Fatalf("done set holds %d entries, want exactly %d", len(d.keys), c.depth)
+			if len(d.keys) != doneWindow {
+				t.Fatalf("done set holds %d entries, want exactly %d", len(d.keys), doneWindow)
 			}
 			// The oldest 16 were evicted; the newest survive.
 			for _, e := range []struct {
 				seq  int
 				want bool
-			}{{0, false}, {15, false}, {16, true}, {c.depth + 15, true}} {
-				if got := d.has([2]uint64{3, uint64(e.seq)}); got != e.want {
+			}{{0, false}, {15, false}, {16, true}, {doneWindow + 15, true}} {
+				if got := d.has(c.key(e.seq)); got != e.want {
 					t.Fatalf("entry %d present = %v, want %v", e.seq, got, e.want)
 				}
 			}
 		})
+	}
+}
+
+// TestEagerAndRendezvousKeysDoNotCollide sends an eager message and a
+// rendezvous transfer from one sender, in both orders, with equal eager
+// sequence number and transfer id (both 1). They share the receiver's
+// inbound table and done set, and both must deliver. A masked message
+// never arrives, so the run is bounded in simulated time.
+func TestEagerAndRendezvousKeysDoNotCollide(t *testing.T) {
+	for _, sizes := range [][2]int{{100, 2000}, {2000, 100}} {
+		eps, eng := twoEndpoints(t, Rendezvous)
+		const h = 1
+		got := map[int]int{}
+		eps[1].Register(h, func(ep *Endpoint, m *Message) { got[m.PayloadLen]++ })
+		eps[0].pr.Bind(eng.Spawn("sender", func(p *sim.Process) {
+			eps[0].Send(1, h, sizes[0], 0)
+			eps[0].Send(1, h, sizes[1], 0)
+		}))
+		poller(eps[1])
+		eng.RunWhile(func() bool { return len(got) < 2 && eng.Now() < sim.Millisecond })
+		eng.Drain()
+		if got[100] != 1 || got[2000] != 1 {
+			t.Fatalf("sizes %v: deliveries by size = %v, want one each", sizes, got)
+		}
 	}
 }

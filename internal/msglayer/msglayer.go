@@ -24,10 +24,14 @@ const ReservedHandlerBase = 200
 // Handler is an active-message handler, executed on the receiving
 // processor when a complete application message has arrived. Handlers run
 // in the receiver's process context and may send messages themselves.
+//
+// The handler borrows m and its Payload until it returns: both belong to
+// the endpoint's reassembly record, which is reused for a later message.
+// A handler that keeps anything past its return copies it.
 type Handler func(ep *Endpoint, m *Message)
 
 // Message is a reassembled application-level message as delivered to a
-// handler.
+// handler, lent to it for the handler's duration (see Handler).
 type Message struct {
 	Src, Dst   int
 	Handler    int
@@ -94,15 +98,30 @@ func fragSeq(a uint64) uint64 { return a >> 32 & 0xFFFFFF }
 
 // inbound is one message being reassembled, by either protocol: eager
 // fragments from the receive queue, keyed (src, seq), or rendezvous put
-// frames from the put sink, keyed (src, xfer). Records recycle through the
-// endpoint's free list.
+// frames from the put sink, keyed rdvKey(src, xfer). Records recycle
+// through the endpoint's free list once their handler returns.
 type inbound struct {
 	key      [2]uint64
 	m        Message // PayloadLen accumulates as fragments land
-	buf      []byte  // payload store; an eager delivery hands it to the handler
+	buf      []byte  // payload store, kept across reuses of the record
 	got      []bool  // fragment indexes already placed (duplicate suppression)
 	received int
-	next     *inbound // free-list link
+	// next links the record on the endpoint's free list, or, while a
+	// completed rendezvous transfer waits for dispatch, on the
+	// protocol's completion queue.
+	next *inbound
+}
+
+// rdvTag marks a rendezvous key. Eager sequence numbers are 24 bits and
+// rendezvous transfer ids 16, so tagged transfer ids never equal a
+// sequence number: the two protocols share one inbound table and one done
+// set without one's keys masking the other's.
+const rdvTag = 1 << 32
+
+// rdvKey is the inbound and done-set key of rendezvous transfer xfer from
+// src.
+func rdvKey(src int, xfer uint32) [2]uint64 {
+	return [2]uint64{uint64(src), uint64(xfer) | rdvTag}
 }
 
 // doneSet remembers the last depth completed keys, so late duplicates of a
@@ -117,14 +136,8 @@ type doneSet struct {
 	head  int
 }
 
-// Done-set depths. The eager 24-bit sequences and the rendezvous 16-bit
-// transfer ids are independent counters, so each protocol keeps its own
-// set: a shared one would let an eager completion mask a rendezvous
-// transfer (or vice versa) whenever the numbers collide.
-const (
-	doneWindow    = 1 << 13
-	rdvDoneWindow = 1 << 12
-)
+// doneWindow is the done set's depth, shared by both protocols.
+const doneWindow = 1 << 13
 
 func newDoneSet(depth int) doneSet {
 	return doneSet{depth: depth, keys: make(map[[2]uint64]struct{})}
@@ -150,13 +163,14 @@ func (d *doneSet) add(key [2]uint64) {
 type Endpoint struct {
 	pr       *proc.Proc
 	ni       nic.NI
+	net      *netsim.Endpoint // the node's network endpoint, owner of the frame free list
 	cfg      Config
 	maxFrag  int // max payload bytes per network message
 	handlers map[int]Handler
 	seq      uint64
-	partials map[[2]uint64]*inbound // eager reassembly, key (src, seq)
-	done     doneSet                // completed eager (src, seq) pairs
-	free     *inbound               // recycled reassembly records, both protocols
+	in       map[[2]uint64]*inbound // messages being reassembled, both protocols
+	done     doneSet                // completed keys, both protocols
+	free     *inbound               // recycled reassembly records
 
 	// rdv is the rendezvous protocol state, nil unless the Config selects
 	// Rendezvous AND the NI exposes an RDMA engine. Every receive path
@@ -168,18 +182,20 @@ type Endpoint struct {
 	Delivered int64
 }
 
-// New creates the endpoint for a node.
-func New(pr *proc.Proc, ni nic.NI, netCfg netsim.Config, cfg Config) *Endpoint {
+// New creates the endpoint for a node whose NI is attached to the network
+// through net.
+func New(pr *proc.Proc, ni nic.NI, net *netsim.Endpoint, cfg Config) *Endpoint {
 	if cfg.Protocol < 0 || cfg.Protocol >= numProtocolKinds {
 		panic(fmt.Sprintf("msglayer: unknown protocol %d", int(cfg.Protocol)))
 	}
 	ep := &Endpoint{
 		pr:       pr,
 		ni:       ni,
+		net:      net,
 		cfg:      cfg,
-		maxFrag:  netCfg.MaxNetMsg - netsim.HeaderBytes,
+		maxFrag:  net.MaxNetMsg() - netsim.HeaderBytes,
 		handlers: make(map[int]Handler),
-		partials: make(map[[2]uint64]*inbound),
+		in:       make(map[[2]uint64]*inbound),
 		done:     newDoneSet(doneWindow),
 	}
 	if cfg.Protocol == Rendezvous {
@@ -381,11 +397,9 @@ func (ep *Endpoint) accept(nm *netsim.Message) {
 		return
 	}
 	idx, total := fragIdx(nm.Arg), fragTotal(nm.Arg)
-	in := ep.partials[key]
+	in := ep.in[key]
 	if in == nil {
-		in = ep.newInbound(key, total)
-		in.m = Message{Src: nm.Src, Dst: ep.pr.ID, Handler: nm.Handler, SendTime: nm.SendTime}
-		ep.partials[key] = in //lint:allow noalloc partials map holds at most the in-flight reassembly population; completed keys free buckets
+		in = ep.newInbound(key, total, Message{Src: nm.Src, Dst: ep.pr.ID, Handler: nm.Handler, SendTime: nm.SendTime})
 	}
 	if !ep.place(in, idx, total, nm) {
 		return
@@ -396,19 +410,19 @@ func (ep *Endpoint) accept(nm *netsim.Message) {
 	if in.received < total {
 		return
 	}
-	delete(ep.partials, key)
-	ep.done.add(key)
-	// The eager delivery contract: the handler owns its Message and payload,
-	// so it gets a fresh copy, and a record whose payload store went with it
-	// gives the store up.
-	m := new(Message) //lint:allow noalloc delivery contract: the handler owns the Message, so one is freshly built per eager message
-	*m = in.m
-	if m.Payload != nil {
-		in.buf = nil
-	}
+	delete(ep.in, key)
+	in.m.ArriveTime = ep.pr.P.Now()
+	ep.deliver(in)
+}
+
+// deliver finishes a completed message, for either protocol: its key
+// joins the done set, the handler runs on the record's own Message, and
+// the record recycles once the handler returns. Receives nested inside the
+// handler use other records.
+func (ep *Endpoint) deliver(in *inbound) {
+	ep.done.add(in.key)
+	ep.dispatch(&in.m, len(in.got))
 	ep.release(in)
-	m.ArriveTime = ep.pr.P.Now()
-	ep.dispatch(m, total)
 }
 
 // place integrates fragment idx of a total-fragment message into in,
@@ -429,7 +443,7 @@ func (ep *Endpoint) place(in *inbound, idx, total int, nm *netsim.Message) bool 
 		if in.m.Payload == nil {
 			need := total * ep.maxFrag
 			if cap(in.buf) < need {
-				in.buf = make([]byte, need) //lint:allow noalloc payload store grows to the largest message seen, then recycles; an eager delivery takes it, by contract
+				in.buf = make([]byte, need) //lint:allow noalloc payload store grows to the largest message seen, then recycles with its record
 			}
 			in.m.Payload = in.buf[:need]
 		}
@@ -458,9 +472,10 @@ func (ep *Endpoint) dispatch(m *Message, frags int) {
 	h(ep, m)
 }
 
-// newInbound takes a reassembly record from the free list, its fragment
-// bitmap sized and cleared for total fragments.
-func (ep *Endpoint) newInbound(key [2]uint64, total int) *inbound {
+// newInbound takes a reassembly record from the free list for message m,
+// its fragment bitmap sized and cleared for total fragments, and enters it
+// in the inbound table under key.
+func (ep *Endpoint) newInbound(key [2]uint64, total int, m Message) *inbound {
 	in := ep.free
 	if in == nil {
 		in = &inbound{} //lint:allow noalloc one record per concurrently reassembling message, recycled through the free list thereafter
@@ -468,13 +483,14 @@ func (ep *Endpoint) newInbound(key [2]uint64, total int) *inbound {
 		ep.free = in.next
 		in.next = nil
 	}
-	in.key, in.received = key, 0
+	in.key, in.m, in.received = key, m, 0
 	if cap(in.got) < total {
 		in.got = make([]bool, total) //lint:allow noalloc bitmap grows to the largest fragment count seen, then recycles
 	} else {
 		in.got = in.got[:total]
 		clear(in.got)
 	}
+	ep.in[key] = in //lint:allow noalloc the table holds at most the messages reassembling at once; completed keys free their buckets
 	return in
 }
 

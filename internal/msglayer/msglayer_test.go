@@ -25,7 +25,12 @@ func TestFragmentationBoundary(t *testing.T) {
 		const h = 1
 		var got *msglayer.Message
 		for _, n := range m.Nodes {
-			n.EP.Register(h, func(ep *msglayer.Endpoint, msg *msglayer.Message) { got = msg })
+			// The handler borrows msg, so it keeps a copy.
+			n.EP.Register(h, func(ep *msglayer.Endpoint, msg *msglayer.Message) {
+				c := *msg
+				c.Payload = append([]byte(nil), msg.Payload...)
+				got = &c
+			})
 		}
 		m.Run(func(n *machine.Node) {
 			if n.ID == 0 {

@@ -88,35 +88,19 @@ type rendezvous struct {
 	rd        nic.RDMA
 	threshold int
 
-	// ctl recycles received control frames for this endpoint's own RTS/CTS
-	// sends. Only frames the reliability layer never sealed (Seq == 0,
-	// i.e. unreliable runs) are recyclable; reliable runs allocate one
-	// frame per control message because the sender retains it until acked.
-	ctl []*netsim.Message
-
 	seq uint32 // rolling 16-bit transfer id
 	// out holds this endpoint's handshakes awaiting their CTS, by xfer id:
 	// false until the grant arrives. Send blocks until then, so only
 	// handler-reentrant sends nest.
 	out map[uint32]bool
 
-	// in holds the granted transfers still receiving frames, key (src, xfer).
-	// Their records come from the endpoint's shared free list; unlike an
-	// eager delivery, the handler is handed the record's own Message and
-	// payload store, which recycle after it returns — a rendezvous handler
-	// must copy anything it keeps, the zero-copy discipline one-sided
-	// transfer exists to provide.
-	in map[[2]uint64]*inbound
-
-	// Completed transfers awaiting processor-side dispatch. The put sink
-	// runs in network-event context where no processor cycles can be
-	// charged, so completion is split: the sink records arrival, and
-	// deliverOne (called from PollOne/waitOne in process context) charges
-	// the dispatch cost and runs the handler.
-	complete []*inbound
-	compHead int
-
-	done doneSet // completed (src, xfer) pairs
+	// Completed transfers awaiting processor-side dispatch, oldest first,
+	// linked through inbound.next. The put sink runs in network-event
+	// context where no processor cycles can be charged, so completion is
+	// split: the sink queues the record, and deliverOne (called from
+	// PollOne/waitOne in process context) charges the dispatch cost and
+	// runs the handler.
+	compHead, compTail *inbound
 }
 
 // newRendezvous wires the protocol to the endpoint's RDMA engine, or
@@ -135,8 +119,6 @@ func newRendezvous(ep *Endpoint) *rendezvous {
 		rd:        rd,
 		threshold: ep.cfg.RendezvousThreshold,
 		out:       make(map[uint32]bool),
-		in:        make(map[[2]uint64]*inbound),
-		done:      newDoneSet(rdvDoneWindow),
 	}
 	if r.threshold <= 0 {
 		r.threshold = DefaultRendezvousThreshold
@@ -185,16 +167,15 @@ func (r *rendezvous) send(dst, handler int, payload []byte, payloadLen int, arg 
 	})
 }
 
-// sendCtl sends one header-only control message (RTS or CTS); the caller
-// has charged its composition.
+// sendCtl sends one header-only control message (RTS or CTS) in a frame
+// from the endpoint's free list; the caller has charged its composition.
 //
 //lint:hotpath
 func (r *rendezvous) sendCtl(dst, handler, channel int, arg uint64, sendTime sim.Time) {
-	nm := r.ctlFrame()
+	nm := r.ep.net.TakeFrame()
 	nm.Src, nm.Dst, nm.Handler = r.ep.pr.ID, dst, handler
 	nm.Channel = channel
 	nm.Arg = arg
-	nm.PayloadLen = 0
 	nm.SendTime = sendTime
 	r.ep.pr.Stats.FragmentsSent++
 	r.ep.push(nm)
@@ -211,16 +192,14 @@ func (r *rendezvous) onRTS(nm *netsim.Message) {
 	ep := r.ep
 	ep.pr.Work(stats.Transfer, ep.cfg.RdvCtlCycles)
 	xfer, bytes, handler := decodeRTS(nm.Arg)
-	key := [2]uint64{uint64(nm.Src), uint64(xfer)}
-	if r.done.has(key) {
+	key := rdvKey(nm.Src, xfer)
+	if ep.done.has(key) {
 		ep.pr.Stats.DupSuppressed++
 		r.recycleCtl(nm)
 		return
 	}
-	if r.in[key] == nil {
-		in := ep.newInbound(key, ep.frags(bytes))
-		in.m = Message{Src: nm.Src, Dst: ep.pr.ID, Handler: handler, Arg: uint64(nm.Channel), SendTime: nm.SendTime}
-		r.in[key] = in //lint:allow noalloc inbound map holds at most the concurrently granted transfers; completions free buckets
+	if ep.in[key] == nil {
+		ep.newInbound(key, ep.frags(bytes), Message{Src: nm.Src, Dst: ep.pr.ID, Handler: handler, Arg: uint64(nm.Channel), SendTime: nm.SendTime})
 	} else {
 		ep.pr.Stats.DupSuppressed++
 	}
@@ -251,13 +230,13 @@ func (r *rendezvous) onCTS(nm *netsim.Message) {
 // context — the frame was placed by the NI, not the processor — so it does
 // bookkeeping only: placement, duplicate suppression, and completion
 // queueing. Frame contents are only valid for the duration of the call
-// (settled frames return to the sender's pool), so payload bytes are
-// copied into the reassembly record here.
+// (an unsealed frame goes back to the receiver's free list right after
+// it), so payload bytes are copied into the reassembly record here.
 //
 //lint:hotpath
 func (r *rendezvous) putSink(nm *netsim.Message) {
 	xfer, idx, total := nic.DecodePutFrame(nm.Arg)
-	in := r.in[[2]uint64{uint64(nm.Src), uint64(xfer)}]
+	in := r.ep.in[rdvKey(nm.Src, xfer)]
 	if in == nil {
 		// A late duplicate of a completed transfer (reliability retransmit
 		// whose ack was lost).
@@ -269,64 +248,43 @@ func (r *rendezvous) putSink(nm *netsim.Message) {
 	}
 	// Last frame: the message has fully arrived. Dispatch cost is the
 	// processor's, so completion is handed to deliverOne.
-	delete(r.in, in.key)
+	delete(r.ep.in, in.key)
 	in.m.ArriveTime = r.ep.pr.P.Now()
-	r.complete = append(r.complete, in) //lint:allow noalloc completion ring reaches steady-state capacity after the first bursts; the rendezvous gate proves warm rounds stay alloc-free
+	if r.compTail == nil {
+		r.compHead = in
+	} else {
+		r.compTail.next = in
+	}
+	r.compTail = in
 }
 
-// deliverOne dispatches one completed transfer through the same dispatch
-// the eager path uses. It runs in process context from
+// deliverOne dispatches the oldest completed transfer through the
+// endpoint's one delivery step. It runs in process context from
 // PollOne/waitOne/Drain. Reports whether a message was delivered.
 //
 //lint:hotpath
 func (r *rendezvous) deliverOne() bool {
-	if r.compHead >= len(r.complete) {
+	in := r.compHead
+	if in == nil {
 		return false
 	}
-	in := r.complete[r.compHead]
-	r.complete[r.compHead] = nil
-	r.compHead++
-	if r.compHead == len(r.complete) {
-		r.complete = r.complete[:0]
-		r.compHead = 0
+	r.compHead = in.next
+	if r.compHead == nil {
+		r.compTail = nil
 	}
-	r.done.add(in.key)
-	r.ep.dispatch(&in.m, len(in.got))
-	// The record (and the Message the handler just saw) recycles only
-	// after the handler returns; reentrant receives inside the handler use
-	// other records.
-	r.ep.release(in)
+	in.next = nil
+	r.ep.deliver(in)
 	return true
 }
 
-// ctlFrame returns a control frame for an RTS or CTS, recycled from a
-// previously received control message when possible. Under reliability
-// every control frame is sealed (retained for retransmission) until acked,
-// so the pool stays empty and reliable runs pay one allocation per
-// handshake message.
-//
-//lint:hotpath
-func (r *rendezvous) ctlFrame() *netsim.Message {
-	if n := len(r.ctl); n > 0 {
-		nm := r.ctl[n-1]
-		r.ctl[n-1] = nil
-		r.ctl = r.ctl[:n-1]
-		return nm
-	}
-	return &netsim.Message{} //lint:allow noalloc reliable runs seal control frames until acked so they cannot recycle; the rendezvous alloc gate runs on the recycling (unreliable) configuration
-}
-
-// recycleCtl returns a consumed control frame to the pool. Frames the
-// reliability layer sealed (Seq != 0) still belong to their sender until
-// the ack settles them and must not be reused here.
+// recycleCtl frees a consumed control frame to the endpoint's free list.
+// A frame the reliability layer sealed (Seq != 0) still belongs to its
+// sender until the ack settles it, so only unsealed frames (unreliable
+// runs) recycle; reliable runs pay one frame per control message.
 //
 //lint:hotpath
 func (r *rendezvous) recycleCtl(nm *netsim.Message) {
-	if nm.Seq != 0 {
-		return
+	if nm.Seq == 0 {
+		r.ep.net.FreeFrame(nm)
 	}
-	nm.Recycle()
-	nm.Payload = nil
-	nm.PayloadLen = 0
-	r.ctl = append(r.ctl, nm) //lint:allow noalloc pool append reaches steady-state capacity once the first handshakes complete
 }

@@ -39,8 +39,8 @@ func TestRendezvousDelivery(t *testing.T) {
 		var payloadOK bool
 		for _, n := range m.Nodes {
 			n.EP.Register(h, func(ep *msglayer.Endpoint, msg *msglayer.Message) {
-				// Rendezvous deliveries recycle the Message and its payload
-				// buffer across transfers: copy out everything checked.
+				// The handler borrows msg and its payload: copy out
+				// everything checked.
 				gotLen = msg.PayloadLen
 				gotBytes = len(msg.Payload)
 				gotArg = msg.Arg

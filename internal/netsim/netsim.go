@@ -73,6 +73,9 @@ type Message struct {
 	// receiver's acks and bounces settle the original, never the copy; see
 	// origin.
 	orig *Message
+	// next links the message on its endpoint's free list (TakeFrame,
+	// FreeFrame).
+	next *Message
 }
 
 // One-sided message kinds (Message.oneSided). Zero is a two-sided send.
@@ -87,13 +90,13 @@ func (m *Message) IsPut() bool { return m.oneSided == oneSidedPut }
 // IsGet reports whether m is a one-sided RDMA get request.
 func (m *Message) IsGet() bool { return m.oneSided == oneSidedGet }
 
-// Recycle resets the delivery state a previous transit left on m so a
-// protocol layer can return the message to a free pool and reuse it for a
-// fresh send. Payload, addressing, and the corruption scratch buffer are
-// kept — the caller overwrites those per send; what must be cleared is the
-// reliability identity (Seq, Checksum, deadline), the attempt counters, and
-// the one-sided marking, or the next Inject would treat the reused message
-// as a retransmission of the old one.
+// Recycle resets the delivery state a previous transit left on m so the
+// message can be injected again as a fresh send. Payload, addressing, and
+// the corruption scratch buffer are kept — the caller overwrites those per
+// send; what must be cleared is the reliability identity (Seq, Checksum,
+// deadline), the attempt counters, and the one-sided marking, or the next
+// Inject would treat the reused message as a retransmission of the old one.
+// Protocol layers recycle through Endpoint.FreeFrame, which calls it.
 //
 //lint:hotpath
 func (m *Message) Recycle() {
@@ -420,6 +423,12 @@ type Endpoint struct {
 	seq      uint64
 	inflight map[*Message]sim.Timer
 
+	// frames is the free list of messages protocol layers have finished
+	// with, linked through Message.next (TakeFrame, FreeFrame). Each list
+	// belongs to one endpoint, so it is only touched from that endpoint's
+	// shard.
+	frames *Message
+
 	// OnAccept is invoked when an arriving message is accepted into an
 	// incoming flow-control buffer. The NI must eventually call ReleaseIn
 	// exactly once per accepted message.
@@ -433,11 +442,6 @@ type Endpoint struct {
 	// "processor involved in buffering" column of Table 2). When nil, the
 	// endpoint retries in hardware after a backoff (NI-managed buffering).
 	OnBounce func(m *Message)
-	// OnDeliveryError, if non-nil, is invoked when the reliability layer
-	// abandons a send after MaxAttempts; the outgoing buffer has already
-	// been freed. When nil the failure is still recorded in the network's
-	// Failures list and the node's DeliveryFailures counter.
-	OnDeliveryError func(err *DeliveryError)
 	// OnPut is invoked when a one-sided put frame lands (see Endpoint.Put).
 	// It runs in network-event context, not a receiver process: the frame's
 	// bytes were deposited directly into pre-negotiated memory, so the hook
@@ -490,6 +494,34 @@ func (ep *Endpoint) MaxNetMsg() int { return ep.net.cfg.MaxNetMsg }
 // Reliable reports whether the network runs the ack/retransmit protocol —
 // one-sided senders track settlement only when it does.
 func (ep *Endpoint) Reliable() bool { return ep.net.cfg.Reliability.Enabled }
+
+// TakeFrame returns a message from this endpoint's free list, or a new one
+// when the list is empty. The caller fills in every field it sends with.
+//
+//lint:hotpath
+func (ep *Endpoint) TakeFrame() *Message {
+	m := ep.frames
+	if m == nil {
+		return &Message{} //lint:allow noalloc the free list starts empty; frames recycle once receivers and settlements free them
+	}
+	ep.frames = m.next
+	m.next = nil
+	return m
+}
+
+// FreeFrame returns m to this endpoint's free list. The caller must hold
+// the only reference: a frame the reliability layer sealed (Seq != 0)
+// belongs to its sender until it settles, so a receiver frees only
+// unsealed frames, and a sender frees sealed ones once they settle.
+//
+//lint:hotpath
+func (ep *Endpoint) FreeFrame(m *Message) {
+	m.Recycle()
+	m.Payload = nil
+	m.PayloadLen = 0
+	m.next = ep.frames
+	ep.frames = m
+}
 
 // TryAcquireOut claims an outgoing flow-control buffer if one is free.
 //

@@ -105,8 +105,8 @@ func relCfg() Config {
 
 // TestOneSidedReliableSettle pins the reliable one-sided lifecycle: the ack
 // settles the frame through OnSettled (no outgoing buffer was held, so no
-// credit is released), and Recycle readies the message for a fresh send
-// with a new sequence number.
+// credit is released), and the endpoint's free list hands the frame back
+// ready for a fresh send with a new sequence number.
 func TestOneSidedReliableSettle(t *testing.T) {
 	r := newOneSidedRig(t, relCfg())
 	send := r.nw.Endpoint(0)
@@ -128,12 +128,20 @@ func TestOneSidedReliableSettle(t *testing.T) {
 		t.Fatal("reliable put was never assigned a sequence number")
 	}
 
-	// Reuse the frame: Recycle must clear the reliability identity so the
-	// second send is a new message, not a retransmission of the old one.
-	m.Recycle()
-	if m.IsPut() || m.Seq != 0 {
-		t.Fatalf("Recycle left state behind: IsPut=%v Seq=%d", m.IsPut(), m.Seq)
+	// Reuse the frame through the free list: freeing must clear the
+	// reliability identity so the second send is a new message, not a
+	// retransmission of the old one.
+	send.FreeFrame(m)
+	if f := send.TakeFrame(); f != m {
+		t.Fatal("TakeFrame did not return the frame just freed")
 	}
+	if m.IsPut() || m.Seq != 0 || m.PayloadLen != 0 || m.Payload != nil {
+		t.Fatalf("FreeFrame left state behind: IsPut=%v Seq=%d PayloadLen=%d", m.IsPut(), m.Seq, m.PayloadLen)
+	}
+	if f := send.TakeFrame(); f == m {
+		t.Fatal("TakeFrame returned the same frame twice")
+	}
+	m.PayloadLen = 64
 	r.eng.AfterEvent(0, func(any, uint64) { send.Put(m) }, nil, 0)
 	r.eng.Run()
 	if m.Seq == firstSeq || m.Seq == 0 {
@@ -223,8 +231,6 @@ func TestOneSidedAbandon(t *testing.T) {
 	r := newOneSidedRig(t, relCfg())
 	send := r.nw.Endpoint(0)
 	send.Fault = &lossPlane{n: 1 << 30, verdict: FaultVerdict{Drop: true}}
-	failures := 0
-	send.OnDeliveryError = func(err *DeliveryError) { failures++ }
 	m := NewSized(0, 1, 0, 64)
 	r.eng.AfterEvent(0, func(any, uint64) { send.Put(m) }, nil, 0)
 	r.eng.Run()
@@ -232,8 +238,8 @@ func TestOneSidedAbandon(t *testing.T) {
 	if len(r.puts) != 0 {
 		t.Fatalf("put delivered %d times through a total loss plane", len(r.puts))
 	}
-	if failures != 1 || len(r.nw.Failures()) != 1 {
-		t.Fatalf("abandon surfaced %d delivery errors (%d recorded), want 1", failures, len(r.nw.Failures()))
+	if f := r.nw.Failures(); len(f) != 1 || f[0].Msg != m {
+		t.Fatalf("abandon recorded %d delivery errors, want 1 for the put", len(f))
 	}
 	if len(r.settled) != 1 || r.settled[0] != m {
 		t.Fatalf("abandoned put settled %d times, want 1", len(r.settled))

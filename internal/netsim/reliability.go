@@ -311,9 +311,6 @@ func (ep *Endpoint) abandon(m *Message, reason string) {
 	} else {
 		ep.releaseOut()
 	}
-	if ep.OnDeliveryError != nil {
-		ep.OnDeliveryError(err)
-	}
 }
 
 // QuiescenceReport implements the engine's quiescence check for the

@@ -246,23 +246,19 @@ func TestMaxAttemptsSurfacesDeliveryError(t *testing.T) {
 	sender.Fault = &scriptPlane{inject: func(now sim.Time, m *Message) FaultVerdict {
 		return FaultVerdict{Drop: true} // black hole: nothing ever arrives
 	}}
-	var gotErr *DeliveryError
-	sender.OnDeliveryError = func(err *DeliveryError) { gotErr = err }
 	nw.Endpoint(1).OnAccept = func(m *Message) { t.Error("black-holed message arrived") }
 	if !sender.TryAcquireOut() {
 		t.Fatal("no out buffer")
 	}
 	eng.AfterEvent(0, func(any, uint64) { sender.Inject(NewSized(0, 1, 0, 8)) }, nil, 0)
 	eng.Run() // must terminate: the bounded attempt count abandons the send
-	if gotErr == nil {
-		t.Fatal("OnDeliveryError never invoked")
+	if len(nw.Failures()) != 1 {
+		t.Fatalf("network failure log = %v, want one DeliveryError", nw.Failures())
 	}
+	gotErr := nw.Failures()[0]
 	// MaxAttempts=3 bounds retransmissions: 1 original + 3 retransmits.
 	if gotErr.Attempts != 4 {
 		t.Fatalf("attempts = %d, want 4", gotErr.Attempts)
-	}
-	if len(nw.Failures()) != 1 || nw.Failures()[0] != gotErr {
-		t.Fatalf("network failure log = %v", nw.Failures())
 	}
 	if st.DeliveryFailures != 1 || st.Retransmits != 3 {
 		t.Fatalf("failures=%d retransmits=%d, want 1/3", st.DeliveryFailures, st.Retransmits)

@@ -98,9 +98,8 @@ func newFifoEngine(env *Env, hw *fifoHW, e Engine) any {
 //  4. Ring buffering does not involve the processor (Table 2): returned
 //     messages are retried by the NI, not the software, so the composer
 //     un-wires the fifo hardware's OnBounce.
-//  5. The RDMA engine, after the coherent engine: its constructor takes
-//     over the endpoint's OnOutFree (the coherent send side is unused
-//     under an RDMAEngine spec) and wires the one-sided delivery hooks.
+//  5. The RDMA engine, after the coherent engine: its constructor wires
+//     the endpoint's OnOutFree and the one-sided delivery hooks.
 //  6. The overload policy, when the Spec sets one, compiles into the
 //     endpoint's Admit hook (overload.go) — after the engines, so the
 //     occupancy signal reads whichever buffering layer was built.

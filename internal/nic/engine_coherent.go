@@ -37,7 +37,7 @@ type coherent struct {
 	sendRing, recvRing cniRing
 	sendPtr, recvPtr   membus.Addr // cacheable head/tail pointer blocks
 
-	// Send side.
+	// Send side, built only when the spec's send engine is coherent.
 	sendQ       queue[sendEntry]
 	sendWork    *sim.Cond
 	sendSpace   *sim.Cond // ring space freed
@@ -114,9 +114,6 @@ func newCoherent(env *Env, spec Spec, ring ringPolicy, snoopName string) *cohere
 		snoopName:   snoopName,
 		prefetch:    ring.prefetches() && !env.Cfg.DisableCNIPrefetch,
 		throttle:    spec.Throttle,
-		sendWork:    sim.NewCond(env.Eng),
-		sendSpace:   sim.NewCond(env.Eng),
-		outFree:     sim.NewCond(env.Eng),
 		recvWork:    sim.NewCond(env.Eng),
 		recvCond:    sim.NewCond(env.Eng),
 		consumeCond: sim.NewCond(env.Eng),
@@ -135,8 +132,16 @@ func newCoherent(env *Env, spec Spec, ring ringPolicy, snoopName string) *cohere
 		}
 		c.recvWork.Broadcast()
 	}
-	env.EP.OnOutFree = func() { c.outFree.Broadcast() }
-	env.Eng.Spawn(fmt.Sprintf("cni-send-%d", env.ID), c.sendEngine)
+	if spec.Send == CoherentEngine {
+		// Specs that only receive coherently (Memory Channel, RDMA, and
+		// fifo-send cross points) send through another engine, so the
+		// NI-side send machine and its out-buffer hook are left unbuilt.
+		c.sendWork = sim.NewCond(env.Eng)
+		c.sendSpace = sim.NewCond(env.Eng)
+		c.outFree = sim.NewCond(env.Eng)
+		env.EP.OnOutFree = func() { c.outFree.Broadcast() }
+		env.Eng.Spawn(fmt.Sprintf("cni-send-%d", env.ID), c.sendEngine)
+	}
 	env.Eng.Spawn(fmt.Sprintf("cni-recv-%d", env.ID), c.recvEngine)
 	return c
 }
@@ -270,7 +275,6 @@ func (c *coherent) sendEngine(p *sim.Process) {
 				delete(c.fetched, li)
 				continue
 			}
-			c.ring.admitSend(p)
 			c.env.Bus.AccessFrom(p, c, membus.GetS, c.sendRing.addr(li), 0)
 			// The local store of the fetched block lands in the device's
 			// write buffer; reads bypass it, so it neither stalls the engine
@@ -286,7 +290,6 @@ func (c *coherent) sendEngine(p *sim.Process) {
 			tr("engine inject dst=%d blocks=%d", e.m.Dst, e.nb)
 		}
 		c.sendRing.head = e.start + e.nb
-		c.ring.sendDone(e.nb)
 		c.sendSpace.Broadcast()
 	}
 }

@@ -45,10 +45,6 @@ type rdma struct {
 	// page extent pinned so far.
 	pinned map[int]int64
 
-	// pool holds settled put/get frames for reuse; refilled by OnSettled,
-	// so it only cycles on reliable networks.
-	pool []*netsim.Message
-
 	putSink func(m *netsim.Message) // delivery hook for incoming puts
 
 	stagingSeq int
@@ -172,26 +168,19 @@ func newRDMA(env *Env) *rdma {
 	// An RDMAEngine spec never builds the fifo hardware, so the doorbell
 	// register window is unmapped until the engine claims it.
 	env.Bus.MapRange(RegBase, FifoBase, &regsTarget{latency: env.Cfg.NISRAM + env.Cfg.IOBridge})
-	// The composer builds the rdma engine after the coherent engine, whose
-	// send side is unused under an RDMAEngine spec — taking over the
-	// endpoint's single OnOutFree callback is safe.
 	env.EP.OnOutFree = func() { r.outFree.Broadcast() }
+	// Frames come from and return to the endpoint's free list. A frame the
+	// reliability layer sealed (Seq != 0) stays the sender's until it
+	// settles; an unsealed one was forgotten at inject, so once the sink
+	// has copied what it needs the receiver frees it, and symmetric
+	// traffic cycles frames without allocation on unreliable runs too.
 	env.EP.OnPut = func(m *netsim.Message) {
 		r.env.Stats.FragmentsReceived++
 		if r.putSink != nil {
 			r.putSink(m)
 		}
-		// On unreliable networks the frame was forgotten at inject (only
-		// the reliability layer retains frames, Seq != 0, for retransmit
-		// and settles them back to the sender's pool), so once the sink
-		// has copied what it needs the object is dead — adopt it into this
-		// engine's pool. Symmetric traffic then cycles frames without
-		// allocation on unreliable runs too.
 		if m.Seq == 0 {
-			m.Recycle()
-			m.Payload = nil
-			m.PayloadLen = 0
-			r.pool = append(r.pool, m)
+			r.env.EP.FreeFrame(m)
 		}
 	}
 	env.EP.OnGet = func(m *netsim.Message) {
@@ -204,22 +193,15 @@ func newRDMA(env *Env) *rdma {
 			xfer: xfer, n: bytes, sendTime: r.env.Eng.Now(),
 		}})
 		r.work.Broadcast()
-		// As with puts: an unsealed request frame is dead once decoded.
 		if m.Seq == 0 {
-			m.Recycle()
-			m.Payload = nil
-			m.PayloadLen = 0
-			r.pool = append(r.pool, m)
+			r.env.EP.FreeFrame(m)
 		}
 	}
 	env.EP.OnSettled = func(m *netsim.Message) {
 		if r.unsettled > 0 {
 			r.unsettled--
 		}
-		m.Recycle()
-		m.Payload = nil
-		m.PayloadLen = 0
-		r.pool = append(r.pool, m)
+		r.env.EP.FreeFrame(m)
 	}
 	env.Eng.Spawn(fmt.Sprintf("rdma-%d", env.ID), r.engine)
 	return r
@@ -292,7 +274,7 @@ func (r *rdma) Put(pr *proc.Proc, op PutOp) {
 //lint:hotpath
 func (r *rdma) Get(pr *proc.Proc, op GetOp) {
 	r.chargePin(pr, op.Dst, op.Bytes)
-	g := r.frame()
+	g := r.env.EP.TakeFrame()
 	g.Src = r.env.ID
 	g.Dst = op.Dst
 	g.Handler = op.Handler
@@ -314,18 +296,6 @@ func (r *rdma) SetPutSink(fn func(m *netsim.Message)) { r.putSink = fn }
 //
 //lint:hotpath
 func (r *rdma) Settled() bool { return r.unsettled == 0 }
-
-// frame returns a recycled put/get frame, or allocates one on a cold pool.
-//
-//lint:hotpath
-func (r *rdma) frame() *netsim.Message {
-	if n := len(r.pool); n > 0 {
-		f := r.pool[n-1]
-		r.pool = r.pool[:n-1]
-		return f
-	}
-	return &netsim.Message{} //lint:allow noalloc cold-pool frame; reliable runs recycle through OnSettled, and the put alloc gate runs on a reliable rig
-}
 
 // staging returns the next rotating DMA source address.
 func (r *rdma) staging() membus.Addr {
@@ -386,7 +356,7 @@ func (r *rdma) servePut(p *sim.Process, w putWork) {
 			fb = r.frameCap
 		}
 		r.dmaRead(p, fb+netsim.HeaderBytes)
-		f := r.frame()
+		f := r.env.EP.TakeFrame()
 		f.Src = r.env.ID
 		f.Dst = w.dst
 		f.Handler = w.handler

@@ -23,16 +23,11 @@ type ringPolicy interface {
 	// prefetches reports whether this policy's NI stores fetched send
 	// blocks locally, making compose-triggered prefetch worthwhile.
 	prefetches() bool
-	// admitSend gates the NI-side fetch of one send block on policy
-	// storage (the NI send cache's occupancy); may block the engine.
-	admitSend(p *sim.Process)
 	// fetchStored charges the local store of a block the send engine just
 	// fetched.
 	fetchStored()
 	// prefetchStored charges the local store of a prefetched block.
 	prefetchStored()
-	// sendDone releases policy storage after nb blocks were injected.
-	sendDone(nb int64)
 	// deposit moves one accepted message (nb blocks at logical start) into
 	// the receive queue, paying the policy's bus idiom, and reports whether
 	// the blocks are resident in an NI cache.
@@ -79,11 +74,9 @@ func (r *memRing) install(c *coherent) {
 	c.recvPtr = QmPtrBase + membus.BlockSize
 }
 
-func (r *memRing) prefetches() bool         { return false }
-func (r *memRing) admitSend(p *sim.Process) {}
-func (r *memRing) fetchStored()             {}
-func (r *memRing) prefetchStored()          {}
-func (r *memRing) sendDone(nb int64)        {}
+func (r *memRing) prefetches() bool { return false }
+func (r *memRing) fetchStored()     {}
+func (r *memRing) prefetchStored()  {}
 
 func (r *memRing) deposit(p *sim.Process, start, nb int64) bool {
 	c := r.c
@@ -121,11 +114,9 @@ func (r *niRing) install(c *coherent) {
 	c.env.Bus.MapRange(NIQSendBase, DeviceLimit, r.qmem)
 }
 
-func (r *niRing) prefetches() bool         { return true }
-func (r *niRing) admitSend(p *sim.Process) {}
-func (r *niRing) fetchStored()             {}
-func (r *niRing) prefetchStored()          { r.qmem.Claim() }
-func (r *niRing) sendDone(nb int64)        {}
+func (r *niRing) prefetches() bool { return true }
+func (r *niRing) fetchStored()     {}
+func (r *niRing) prefetchStored()  { r.qmem.Claim() }
 
 func (r *niRing) deposit(p *sim.Process, start, nb int64) bool {
 	c := r.c
@@ -154,8 +145,6 @@ func (r *niRing) recordConsume(inCache bool, nb int64) {}
 type cachedRing struct {
 	c                  *coherent
 	sendSRAM, recvSRAM *mainmem.Memory
-	sendDrain          *sim.Cond      // NI send-cache space freed
-	cacheLiveS         int64          // live blocks in the NI send cache
 	liveRecv           map[int64]bool // logical recv blocks resident in the NI cache
 	cacheLiveR         int64          // NI's view of occupied receive-cache blocks
 }
@@ -168,29 +157,13 @@ func (r *cachedRing) install(c *coherent) {
 	c.recvPtr = QmPtrBase + membus.BlockSize
 	r.sendSRAM = mainmem.New("cni-send-cache", c.env.Cfg.NISRAM, c.env.Eng)
 	r.recvSRAM = mainmem.New("cni-recv-cache", c.env.Cfg.NISRAM, c.env.Eng)
-	r.sendDrain = sim.NewCond(c.env.Eng)
 	r.liveRecv = make(map[int64]bool)
 }
 
 func (r *cachedRing) prefetches() bool { return true }
 
-func (r *cachedRing) admitSend(p *sim.Process) {
-	for r.cacheLiveS+1 > int64(r.c.env.Cfg.CNICacheBlocks) {
-		r.sendDrain.Wait(p)
-	}
-	r.cacheLiveS++
-}
-
 func (r *cachedRing) fetchStored()    { r.sendSRAM.Claim() }
 func (r *cachedRing) prefetchStored() { r.sendSRAM.Claim() }
-
-func (r *cachedRing) sendDone(nb int64) {
-	r.cacheLiveS -= nb
-	if r.cacheLiveS < 0 {
-		r.cacheLiveS = 0
-	}
-	r.sendDrain.Broadcast()
-}
 
 func (r *cachedRing) deposit(p *sim.Process, start, nb int64) bool {
 	c := r.c

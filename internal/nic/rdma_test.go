@@ -235,9 +235,9 @@ func TestRDMARegistrationAmortized(t *testing.T) {
 }
 
 // TestRDMAPutAllocFree is the allocation gate for the one-sided hot path:
-// once the frame pool is warm (reliable settlement refills it), a complete
-// put round — descriptor post, doorbell, NI DMA, frame injection, one-sided
-// delivery, ack, settle, recycle — must not allocate.
+// once the endpoint's frame free list is warm (reliable settlement refills
+// it), a complete put round — descriptor post, doorbell, NI DMA, frame
+// injection, one-sided delivery, ack, settle, free — must not allocate.
 func TestRDMAPutAllocFree(t *testing.T) {
 	r := newTwoNodesNet(t, rdmaSpec(), 8, reliableNet(), nil)
 	sender := r.nis[0].(RDMACapable).RDMA()

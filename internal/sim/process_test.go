@@ -4,7 +4,24 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
+
+// settledGoroutines returns runtime.NumGoroutine once the count has held
+// still for several consecutive samples, so that a goroutine an earlier
+// test left exiting (its test runner's, say) does not enter a baseline.
+func settledGoroutines() int {
+	n, still := runtime.NumGoroutine(), 0
+	for i := 0; still < 5 && i < 1000; i++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
+}
 
 func TestProcessSleep(t *testing.T) {
 	e := NewEngine()
@@ -186,7 +203,7 @@ func TestBlockedAccounting(t *testing.T) {
 }
 
 func TestDrainKillsParked(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 	e := NewEngine()
 	reached := false
 	deferred := 0
@@ -215,7 +232,7 @@ func TestDrainKillsParked(t *testing.T) {
 // again during the unwind: the second suspend must unwind too instead of
 // hanging Drain or escaping it.
 func TestDrainDeferBlocks(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 	e := NewEngine()
 	deferred, after := 0, 0
 	e.Spawn("blocker", func(p *Process) {
@@ -237,7 +254,7 @@ func TestDrainDeferBlocks(t *testing.T) {
 }
 
 func TestDrainSpawnOrder(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 	e := NewEngine()
 	var killed []string
 	for i, name := range []string{"a", "b", "c", "d", "e"} {
@@ -272,7 +289,7 @@ func TestDrainSpawnOrder(t *testing.T) {
 // Run with the same value and leaves the process retired.
 func TestProcessPanicEscapesRun(t *testing.T) {
 	type boom struct{ at Time }
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 	e := NewEngine()
 	p := e.Spawn("crasher", func(p *Process) {
 		p.Sleep(5 * Nanosecond)

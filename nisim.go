@@ -65,7 +65,9 @@ func RunAppScaled(cfg Config, app string, scale float64) (Result, error) {
 	return newResult(st), nil
 }
 
-// Message is an application message delivered to a handler.
+// Message is an application message delivered to a handler. The handler
+// owns it: Payload is the handler's own copy of the bytes, so it may be
+// kept after the handler returns.
 type Message struct {
 	// Src is the sending node.
 	Src int
@@ -105,7 +107,13 @@ func (n *Node) Register(id int, h func(n *Node, m Message)) {
 		panic(fmt.Sprintf("nisim: handler id %d is reserved", id))
 	}
 	n.n.EP.Register(id, func(ep *msglayer.Endpoint, m *msglayer.Message) {
-		h(n, Message{Src: m.Src, Handler: m.Handler, Payload: m.Payload, Len: m.PayloadLen, Arg: m.Arg})
+		// The messaging layer only lends its payload for the handler's
+		// duration; a Message owns its bytes.
+		var payload []byte
+		if m.Payload != nil {
+			payload = append([]byte{}, m.Payload...)
+		}
+		h(n, Message{Src: m.Src, Handler: m.Handler, Payload: payload, Len: m.PayloadLen, Arg: m.Arg})
 	})
 }
 

@@ -69,6 +69,34 @@ func TestRunCustomProgram(t *testing.T) {
 	}
 }
 
+// TestHandlerKeepsPayload holds the Payload of two successive SendBytes
+// messages past their handlers and finds both intact: a Message owns its
+// bytes, though the messaging layer reuses its reassembly buffers.
+func TestHandlerKeepsPayload(t *testing.T) {
+	const h = 1
+	sent := [][]byte{[]byte("first message"), []byte("second one")}
+	var kept [][]byte
+	_, err := Run(Config{Nodes: 2, NI: CNI32Qm}, func(n *Node) {
+		n.Register(h, func(n *Node, m Message) { kept = append(kept, m.Payload) })
+		if n.ID() == 0 {
+			for _, p := range sent {
+				n.SendBytes(1, h, p, 0)
+			}
+		} else {
+			n.WaitUntil(func() bool { return len(kept) == len(sent) })
+		}
+		n.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range sent {
+		if !bytes.Equal(kept[i], p) {
+			t.Fatalf("message %d payload = %q, want %q", i, kept[i], p)
+		}
+	}
+}
+
 func TestMicrobenchHelpers(t *testing.T) {
 	rtt, err := RoundTripMicros(CNI32Qm, 8, 8)
 	if err != nil {
