@@ -38,7 +38,7 @@ var ciArgs = map[string][]string{
 
 // canonical reads the report a run wrote to path, checks its header and
 // that no cell failed outside the watchdog, and returns its canonical
-// (timing-stripped) JSON.
+// JSON, stripped of timing and of the source revision.
 func canonical(t *testing.T, name, path string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(path)
@@ -59,6 +59,7 @@ func canonical(t *testing.T, name, path string) []byte {
 			t.Errorf("%s: timed_out=%v err=%q", r.ID, r.TimedOut, r.Err)
 		}
 	}
+	rep.GitRev = ""
 	canon, err := rep.Canonical().MarshalIndentJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -126,6 +127,24 @@ func TestGridIdentity(t *testing.T) {
 		if !registered(name) {
 			t.Errorf("ciArgs names %s, which is not a registered grid", name)
 		}
+	}
+}
+
+// TestChaosResultsFresh reruns the chaos grid at -quick, the size `make
+// results` commits, and checks that its results equal the committed
+// chaos_results.json. The grid runs every named spec, all three ring
+// bufferings and the RDMA protocol grid, so a change to simulated behaviour
+// that forgot to regenerate the artifact fails here.
+func TestChaosResultsFresh(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chaos.json")
+	var stdout, stderr bytes.Buffer
+	if status := runGrid("chaos", []string{"-quick", "-json", path}, &stdout, &stderr); status != 0 {
+		t.Fatalf("nisim chaos -quick: exit %d: %s", status, stderr.String())
+	}
+	fresh := canonical(t, "chaos", path)
+	committed := canonical(t, "chaos", filepath.Join("..", "..", "chaos_results.json"))
+	if !bytes.Equal(fresh, committed) {
+		t.Errorf("chaos -quick results differ from the committed chaos_results.json; regenerate it with `make results`")
 	}
 }
 

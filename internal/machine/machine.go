@@ -240,15 +240,6 @@ func build(cfg Config, shards int) *Machine {
 		node.EP = msglayer.New(pr, ni, ep, cfg.Msg)
 		m.Nodes = append(m.Nodes, node)
 	}
-	// Wire peer-NI identity resolution for send-throttled NIs. The lookup
-	// carries no synchronous state access — credit returns ride the message
-	// layer with one network latency of lag (nic.PeerAware) — so throttled
-	// specs partition as freely as every other design point.
-	for _, n := range m.Nodes {
-		if pa, ok := n.NI.(nic.PeerAware); ok {
-			pa.SetPeerLookup(func(id int) nic.NI { return m.Nodes[id].NI })
-		}
-	}
 	if !cfg.Faults.Zero() {
 		inj := faults.New(cfg.Faults)
 		// Fork every per-endpoint fault stream up front: stream creation is

@@ -217,6 +217,48 @@ func TestRendezvousUnderFaults(t *testing.T) {
 	}
 }
 
+// TestRendezvousDuplicatesUnreliable duplicates frames on a network without
+// the reliability layer. The receiver frees each unsealed frame on its
+// first arrival and may reuse it for its own next send before the
+// duplicate lands, so the duplicate must arrive on its own frame: sharing
+// one frame once sent the reused frame back to its new sender ("message to
+// self") or delivered it with rewritten fields.
+func TestRendezvousDuplicatesUnreliable(t *testing.T) {
+	m := rdvMachine(512, func(cfg *machine.Config) {
+		cfg.Faults = faults.Config{Seed: 42, Duplicate: 0.05}
+	})
+	const h, count = 1, 25
+	delivered, corrupted := 0, 0
+	for _, n := range m.Nodes {
+		n.EP.Register(h, func(ep *msglayer.Endpoint, msg *msglayer.Message) {
+			delivered++
+			if len(msg.Payload) != 2000 || !bytes.Equal(msg.Payload, bytes.Repeat([]byte{0x5A}, 2000)) {
+				corrupted++
+			}
+		})
+	}
+	payload := bytes.Repeat([]byte{0x5A}, 2000)
+	st := m.Run(func(n *machine.Node) {
+		if n.ID == 0 {
+			for i := 0; i < count; i++ {
+				n.EP.SendBytes(1, h, payload, 0)
+			}
+		} else {
+			n.EP.WaitUntil(func() bool { return delivered >= count })
+		}
+		n.Barrier()
+	})
+	if delivered != count {
+		t.Fatalf("delivered %d messages, want exactly %d", delivered, count)
+	}
+	if corrupted != 0 {
+		t.Fatalf("%d messages arrived with wrong bytes", corrupted)
+	}
+	if dups := st.Total().FaultDuplicates; dups == 0 {
+		t.Fatal("no frame was duplicated")
+	}
+}
+
 func TestRendezvousHandlersMaySend(t *testing.T) {
 	// A rendezvous handler that replies with another rendezvous transfer
 	// exercises handshake reentrancy inside dispatch context.

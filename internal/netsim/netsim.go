@@ -312,6 +312,9 @@ func msgAckTimeout(recv any, _ uint64) { m := recv.(*Message); m.net.eps[m.Src].
 func epReleaseOut(recv any, _ uint64) { recv.(*Endpoint).releaseOut() }
 
 //lint:hotpath
+func epControl(recv any, arg uint64) { recv.(*Endpoint).OnControl(arg) }
+
+//lint:hotpath
 func epNotifyOutFree(recv any, _ uint64) {
 	ep := recv.(*Endpoint)
 	if ep.OnOutFree != nil {
@@ -337,18 +340,17 @@ func (ep *Endpoint) post(dst int, at sim.Time, h sim.Handler, recv any, arg uint
 	r.Post(ep.id, dst, at, ep.eng.Now(), ep.postSeq, h, recv, arg)
 }
 
-// PostControl schedules the typed control event h(recv, arg) one network
-// latency from now on the engine owning node dst, stamped with this
-// endpoint's post sequence so its ordering against data traffic is
-// deterministic. It is the NI layer's seam for cross-node control
-// exchange that must not ride shared Go state — the throttled coherent
-// NI's credit return uses it — and the fixed one-latency lag is what
-// satisfies the conservative-lookahead contract that makes partitioned
-// windows safe (DESIGN.md §10).
+// PostControl delivers arg to dst's OnControl hook one network latency
+// from now, on the engine owning dst, stamped with this endpoint's post
+// sequence so its ordering against data traffic is deterministic. It is the
+// NI layer's seam for cross-node control exchange that must not ride shared
+// Go state — the throttled coherent NI's credit return uses it — and the
+// fixed one-latency lag is what satisfies the conservative-lookahead
+// contract that makes partitioned windows safe (DESIGN.md §10).
 //
 //lint:hotpath
-func (ep *Endpoint) PostControl(dst int, h sim.Handler, recv any, arg uint64) {
-	ep.post(dst, ep.eng.Now()+ep.net.cfg.Latency, h, recv, arg)
+func (ep *Endpoint) PostControl(dst int, arg uint64) {
+	ep.post(dst, ep.eng.Now()+ep.net.cfg.Latency, epControl, ep.net.eps[dst], arg)
 }
 
 // crossShard reports whether node dst lives on a different shard than this
@@ -436,6 +438,9 @@ type Endpoint struct {
 	// OnOutFree, if non-nil, is invoked whenever an outgoing buffer frees
 	// (for NI-managed send queues that drain as credits return).
 	OnOutFree func()
+	// OnControl receives the arg of every PostControl addressed to this
+	// endpoint. It runs in network-event context on this endpoint's engine.
+	OnControl func(arg uint64)
 	// OnBounce, if non-nil, is invoked when a message is returned to this
 	// sender, and the NI takes over the retry — for processor-managed NIs,
 	// software must notice the returned message and re-push it (the
@@ -477,6 +482,9 @@ type Endpoint struct {
 
 // ID returns the endpoint's node id.
 func (ep *Endpoint) ID() int { return ep.id }
+
+// Nodes returns the number of endpoints on the network.
+func (ep *Endpoint) Nodes() int { return len(ep.net.eps) }
 
 // Buffers returns the configured flow-control buffer count per direction.
 func (ep *Endpoint) Buffers() int { return ep.bufs }
@@ -662,6 +670,9 @@ func (ep *Endpoint) Inject(m *Message) {
 		if v.Duplicate {
 			if ep.Stats != nil {
 				ep.Stats.FaultDuplicates++
+			}
+			if !ep.net.cfg.Reliability.Enabled {
+				arr = ep.dupFrame(arr)
 			}
 			ep.post(m.Dst, arriveAt+ep.net.serialization(m.Size()), msgArrive, arr, 0)
 		}

@@ -219,6 +219,20 @@ func (m *Message) corruptedCopy(bitPos uint64) *Message {
 	return &c
 }
 
+// dupFrame returns the second arrival of a duplicated unreliable message:
+// a copy of m on a frame from this endpoint's free list. The receiver owns
+// an unsealed frame once it arrives and may free and reuse it before the
+// duplicate lands, so each arrival must own its own frame. Under the
+// reliability layer both arrivals share the sender-owned original, which
+// no receiver frees.
+func (ep *Endpoint) dupFrame(m *Message) *Message {
+	d := ep.TakeFrame()
+	*d = *m
+	d.scratch = nil
+	d.next = nil
+	return d
+}
+
 // SetFaultPlane installs plane on every endpoint (nil restores lossless
 // behavior). Per-endpoint planes can instead be set via Endpoint.Fault.
 func (nw *Network) SetFaultPlane(plane FaultPlane) {

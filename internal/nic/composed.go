@@ -93,8 +93,9 @@ func newFifoEngine(env *Env, hw *fifoHW, e Engine) any {
 //     one instance — the UDMA engine's staging rotation is per-device
 //     state, not per-direction.
 //  3. The coherent engine, for ring-buffered specs. Its constructor
-//     overrides OnAccept (receive is the coherent side) and spawns the
-//     NI-side state machines.
+//     builds the ring store's device memories before it attaches to the
+//     bus, overrides OnAccept (receive is the coherent side), wires
+//     OnControl when throttled, and spawns the NI-side state machines.
 //  4. Ring buffering does not involve the processor (Table 2): returned
 //     messages are retried by the NI, not the software, so the composer
 //     un-wires the fifo hardware's OnBounce.
@@ -122,8 +123,7 @@ func compose(spec Spec, kind Kind, env *Env) *composed {
 		x.recv = newFifoEngine(env, x.hw, spec.Recv).(recvEngine)
 	}
 	if spec.Buffering != FifoVM {
-		name := spec.Name()
-		x.coh = newCoherent(env, spec, newRingPolicy(spec.Buffering), name)
+		x.coh = newCoherent(env, spec)
 		if x.hw != nil {
 			env.EP.OnBounce = nil
 		}
@@ -262,20 +262,4 @@ func (x *composed) RDMA() RDMA {
 		return nil
 	}
 	return x.rdma
-}
-
-// SetPeerLookup implements PeerAware: peer-NI identity resolution for the
-// coherent engine's software credit scheme (CNI_32Q_m+Throttle), whose
-// credit returns are addressed to the sending NI's ledger. A no-op for
-// specs without a coherent side.
-func (x *composed) SetPeerLookup(fn func(node int) NI) {
-	if x.coh == nil {
-		return
-	}
-	x.coh.peerFn = func(node int) *coherent {
-		if p, ok := fn(node).(*composed); ok {
-			return p.coh
-		}
-		return nil
-	}
 }

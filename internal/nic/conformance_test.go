@@ -45,11 +45,6 @@ func newTwoNodesNet(t *testing.T, spec Spec, bufs int, netCfg netsim.Config, mut
 		r.procs[i] = pr
 		r.nodes[i] = st
 	}
-	for i := range r.nis {
-		if pa, ok := r.nis[i].(PeerAware); ok {
-			pa.SetPeerLookup(func(id int) NI { return r.nis[id] })
-		}
-	}
 	return r
 }
 

@@ -3,6 +3,7 @@ package nic
 import (
 	"fmt"
 
+	"nisim/internal/mainmem"
 	"nisim/internal/membus"
 	"nisim/internal/netsim"
 	"nisim/internal/proc"
@@ -20,15 +21,13 @@ import (
 //
 // Where queue storage lives — and therefore what bus idiom each deposited
 // block pays, when the cache bypasses, and how dead blocks are reclaimed —
-// is the buffering policy's business: coherent drives the generic queue
-// machinery and delegates those decisions to its ringPolicy (policy_ring.go).
+// is the ring store's data (ring.go), set from the Spec's buffering.
 //
-// The NI-homed and NI-cached policies also prefetch send blocks: observing
+// The NI-homed and NI-cached rings also prefetch send blocks: observing
 // the processor's request-for-exclusive on block k+1 of a message triggers
 // a fetch of block k, overlapping message creation with transfer.
 type coherent struct {
 	env       *Env
-	ring      ringPolicy
 	snoopName string
 
 	prefetch bool
@@ -37,93 +36,68 @@ type coherent struct {
 	sendRing, recvRing cniRing
 	sendPtr, recvPtr   membus.Addr // cacheable head/tail pointer blocks
 
+	// The ring store (ring.go): the bus idiom of a deposited block and its
+	// trace name, the device memories a fetched and a prefetched send
+	// block are stored in (nil: none is charged), and the NI cache, which
+	// only NICachedRing has.
+	depositKind               membus.Kind
+	depositMode               string
+	fetchStore, prefetchStore *mainmem.Memory
+	cache                     *niCache
+
 	// Send side, built only when the spec's send engine is coherent.
-	sendQ       queue[sendEntry]
-	sendWork    *sim.Cond
-	sendSpace   *sim.Cond // ring space freed
-	outFree     *sim.Cond // network out-buffer freed
-	fetched     map[int64]bool
-	composeTail int64 // logical tail reserved by in-progress composes
-	doorbelled  int64 // logical tail covered by doorbells
+	sendQ      queue[ringEntry]
+	sendWork   *sim.Cond
+	sendSpace  *sim.Cond // ring space freed
+	outFree    *sim.Cond // network out-buffer freed
+	doorbelled int64     // logical tail covered by doorbells
+	// fetched marks send blocks the NI already holds, indexed by logical
+	// block modulo the ring capacity: marks lie between the send ring's
+	// head and tail, at most one capacity apart.
+	fetched []bool
 
 	// Receive side.
 	acceptQ     msgQueue
 	recvWork    *sim.Cond
-	deliverable queue[recvEntry]
+	deliverable queue[ringEntry]
 	recvCond    *sim.Cond
 	consumeCond *sim.Cond
-	unconsumed  int64 // blocks accepted into the receive queue, not yet consumed
 
 	// Send throttling (CNI_32Q_m+Throttle): a software credit scheme that
-	// keeps, per destination, no more unconsumed blocks outstanding than the
-	// receiver's NI cache holds. outstanding is the sender-side ledger;
-	// consume at the receiver returns the credit as a control message that
-	// lands here one network latency later (creditReturn).
-	outstanding  map[int]int64
+	// keeps, per destination node, no more unconsumed blocks outstanding
+	// than the receiver's NI cache holds. outstanding is the sender-side
+	// ledger, indexed by node; retiring a message at the receiver returns
+	// the credit as a control post that lands here one network latency
+	// later (creditReturn).
+	outstanding  []int64
 	throttleCond *sim.Cond
-
-	// peerFn resolves the coherent engine at another node — identity only,
-	// to learn whether the sender throttles and to address its ledger; no
-	// peer state is ever read or written synchronously. Set by the machine
-	// layer through the composed NI's SetPeerLookup.
-	peerFn func(node int) *coherent
 }
 
-// cniRing is a queue of 64-byte blocks with monotonically increasing
-// logical head/tail indices mapped onto a fixed physical ring.
-type cniRing struct {
-	base membus.Addr
-	cap  int64 // capacity in blocks
-	head int64 // first live block
-	tail int64 // first free block
-}
-
-func (r *cniRing) addr(logical int64) membus.Addr {
-	return r.base + membus.Addr(logical%r.cap)*membus.BlockSize
-}
-
-func (r *cniRing) contains(a membus.Addr) bool {
-	return a >= r.base && a < r.base+membus.Addr(r.cap)*membus.BlockSize
-}
-
-// logicalAt maps a physical block address to the most recent logical index
-// at or below limit-1 that aliases it.
-func (r *cniRing) logicalAt(a membus.Addr, limit int64) int64 {
-	idx := int64(a-r.base) / membus.BlockSize
-	last := limit - 1
-	return last - ((last-idx)%r.cap+r.cap)%r.cap
-}
-
-type sendEntry struct {
-	m     *netsim.Message
-	start int64
-	nb    int64
-}
-
-type recvEntry struct {
+// ringEntry is one queued message: nb blocks of a ring from logical start.
+type ringEntry struct {
 	m       *netsim.Message
 	start   int64
 	nb      int64
-	inCache bool // resident in the NI receive cache (NICachedRing)
+	inCache bool // receive blocks resident in the NI cache (NICachedRing)
 }
 
-func newCoherent(env *Env, spec Spec, ring ringPolicy, snoopName string) *coherent {
+func newCoherent(env *Env, spec Spec) *coherent {
 	c := &coherent{
 		env:         env,
-		ring:        ring,
-		snoopName:   snoopName,
-		prefetch:    ring.prefetches() && !env.Cfg.DisableCNIPrefetch,
+		snoopName:   spec.Name(),
 		throttle:    spec.Throttle,
 		recvWork:    sim.NewCond(env.Eng),
 		recvCond:    sim.NewCond(env.Eng),
 		consumeCond: sim.NewCond(env.Eng),
-		fetched:     make(map[int64]bool),
 	}
 	if c.throttle {
-		c.outstanding = make(map[int]int64)
+		c.outstanding = make([]int64, env.EP.Nodes())
 		c.throttleCond = sim.NewCond(env.Eng)
+		env.EP.OnControl = c.creditReturn
 	}
-	ring.install(c)
+	c.installRings(spec.Buffering)
+	c.prefetch = c.prefetchStore != nil && !env.Cfg.DisableCNIPrefetch
+	c.fetched = make([]bool, c.sendRing.cap)
 	env.Bus.AttachSnooper(c)
 	env.EP.OnAccept = func(m *netsim.Message) {
 		c.acceptQ.push(m)
@@ -149,14 +123,13 @@ func newCoherent(env *Env, spec Spec, ring ringPolicy, snoopName string) *cohere
 // SnooperName implements membus.Snooper.
 func (c *coherent) SnooperName() string { return c.snoopName }
 
-// Snoop implements membus.Snooper: let the buffering policy supply
-// receive-queue blocks it holds, and watch the send queue for prefetch
-// opportunities.
+// Snoop implements membus.Snooper: let the NI cache supply receive-queue
+// blocks it holds, and watch the send queue for prefetch opportunities.
 func (c *coherent) Snoop(t *membus.Transaction) membus.SnoopReply {
 	switch t.Kind { //lint:allow exhaustive NI rings react only to reads and ownership requests; other snooped kinds pass unanswered
 	case membus.GetS:
-		if reply, ok := c.ring.snoopSupply(t.Addr); ok {
-			return reply
+		if c.cache != nil {
+			return c.cacheSupply(t.Addr)
 		}
 	case membus.GetX, membus.Upgrade:
 		if c.sendRing.contains(t.Addr) {
@@ -171,26 +144,26 @@ func (c *coherent) Snoop(t *membus.Transaction) membus.SnoopReply {
 // and, with prefetch enabled, start fetching the previous block of the
 // message being composed.
 func (c *coherent) snoopCompose(a membus.Addr) {
-	li := c.sendRing.logicalAt(a, c.composeTail)
-	if c.fetched[li] {
-		delete(c.fetched, li)
+	li := c.sendRing.logicalAt(a, c.sendRing.tail)
+	if c.fetched[li%c.sendRing.cap] {
+		c.fetched[li%c.sendRing.cap] = false
 		c.env.Stats.Refetches++
 	}
 	if !c.prefetch {
 		return
 	}
 	prev := li - 1
-	if prev < c.doorbelled || c.fetched[prev] {
+	if prev < c.doorbelled || c.fetched[prev%c.sendRing.cap] {
 		return
 	}
-	c.fetched[prev] = true
+	c.fetched[prev%c.sendRing.cap] = true
 	c.env.Stats.Prefetches++
 	c.env.Bus.Issue(c, membus.GetS, c.sendRing.addr(prev), 0, prefetchDone, c)
 }
 
 // prefetchDone is the completion hook of a send-queue prefetch: the
 // fetched block's local store.
-func prefetchDone(recv any, _ uint64) { recv.(*coherent).ring.prefetchStored() }
+func prefetchDone(recv any, _ uint64) { recv.(*coherent).prefetchStore.Claim() }
 
 // send is the processor side of a coherent transmit: compose the message
 // into cacheable queue memory and ring the doorbell; the NI manages the
@@ -209,21 +182,13 @@ func (c *coherent) send(pr *proc.Proc, m *netsim.Message) {
 	}
 	start := c.sendRing.tail
 	c.sendRing.tail += nb
-	c.composeTail = c.sendRing.tail
-
-	remaining := m.Size()
 	for i := int64(0); i < nb; i++ {
-		chunk := remaining
-		if chunk > membus.BlockSize {
-			chunk = membus.BlockSize
-		}
-		pr.CachedWrite(stats.Transfer, c.sendRing.addr(start+i), chunk)
-		remaining -= chunk
+		pr.CachedWrite(stats.Transfer, c.sendRing.addr(start+i), blockBytes(m, i))
 	}
 	// Lazy tail-pointer update (cacheable) — the doorbell.
 	pr.CachedWrite(stats.Transfer, c.sendPtr, 8)
 	c.doorbelled = c.sendRing.tail
-	c.sendQ.push(sendEntry{m: m, start: start, nb: nb})
+	c.sendQ.push(ringEntry{m: m, start: start, nb: nb})
 	if tr := c.env.Trace; tr != nil {
 		tr("engine compose dst=%d blocks=%d ring=[%d,%d)", m.Dst, nb, c.sendRing.head, c.sendRing.tail)
 	}
@@ -233,31 +198,30 @@ func (c *coherent) send(pr *proc.Proc, m *netsim.Message) {
 // throttleWait models CNI_32Q_m+Throttle: a software credit scheme holds
 // the sender until the receiver's NI cache has room for the message, so the
 // receiver keeps consuming from fast NI SRAM instead of overflowing to main
-// memory. Credits return when the receiver consumes (see consume).
+// memory. Credits return when the receiver retires the message (retire).
 func (c *coherent) throttleWait(pr *proc.Proc, m *netsim.Message, nb int64) {
 	for c.outstanding[m.Dst]+nb > int64(c.env.Cfg.CNICacheBlocks) {
 		c.throttleCond.WaitAs(pr.P, stats.Buffering)
 	}
-	c.outstanding[m.Dst] += nb //lint:allow noalloc per-destination credit map is sized by node count at warm-up; steady-state writes hit existing buckets
+	c.outstanding[m.Dst] += nb
 }
 
-// Credit-return messages pack (consuming node, blocks) into the event arg.
+// Credit returns pack (retiring node, blocks) into the control arg.
 const (
 	creditNodeShift = 32
 	creditBlockMask = 1<<creditNodeShift - 1
 )
 
-// creditReturn is the typed handler for a throttle credit arriving back at
-// the sending NI, one network latency after the receiver consumed: arg
-// packs the consuming node's id and the number of blocks freed. It runs on
-// the sender's own engine (netsim routes it across the partition seam when
-// the two nodes live on different shards), so the ledger write and the
-// wakeup stay shard-local.
+// creditReturn is the endpoint's control hook on a throttled NI: a credit
+// arriving back at the sender one network latency after the receiver
+// retired the message. arg packs the receiving node's id and the number of
+// blocks freed. It runs on the sender's own engine (netsim routes it across
+// the partition seam when the two nodes live on different shards), so the
+// ledger write and the wakeup stay shard-local.
 //
 //lint:hotpath
-func creditReturn(recv any, arg uint64) {
-	c := recv.(*coherent)
-	c.outstanding[int(arg>>creditNodeShift)] -= int64(arg & creditBlockMask) //lint:allow noalloc credit return writes an existing per-node bucket, warmed at first send
+func (c *coherent) creditReturn(arg uint64) {
+	c.outstanding[arg>>creditNodeShift] -= int64(arg & creditBlockMask)
 	c.throttleCond.Broadcast()
 }
 
@@ -271,8 +235,8 @@ func (c *coherent) sendEngine(p *sim.Process) {
 		e := c.sendQ.pop()
 		for i := int64(0); i < e.nb; i++ {
 			li := e.start + i
-			if c.fetched[li] {
-				delete(c.fetched, li)
+			if c.fetched[li%c.sendRing.cap] {
+				c.fetched[li%c.sendRing.cap] = false
 				continue
 			}
 			c.env.Bus.AccessFrom(p, c, membus.GetS, c.sendRing.addr(li), 0)
@@ -280,7 +244,9 @@ func (c *coherent) sendEngine(p *sim.Process) {
 			// write buffer; reads bypass it, so it neither stalls the engine
 			// nor delays subsequent reads. Only the SRAM caches, being
 			// single-ported, charge their occupancy.
-			c.ring.fetchStored()
+			if c.fetchStore != nil {
+				c.fetchStore.Claim()
+			}
 		}
 		for !c.env.EP.TryAcquireOut() {
 			c.outFree.Wait(p)
@@ -296,7 +262,7 @@ func (c *coherent) sendEngine(p *sim.Process) {
 
 // recvEngine is the NI-side receive state machine: move each accepted
 // message from its incoming flow-control buffer into the receive queue; the
-// buffering policy decides where the blocks land.
+// ring store decides where the blocks land.
 func (c *coherent) recvEngine(p *sim.Process) {
 	for {
 		for c.acceptQ.len() == 0 {
@@ -310,17 +276,16 @@ func (c *coherent) recvEngine(p *sim.Process) {
 		}
 		start := c.recvRing.tail
 		c.recvRing.tail += nb
-		c.unconsumed += nb
-		inCache := c.ring.deposit(p, start, nb)
+		inCache := c.deposit(p, start, nb)
 		c.env.EP.ReleaseIn()
-		c.deliverable.push(recvEntry{m: m, start: start, nb: nb, inCache: inCache})
+		c.deliverable.push(ringEntry{m: m, start: start, nb: nb, inCache: inCache})
 		c.recvCond.Broadcast()
 	}
 }
 
 // poll is a sense-reverse poll: a cached read of the head block — a 1-cycle
 // cache hit while nothing has arrived, a coherent fetch (from the NI cache,
-// NI memory, or DRAM, depending on the buffering policy) when the NI has
+// NI memory, or DRAM, depending on the ring store) when the NI has
 // deposited a message there.
 func (c *coherent) poll(pr *proc.Proc) (*netsim.Message, bool) {
 	if c.deliverable.len() == 0 {
@@ -346,42 +311,44 @@ func (c *coherent) recv(pr *proc.Proc) *netsim.Message {
 func (c *coherent) consume(pr *proc.Proc) *netsim.Message {
 	e := c.deliverable.pop()
 	m := e.m
-
-	remaining := m.Size()
 	for i := int64(0); i < e.nb; i++ {
-		chunk := remaining
-		if chunk > membus.BlockSize {
-			chunk = membus.BlockSize
-		}
-		pr.CachedRead(stats.Transfer, c.recvRing.addr(e.start+i), chunk)
-		remaining -= chunk
+		pr.CachedRead(stats.Transfer, c.recvRing.addr(e.start+i), blockBytes(m, i))
 	}
 	// Copy payload into the user buffer: one store per 8 bytes.
 	pr.Work(stats.Transfer, int64((m.Size()+7)/8))
 	// Lazy head-pointer update (cacheable).
 	pr.CachedWrite(stats.Transfer, c.recvPtr, 8)
 
-	c.recvRing.head = e.start + e.nb
-	c.unconsumed -= e.nb
-	if c.peerFn != nil {
-		if sender := c.peerFn(m.Src); sender != nil && sender.throttle {
-			// The credit rides back to the sender as a control message, one
-			// network latency out — the same lag as an ack — rather than a
-			// same-instant write into the peer NI's ledger. On a partitioned
-			// machine the sender may live on another shard, so the only
-			// legal channel is the message seam (DESIGN.md §10.1); keeping
-			// the identical lag on the serial engine keeps serial and
-			// sharded runs byte-identical.
-			c.env.EP.PostControl(m.Src, creditReturn, sender, uint64(c.env.ID)<<creditNodeShift|uint64(e.nb))
-			// The consume carries a head update, so the NI can reclaim dead
-			// blocks without waiting for a flush.
-			c.ring.reclaim()
-		}
-	}
-	c.ring.recordConsume(e.inCache, e.nb)
-	c.consumeCond.Broadcast()
+	c.retire(e)
 	recordRecv(c.env, m)
 	return m
+}
+
+// retire frees the receive-queue blocks of e, the oldest entry, once the
+// processor consumed it or the overload policy evicted it.
+func (c *coherent) retire(e ringEntry) {
+	c.recvRing.head = e.start + e.nb
+	if c.throttle {
+		// Every node is built from one Spec, so the sender throttles too.
+		// The credit rides back to it as a control post, one network
+		// latency out — the same lag as an ack — rather than a
+		// same-instant write into its ledger. On a partitioned machine the
+		// sender may live on another shard, so the only legal channel is
+		// the message seam (DESIGN.md §10.1); keeping the identical lag on
+		// the serial engine keeps serial and sharded runs byte-identical.
+		c.env.EP.PostControl(e.m.Src, uint64(c.env.ID)<<creditNodeShift|uint64(e.nb))
+		// The head moved, so the NI can reclaim dead blocks without
+		// waiting for a bypass.
+		c.reclaim()
+	}
+	if c.cache != nil {
+		if e.inCache {
+			c.env.Stats.NICacheHits += e.nb
+		} else {
+			c.env.Stats.NICacheMisses += e.nb
+		}
+	}
+	c.consumeCond.Broadcast()
 }
 
 // pending reports whether a consume would succeed now.
@@ -391,13 +358,8 @@ func (c *coherent) pending() bool { return c.deliverable.len() > 0 }
 // throttled variant, whether the receiver has credit).
 func (c *coherent) canSend(m *netsim.Message) bool {
 	nb := int64(blocksFor(m))
-	if c.sendRing.tail+nb-c.sendRing.head > c.sendRing.cap {
-		return false
-	}
-	if c.throttle && c.outstanding[m.Dst]+nb > int64(c.env.Cfg.CNICacheBlocks) {
-		return false
-	}
-	return true
+	return c.sendRing.tail+nb-c.sendRing.head <= c.sendRing.cap &&
+		(!c.throttle || c.outstanding[m.Dst]+nb <= int64(c.env.Cfg.CNICacheBlocks))
 }
 
 // idle reports whether the NI-side send engine has drained its queue.

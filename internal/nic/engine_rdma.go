@@ -41,9 +41,10 @@ type rdma struct {
 	space   *sim.Cond // descriptor-ring entry freed
 	outFree *sim.Cond // network out-buffer freed (two-sided sends only)
 
-	// pinned is the registration cache: per remote target, the largest
-	// page extent pinned so far.
-	pinned map[int]int64
+	// pinned is the registration cache: per remote target node, the
+	// largest page extent pinned so far (0: none; a transfer pins at least
+	// one page).
+	pinned []int64
 
 	putSink func(m *netsim.Message) // delivery hook for incoming puts
 
@@ -163,7 +164,7 @@ func newRDMA(env *Env) *rdma {
 		work:     sim.NewCond(env.Eng),
 		space:    sim.NewCond(env.Eng),
 		outFree:  sim.NewCond(env.Eng),
-		pinned:   make(map[int]int64),
+		pinned:   make([]int64, env.EP.Nodes()),
 	}
 	// An RDMAEngine spec never builds the fifo hardware, so the doorbell
 	// register window is unmapped until the engine claims it.
@@ -216,16 +217,16 @@ func (r *rdma) chargePin(pr *proc.Proc, dst int, bytes int) {
 	if pages < 1 {
 		pages = 1
 	}
-	cur, ok := r.pinned[dst]
-	if !ok {
-		pr.Work(stats.Transfer, cfg.RDMAPinCycles+pages*cfg.RDMAPagePinCycles)
-		r.pinned[dst] = pages //lint:allow noalloc per-target registration map is sized by node count at warm-up; steady-state transfers hit existing buckets
+	cur := r.pinned[dst]
+	if pages <= cur {
 		return
 	}
-	if pages > cur {
-		pr.Work(stats.Transfer, (pages-cur)*cfg.RDMAPagePinCycles)
-		r.pinned[dst] = pages //lint:allow noalloc the key is already present, so the assignment reuses its existing bucket
+	cycles := (pages - cur) * cfg.RDMAPagePinCycles
+	if cur == 0 {
+		cycles += cfg.RDMAPinCycles
 	}
+	pr.Work(stats.Transfer, cycles)
+	r.pinned[dst] = pages
 }
 
 // post charges descriptor composition and the doorbell, waiting out a full

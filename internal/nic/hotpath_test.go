@@ -10,20 +10,17 @@ import (
 )
 
 // TestComposedSendRecvAllocFree is the allocation gate for the composed NI
-// hot paths: once warm, a complete send→deliver→poll round through the
-// processor-driven designs must not allocate. The path under test spans
-// the composed dispatch, the fifo engine (uncached words, register words,
-// block-buffer transfers, UDMA's small-message fallback and its DMA block
-// chain), the fifo window hardware queues, the bus's transaction pool,
-// and netsim's pooled delivery — regressing any of them to a per-message
-// allocation (a closure in dispatch, a fresh bus transaction per access, a
-// queue that strands its backing array) fails this test.
-//
-// The coherent engine is not gated here: its device state machines keep
-// ring bookkeeping that allocates; its hot software costs go through the
-// same primitives this test covers.
+// hot paths: once warm, a complete send→deliver→poll round through every
+// named design must not allocate. The path under test spans the composed
+// dispatch, the fifo engines (uncached words, register words, block-buffer
+// transfers, UDMA's small-message fallback and its DMA block chain), the
+// fifo window hardware queues, the coherent engine's rings, prefetch marks,
+// NI cache and throttle credits, the bus's transaction pool, and netsim's
+// pooled delivery — regressing any of them to a per-message allocation (a
+// closure in dispatch, a fresh bus transaction per access, a queue that
+// strands its backing array) fails this test.
 func TestComposedSendRecvAllocFree(t *testing.T) {
-	for _, k := range []Kind{CM5, CM5SingleCycle, AP3000, UDMA} {
+	for _, k := range Kinds() {
 		k := k
 		t.Run(k.ShortName(), func(t *testing.T) {
 			// 8 B payload: the word designs' native size. 64 B: a CM-5
@@ -31,9 +28,10 @@ func TestComposedSendRecvAllocFree(t *testing.T) {
 			// block-buffer trains of two chunks. Both stay under the UDMA
 			// threshold, so its uncached-word fallback is exercised.
 			payloads := []int{8, 64}
-			if k == UDMA {
+			if k == UDMA || SpecFor(k).Buffering != FifoVM {
 				// A 256 B message, the network's largest: above the
-				// threshold, so the DMA block chain runs on both sides.
+				// UDMA threshold, so the DMA block chain runs on both
+				// sides, and four blocks on a coherent ring.
 				payloads = append(payloads, 248)
 			}
 			for _, payload := range payloads {
@@ -216,5 +214,29 @@ func TestCM5ResumesPerMessage(t *testing.T) {
 	got := cm5Exchange(t, rounds, 64)
 	if want := 4 + 2.0/(2*rounds); got != want {
 		t.Fatalf("%.2f resumes per 64 B CM-5 message, want %.2f", got, want)
+	}
+}
+
+// TestQueueBoundedWithoutDraining keeps a queue one to four entries deep
+// and never lets it drain, as the NI cache's live set can under steady
+// load. Its backing array must stay at a small multiple of that depth:
+// appending behind popped slots that are never reused grows it without
+// bound.
+func TestQueueBoundedWithoutDraining(t *testing.T) {
+	var q queue[int64]
+	q.push(0)
+	for i := int64(1); i < 100000; i++ {
+		q.push(i)
+		if i%4 == 0 {
+			for q.len() > 1 {
+				q.pop()
+			}
+		}
+	}
+	if c := cap(q.a); c > 16 {
+		t.Errorf("backing array holds %d entries for a queue at most 5 deep", c)
+	}
+	if got := q.items(); len(got) != 4 || got[0] != 99996 || got[3] != 99999 {
+		t.Errorf("queue holds %v, want [99996 99997 99998 99999]", got)
 	}
 }

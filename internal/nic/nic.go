@@ -15,9 +15,11 @@
 //	CNI_512Q         (CNI, no cache)      coherent+coherent   over niring
 //	CNI_32Q_m        (CNI with cache)     coherent+coherent   over nicache
 //
-// Every composed NI exposes the same contract — Send, Poll, Recv — to the
-// messaging layer. The rest of the valid cross product (see Spec.Validate)
-// is reachable through NewFromSpec and swept by nisim designspace.
+// The three ring bufferings differ only in where the rings live, so the
+// coherent engine holds them as data (ring.go). Every composed NI exposes
+// the same contract — Send, Poll, Recv — to the messaging layer. The rest
+// of the valid cross product (see Spec.Validate) is reachable through
+// NewFromSpec and swept by nisim designspace.
 package nic
 
 import (
@@ -336,6 +338,9 @@ const (
 )
 
 // Env is everything an NI needs from its node. The machine layer builds it.
+// EP is the NI's only link to other nodes: no NI holds another node's NI,
+// and cross-node control, such as the throttle's credits, rides
+// EP.PostControl.
 type Env struct {
 	Eng   *sim.Engine
 	ID    int
@@ -374,6 +379,11 @@ func NewFromSpec(spec Spec, env *Env) (NI, error) {
 // blocksFor returns how many 64-byte blocks m occupies in a CNI queue.
 func blocksFor(m *netsim.Message) int {
 	return (m.Size() + membus.BlockSize - 1) / membus.BlockSize
+}
+
+// blockBytes returns how many of m's bytes its i-th queue block holds.
+func blockBytes(m *netsim.Message, i int64) int {
+	return min(m.Size()-int(i)*membus.BlockSize, membus.BlockSize)
 }
 
 // regsTarget is the membus.Target for the uncached control registers: a
@@ -422,15 +432,4 @@ func Catalog() []CatalogEntry {
 		{CNI32Qm, "CNI_32Qm", "Wisconsin CNI with cache", "Block", "NI", "Cache/Memory",
 			"Block", "NI", "Processor Cache", "NI Cache / Memory", false},
 	}
-}
-
-// PeerAware is implemented by NIs that need to resolve a reference to
-// another node's NI (the send-throttled CNI_32Q_m's software credit
-// scheme names the sender NI a consumed message's credit flows back to).
-// The machine layer wires it after all nodes exist. The lookup resolves
-// identity only — all cross-node state exchange rides the message layer
-// (Endpoint.PostControl), never a synchronous read of peer state, which
-// is what lets every spec run partitioned (machine.Config.Shards).
-type PeerAware interface {
-	SetPeerLookup(fn func(node int) NI)
 }

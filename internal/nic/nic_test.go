@@ -44,12 +44,6 @@ func newTwoNodes(t *testing.T, kind Kind, bufs int, mutate func(*Config)) *twoNo
 		r.procs[i] = pr
 		r.nodes[i] = st
 	}
-	for i := range r.nis {
-		if pa, ok := r.nis[i].(PeerAware); ok {
-			i := i
-			pa.SetPeerLookup(func(id int) NI { _ = i; return r.nis[id] })
-		}
-	}
 	return r
 }
 
@@ -223,8 +217,8 @@ func TestThrottleLimitsOutstanding(t *testing.T) {
 				m := netsim.NewSized(0, 1, 1, 48)
 				for !ni.CanSend(m) {
 					pr.P.SleepAs(stats.Buffering, 100*sim.Nanosecond)
-					if probe.unconsumed > maxUnconsumed {
-						maxUnconsumed = probe.unconsumed
+					if n := probe.recvRing.tail - probe.recvRing.head; n > maxUnconsumed {
+						maxUnconsumed = n
 					}
 				}
 				ni.Send(pr, m)
@@ -242,6 +236,39 @@ func TestThrottleLimitsOutstanding(t *testing.T) {
 	}
 	if r.nodes[1].NIBypasses != 0 {
 		t.Fatalf("throttled sender still caused %d bypasses", r.nodes[1].NIBypasses)
+	}
+}
+
+// TestThrottledEvictionReturnsCredit evicts on a throttled NI. An evicted
+// message must return its credit like a consumed one, one network latency
+// later, or the sender's ledger keeps its blocks and the throttle closes
+// for good. The receive ring is shrunk so that the watermark sits below
+// the throttle's 32-block window.
+func TestThrottledEvictionReturnsCredit(t *testing.T) {
+	spec := SpecFor(CNI32QmThrottle)
+	spec.Overload = OverloadPolicy{AdmitPct: 25, Refuse: RefuseDrop, Evict: EvictOldest}
+	r := newTwoNodesNet(t, spec, 64, netsim.DefaultConfig(), func(c *Config) { c.QmQueueBlocks = 64 })
+	const count = 60
+	got := 0
+	r.run(t, r.sendN(count, 48), func(pr *proc.Proc, ni NI) {
+		// Sleep through the burst: only evictions free credit meanwhile.
+		pr.P.SleepAs(stats.Compute, 200*sim.Microsecond)
+		for ni.Pending() {
+			ni.Recv(pr)
+			got++
+		}
+		// Let the last credit cross the network before the run stops.
+		pr.P.SleepAs(stats.Compute, 10*sim.Microsecond)
+	})
+	evicted := r.nodes[1].AdmitEvictions
+	if evicted == 0 {
+		t.Fatal("no message was evicted")
+	}
+	if got+int(evicted) != count {
+		t.Fatalf("received %d and evicted %d of %d messages", got, evicted, count)
+	}
+	if left := r.nis[0].(*composed).coh.outstanding[1]; left != 0 {
+		t.Fatalf("sender still holds %d blocks of credit for the receiver", left)
 	}
 }
 

@@ -87,17 +87,7 @@ func (x *composed) evictOldest() bool {
 			return false
 		}
 		e := c.deliverable.pop()
-		c.recvRing.head = e.start + e.nb
-		c.unconsumed -= e.nb
-		if c.peerFn != nil {
-			if sender := c.peerFn(e.m.Src); sender != nil && sender.throttle {
-				sender.outstanding[c.env.ID] -= e.nb
-				sender.throttleCond.Broadcast()
-				c.ring.reclaim()
-			}
-		}
-		c.ring.recordConsume(e.inCache, e.nb)
-		c.consumeCond.Broadcast()
+		c.retire(e)
 		if tr := x.env.Trace; tr != nil {
 			tr("overload evict src=%d blocks=%d", e.m.Src, e.nb)
 		}

@@ -200,7 +200,7 @@ func TestRDMARegistrationAmortized(t *testing.T) {
 	// processor work is all the cost model touches.
 	st := stats.NewNode()
 	pr := &proc.Proc{ID: 0, Eng: eng, Stats: st, CPU: sim.GHz(1)}
-	r := &rdma{env: &Env{Cfg: cfg, CPU: sim.GHz(1)}, pinned: make(map[int]int64)}
+	r := &rdma{env: &Env{Cfg: cfg, CPU: sim.GHz(1)}, pinned: make([]int64, 3)}
 
 	var deltas []sim.Time
 	p := eng.Spawn("pin", func(p *sim.Process) {

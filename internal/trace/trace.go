@@ -8,9 +8,6 @@ import (
 	"fmt"
 	"io"
 
-	//lint:allow nogoroutine mutex only guards interleaved test harnesses, never simulation state
-	"sync"
-
 	"nisim/internal/sim"
 )
 
@@ -20,19 +17,15 @@ type Category string
 // Trace categories.
 const (
 	Bus Category = "bus" // memory-bus transactions
-	Net Category = "net" // network inject/accept/bounce
-	Msg Category = "msg" // messaging-layer sends and dispatches
 	NIC Category = "nic" // NI component seams: engine start/complete, buffer accept/bounce/reclaim
 )
 
-// Tracer writes time-stamped event lines. Safe for use from a single
-// simulation (simulations are single-threaded); the mutex only guards
-// against interleaved test harnesses.
+// Tracer writes time-stamped event lines. Each Tracer serves one
+// simulation, and a traced machine runs on the serial engine, so it needs
+// no lock.
 type Tracer struct {
-	mu      sync.Mutex
 	w       io.Writer
 	enabled map[Category]bool
-	lines   int64
 }
 
 // New creates a tracer writing to w, enabled for the given categories (all
@@ -61,20 +54,7 @@ func (t *Tracer) Event(now sim.Time, c Category, node int, format string, args .
 	if !t.Enabled(c) {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.lines++
 	fmt.Fprintf(t.w, "%12s %-3s node%-2d ", now, c, node)
 	fmt.Fprintf(t.w, format, args...)
 	fmt.Fprintln(t.w)
-}
-
-// Lines returns the number of lines written.
-func (t *Tracer) Lines() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lines
 }

@@ -2,6 +2,8 @@ package trace_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"nisim/internal/msglayer"
 	"nisim/internal/nic"
 	"nisim/internal/sim"
+	"nisim/internal/stats"
 	"nisim/internal/trace"
 )
 
@@ -32,7 +35,7 @@ func TestBusTracing(t *testing.T) {
 		n.Barrier()
 	})
 	out := buf.String()
-	if cfg.Tracer.Lines() == 0 {
+	if out == "" {
 		t.Fatal("no trace lines written")
 	}
 	if !strings.Contains(out, "GetS") && !strings.Contains(out, "GetX") {
@@ -43,17 +46,78 @@ func TestBusTracing(t *testing.T) {
 	}
 }
 
+// TestTraceText pins the complete bus and NIC trace of a short streaming
+// run on each coherent named NI to a SHA-256 of its text. The run sends a
+// burst of 40 four-block messages at a receiver that sleeps before it
+// drains, so the traces cover every ring deposit mode (memory, NI DRAM, NI
+// cache and bypass), dead-block reclaim, send prefetch and the throttle's
+// credit returns. Any change to a simulated time, a bus transaction, or a
+// trace line's text changes a hash.
+func TestTraceText(t *testing.T) {
+	want := map[nic.Kind]string{
+		nic.StarTJR:         "a36155de53b76db1a27559af297bb130c969ab3542bd33e985ed2b5c78f3b87e",
+		nic.MemoryChannel:   "ebd0a5d1f78a17199a664b584c64b53ef2c1313c79528898239d32ff1cc2a0db",
+		nic.CNI512Q:         "30b2b2738e5dfaaad78d10a85569cb3b51299548dc7d5967d2670099d2fdeb07",
+		nic.CNI32Qm:         "79e9b726876c9923ce2716e70eda771fa138e9fe44c3a34486e9904045b35c7a",
+		nic.CNI32QmThrottle: "cc9532685a6f694eb347e50de2cfc72574be38ba9a526f175fef087c9cc8f0f0",
+	}
+	for _, k := range []nic.Kind{nic.StarTJR, nic.MemoryChannel, nic.CNI512Q, nic.CNI32Qm, nic.CNI32QmThrottle} {
+		k := k
+		t.Run(k.ShortName(), func(t *testing.T) {
+			text := streamTrace(k)
+			sum := sha256.Sum256(text)
+			if got := hex.EncodeToString(sum[:]); got != want[k] {
+				t.Errorf("trace of %d lines hashes to %s, want %s", bytes.Count(text, []byte("\n")), got, want[k])
+			}
+		})
+	}
+}
+
+// streamTrace runs the TestTraceText scenario on kind k and returns the
+// trace text.
+func streamTrace(k nic.Kind) []byte {
+	const (
+		h     = 1
+		count = 40
+		size  = 200
+	)
+	var buf bytes.Buffer
+	cfg := machine.DefaultConfig(k, 8)
+	cfg.Nodes = 2
+	cfg.Tracer = trace.New(&buf)
+	m := machine.New(cfg)
+	got := [2]int{}
+	for _, n := range m.Nodes {
+		n := n
+		n.EP.Register(h, func(ep *msglayer.Endpoint, msg *msglayer.Message) { got[n.ID]++ })
+	}
+	m.Run(func(n *machine.Node) {
+		if n.ID == 0 {
+			for i := 0; i < count; i++ {
+				n.EP.Send(1, h, size, uint64(i))
+			}
+			n.EP.WaitUntil(func() bool { return got[0] == 1 })
+		} else {
+			n.Proc.P.SleepAs(stats.Compute, 20*sim.Microsecond)
+			n.EP.WaitUntil(func() bool { return got[1] == count })
+			n.EP.Send(0, h, size, 0)
+		}
+		n.Barrier()
+	})
+	return buf.Bytes()
+}
+
 func TestCategoryFiltering(t *testing.T) {
 	var buf bytes.Buffer
-	tr := trace.New(&buf, trace.Net)
+	tr := trace.New(&buf, trace.NIC)
 	if tr.Enabled(trace.Bus) {
-		t.Fatal("bus enabled despite net-only filter")
+		t.Fatal("bus enabled despite nic-only filter")
 	}
 	tr.Event(10*sim.Nanosecond, trace.Bus, 0, "hidden")
 	if buf.Len() != 0 {
 		t.Fatal("filtered event written")
 	}
-	tr.Event(10*sim.Nanosecond, trace.Net, 1, "shown %d", 7)
+	tr.Event(10*sim.Nanosecond, trace.NIC, 1, "shown %d", 7)
 	if !strings.Contains(buf.String(), "shown 7") {
 		t.Fatalf("event missing: %q", buf.String())
 	}
@@ -67,9 +131,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if tr.Enabled(trace.Bus) {
 		t.Fatal("nil tracer enabled")
 	}
-	if tr.Lines() != 0 {
-		t.Fatal("nil tracer has lines")
-	}
+	tr.Event(10*sim.Nanosecond, trace.Bus, 0, "dropped")
 }
 
 func min(a, b int) int {
