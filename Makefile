@@ -29,11 +29,12 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/sim/
 
 # bench-smoke is the CI benchmark gate: the AllocsPerRun gates on the
-# scheduler, message-delivery, and composed NI hot paths, then every benchmark for one
+# scheduler, message-delivery, and composed NI hot paths and the
+# per-message resume and event pins, then every benchmark for one
 # iteration (an execute-smoke, not a measurement), with the output saved
 # to bench_smoke.txt for the CI artifact.
 bench-smoke: build
-	$(GO) test -run 'AllocFree' -count=1 ./internal/sim/ ./internal/netsim/ ./internal/nic/ ./internal/msglayer/
+	$(GO) test -run 'AllocFree|PerMessage' -count=1 ./internal/sim/ ./internal/proc/ ./internal/netsim/ ./internal/nic/ ./internal/msglayer/
 	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/sim/ | tee bench_smoke.txt
 
 # bench-json regenerates BENCH_results.json: the whole evaluation grid run

@@ -34,6 +34,28 @@ func newRig(t *testing.T, n int) *rig {
 	return r
 }
 
+// writebackLog is a Target that passes every access on to the rig's DRAM
+// and records the address of each writeback in [lo, hi) it sees.
+type writebackLog struct {
+	*mainmem.Memory
+	lo, hi membus.Addr
+	addrs  []membus.Addr
+}
+
+func (w *writebackLog) HomeLatency(t *membus.Transaction, at sim.Time) sim.Time {
+	if t.Kind == membus.Writeback && t.Addr >= w.lo && t.Addr < w.hi {
+		w.addrs = append(w.addrs, t.Addr)
+	}
+	return w.Memory.HomeLatency(t, at)
+}
+
+// logWritebacks routes all of DRAM through a writebackLog of [lo, hi).
+func (r *rig) logWritebacks(lo, hi membus.Addr) *writebackLog {
+	w := &writebackLog{Memory: r.mem, lo: lo, hi: hi}
+	r.bus.MapRange(0, 1<<30, w)
+	return w
+}
+
 // runProc runs body as a process and drives the engine to completion.
 func (r *rig) runProc(t *testing.T, body func(p *sim.Process)) sim.Time {
 	t.Helper()
@@ -300,19 +322,14 @@ func TestHomeRoutingPrecedence(t *testing.T) {
 
 func TestMemWatch(t *testing.T) {
 	r := newRig(t, 1)
-	var seen []membus.Addr
-	r.mem.Watch(0x6000, 0x7000, func(tr *membus.Transaction) {
-		if tr.Kind == membus.Writeback {
-			seen = append(seen, tr.Addr)
-		}
-	})
+	log := r.logWritebacks(0x6000, 0x7000)
 	r.runProc(t, func(p *sim.Process) {
 		c := r.caches[0]
 		c.Write(p, 0x6000, 8)
 		c.Flush(p, 0x6000) // writeback hits the watcher
 		c.Read(p, 0x500, 8)
 	})
-	if len(seen) != 1 || seen[0] != 0x6000 {
+	if seen := log.addrs; len(seen) != 1 || seen[0] != 0x6000 {
 		t.Fatalf("watcher saw %v, want [0x6000]", seen)
 	}
 }
@@ -375,12 +392,7 @@ func TestConflictEvictionWritesBack(t *testing.T) {
 			c := r.caches[0]
 			// 64 KB cache => conflicting addresses differ by 1<<16.
 			const victim, other = 0x100, 0x100 + 1<<16
-			var written []membus.Addr
-			r.mem.Watch(0, 1<<30, func(tr *membus.Transaction) {
-				if tr.Kind == membus.Writeback {
-					written = append(written, tr.Addr)
-				}
-			})
+			log := r.logWritebacks(0, 1<<30)
 			r.runProc(t, func(p *sim.Process) {
 				if !tc.first {
 					c.Read(p, victim+membus.BlockSize, 8) // same page, next index
@@ -388,7 +400,7 @@ func TestConflictEvictionWritesBack(t *testing.T) {
 				c.Write(p, victim, 8)
 				c.Read(p, other, 8)
 			})
-			if c.Writebacks != 1 || len(written) != 1 || written[0] != victim {
+			if written := log.addrs; c.Writebacks != 1 || len(written) != 1 || written[0] != victim {
 				t.Fatalf("writebacks = %d to %#x, want 1 to %#x", c.Writebacks, written, membus.Addr(victim))
 			}
 			if c.StateOf(victim) != Invalid || c.StateOf(other) != Exclusive {

@@ -23,17 +23,8 @@ type Memory struct {
 	busyUntil sim.Time
 	eng       *sim.Engine
 
-	// Reads and Writes count accesses that reached the DRAM.
+	// Reads and Writes count bus accesses that reached the module.
 	Reads, Writes int64
-
-	// watchers receive a callback when a block in their registered range is
-	// written at the home (used by NIs to observe queue writebacks).
-	watchers []watcher
-}
-
-type watcher struct {
-	lo, hi membus.Addr
-	fn     func(t *membus.Transaction)
 }
 
 // New returns a memory module with the given access latency (Table 3:
@@ -47,17 +38,15 @@ func New(name string, latency sim.Time, eng *sim.Engine) *Memory {
 func (m *Memory) TargetName() string { return m.name }
 
 // HomeLatency implements membus.Target. The bus calls it exactly once per
-// transaction that the module services; the module claims one access slot.
-func (m *Memory) HomeLatency(t *membus.Transaction) sim.Time {
-	if m.eng == nil {
-		return m.latency
+// transaction that the module services; the module counts the access and
+// claims one access slot from time at.
+func (m *Memory) HomeLatency(t *membus.Transaction, at sim.Time) sim.Time {
+	if t.Kind.IsWrite() {
+		m.Writes++
+	} else {
+		m.Reads++
 	}
-	start := m.eng.Now()
-	if m.busyUntil > start {
-		start = m.busyUntil
-	}
-	m.busyUntil = start + m.latency
-	return m.busyUntil - m.eng.Now()
+	return m.claim(at)
 }
 
 // Claim reserves one access slot without a bus transaction — used by NIs
@@ -67,30 +56,16 @@ func (m *Memory) Claim() sim.Time {
 	if m.eng == nil {
 		return m.latency
 	}
-	start := m.eng.Now()
-	if m.busyUntil > start {
-		start = m.busyUntil
+	return m.claim(m.eng.Now())
+}
+
+// claim takes the module's first free access slot from time at and
+// returns the delay from at until that access completes.
+func (m *Memory) claim(at sim.Time) sim.Time {
+	if m.eng == nil {
+		return m.latency
 	}
+	start := max(at, m.busyUntil)
 	m.busyUntil = start + m.latency
-	return m.busyUntil - m.eng.Now()
-}
-
-// HomeAccess implements membus.Target.
-func (m *Memory) HomeAccess(t *membus.Transaction) {
-	switch t.Kind {
-	case membus.Writeback, membus.UncachedWrite, membus.BlockWrite, membus.WriteInvalidate:
-		m.Writes++
-	default: //lint:allow exhaustive read/write classification: every non-write kind reaching DRAM counts as a read by design
-		m.Reads++
-	}
-	for _, w := range m.watchers {
-		if t.Addr >= w.lo && t.Addr < w.hi {
-			w.fn(t)
-		}
-	}
-}
-
-// Watch registers fn to run whenever an access in [lo, hi) reaches the DRAM.
-func (m *Memory) Watch(lo, hi membus.Addr, fn func(t *membus.Transaction)) {
-	m.watchers = append(m.watchers, watcher{lo, hi, fn})
+	return m.busyUntil - at
 }

@@ -87,6 +87,15 @@ func (k Kind) coherent() bool {
 	return false
 }
 
+// IsWrite reports whether a transaction of kind k moves data to its home.
+func (k Kind) IsWrite() bool {
+	switch k { //lint:allow exhaustive membership predicate: kinds absent from the case list move no data or read it
+	case Writeback, UncachedWrite, BlockWrite, WriteInvalidate:
+		return true
+	}
+	return false
+}
+
 // Transaction is one bus operation, as the snoopers and the home device
 // see it. Issuers do not build one: Issue and AccessFrom fill a record
 // from the bus's pool, which the bus recycles once the transaction's last
@@ -103,18 +112,16 @@ type Transaction struct {
 
 	// The bus threads its per-phase state through the transaction itself so
 	// the phases run as shared typed-event handlers, not closures.
-	bus          *Bus
-	home         Target
-	homeSupplies bool
+	bus  *Bus
+	home Target
 	// done(doneRecv, 0), if done is non-nil, runs inline at the simulated
 	// time the transaction completes: data delivered to the requester, or
 	// write accepted by the bus.
 	done     sim.Handler
 	doneRecv any
-	// refs counts the outstanding references to the record — pending phase
-	// events plus a blocked issuer — so it returns to the pool only once
-	// the last one that could touch it is gone (a write's home access lands
-	// after its issuer has already been released).
+	// refs counts the outstanding references to the record — the pending
+	// phase event plus a blocked issuer — so it returns to the pool only
+	// once the last one that could touch it is gone.
 	refs int8
 }
 
@@ -132,11 +139,6 @@ func txnAddressPhase(recv any, _ uint64) {
 	t.bus.addressPhase(t)
 	t.bus.release(t)
 }
-func txnHomeAccess(recv any, _ uint64) {
-	t := recv.(*Transaction)
-	t.home.HomeAccess(t)
-	t.bus.release(t)
-}
 func txnWriteDone(recv any, _ uint64) {
 	t := recv.(*Transaction)
 	t.complete()
@@ -151,9 +153,6 @@ func txnReadDone(recv any, _ uint64) {
 		} else if t.Kind == GetS || t.Kind == GetX {
 			b.node.MemToCache++
 		}
-	}
-	if t.homeSupplies {
-		t.home.HomeAccess(t)
 	}
 	t.complete()
 	b.release(t)
@@ -188,12 +187,14 @@ type Target interface {
 	// TargetName identifies the device in diagnostics.
 	TargetName() string
 	// HomeLatency is the device access time to serve t when no cache owns
-	// the block (reads) or to absorb the data (writes).
-	HomeLatency(t *Transaction) sim.Time
-	// HomeAccess is invoked when the transaction's effect reaches the
-	// device — e.g. an uncached register write arriving at an NI. It runs
-	// after HomeLatency has elapsed.
-	HomeAccess(t *Transaction)
+	// the block (reads) or to absorb the data (writes), for an access the
+	// device sees at time at: the end of t's address phase. The bus calls
+	// it exactly once per transaction that reaches the device, and never
+	// for one a cache supplies or one that moves no data, so a device
+	// counts its accesses and claims its access slots here. at is not
+	// always the engine clock: a closed access train (see ClosedAccess)
+	// computes its accesses before their time.
+	HomeLatency(t *Transaction, at sim.Time) sim.Time
 }
 
 // Timing holds the bus timing parameters.
@@ -232,7 +233,14 @@ type Bus struct {
 	node     *stats.Node
 	pool     []*Transaction // recycled transaction records (see release)
 
-	// Trace, if non-nil, receives a line per transaction (debugging).
+	// procOnly marks a bus that no master but the node's processor drives
+	// (see SetProcessorOnly). heldUntil is the completion time of the
+	// latest closed access.
+	procOnly  bool
+	heldUntil sim.Time
+
+	// Trace, if non-nil, receives a line per transaction (debugging). A
+	// traced bus runs every access train step by step (ClosedTrains).
 	Trace func(format string, args ...any)
 }
 
@@ -259,6 +267,17 @@ func (b *Bus) HomeOf(a Addr) Target {
 	}
 	return nil
 }
+
+// SetProcessorOnly marks the bus as driven by no master but the node's
+// processor, its cache included: no NI-side engine issues transactions on
+// it while the processor runs an access train. The NI composer marks the
+// bus of every spec that builds no NI-side bus master.
+func (b *Bus) SetProcessorOnly() { b.procOnly = true }
+
+// ClosedTrains reports whether the processor may time its access trains in
+// closed form (ClosedAccess) on this bus: no other master drives it, and
+// no tracer watches its transactions one by one.
+func (b *Bus) ClosedTrains() bool { return b.procOnly && b.Trace == nil }
 
 // Timing returns the bus timing parameters.
 func (b *Bus) Timing() Timing { return b.timing }
@@ -300,13 +319,10 @@ func (b *Bus) Issue(req Snooper, k Kind, a Addr, size int, done sim.Handler, rec
 
 // issue is Issue returning the record, for a blocked issuer to read back.
 func (b *Bus) issue(req Snooper, k Kind, a Addr, size int, done sim.Handler, recv any) *Transaction {
-	var t *Transaction
-	if n := len(b.pool); n > 0 {
-		t = b.pool[n-1]
-		b.pool = b.pool[:n-1]
-	} else {
-		t = new(Transaction) //lint:allow noalloc pool miss: records are amortized to zero once the pool warms
+	if now := b.eng.Now(); now < b.heldUntil {
+		panic(fmt.Sprintf("membus: %s %#x issued at %v while a closed access train holds the bus until %v", k, a, now, b.heldUntil))
 	}
+	t := b.take()
 	if size == 0 {
 		size = BlockSize
 	}
@@ -315,18 +331,66 @@ func (b *Bus) issue(req Snooper, k Kind, a Addr, size int, done sim.Handler, rec
 		bus: b, done: done, doneRecv: recv,
 		refs: 1, // the pending address-phase event
 	}
-	if b.node != nil {
-		b.node.BusTransactions++
-		switch k { //lint:allow exhaustive stat classification counts only the two paper-visible transfer families; coherence kinds need no counter
-		case UncachedRead, UncachedWrite:
-			b.node.UncachedAccesses++
-		case BlockRead, BlockWrite:
-			b.node.BlockBufTransfers++
-		}
-	}
+	b.count(k)
 	_, addrEnd := b.reserve(b.eng.Now(), b.timing.ArbAddrCycles)
 	b.eng.AtEvent(addrEnd, txnAddressPhase, t, 0)
 	return t
+}
+
+// take returns a record from the pool, or a new one.
+func (b *Bus) take() *Transaction {
+	if n := len(b.pool); n > 0 {
+		t := b.pool[n-1]
+		b.pool = b.pool[:n-1]
+		return t
+	}
+	return new(Transaction) //lint:allow noalloc pool miss: records are amortized to zero once the pool warms
+}
+
+// count adds a transaction of kind k to the node's bus counters.
+func (b *Bus) count(k Kind) {
+	if b.node == nil {
+		return
+	}
+	b.node.BusTransactions++
+	switch k { //lint:allow exhaustive stat classification counts only the two paper-visible transfer families; coherence kinds need no counter
+	case UncachedRead, UncachedWrite:
+		b.node.UncachedAccesses++
+	case BlockRead, BlockWrite:
+		b.node.BlockBufTransfers++
+	}
+}
+
+// ClosedAccess applies, at once, everything Issue(nil, k, a, size, ...)
+// called at time at would apply over the transaction's life, for a
+// non-coherent kind on a bus where ClosedTrains holds: the bus counters,
+// the address-phase and data-phase occupancy with the same clock
+// alignment, and the home device's access at the address phase's end. It
+// schedules nothing and returns that address-phase end and the completion
+// time, when Issue would run its done hook.
+//
+// The processor's access trains call it in virtual time, ahead of the
+// engine clock. That is exact only because nothing else uses what it
+// touches before the train completes, so until the returned completion
+// time any other Issue on the bus panics.
+//
+//lint:hotpath
+func (b *Bus) ClosedAccess(k Kind, a Addr, size int, at sim.Time) (addrEnd, done sim.Time) {
+	if !b.procOnly || k.coherent() {
+		panic(fmt.Sprintf("membus: closed %s on a bus not marked processor-only, or of a coherent kind", k))
+	}
+	if size == 0 {
+		size = BlockSize
+	}
+	t := b.take()
+	*t = Transaction{Kind: k, Addr: a, Size: size, bus: b, refs: 1}
+	b.count(k)
+	_, addrEnd = b.reserve(at, b.timing.ArbAddrCycles)
+	t.home = b.homeFor(t)
+	done = b.dataPhase(t, addrEnd, 0)
+	b.release(t)
+	b.heldUntil = done
+	return addrEnd, done
 }
 
 // addressPhase runs at the end of the arbitration+address occupancy: snoop,
@@ -358,42 +422,54 @@ func (b *Bus) addressPhase(t *Transaction) {
 	}
 	t.FromCache = fromCache
 
-	home := b.HomeOf(t.Addr)
-	if home == nil {
-		panic(fmt.Sprintf("membus: no home for address %#x (%s)", t.Addr, t.Kind))
-	}
+	t.home = b.homeFor(t)
 
 	if b.Trace != nil {
 		b.Trace("%s %#x size=%d fromCache=%v", t.Kind, t.Addr, t.Size, fromCache)
 	}
 
-	t.home = home
-	switch t.Kind {
-	case Upgrade, Invalidate:
+	switch {
+	case t.Kind == Upgrade || t.Kind == Invalidate:
 		// No data phase and no home involvement: complete at the end of the
 		// address phase.
 		t.complete()
-	case Writeback, UncachedWrite, BlockWrite, WriteInvalidate:
-		// Write data follows the address phase immediately; the device
-		// absorbs it HomeLatency later, but the requester is released as
-		// soon as the bus accepts the data.
-		t.refs += 2 // the pending write-done and home-access events
-		_, dataEnd := b.reserve(b.eng.Now(), b.timing.TurnCycles+b.dataBeats(t.Size))
-		lat := home.HomeLatency(t)
-		b.eng.AtEvent(dataEnd+lat, txnHomeAccess, t, 0)
-		b.eng.AtEvent(dataEnd, txnWriteDone, t, 0)
-	default: //lint:allow exhaustive protocol dichotomy: the write-style kinds are enumerated above, every other kind is read-style
-		// Read-style: the owner cache, or failing that the home, drives the
-		// data after its access latency.
+	case t.Kind.IsWrite():
+		t.refs++ // the pending write-done event
+		b.eng.AtEvent(b.dataPhase(t, b.eng.Now(), supplyLat), txnWriteDone, t, 0)
+	default:
 		t.refs++ // the pending read-done event
-		t.homeSupplies = !fromCache
-		if t.homeSupplies {
-			supplyLat = home.HomeLatency(t)
-		}
-		ready := b.eng.Now() + supplyLat
-		_, dataEnd := b.reserve(ready, b.timing.TurnCycles+b.dataBeats(t.Size))
-		b.eng.AtEvent(dataEnd, txnReadDone, t, 0)
+		b.eng.AtEvent(b.dataPhase(t, b.eng.Now(), supplyLat), txnReadDone, t, 0)
 	}
+}
+
+// homeFor returns t's home device, which must exist.
+func (b *Bus) homeFor(t *Transaction) Target {
+	home := b.HomeOf(t.Addr)
+	if home == nil {
+		panic(fmt.Sprintf("membus: no home for address %#x (%s)", t.Addr, t.Kind))
+	}
+	return home
+}
+
+// dataPhase claims the data phase of t, a data-moving transaction whose
+// address phase ended at at, and returns its end: the completion time.
+// Write data follows the address phase immediately, and the requester is
+// released as soon as the bus accepts it; the home still claims its access
+// for the data. A read's data comes from the owner cache, whose supply
+// latency is supplyLat, or, when t.FromCache is clear, from the home after
+// its access latency.
+func (b *Bus) dataPhase(t *Transaction, at, supplyLat sim.Time) sim.Time {
+	cycles := b.timing.TurnCycles + b.dataBeats(t.Size)
+	if t.Kind.IsWrite() {
+		_, end := b.reserve(at, cycles)
+		t.home.HomeLatency(t, at)
+		return end
+	}
+	if !t.FromCache {
+		supplyLat = t.home.HomeLatency(t, at)
+	}
+	_, end := b.reserve(at+supplyLat, cycles)
+	return end
 }
 
 // release drops one reference to t and returns the record to the pool

@@ -15,9 +15,11 @@ type fixedTarget struct {
 	accesses []Kind
 }
 
-func (f *fixedTarget) TargetName() string                  { return f.name }
-func (f *fixedTarget) HomeLatency(t *Transaction) sim.Time { return f.latency }
-func (f *fixedTarget) HomeAccess(t *Transaction)           { f.accesses = append(f.accesses, t.Kind) }
+func (f *fixedTarget) TargetName() string { return f.name }
+func (f *fixedTarget) HomeLatency(t *Transaction, at sim.Time) sim.Time {
+	f.accesses = append(f.accesses, t.Kind)
+	return f.latency
+}
 
 // inertSnooper records what it observes and never owns anything.
 type inertSnooper struct{ seen []Kind }

@@ -101,7 +101,12 @@ func newFifoEngine(env *Env, hw *fifoHW, e Engine) any {
 //     un-wires the fifo hardware's OnBounce.
 //  5. The RDMA engine, after the coherent engine: its constructor wires
 //     the endpoint's OnOutFree and the one-sided delivery hooks.
-//  6. The overload policy, when the Spec sets one, compiles into the
+//  6. A spec that builds no NI-side bus master (FifoVM buffering, so no
+//     coherent engine, and no RDMA engine) marks the bus processor-only,
+//     so the processor's fifo-window access trains run closed
+//     (proc.Train). UDMA's block chain masters the bus only while its
+//     software waits for it, never during a train.
+//  7. The overload policy, when the Spec sets one, compiles into the
 //     endpoint's Admit hook (overload.go) — after the engines, so the
 //     occupancy signal reads whichever buffering layer was built.
 func compose(spec Spec, kind Kind, env *Env) *composed {
@@ -130,6 +135,9 @@ func compose(spec Spec, kind Kind, env *Env) *composed {
 	}
 	if spec.Send == RDMAEngine {
 		x.rdma = newRDMA(env)
+	}
+	if spec.Buffering == FifoVM && spec.Send != RDMAEngine {
+		env.Bus.SetProcessorOnly()
 	}
 	x.installOverload()
 	return x

@@ -185,8 +185,9 @@ func TestAdmissionControlAllocFree(t *testing.T) {
 }
 
 // cm5Exchange runs rounds of a 2-node CM-5 ping-pong of payload-byte
-// messages and returns the engine's process resumes per message.
-func cm5Exchange(t *testing.T, rounds, payload int) float64 {
+// messages and returns the engine's process resumes and events per
+// message.
+func cm5Exchange(t *testing.T, rounds, payload int) (resumes, events float64) {
 	r := newTwoNodes(t, CM5, 8, nil)
 	r.run(t, func(pr *proc.Proc, ni NI) {
 		for i := 0; i < rounds; i++ {
@@ -199,7 +200,7 @@ func cm5Exchange(t *testing.T, rounds, payload int) float64 {
 			ni.Send(pr, netsim.NewSized(1, 0, 1, payload))
 		}
 	})
-	return float64(r.eng.Resumes()) / float64(2*rounds)
+	return float64(r.eng.Resumes()) / float64(2*rounds), float64(r.eng.Events()) / float64(2*rounds)
 }
 
 // TestCM5ResumesPerMessage pins the host process switches a CM-5 message
@@ -211,9 +212,26 @@ func cm5Exchange(t *testing.T, rounds, payload int) float64 {
 // plus the two process starts over the run.
 func TestCM5ResumesPerMessage(t *testing.T) {
 	const rounds = 50
-	got := cm5Exchange(t, rounds, 64)
+	got, _ := cm5Exchange(t, rounds, 64)
 	if want := 4 + 2.0/(2*rounds); got != want {
 		t.Fatalf("%.2f resumes per 64 B CM-5 message, want %.2f", got, want)
+	}
+}
+
+// TestCM5EventsPerMessage pins the engine events a CM-5 message costs.
+// Stepwise access trains keep every event of the one-by-one accesses, about
+// five per word (the work step, the address phase, the data phase, a
+// write's home access and the continuation): 121.02 per 64 B message. On
+// the processor-only bus of a fifo NI the trains are closed, and a message
+// costs the completions of the three trains that end in an access (the
+// sender's status check and push, the receiver's drain), the four resumes,
+// and the network's arrival, accept decision and buffer release: ten, plus
+// the two process starts over the run.
+func TestCM5EventsPerMessage(t *testing.T) {
+	const rounds = 50
+	_, got := cm5Exchange(t, rounds, 64)
+	if want := 10 + 2.0/(2*rounds); got != want {
+		t.Fatalf("%.2f events per 64 B CM-5 message, want %.2f", got, want)
 	}
 }
 

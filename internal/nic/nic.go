@@ -394,9 +394,9 @@ type regsTarget struct {
 
 func (r *regsTarget) TargetName() string { return "ni-regs" }
 
-func (r *regsTarget) HomeLatency(t *membus.Transaction) sim.Time { return r.latency }
-
-func (r *regsTarget) HomeAccess(t *membus.Transaction) {}
+func (r *regsTarget) HomeLatency(t *membus.Transaction, at sim.Time) sim.Time {
+	return r.latency
+}
 
 // CatalogEntry is one row of the paper's Table 2.
 type CatalogEntry struct {

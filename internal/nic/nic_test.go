@@ -462,3 +462,64 @@ func TestAnyPayloadSizeDelivered(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestClosedTrainTiesWithArrival sends a receiver one message, then,
+// after a swept delay, a header-only one, and has the receiver poll the
+// instant its receive train for the first one wakes it. At some delays
+// the second message's ejection ends exactly then, in a tie with the
+// train's last event that the stepwise train loses: its resume is
+// scheduled later in the instant the ejection is. A closed train must
+// schedule its last events so that it loses the same ties, so on every
+// fifo NI the untraced (closed) receiver must see what the traced
+// (stepwise) one sees. AP3000's receive ends in an 8-cycle block-buffer
+// drain, which ties with an 8 B ejection when it ends at once.
+func TestClosedTrainTiesWithArrival(t *testing.T) {
+	run := func(kind Kind, payload int, gap sim.Time, traced bool) (hit, tie bool, end sim.Time) {
+		r := newTwoNodes(t, kind, 8, nil)
+		if traced {
+			r.procs[1].Bus.Trace = func(string, ...any) {}
+		}
+		ep := r.net.Endpoint(1)
+		var accepted sim.Time
+		accept := ep.OnAccept
+		ep.OnAccept = func(m *netsim.Message) {
+			accepted = r.eng.Now()
+			accept(m)
+		}
+		if r.procs[1].Bus.ClosedTrains() == traced {
+			t.Fatalf("%s: ClosedTrains() = %v with traced = %v", kind.ShortName(), !traced, traced)
+		}
+		r.run(t, func(pr *proc.Proc, ni NI) {
+			ni.Send(pr, netsim.NewSized(0, 1, 1, payload))
+			pr.P.Sleep(gap)
+			ni.Send(pr, netsim.NewSized(0, 1, 1, 0))
+		}, func(pr *proc.Proc, ni NI) {
+			ni.Recv(pr)
+			tie = accepted == pr.P.Now()
+			if _, hit = ni.Poll(pr); !hit {
+				ni.Recv(pr)
+			}
+			end = pr.P.Now()
+		})
+		return hit, tie, end
+	}
+	ties := 0
+	for _, kind := range []Kind{CM5, CM5SingleCycle, AP3000, UDMA} {
+		for _, payload := range []int{56, 120} {
+			for gap := sim.Time(0); gap < 600*sim.Nanosecond; gap += sim.Nanosecond {
+				hit, _, end := run(kind, payload, gap, false)
+				wantHit, tie, wantEnd := run(kind, payload, gap, true)
+				if hit != wantHit || end != wantEnd {
+					t.Fatalf("%s %d B, gap %v: closed poll hit=%v, done at %v; stepwise hit=%v, done at %v",
+						kind.ShortName(), payload, gap, hit, end, wantHit, wantEnd)
+				}
+				if kind == AP3000 && tie {
+					ties++
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Error("no AP3000 gap accepted the second message the instant the receive train woke")
+	}
+}

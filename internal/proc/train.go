@@ -17,9 +17,10 @@ type Step struct {
 }
 
 // Steps is the cursor an access train walks: Next fills s with the next
-// step and reports whether there was one. The train reads one step ahead,
-// so Next must depend only on the cursor's own counters, never on
-// simulation state that the earlier steps' time could change.
+// step and reports whether there was one. A stepwise train reads one step
+// ahead and a closed one reads them all when it starts, so Next must
+// depend only on the cursor's own counters, never on simulation state
+// that the earlier steps' time could change.
 type Steps interface {
 	Next(s *Step) bool
 }
@@ -33,6 +34,7 @@ type Train struct {
 	cur   Step // the step in progress; Cycles and Access clear as they are spent
 	next  Step // one step of lookahead, valid when more is set
 	more  bool
+	tail  sim.Time // a closed train's final work, for trainTail
 }
 
 // fetch fills s with the cursor's next non-empty step.
@@ -49,20 +51,23 @@ func (t *Train) fetch(s *Step) bool {
 // the same Work and UncachedRead/UncachedWrite/block accesses, in the same
 // order and at the same simulated times, as issuing them one by one, but
 // with the process parked once for the whole sequence instead of
-// suspending once per step.
+// suspending once per step. The blocked time is charged once, and the
+// categories' sums are those of the per-step sleeps.
 //
-// The steps run in event context. Each schedules its continuation at the
-// call point the process would have used: a Work of d at AfterEvent(d),
-// the slot Sleep takes, and an access from its completion at
-// AfterEvent(0), the slot Unpark takes. The last step wakes the process
-// itself (UnparkAfter, or an access hook of sim.UnparkHandler), so every
-// event keeps its queue key and the event count is unchanged. The blocked time is charged
-// once, and the categories' sums are those of the per-step sleeps.
+// On a bus that only the processor drives and no tracer watches
+// (membus.Bus.ClosedTrains), the train is closed: Run computes it whole
+// when it starts and schedules only the event its wakeup comes from (see
+// runClosed). Otherwise it runs stepwise, in event context, one event per
+// step (see advance).
 //
 //lint:hotpath
 func (t *Train) Run(pr *Proc, category int, steps Steps) {
 	t.pr, t.steps = pr, steps
-	if t.fetch(&t.cur) {
+	if pr.Bus.ClosedTrains() {
+		if t.runClosed() {
+			pr.P.ParkAs(category)
+		}
+	} else if t.fetch(&t.cur) {
 		t.more = t.fetch(&t.next)
 		t.advance()
 		pr.P.ParkAs(category)
@@ -70,8 +75,90 @@ func (t *Train) Run(pr *Proc, category int, steps Steps) {
 	t.steps = nil
 }
 
-// trainStep is the continuation event of an access train. A process that
-// Drain killed mid-train is done, and its train is dropped.
+// runClosed walks the whole train in virtual time from now and schedules
+// the process's wakeup, reporting whether the train had a step. Each work
+// step adds its cycles; each access applies, through
+// membus.Bus.ClosedAccess, what the stepwise access applies, at the time
+// the stepwise train would issue it. Nothing else reads or writes that
+// state before the train completes: the bus occupancy, the device's
+// access slots and the node's bus counters belong to the parked processor
+// alone.
+//
+// So only the process's wakeup can tell the two paths apart, and it must
+// pop where the stepwise one does, also among the events that tie with
+// it on time and schedule stamp. Those pop in the order they were
+// scheduled, and the stepwise train schedules the wakeup in the middle of
+// an instant, so an event scheduled earlier in that instant pops first:
+// the accept of a header-only message whose ejection ends just as a final
+// 8-cycle block-buffer drain does, say. So the closed train schedules
+// ahead of time, with its stepwise key, the event the stepwise train
+// schedules the wakeup from:
+//   - after a final access, its completion hook, sim.UnparkHandler, at the
+//     completion time stamped with the address-phase end, where the bus
+//     schedules it; the hook's AfterEvent(0) resume follows as before;
+//   - after a final work step that follows another step, trainTail, with
+//     the key of the stepwise continuation into that work, which schedules
+//     the resume with UnparkAfter from that work's start;
+//   - when the work is the train's only step, nothing: Run's process
+//     context is that event, and it calls UnparkAfter as the stepwise
+//     train does.
+//
+// That event takes the first place among its own ties instead. DESIGN.md
+// §4.1 says why no event that ties with it on a processor-only bus's node
+// can tell.
+//
+//lint:hotpath
+func (t *Train) runClosed() bool {
+	pr := t.pr
+	at := pr.Eng.Now()
+	// stamp is the latest step's start for work and its address-phase end
+	// for an access; from is the schedule stamp of the stepwise event that
+	// starts the latest work step, unless lone: the process starts it.
+	var stamp, from sim.Time
+	ran, access, lone := false, false, false
+	for t.fetch(&t.cur) {
+		s := &t.cur
+		if s.Cycles != 0 {
+			lone = !ran
+			if access {
+				from = at // AfterEvent(0) from the access's completion
+			} else {
+				from = stamp // AfterEvent(d) from the work before
+			}
+			stamp, access = at, false
+			at += pr.CPU.Cycles(s.Cycles)
+		}
+		if s.Access {
+			stamp, at = pr.Bus.ClosedAccess(s.Kind, s.Addr, s.Size, at)
+			access = true
+		}
+		ran = true
+	}
+	switch {
+	case !ran:
+	case access:
+		pr.Eng.AtEventFrom(at, stamp, sim.UnparkHandler, pr.P, 0)
+	case lone:
+		pr.P.UnparkAfter(at - stamp)
+	default:
+		t.tail = at - stamp
+		pr.Eng.AtEventFrom(stamp, from, trainTail, t, 0)
+	}
+	return ran
+}
+
+// trainTail is the last continuation of a closed train that ends in
+// work: it schedules the resume when that work ends, as the stepwise
+// continuation into it does.
+//
+//lint:hotpath
+func trainTail(recv any, _ uint64) {
+	t := recv.(*Train)
+	t.pr.P.UnparkAfter(t.tail)
+}
+
+// trainStep is the continuation event of a stepwise access train. A
+// process that Drain killed mid-train is done, and its train is dropped.
 //
 //lint:hotpath
 func trainStep(recv any, _ uint64) {
@@ -92,8 +179,14 @@ func trainAccessDone(recv any, _ uint64) {
 	t.pr.Eng.AfterEvent(0, trainStep, t, 0)
 }
 
-// advance performs the train's next scheduling step: the current step's
-// work, then its access, then the steps after it.
+// advance performs the stepwise train's next scheduling step: the current
+// step's work, then its access, then the steps after it. Each step runs in
+// event context and schedules its continuation at the call point the
+// process would have used: a Work of d at AfterEvent(d), the slot Sleep
+// takes, and an access from its completion at AfterEvent(0), the slot
+// Unpark takes. The last step wakes the process itself (UnparkAfter, or an
+// access hook of sim.UnparkHandler), so every event keeps its queue key
+// and the event count is that of the one-by-one steps.
 func (t *Train) advance() {
 	pr := t.pr
 	for {

@@ -99,21 +99,6 @@ func runSteps(t *testing.T, steps []Step, train bool) trainOutcome {
 	return o
 }
 
-// actions counts the continuations a step list schedules: one per
-// nonzero Work and one per access.
-func actions(steps []Step) int {
-	n := 0
-	for _, s := range steps {
-		if s.Cycles != 0 {
-			n++
-		}
-		if s.Access {
-			n++
-		}
-	}
-	return n
-}
-
 func rd(cycles int64) Step {
 	return Step{Cycles: cycles, Access: true, Kind: membus.UncachedRead, Addr: 0x100, Size: 8}
 }
@@ -153,7 +138,7 @@ func checkTrain(t *testing.T, steps []Step) {
 		t.Errorf("interleaving differs:\n got %v\nwant %v", got.log, ref.log)
 	}
 	saved := uint64(0)
-	if n := actions(steps); n > 0 {
+	if n := len(actionsOf(steps)); n > 0 {
 		saved = uint64(n - 1)
 	}
 	if ref.resumes-got.resumes != saved {
@@ -161,24 +146,49 @@ func checkTrain(t *testing.T, steps []Step) {
 	}
 }
 
-func TestTrainMatchesSteps(t *testing.T) {
-	cases := map[string][]Step{
-		"empty":                {},
-		"zero work only":       {work(0), work(0)},
-		"zero work between":    {work(0), work(3), work(0), rd(0), work(0)},
-		"one work":             {work(5)},
-		"one access":           {rd(0)},
-		"one work and access":  {rd(2)},
-		"ends in work":         {wr(2), work(7)},
-		"ends in access":       {work(2), rd(0), wr(1)},
-		"ends in zero work":    {wr(2), rd(0), work(0)},
-		"back to back work":    {work(150), work(1), work(2)},
-		"block write chunks":   {work(8), blk(membus.BlockWrite, 12), work(8), blk(membus.BlockWrite, 12), wr(0)},
-		"block read chunks":    {rd(0), work(60), blk(membus.BlockRead, 12), work(8), blk(membus.BlockRead, 12), work(3)},
-		"cm5 push 16B":         {rd(150), wr(2), wr(2), rd(0), wr(2), wr(0)},
-		"single-cycle receive": {work(1), work(15), work(2), work(1), work(2), work(1), work(1), work(2), work(1)},
+// trainCases are hand-picked step lists covering every shape a train can
+// take at its ends and between its steps.
+var trainCases = map[string][]Step{
+	"empty":                {},
+	"zero work only":       {work(0), work(0)},
+	"zero work between":    {work(0), work(3), work(0), rd(0), work(0)},
+	"one work":             {work(5)},
+	"one access":           {rd(0)},
+	"one work and access":  {rd(2)},
+	"ends in work":         {wr(2), work(7)},
+	"ends in access":       {work(2), rd(0), wr(1)},
+	"ends in zero work":    {wr(2), rd(0), work(0)},
+	"back to back work":    {work(150), work(1), work(2)},
+	"block write chunks":   {work(8), blk(membus.BlockWrite, 12), work(8), blk(membus.BlockWrite, 12), wr(0)},
+	"block read chunks":    {rd(0), work(60), blk(membus.BlockRead, 12), work(8), blk(membus.BlockRead, 12), work(3)},
+	"cm5 push 16B":         {rd(150), wr(2), wr(2), rd(0), wr(2), wr(0)},
+	"single-cycle receive": {work(1), work(15), work(2), work(1), work(2), work(1), work(1), work(2), work(1)},
+}
+
+// randomSteps draws a step list mixing every step shape from seed.
+func randomSteps(seed int64) []Step {
+	rng := rand.New(rand.NewSource(seed))
+	steps := make([]Step, 1+rng.Intn(30))
+	for i := range steps {
+		c := int64(rng.Intn(4)) * int64(rng.Intn(20))
+		switch rng.Intn(5) {
+		case 0:
+			steps[i] = work(c)
+		case 1:
+			steps[i] = rd(c)
+		case 2:
+			steps[i] = wr(c)
+		case 3:
+			steps[i] = blk(membus.BlockRead, c)
+		default:
+			steps[i] = blk(membus.BlockWrite, c)
+		}
 	}
-	for name, steps := range cases {
+	return steps
+}
+
+func TestTrainMatchesSteps(t *testing.T) {
+	for name, steps := range trainCases {
 		t.Run(name, func(t *testing.T) { checkTrain(t, steps) })
 	}
 }
@@ -186,23 +196,7 @@ func TestTrainMatchesSteps(t *testing.T) {
 // TestTrainMatchesRandomSteps draws step lists mixing every step shape.
 func TestTrainMatchesRandomSteps(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		steps := make([]Step, 1+rng.Intn(30))
-		for i := range steps {
-			c := int64(rng.Intn(4)) * int64(rng.Intn(20))
-			switch rng.Intn(5) {
-			case 0:
-				steps[i] = work(c)
-			case 1:
-				steps[i] = rd(c)
-			case 2:
-				steps[i] = wr(c)
-			case 3:
-				steps[i] = blk(membus.BlockRead, c)
-			default:
-				steps[i] = blk(membus.BlockWrite, c)
-			}
-		}
+		steps := randomSteps(seed)
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) { checkTrain(t, steps) })
 	}
 }

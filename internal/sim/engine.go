@@ -152,6 +152,25 @@ func (e *Engine) AtEventStamped(t, schedAt Time, src int, postSeq uint64, h Hand
 	ev.h, ev.recv, ev.arg = h, recv, arg
 }
 
+// AtEventFrom schedules the typed event h(recv, arg) at absolute time t
+// as AtEvent would have had it been called at time schedAt: a node-local
+// event (no post ordinal) stamped schedAt instead of the engine clock.
+// Among the events that tie with it on (t, schedAt) it pops in the order
+// of the calls, so it goes before every one scheduled after it, however
+// early in the instant schedAt that one was. Code that computes a chain
+// of steps ahead of time uses it to schedule one event of the chain with
+// the key the step-by-step chain would have given it. schedAt must not
+// exceed t.
+//
+//lint:hotpath
+func (e *Engine) AtEventFrom(t, schedAt Time, h Handler, recv any, arg uint64) {
+	if schedAt > t {
+		panic(fmt.Sprintf("sim: event at %v stamped from the future %v", t, schedAt))
+	}
+	ev := e.scheduleKeyed(t, schedAt, 0, 0)
+	ev.h, ev.recv, ev.arg = h, recv, arg
+}
+
 // NextEventAt returns the timestamp of the earliest pending event. ok is
 // false when the queue is empty. The partitioned runtime uses this at each
 // barrier to size the next conservative window.

@@ -47,12 +47,15 @@ func TestBusTracing(t *testing.T) {
 }
 
 // TestTraceText pins the complete bus and NIC trace of a short streaming
-// run on each coherent named NI to a SHA-256 of its text. The run sends a
-// burst of 40 four-block messages at a receiver that sleeps before it
-// drains, so the traces cover every ring deposit mode (memory, NI DRAM, NI
-// cache and bypass), dead-block reclaim, send prefetch and the throttle's
-// credit returns. Any change to a simulated time, a bus transaction, or a
-// trace line's text changes a hash.
+// run on each coherent named NI, and on the three fifo NIs that move data
+// over the bus, to a SHA-256 of its text. The run sends a burst of 40
+// four-block messages at a receiver that sleeps before it drains, so the
+// traces cover every ring deposit mode (memory, NI DRAM, NI cache and
+// bypass), dead-block reclaim, send prefetch, the throttle's credit
+// returns, the fifo window's word and block-buffer trains and UDMA's
+// block chain. A traced bus runs every access train step by step, so the
+// fifo hashes pin the stepwise path. Any change to a simulated time, a bus
+// transaction, or a trace line's text changes a hash.
 func TestTraceText(t *testing.T) {
 	want := map[nic.Kind]string{
 		nic.StarTJR:         "a36155de53b76db1a27559af297bb130c969ab3542bd33e985ed2b5c78f3b87e",
@@ -60,8 +63,11 @@ func TestTraceText(t *testing.T) {
 		nic.CNI512Q:         "30b2b2738e5dfaaad78d10a85569cb3b51299548dc7d5967d2670099d2fdeb07",
 		nic.CNI32Qm:         "79e9b726876c9923ce2716e70eda771fa138e9fe44c3a34486e9904045b35c7a",
 		nic.CNI32QmThrottle: "cc9532685a6f694eb347e50de2cfc72574be38ba9a526f175fef087c9cc8f0f0",
+		nic.CM5:             "1b99c4a93a3cbb5d4da832d5b15cd7d28f633a99397adee904612dc54d6e7686",
+		nic.AP3000:          "0bdf5d97b498bee47424feb7f995910ef1f3e8b826a399a22be2c364a347e2c3",
+		nic.UDMA:            "d6ce3c5217183f0527d6477e7b635ec50c40867a4847098fb487d3dfb4df37a2",
 	}
-	for _, k := range []nic.Kind{nic.StarTJR, nic.MemoryChannel, nic.CNI512Q, nic.CNI32Qm, nic.CNI32QmThrottle} {
+	for _, k := range []nic.Kind{nic.StarTJR, nic.MemoryChannel, nic.CNI512Q, nic.CNI32Qm, nic.CNI32QmThrottle, nic.CM5, nic.AP3000, nic.UDMA} {
 		k := k
 		t.Run(k.ShortName(), func(t *testing.T) {
 			text := streamTrace(k)
