@@ -148,6 +148,29 @@ func TestChaosResultsFresh(t *testing.T) {
 	}
 }
 
+// TestBenchResultsFresh reruns the evaluation grid at -quick, the size
+// `make bench-json` commits, and checks that its results equal the
+// committed BENCH_results.json. Its 284 cells include the coherent
+// engine's ablations (send prefetch, NI-cache bypass, dead-message
+// suppression, NI-cache size), which no other gate runs, so a change to
+// simulated behaviour that forgot to regenerate the artifact fails here.
+// It takes seconds, so -short skips it.
+func TestBenchResultsFresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reruns the 284-cell evaluation grid")
+	}
+	path := filepath.Join(t.TempDir(), "bench.json")
+	var stdout, stderr bytes.Buffer
+	if status := runGrid("benchdump", []string{"-quick", "-json", path}, &stdout, &stderr); status != 0 {
+		t.Fatalf("nisim benchdump -quick: exit %d: %s", status, stderr.String())
+	}
+	fresh := canonical(t, "benchdump", path)
+	committed := canonical(t, "benchdump", filepath.Join("..", "..", "BENCH_results.json"))
+	if !bytes.Equal(fresh, committed) {
+		t.Errorf("benchdump -quick results differ from the committed BENCH_results.json; regenerate it with `make bench-json`")
+	}
+}
+
 func registered(name string) bool {
 	for _, g := range grids {
 		if g.name == name {

@@ -97,6 +97,9 @@ type Cache struct {
 	// Writebacks counts dirty-victim writebacks.
 	Writebacks int64
 
+	// op is the processor's access in flight (Start).
+	op Op
+
 	// OnInvalidate, if non-nil, runs whenever a snooped transaction
 	// invalidates or downgrades a line this cache held. Pollers use it to
 	// notice producer writes to shared locations.
@@ -192,105 +195,222 @@ func (c *Cache) Snoop(t *membus.Transaction) membus.SnoopReply {
 	return membus.SnoopReply{}
 }
 
-// evict writes back the victim line for block if dirty. Blocking.
-func (c *Cache) evict(p *sim.Process, l *line) {
+// evict starts evicting the victim line l. A dirty victim is written
+// back, with done(recv, flags) run at the writeback's completion, and
+// evict reports true: the caller invalidates l then. A clean victim is
+// invalidated at once.
+func (c *Cache) evict(l *line, done sim.Handler, recv any) bool {
 	if l.state().Dirty() {
 		c.Writebacks++
-		c.bus.AccessFrom(p, c, membus.Writeback, l.block(), 0)
+		c.bus.Issue(c, membus.Writeback, l.block(), 0, done, recv)
+		return true
 	}
 	l.set(l.block(), Invalid)
+	return false
+}
+
+// Op is one processor load or store of the bytes [a, a+n), in flight
+// through the cache one block at a time. It never blocks: Step does what
+// the access does at the current time and says what it waits for, so the
+// caller decides how to wait. A process parks or sleeps (Read, Write,
+// ReadBytes, WriteBytes); an access train schedules its continuation
+// events (proc.Train). The hit, upgrade, eviction and fill logic lives
+// here alone, whoever drives it.
+type Op struct {
+	c     *Cache
+	a     membus.Addr // the current piece's first byte
+	n     int         // bytes left, the current piece's included
+	write bool
+	// wait is the bus transaction the op waits for, on line l; flags are
+	// its snoop results (membus.DoneShared, membus.DoneFromCache).
+	wait  opWait
+	l     *line
+	flags uint64
+	// wake(wakeRecv, 0) runs at each completion the op waits for.
+	wake     sim.Handler
+	wakeRecv any
+}
+
+// opWait is the bus transaction an Op waits for.
+type opWait int8
+
+const (
+	opNone opWait = iota
+	opUpgrade
+	opWriteback
+	opFill
+)
+
+// Start begins a processor load of n bytes at a, or a store when write,
+// and returns it; nothing happens until the first Step. The processor has
+// one access in flight at a time, so the cache holds the one record.
+// wake(recv, 0) runs inline at each bus completion the op waits for.
+func (c *Cache) Start(a membus.Addr, n int, write bool, wake sim.Handler, recv any) *Op {
+	c.op = Op{c: c, a: a, n: n, write: write, wake: wake, wakeRecv: recv}
+	return &c.op
+}
+
+// opDone is the completion hook of an op's bus transaction.
+//
+//lint:hotpath
+func opDone(recv any, flags uint64) {
+	op := recv.(*Op)
+	op.flags = flags
+	op.wake(op.wakeRecv, 0)
+}
+
+// Step advances the op at the current time, which must be the time its
+// driver would run the access: when it starts, d after a hit that
+// returned d, or in the slot Unpark takes after the wake hook ran
+// (AfterEvent(0) from it). A line's new state is set in that slot, where a
+// process resumed from the transaction would set it. Step returns busy
+// when a bus transaction is pending; otherwise a hit's latency d > 0 that
+// must pass before the next Step, or d == 0 once the op is done.
+//
+//lint:hotpath
+func (op *Op) Step() (d sim.Time, busy bool) {
+	c := op.c
+	for {
+		switch op.wait {
+		case opUpgrade:
+			op.wait = opNone
+			// Re-check: a racing snoop may have invalidated us while
+			// upgrading. If so, fall through to a full miss.
+			if block := membus.BlockOf(op.a); op.l.holds(block) {
+				op.l.set(block, Modified)
+				op.advance()
+				continue
+			}
+			op.miss(op.l)
+			return 0, true
+		case opWriteback:
+			op.l.set(op.l.block(), Invalid)
+			op.fill()
+			return 0, true
+		case opFill:
+			op.wait = opNone
+			block := membus.BlockOf(op.a)
+			switch {
+			case op.write:
+				op.l.set(block, Modified)
+			case op.flags&(membus.DoneShared|membus.DoneFromCache) != 0:
+				op.l.set(block, Shared)
+			default:
+				op.l.set(block, Exclusive)
+			}
+			op.advance()
+			continue
+		}
+		if op.n == 0 {
+			return 0, false
+		}
+		block := membus.BlockOf(op.a)
+		l := c.slot(block)
+		if !l.holds(block) {
+			op.miss(l)
+			return 0, true
+		}
+		c.Hits++
+		if op.write && l.state() != Modified && l.state() != Exclusive {
+			// Shared or Owned: upgrade in place.
+			op.l, op.wait = l, opUpgrade
+			c.bus.Issue(c, membus.Upgrade, block, 0, opDone, op)
+			return 0, true
+		}
+		if op.write {
+			l.set(block, Modified)
+		}
+		op.advance()
+		if d := c.cfg.HitLatency; d > 0 {
+			return d, false
+		}
+	}
+}
+
+// advance moves the op past its current piece: the rest of the block, or
+// of the op.
+func (op *Op) advance() {
+	sz := min(op.n, int(membus.BlockOf(op.a)+membus.BlockSize-op.a))
+	op.a += membus.Addr(sz)
+	op.n -= sz
+}
+
+// miss starts the current piece's fill into l, the line its block maps
+// to (nil if its page was never installed), after writing back a dirty
+// victim.
+func (op *Op) miss(l *line) {
+	c := op.c
+	c.Misses++
+	block := membus.BlockOf(op.a)
+	if l == nil {
+		l = c.install(block)
+	} else if l.state().Valid() && l.block() != block && c.evict(l, opDone, op) {
+		op.l, op.wait = l, opWriteback
+		return
+	}
+	op.l = l
+	op.fill()
+}
+
+// fill issues the current piece's block fill into op.l.
+func (op *Op) fill() {
+	kind := membus.GetS
+	if op.write {
+		kind = membus.GetX
+	}
+	op.wait = opFill
+	op.c.bus.Issue(op.c, kind, membus.BlockOf(op.a), 0, opDone, op)
+}
+
+// run drives an op in process context: p parks on each bus transaction
+// and sleeps through each hit.
+func (c *Cache) run(p *sim.Process, a membus.Addr, n int, write bool) {
+	op := c.Start(a, n, write, sim.UnparkHandler, p)
+	for {
+		d, busy := op.Step()
+		switch {
+		case busy:
+			p.Park()
+		case d > 0:
+			p.Sleep(d)
+		default:
+			return
+		}
+	}
 }
 
 // Read performs a processor load of size bytes at a, blocking p until the
 // data is available. Accesses must not span a block boundary.
 func (c *Cache) Read(p *sim.Process, a membus.Addr, size int) {
-	c.access(p, a, size, false)
+	checkBlock(a, size)
+	c.run(p, a, size, false)
 }
 
 // Write performs a processor store of size bytes at a, blocking p until the
 // store is ordered (hit or exclusive ownership obtained).
 func (c *Cache) Write(p *sim.Process, a membus.Addr, size int) {
-	c.access(p, a, size, true)
+	checkBlock(a, size)
+	c.run(p, a, size, true)
+}
+
+// checkBlock panics when [a, a+size) spans a block boundary.
+func checkBlock(a membus.Addr, size int) {
+	if membus.BlockOf(a+membus.Addr(size)-1) != membus.BlockOf(a) {
+		panic(fmt.Sprintf("cache: access %#x size %d spans blocks", a, size))
+	}
 }
 
 // ReadBytes performs loads covering [a, a+n), block by block.
-func (c *Cache) ReadBytes(p *sim.Process, a membus.Addr, n int) {
-	c.rangeAccess(p, a, n, false)
-}
+func (c *Cache) ReadBytes(p *sim.Process, a membus.Addr, n int) { c.run(p, a, n, false) }
 
 // WriteBytes performs stores covering [a, a+n), block by block.
-func (c *Cache) WriteBytes(p *sim.Process, a membus.Addr, n int) {
-	c.rangeAccess(p, a, n, true)
-}
-
-func (c *Cache) rangeAccess(p *sim.Process, a membus.Addr, n int, write bool) {
-	for n > 0 {
-		inBlock := int(membus.BlockOf(a) + membus.BlockSize - a)
-		sz := n
-		if sz > inBlock {
-			sz = inBlock
-		}
-		c.access(p, a, sz, write)
-		a += membus.Addr(sz)
-		n -= sz
-	}
-}
-
-func (c *Cache) access(p *sim.Process, a membus.Addr, size int, write bool) {
-	block := membus.BlockOf(a)
-	if membus.BlockOf(a+membus.Addr(size)-1) != block {
-		panic(fmt.Sprintf("cache: access %#x size %d spans blocks", a, size))
-	}
-	l := c.slot(block)
-	hit := l.holds(block)
-
-	if hit && (!write || l.state() == Modified || l.state() == Exclusive) {
-		c.Hits++
-		if write {
-			l.set(block, Modified)
-		}
-		p.Sleep(c.cfg.HitLatency)
-		return
-	}
-
-	if hit && write {
-		// Shared or Owned: upgrade in place.
-		c.Hits++
-		c.bus.AccessFrom(p, c, membus.Upgrade, block, 0)
-		// Re-check: a racing snoop may have invalidated us while upgrading.
-		if l.holds(block) {
-			l.set(block, Modified)
-			return
-		}
-		// Fall through to a full miss.
-		hit = false
-	}
-
-	c.Misses++
-	if l == nil {
-		l = c.install(block)
-	} else if l.state().Valid() && l.block() != block {
-		c.evict(p, l)
-	}
-	kind := membus.GetS
-	if write {
-		kind = membus.GetX
-	}
-	shared, fromCache := c.bus.AccessFrom(p, c, kind, block, 0)
-	switch {
-	case write:
-		l.set(block, Modified)
-	case shared || fromCache:
-		l.set(block, Shared)
-	default:
-		l.set(block, Exclusive)
-	}
-}
+func (c *Cache) WriteBytes(p *sim.Process, a membus.Addr, n int) { c.run(p, a, n, true) }
 
 // Flush writes back (if dirty) and invalidates the block containing a.
 func (c *Cache) Flush(p *sim.Process, a membus.Addr) {
 	block := membus.BlockOf(a)
-	if l := c.slot(block); l.holds(block) {
-		c.evict(p, l)
+	if l := c.slot(block); l.holds(block) && c.evict(l, sim.UnparkHandler, p) {
+		p.Park()
+		l.set(l.block(), Invalid)
 	}
 }

@@ -97,9 +97,9 @@ func (k Kind) IsWrite() bool {
 }
 
 // Transaction is one bus operation, as the snoopers and the home device
-// see it. Issuers do not build one: Issue and AccessFrom fill a record
-// from the bus's pool, which the bus recycles once the transaction's last
-// phase event has fired.
+// see it. Issuers do not build one: Issue fills a record from the bus's
+// pool, which the bus recycles once the transaction's last phase event has
+// fired.
 type Transaction struct {
 	Kind      Kind
 	Addr      Addr
@@ -114,22 +114,40 @@ type Transaction struct {
 	// the phases run as shared typed-event handlers, not closures.
 	bus  *Bus
 	home Target
-	// done(doneRecv, 0), if done is non-nil, runs inline at the simulated
-	// time the transaction completes: data delivered to the requester, or
-	// write accepted by the bus.
+	// done(doneRecv, flags), if done is non-nil, runs inline at the
+	// simulated time the transaction completes: data delivered to the
+	// requester, or write accepted by the bus. flags holds the snoop
+	// results (DoneShared, DoneFromCache).
 	done     sim.Handler
 	doneRecv any
-	// refs counts the outstanding references to the record — the pending
-	// phase event plus a blocked issuer — so it returns to the pool only
-	// once the last one that could touch it is gone.
+	// refs counts the pending phase events that hold the record, so it
+	// returns to the pool only once the last one that could touch it is
+	// gone.
 	refs int8
 }
 
+// The snoop results a completion hook receives in its arg, which a cache
+// needs to pick its MOESI fill state.
+const (
+	// DoneShared is set when another snooper retains a copy.
+	DoneShared uint64 = 1 << iota
+	// DoneFromCache is set when the data came cache-to-cache.
+	DoneFromCache
+)
+
 // complete finishes the transaction by running its completion hook.
 func (t *Transaction) complete() {
-	if t.done != nil {
-		t.done(t.doneRecv, 0)
+	if t.done == nil {
+		return
 	}
+	var flags uint64
+	if t.Shared {
+		flags |= DoneShared
+	}
+	if t.FromCache {
+		flags |= DoneFromCache
+	}
+	t.done(t.doneRecv, flags)
 }
 
 // Typed-event handlers for the transaction phases (see Transaction). Each
@@ -309,16 +327,12 @@ func (b *Bus) dataBeats(size int) int64 {
 // Issue places a transaction of kind k at a, moving size bytes (0 means a
 // block), on the bus on behalf of req, which the snoop pass skips (nil
 // when the issuer is not a snooper). It returns at once; when the
-// transaction completes, done(recv, 0) runs inline at that simulated time,
-// unless done is nil. Issue may be called from any simulation context.
+// transaction completes, done(recv, flags) runs inline at that simulated
+// time with the snoop results in flags (DoneShared, DoneFromCache), unless
+// done is nil. Issue may be called from any simulation context.
 //
 //lint:hotpath
 func (b *Bus) Issue(req Snooper, k Kind, a Addr, size int, done sim.Handler, recv any) {
-	b.issue(req, k, a, size, done, recv)
-}
-
-// issue is Issue returning the record, for a blocked issuer to read back.
-func (b *Bus) issue(req Snooper, k Kind, a Addr, size int, done sim.Handler, recv any) *Transaction {
 	if now := b.eng.Now(); now < b.heldUntil {
 		panic(fmt.Sprintf("membus: %s %#x issued at %v while a closed access train holds the bus until %v", k, a, now, b.heldUntil))
 	}
@@ -334,7 +348,6 @@ func (b *Bus) issue(req Snooper, k Kind, a Addr, size int, done sim.Handler, rec
 	b.count(k)
 	_, addrEnd := b.reserve(b.eng.Now(), b.timing.ArbAddrCycles)
 	b.eng.AtEvent(addrEnd, txnAddressPhase, t, 0)
-	return t
 }
 
 // take returns a record from the pool, or a new one.
@@ -481,22 +494,11 @@ func (b *Bus) release(t *Transaction) {
 	}
 }
 
-// Access is AccessFrom for an issuer that is not a snooper, such as the
-// processor's uncached and block-buffer accesses.
+// Access issues the transaction Issue would for an issuer that is not a
+// snooper, such as the processor's uncached and block-buffer accesses, and
+// blocks p until it completes, charging the blocked time to p's current
+// category.
 func (b *Bus) Access(p *sim.Process, k Kind, a Addr, size int) {
-	b.AccessFrom(p, nil, k, a, size)
-}
-
-// AccessFrom issues the transaction Issue would and blocks p until it
-// completes, charging the blocked time to p's current category. It
-// reports the snoop results a cache needs to pick its MOESI fill state:
-// whether another snooper retains a copy, and whether the data came
-// cache-to-cache.
-func (b *Bus) AccessFrom(p *sim.Process, req Snooper, k Kind, a Addr, size int) (shared, fromCache bool) {
-	t := b.issue(req, k, a, size, sim.UnparkHandler, p)
-	t.refs++ // the issuer's reference, released below
+	b.Issue(nil, k, a, size, sim.UnparkHandler, p)
 	p.Park()
-	shared, fromCache = t.Shared, t.FromCache
-	b.release(t)
-	return shared, fromCache
 }

@@ -46,16 +46,18 @@ func (s *ownerSnooper) Snoop(t *Transaction) SnoopReply {
 	return SnoopReply{}
 }
 
-// doneLog records the simulated time of each completion hook it is
-// passed to as recv.
+// doneLog records the simulated time and snoop flags of each completion
+// hook it is passed to as recv.
 type doneLog struct {
-	eng *sim.Engine
-	at  []sim.Time
+	eng   *sim.Engine
+	at    []sim.Time
+	flags []uint64
 }
 
-func logDone(recv any, _ uint64) {
+func logDone(recv any, flags uint64) {
 	l := recv.(*doneLog)
 	l.at = append(l.at, l.eng.Now())
+	l.flags = append(l.flags, flags)
 }
 
 func newBus() (*sim.Engine, *Bus, *fixedTarget) {
@@ -99,18 +101,14 @@ func TestOwnerSuppliesInsteadOfHome(t *testing.T) {
 	eng, bus, home := newBus()
 	own := &ownerSnooper{block: 0x200, supply: 24 * sim.Nanosecond}
 	bus.AttachSnooper(own)
-	var done sim.Time
-	var shared, fromCache bool
-	eng.Spawn("reader", func(p *sim.Process) {
-		shared, fromCache = bus.AccessFrom(p, nil, GetS, 0x200, 0)
-		done = p.Now()
-	})
+	done := &doneLog{eng: eng}
+	bus.Issue(nil, GetS, 0x200, 0, logDone, done)
 	eng.Run()
-	if !fromCache || !shared {
-		t.Fatalf("owner did not supply: shared=%v fromCache=%v", shared, fromCache)
+	if len(done.flags) != 1 || done.flags[0] != DoneShared|DoneFromCache {
+		t.Fatalf("owner did not supply: completion flags %v, want [%d]", done.flags, DoneShared|DoneFromCache)
 	}
-	if done != 44*sim.Nanosecond {
-		t.Fatalf("cache-to-cache GetS at %v, want 44ns", done)
+	if done.at[0] != 44*sim.Nanosecond {
+		t.Fatalf("cache-to-cache GetS at %v, want 44ns", done.at[0])
 	}
 	if len(home.accesses) != 0 {
 		t.Fatal("home accessed despite cache-to-cache supply")

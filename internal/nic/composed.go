@@ -95,7 +95,8 @@ func newFifoEngine(env *Env, hw *fifoHW, e Engine) any {
 //  3. The coherent engine, for ring-buffered specs. Its constructor
 //     builds the ring store's device memories before it attaches to the
 //     bus, overrides OnAccept (receive is the coherent side), wires
-//     OnControl when throttled, and spawns the NI-side state machines.
+//     OnControl when throttled, and wires the hooks that drive the
+//     NI-side state machines (OnOutFree on a coherent send side).
 //  4. Ring buffering does not involve the processor (Table 2): returned
 //     messages are retried by the NI, not the software, so the composer
 //     un-wires the fifo hardware's OnBounce.
@@ -105,7 +106,8 @@ func newFifoEngine(env *Env, hw *fifoHW, e Engine) any {
 //     coherent engine, and no RDMA engine) marks the bus processor-only,
 //     so the processor's fifo-window access trains run closed
 //     (proc.Train). UDMA's block chain masters the bus only while its
-//     software waits for it, never during a train.
+//     software waits for it, never during a train. UDMA's staging copies
+//     through the cache are cached trains, which run stepwise.
 //  7. The overload policy, when the Spec sets one, compiles into the
 //     endpoint's Admit hook (overload.go) — after the engines, so the
 //     occupancy signal reads whichever buffering layer was built.

@@ -1,8 +1,6 @@
 package nic
 
 import (
-	"fmt"
-
 	"nisim/internal/mainmem"
 	"nisim/internal/membus"
 	"nisim/internal/netsim"
@@ -26,6 +24,13 @@ import (
 // The NI-homed and NI-cached rings also prefetch send blocks: observing
 // the processor's request-for-exclusive on block k+1 of a message triggers
 // a fetch of block k, overlapping message creation with transfer.
+//
+// The NI's send and receive engines are hardware state machines driven by
+// events, not processes (sendRun, recvRun). Each continuation runs in the
+// slot Unpark takes, AfterEvent(0) from a transaction's completion or from
+// the call point of what the engine waits for, so the engines' events
+// keep the queue keys of engines written as processes. A waiting engine
+// leaves its stage and, for a wait on another party, what it waits for.
 type coherent struct {
 	env       *Env
 	snoopName string
@@ -45,23 +50,39 @@ type coherent struct {
 	fetchStore, prefetchStore *mainmem.Memory
 	cache                     *niCache
 
-	// Send side, built only when the spec's send engine is coherent.
+	// The processor's trains: a send's compose and a receive's consume.
+	// The processor runs one at a time, so they share the Train.
+	tr        proc.Train
+	composing composeSteps
+	consuming consumeSteps
+
+	// Send side, used only when the spec's send engine is coherent.
 	sendQ      queue[ringEntry]
-	sendWork   *sim.Cond
 	sendSpace  *sim.Cond // ring space freed
-	outFree    *sim.Cond // network out-buffer freed
 	doorbelled int64     // logical tail covered by doorbells
 	// fetched marks send blocks the NI already holds, indexed by logical
 	// block modulo the ring capacity: marks lie between the send ring's
 	// head and tail, at most one capacity apart.
 	fetched []bool
+	// The send engine (sendRun): its stage, what it waits for, the
+	// message it is moving and the next block to fetch.
+	sendAt   sendStage
+	sendWait cniWait
+	sendCur  ringEntry
+	sendBlk  int64
 
 	// Receive side.
 	acceptQ     msgQueue
-	recvWork    *sim.Cond
 	deliverable queue[ringEntry]
 	recvCond    *sim.Cond
-	consumeCond *sim.Cond
+	// The receive engine (recvRun): its stage, what it waits for, the
+	// message it is depositing (its ring entry once it has ring space),
+	// the next block, and the bus idiom of a deposit through the bus.
+	recvAt   recvStage
+	recvWait cniWait
+	recvCur  ringEntry
+	recvBlk  int64
+	recvKind membus.Kind
 
 	// Send throttling (CNI_32Q_m+Throttle): a software credit scheme that
 	// keeps, per destination node, no more unconsumed blocks outstanding
@@ -73,6 +94,17 @@ type coherent struct {
 	throttleCond *sim.Cond
 }
 
+// cniWait is what a waiting coherent NI engine waits for: the event whose
+// call point runs its kick.
+type cniWait int8
+
+const (
+	waitNone    cniWait = iota
+	waitWork            // a doorbell (send) or an accepted message (receive)
+	waitOut             // a free network out-buffer (send)
+	waitConsume         // a retired receive entry: ring space or NI-cache room
+)
+
 // ringEntry is one queued message: nb blocks of a ring from logical start.
 type ringEntry struct {
 	m       *netsim.Message
@@ -83,13 +115,14 @@ type ringEntry struct {
 
 func newCoherent(env *Env, spec Spec) *coherent {
 	c := &coherent{
-		env:         env,
-		snoopName:   spec.Name(),
-		throttle:    spec.Throttle,
-		recvWork:    sim.NewCond(env.Eng),
-		recvCond:    sim.NewCond(env.Eng),
-		consumeCond: sim.NewCond(env.Eng),
+		env:       env,
+		snoopName: spec.Name(),
+		throttle:  spec.Throttle,
+		recvCond:  sim.NewCond(env.Eng),
+		sendWait:  waitWork,
+		recvWait:  waitWork,
 	}
+	c.composing.c, c.consuming.c = c, c
 	if c.throttle {
 		c.outstanding = make([]int64, env.EP.Nodes())
 		c.throttleCond = sim.NewCond(env.Eng)
@@ -104,20 +137,33 @@ func newCoherent(env *Env, spec Spec) *coherent {
 		if tr := env.Trace; tr != nil {
 			tr("buffer accept src=%d size=%dB queued=%d", m.Src, m.Size(), c.acceptQ.len())
 		}
-		c.recvWork.Broadcast()
+		c.kickRecv(waitWork)
 	}
 	if spec.Send == CoherentEngine {
 		// Specs that only receive coherently (Memory Channel, RDMA, and
 		// fifo-send cross points) send through another engine, so the
-		// NI-side send machine and its out-buffer hook are left unbuilt.
-		c.sendWork = sim.NewCond(env.Eng)
+		// NI-side send machine's out-buffer hook is left unwired.
 		c.sendSpace = sim.NewCond(env.Eng)
-		c.outFree = sim.NewCond(env.Eng)
-		env.EP.OnOutFree = func() { c.outFree.Broadcast() }
-		env.Eng.Spawn(fmt.Sprintf("cni-send-%d", env.ID), c.sendEngine)
+		env.EP.OnOutFree = func() { c.kickSend(waitOut) }
 	}
-	env.Eng.Spawn(fmt.Sprintf("cni-recv-%d", env.ID), c.recvEngine)
 	return c
+}
+
+// kickSend continues the send engine if it waits for w, in the slot
+// Unpark takes from here.
+func (c *coherent) kickSend(w cniWait) {
+	if c.sendWait == w {
+		c.sendWait = waitNone
+		c.env.Eng.AfterEvent(0, cniSendStep, c, 0)
+	}
+}
+
+// kickRecv is kickSend for the receive engine.
+func (c *coherent) kickRecv(w cniWait) {
+	if c.recvWait == w {
+		c.recvWait = waitNone
+		c.env.Eng.AfterEvent(0, cniRecvStep, c, 0)
+	}
 }
 
 // SnooperName implements membus.Snooper.
@@ -166,9 +212,9 @@ func (c *coherent) snoopCompose(a membus.Addr) {
 func prefetchDone(recv any, _ uint64) { recv.(*coherent).prefetchStore.Claim() }
 
 // send is the processor side of a coherent transmit: compose the message
-// into cacheable queue memory and ring the doorbell; the NI manages the
-// transfer from there, so the processor is released immediately (modulo
-// throttling).
+// into cacheable queue memory and ring the doorbell, as one access train;
+// the NI manages the transfer from there, so the processor is released
+// immediately (modulo throttling).
 func (c *coherent) send(pr *proc.Proc, m *netsim.Message) {
 	nb := int64(blocksFor(m))
 	if c.throttle {
@@ -182,17 +228,40 @@ func (c *coherent) send(pr *proc.Proc, m *netsim.Message) {
 	}
 	start := c.sendRing.tail
 	c.sendRing.tail += nb
-	for i := int64(0); i < nb; i++ {
-		pr.CachedWrite(stats.Transfer, c.sendRing.addr(start+i), blockBytes(m, i))
-	}
-	// Lazy tail-pointer update (cacheable) — the doorbell.
-	pr.CachedWrite(stats.Transfer, c.sendPtr, 8)
+	c.composing.m, c.composing.start, c.composing.i = m, start, 0
+	c.tr.RunStepwise(pr, stats.Transfer, &c.composing)
 	c.doorbelled = c.sendRing.tail
 	c.sendQ.push(ringEntry{m: m, start: start, nb: nb})
 	if tr := c.env.Trace; tr != nil {
 		tr("engine compose dst=%d blocks=%d ring=[%d,%d)", m.Dst, nb, c.sendRing.head, c.sendRing.tail)
 	}
-	c.sendWork.Broadcast()
+	c.kickSend(waitWork)
+}
+
+// composeSteps is the cursor of a send's train: a cached store of each
+// block of message m at logical send-ring block start on, then the lazy
+// tail-pointer update (cacheable), the doorbell.
+type composeSteps struct {
+	c        *coherent
+	m        *netsim.Message
+	start, i int64 // i counts the steps taken
+}
+
+// Next implements proc.Steps.
+//
+//lint:hotpath
+func (s *composeSteps) Next(st *proc.Step) bool {
+	c, nb := s.c, int64(blocksFor(s.m))
+	switch {
+	case s.i < nb:
+		*st = proc.CachedStep(true, c.sendRing.addr(s.start+s.i), blockBytes(s.m, s.i))
+	case s.i == nb:
+		*st = proc.CachedStep(true, c.sendPtr, 8)
+	default:
+		return false
+	}
+	s.i++
+	return true
 }
 
 // throttleWait models CNI_32Q_m+Throttle: a software credit scheme holds
@@ -225,61 +294,148 @@ func (c *coherent) creditReturn(arg uint64) {
 	c.throttleCond.Broadcast()
 }
 
-// sendEngine is the NI-side send state machine: fetch message blocks from
-// the processor's cache (or memory) with coherent reads, then inject.
-func (c *coherent) sendEngine(p *sim.Process) {
+// sendStage is where the send engine stands in moving a message.
+type sendStage int8
+
+const (
+	sendIdle    sendStage = iota // next: take a doorbelled message
+	sendFetch                    // next: fetch block sendBlk on
+	sendFetched                  // the fetch before sendBlk completed
+	sendInject                   // next: take an out-buffer and inject
+)
+
+// cniSendStep is the send engine's continuation event.
+//
+//lint:hotpath
+func cniSendStep(recv any, _ uint64) { recv.(*coherent).sendRun() }
+
+// cniSendDone is the completion hook of a send-block fetch: the engine
+// continues in the slot Unpark takes.
+//
+//lint:hotpath
+func cniSendDone(recv any, _ uint64) {
+	recv.(*coherent).env.Eng.AfterEvent(0, cniSendStep, recv, 0)
+}
+
+// sendRun is the NI-side send state machine: fetch message blocks from
+// the processor's cache (or memory) with coherent reads, then inject. It
+// runs until it must wait: for a fetch, a doorbell or an out-buffer.
+//
+//lint:hotpath
+func (c *coherent) sendRun() {
 	for {
-		for c.sendQ.len() == 0 {
-			c.sendWork.Wait(p)
-		}
-		e := c.sendQ.pop()
-		for i := int64(0); i < e.nb; i++ {
-			li := e.start + i
-			if c.fetched[li%c.sendRing.cap] {
-				c.fetched[li%c.sendRing.cap] = false
-				continue
+		switch c.sendAt {
+		case sendIdle:
+			if c.sendQ.len() == 0 {
+				c.sendWait = waitWork
+				return
 			}
-			c.env.Bus.AccessFrom(p, c, membus.GetS, c.sendRing.addr(li), 0)
+			c.sendCur, c.sendBlk, c.sendAt = c.sendQ.pop(), 0, sendFetch
+		case sendFetched:
 			// The local store of the fetched block lands in the device's
-			// write buffer; reads bypass it, so it neither stalls the engine
-			// nor delays subsequent reads. Only the SRAM caches, being
-			// single-ported, charge their occupancy.
+			// write buffer; reads bypass it, so it neither stalls the
+			// engine nor delays subsequent reads. Only the SRAM caches,
+			// being single-ported, charge their occupancy.
 			if c.fetchStore != nil {
 				c.fetchStore.Claim()
 			}
+			c.sendAt = sendFetch
+		case sendFetch:
+			e := &c.sendCur
+			for c.sendBlk < e.nb {
+				li := e.start + c.sendBlk
+				c.sendBlk++
+				if c.fetched[li%c.sendRing.cap] {
+					c.fetched[li%c.sendRing.cap] = false
+					continue
+				}
+				c.sendAt = sendFetched
+				c.env.Bus.Issue(c, membus.GetS, c.sendRing.addr(li), 0, cniSendDone, c)
+				return
+			}
+			c.sendAt = sendInject
+		case sendInject:
+			if !c.env.EP.TryAcquireOut() {
+				c.sendWait = waitOut
+				return
+			}
+			e := &c.sendCur
+			c.env.EP.Inject(e.m)
+			if tr := c.env.Trace; tr != nil {
+				tr("engine inject dst=%d blocks=%d", e.m.Dst, e.nb)
+			}
+			c.sendRing.head = e.start + e.nb
+			c.sendCur, c.sendAt = ringEntry{}, sendIdle
+			c.sendSpace.Broadcast()
 		}
-		for !c.env.EP.TryAcquireOut() {
-			c.outFree.Wait(p)
-		}
-		c.env.EP.Inject(e.m)
-		if tr := c.env.Trace; tr != nil {
-			tr("engine inject dst=%d blocks=%d", e.m.Dst, e.nb)
-		}
-		c.sendRing.head = e.start + e.nb
-		c.sendSpace.Broadcast()
 	}
 }
 
-// recvEngine is the NI-side receive state machine: move each accepted
-// message from its incoming flow-control buffer into the receive queue; the
-// ring store decides where the blocks land.
-func (c *coherent) recvEngine(p *sim.Process) {
+// recvStage is where the receive engine stands in depositing a message.
+type recvStage int8
+
+const (
+	recvIdle     recvStage = iota // next: take an accepted message
+	recvRing                      // next: claim receive-ring space
+	recvDeposit                   // next: start the deposit (ring.go)
+	recvRoom                      // next: (no-bypass ablation) find NI-cache room
+	recvPlace                     // next: the NI cache, or bypass to memory
+	recvCache                     // next: write block recvBlk on into the NI cache
+	recvCached                    // the Invalidate of block recvBlk completed
+	recvBypassed                  // the bypass's head-pointer read completed
+	recvWrite                     // next: deposit block recvBlk on through the bus
+	recvDone                      // next: release the flow-control buffer, deliver
+)
+
+// cniRecvStep is the receive engine's continuation event.
+//
+//lint:hotpath
+func cniRecvStep(recv any, _ uint64) { recv.(*coherent).recvRun() }
+
+// cniRecvDone is the completion hook of a deposit's transaction: the
+// engine continues in the slot Unpark takes.
+//
+//lint:hotpath
+func cniRecvDone(recv any, _ uint64) {
+	recv.(*coherent).env.Eng.AfterEvent(0, cniRecvStep, recv, 0)
+}
+
+// recvRun is the NI-side receive state machine: move each accepted
+// message from its incoming flow-control buffer into the receive queue;
+// the ring store decides where the blocks land (deposit). It runs until it
+// must wait: for a transaction, an accepted message or a retired entry.
+//
+//lint:hotpath
+func (c *coherent) recvRun() {
 	for {
-		for c.acceptQ.len() == 0 {
-			c.recvWork.Wait(p)
+		e := &c.recvCur
+		switch c.recvAt {
+		case recvIdle:
+			if c.acceptQ.len() == 0 {
+				c.recvWait = waitWork
+				return
+			}
+			m := c.acceptQ.pop()
+			c.recvCur, c.recvAt = ringEntry{m: m, nb: int64(blocksFor(m))}, recvRing
+		case recvRing:
+			if c.recvRing.tail+e.nb-c.recvRing.head > c.recvRing.cap {
+				// Queue full: hold the flow-control buffer (backpressure).
+				c.recvWait = waitConsume
+				return
+			}
+			e.start = c.recvRing.tail
+			c.recvRing.tail += e.nb
+			c.recvBlk, c.recvAt = 0, recvDeposit
+		case recvDone:
+			c.env.EP.ReleaseIn()
+			c.deliverable.push(*e)
+			c.recvCur, c.recvAt = ringEntry{}, recvIdle
+			c.recvCond.Broadcast()
+		default:
+			if c.deposit() {
+				return
+			}
 		}
-		m := c.acceptQ.pop()
-		nb := int64(blocksFor(m))
-		for c.recvRing.tail+nb-c.recvRing.head > c.recvRing.cap {
-			// Queue full: hold the flow-control buffer (backpressure).
-			c.consumeCond.Wait(p)
-		}
-		start := c.recvRing.tail
-		c.recvRing.tail += nb
-		inCache := c.deposit(p, start, nb)
-		c.env.EP.ReleaseIn()
-		c.deliverable.push(ringEntry{m: m, start: start, nb: nb, inCache: inCache})
-		c.recvCond.Broadcast()
 	}
 }
 
@@ -295,33 +451,80 @@ func (c *coherent) poll(pr *proc.Proc) (*netsim.Message, bool) {
 		pr.CachedRead(stats.Buffering, c.recvRing.addr(c.recvRing.head), 8)
 		return nil, false
 	}
-	pr.CachedRead(stats.Transfer, c.recvRing.addr(c.recvRing.head), 8)
-	return c.consume(pr), true
+	m := c.consume(pr)
+	return m, m != nil
 }
 
 // recv blocks until a message is deliverable, then consumes it.
 func (c *coherent) recv(pr *proc.Proc) *netsim.Message {
-	for c.deliverable.len() == 0 {
-		c.recvCond.WaitAs(pr.P, stats.Compute)
+	for {
+		for c.deliverable.len() == 0 {
+			c.recvCond.WaitAs(pr.P, stats.Compute)
+		}
+		if m := c.consume(pr); m != nil {
+			return m
+		}
 	}
-	pr.CachedRead(stats.Transfer, c.recvRing.addr(c.recvRing.head), 8)
-	return c.consume(pr)
 }
 
+// consume is the processor's receive of the head message: the head read
+// that finds it, its blocks, the copy into the user buffer and the
+// head-pointer update, as one access train. It returns nil when an
+// overload eviction took the only deliverable message while the head read
+// was in flight.
 func (c *coherent) consume(pr *proc.Proc) *netsim.Message {
-	e := c.deliverable.pop()
-	m := e.m
-	for i := int64(0); i < e.nb; i++ {
-		pr.CachedRead(stats.Transfer, c.recvRing.addr(e.start+i), blockBytes(m, i))
+	c.consuming.i = 0
+	c.tr.RunStepwise(pr, stats.Transfer, &c.consuming)
+	e := c.consuming.e
+	if e.m == nil {
+		return nil
 	}
-	// Copy payload into the user buffer: one store per 8 bytes.
-	pr.Work(stats.Transfer, int64((m.Size()+7)/8))
-	// Lazy head-pointer update (cacheable).
-	pr.CachedWrite(stats.Transfer, c.recvPtr, 8)
-
+	c.consuming.e = ringEntry{}
 	c.retire(e)
-	recordRecv(c.env, m)
-	return m
+	recordRecv(c.env, e.m)
+	return e.m
+}
+
+// consumeSteps is the cursor of a receive's train: a cached load of the
+// head block; then the entry the processor found there, taken off the
+// deliverable queue only once that load is done (an overload eviction
+// meanwhile takes the entry the load found, and when it took the only one
+// the train ends with no entry); a cached load of each of its blocks; the
+// copy into the user buffer, one store per 8 bytes; and the lazy
+// head-pointer update (cacheable).
+type consumeSteps struct {
+	c *coherent
+	e ringEntry
+	i int64 // steps taken
+}
+
+// Next implements proc.Steps.
+//
+//lint:hotpath
+func (s *consumeSteps) Next(st *proc.Step) bool {
+	c := s.c
+	if s.i == 0 {
+		*st = proc.CachedStep(false, c.recvRing.addr(c.recvRing.head), 8)
+		s.i++
+		return true
+	}
+	if s.i == 1 {
+		if c.deliverable.len() == 0 {
+			return false // evicted during the head read
+		}
+		s.e = c.deliverable.pop()
+	}
+	switch b := s.i - 1; {
+	case b < s.e.nb:
+		*st = proc.CachedStep(false, c.recvRing.addr(s.e.start+b), blockBytes(s.e.m, b))
+	case b == s.e.nb:
+		*st = proc.CachedStep(true, c.recvPtr, 8)
+		st.Cycles = int64((s.e.m.Size() + 7) / 8)
+	default:
+		return false
+	}
+	s.i++
+	return true
 }
 
 // retire frees the receive-queue blocks of e, the oldest entry, once the
@@ -348,7 +551,7 @@ func (c *coherent) retire(e ringEntry) {
 			c.env.Stats.NICacheMisses += e.nb
 		}
 	}
-	c.consumeCond.Broadcast()
+	c.kickRecv(waitConsume)
 }
 
 // pending reports whether a consume would succeed now.

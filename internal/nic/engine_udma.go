@@ -40,6 +40,36 @@ type udmaEngine struct {
 	dmaLeft int
 	dmaMsg  *netsim.Message
 	dmaProc *sim.Process
+
+	// copy is the staging copy's train (stage).
+	copy copySteps
+}
+
+// copySteps is the cursor of a staging copy's train: one cached access
+// over the whole buffer, which the processor cache moves block by block.
+type copySteps struct {
+	tr    proc.Train
+	s     proc.Step
+	taken bool
+}
+
+// Next implements proc.Steps.
+//
+//lint:hotpath
+func (c *copySteps) Next(s *proc.Step) bool {
+	if c.taken {
+		return false
+	}
+	*s, c.taken = c.s, true
+	return true
+}
+
+// stage copies the n bytes of a staging buffer at a through the processor
+// cache, stores when write, as one access train charged to Transfer.
+func (u *udmaEngine) stage(pr *proc.Proc, write bool, a membus.Addr, n int) {
+	c := &u.copy
+	c.s, c.taken = proc.CachedStep(write, a, n), false
+	c.tr.RunStepwise(pr, stats.Transfer, c)
 }
 
 // udmaStagingBase is the DRAM region UDMA deposits received messages into
@@ -166,7 +196,7 @@ func (u *udmaEngine) send(pr *proc.Proc, m *netsim.Message) {
 	// The message was composed in user memory: stage it through the cache
 	// so the DMA reads hit the true source (processor cache or memory).
 	src := u.staging()
-	pr.CachedWrite(stats.Transfer, src, m.Size())
+	u.stage(pr, true, src, m.Size())
 	u.initiate(pr)
 
 	// NI-managed DMA: coherent block reads of the source buffer, then
@@ -210,7 +240,7 @@ func (u *udmaEngine) receive(pr *proc.Proc) *netsim.Message {
 	u.dma(pr, membus.WriteInvalidate, dst, blocksFor(m), nil)
 	// The handler will read the data from memory; that cost lands on the
 	// consumer's cached reads of the staging buffer.
-	pr.CachedRead(stats.Transfer, dst, m.Size())
+	u.stage(pr, false, dst, m.Size())
 	recordRecv(u.env, m)
 	return u.hw.pop()
 }

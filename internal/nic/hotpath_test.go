@@ -184,11 +184,10 @@ func TestAdmissionControlAllocFree(t *testing.T) {
 	}
 }
 
-// cm5Exchange runs rounds of a 2-node CM-5 ping-pong of payload-byte
-// messages and returns the engine's process resumes and events per
-// message.
-func cm5Exchange(t *testing.T, rounds, payload int) (resumes, events float64) {
-	r := newTwoNodes(t, CM5, 8, nil)
+// exchange runs rounds of a 2-node ping-pong of payload-byte messages on
+// kind k and returns the engine's process resumes and events over the run.
+func exchange(t *testing.T, k Kind, rounds, payload int) (resumes, events uint64) {
+	r := newTwoNodes(t, k, 8, nil)
 	r.run(t, func(pr *proc.Proc, ni NI) {
 		for i := 0; i < rounds; i++ {
 			ni.Send(pr, netsim.NewSized(0, 1, 1, payload))
@@ -200,38 +199,58 @@ func cm5Exchange(t *testing.T, rounds, payload int) (resumes, events float64) {
 			ni.Send(pr, netsim.NewSized(1, 0, 1, payload))
 		}
 	})
-	return float64(r.eng.Resumes()) / float64(2*rounds), float64(r.eng.Events()) / float64(2*rounds)
+	return r.eng.Resumes(), r.eng.Events()
 }
 
-// TestCM5ResumesPerMessage pins the host process switches a CM-5 message
-// costs. A 64 B payload plus its header is nine fifo words and four
-// sub-message status reads on each side. Issued one access at a time that
-// was 50.02 resumes per message, two per word. As access trains the sender
-// resumes after its path and status read and after its push, and the
-// receiver after its wait and after its receive train: four per message,
-// plus the two process starts over the run.
-func TestCM5ResumesPerMessage(t *testing.T) {
+// TestResumesAndEventsPerMessage pins the host process switches and the
+// engine events a message costs on every named NI, over a 50-round
+// ping-pong (100 messages) whose two process starts add 0.02 to each
+// resume count.
+//
+// Resumes. The processor runs each access sequence as one access train.
+// A fifo message costs four: the sender resumes after its path and status
+// read and after its push, the receiver after its wait and after its
+// receive train. UDMA above its DMA threshold (248 B) costs 13: the
+// sender's path and status read, the receiver's wait and head
+// examination, and on each side the DMA start, the bus-master handoff,
+// the wait for the block chain, the completion check and the staging copy
+// through the cache (one cached train).
+// A coherent message costs three: the sender's compose train (block
+// stores and doorbell), the receiver's wait and its consume train (head
+// read, blocks, copy, head-pointer store); the NI's engines are event
+// hardware that never resumes. Memory Channel sends through the fifo
+// window, so it costs the fifo sender's two.
+//
+// Events. A fifo NI's bus is processor-only, so its trains are closed:
+// ten events per message (see DESIGN.md §4.4). A coherent NI's trains are
+// stepwise and its engines move each block, so its events grow with the
+// message: every step keeps the event a process would have run.
+func TestResumesAndEventsPerMessage(t *testing.T) {
 	const rounds = 50
-	got, _ := cm5Exchange(t, rounds, 64)
-	if want := 4 + 2.0/(2*rounds); got != want {
-		t.Fatalf("%.2f resumes per 64 B CM-5 message, want %.2f", got, want)
+	want := map[Kind][3][2]uint64{ // per payload 8, 64, 248 B: resumes, events
+		CM5:             {{402, 1002}, {402, 1002}, {402, 1002}},
+		CM5SingleCycle:  {{402, 1001}, {402, 1002}, {402, 1002}},
+		UDMA:            {{402, 1002}, {402, 1002}, {1302, 6202}},
+		AP3000:          {{402, 1002}, {402, 1002}, {402, 1002}},
+		StarTJR:         {{302, 2310}, {302, 3510}, {302, 5766}},
+		MemoryChannel:   {{402, 2006}, {402, 3106}, {402, 5306}},
+		CNI512Q:         {{302, 2210}, {302, 3210}, {302, 5210}},
+		CNI32Qm:         {{302, 2220}, {302, 3234}, {302, 5146}},
+		CNI32QmThrottle: {{302, 2309}, {302, 3309}, {302, 5165}},
 	}
-}
-
-// TestCM5EventsPerMessage pins the engine events a CM-5 message costs.
-// Stepwise access trains keep every event of the one-by-one accesses, about
-// five per word (the work step, the address phase, the data phase, a
-// write's home access and the continuation): 121.02 per 64 B message. On
-// the processor-only bus of a fifo NI the trains are closed, and a message
-// costs the completions of the three trains that end in an access (the
-// sender's status check and push, the receiver's drain), the four resumes,
-// and the network's arrival, accept decision and buffer release: ten, plus
-// the two process starts over the run.
-func TestCM5EventsPerMessage(t *testing.T) {
-	const rounds = 50
-	_, got := cm5Exchange(t, rounds, 64)
-	if want := 10 + 2.0/(2*rounds); got != want {
-		t.Fatalf("%.2f events per 64 B CM-5 message, want %.2f", got, want)
+	for _, k := range Kinds() {
+		for i, payload := range []int{8, 64, 248} {
+			k, i, payload := k, i, payload
+			t.Run(fmt.Sprintf("%s/%dB", k.ShortName(), payload), func(t *testing.T) {
+				resumes, events := exchange(t, k, rounds, payload)
+				w := want[k][i]
+				if resumes != w[0] || events != w[1] {
+					t.Errorf("%.2f resumes and %.2f events per message, want %.2f and %.2f",
+						float64(resumes)/(2*rounds), float64(events)/(2*rounds),
+						float64(w[0])/(2*rounds), float64(w[1])/(2*rounds))
+				}
+			})
+		}
 	}
 }
 

@@ -272,6 +272,42 @@ func TestThrottledEvictionReturnsCredit(t *testing.T) {
 	}
 }
 
+// TestEvictionDuringHeadRead sets the eviction watermark below one
+// message, so an arrival evicts the only deliverable message, also while
+// the processor's head read that found it is in flight. The consume then
+// finds nothing to take: Poll reports no message, and every message is
+// either received or evicted.
+func TestEvictionDuringHeadRead(t *testing.T) {
+	for _, k := range []Kind{StarTJR, CNI512Q, CNI32Qm} {
+		k := k
+		t.Run(k.ShortName(), func(t *testing.T) {
+			spec := SpecFor(k)
+			spec.Overload = OverloadPolicy{AdmitPct: 5, Refuse: RefuseDrop, Evict: EvictOldest}
+			netCfg := netsim.DefaultConfig()
+			netCfg.Reliability = netsim.DefaultReliability()
+			r := newTwoNodesNet(t, spec, 8, netCfg, func(c *Config) { c.QmQueueBlocks, c.CNIQueueBlocks = 64, 64 })
+			const count = 40
+			got, empty := 0, 0
+			r.run(t, r.sendN(count, 200), func(pr *proc.Proc, ni NI) {
+				for got+int(r.nodes[1].AdmitEvictions) < count {
+					pending := ni.Pending()
+					if _, ok := ni.Poll(pr); ok {
+						got++
+						continue
+					}
+					if pending {
+						empty++
+					}
+					pr.P.SleepAs(stats.Compute, 100*sim.Nanosecond)
+				}
+			})
+			if r.nodes[1].AdmitEvictions == 0 || empty == 0 {
+				t.Fatalf("%d evictions, %d consumes that found their message evicted; want both", r.nodes[1].AdmitEvictions, empty)
+			}
+		})
+	}
+}
+
 func TestFifoBounceNeedsProcessorRetry(t *testing.T) {
 	r := newTwoNodes(t, CM5, 1, nil)
 	retried := false

@@ -5,7 +5,6 @@ import (
 
 	"nisim/internal/mainmem"
 	"nisim/internal/membus"
-	"nisim/internal/sim"
 )
 
 // The ring store: where the coherent engine's queues live. The three ring
@@ -63,6 +62,7 @@ func (c *coherent) installRings(b Buffering) {
 		c.cache = &niCache{
 			sendSRAM: mainmem.New("cni-send-cache", cfg.NISRAM, c.env.Eng),
 			recvSRAM: mainmem.New("cni-recv-cache", cfg.NISRAM, c.env.Eng),
+			blocks:   cfg.CNICacheBlocks,
 		}
 		// The single-ported SRAM charges every store, fetched or
 		// prefetched.
@@ -70,26 +70,88 @@ func (c *coherent) installRings(b Buffering) {
 	}
 }
 
-// deposit moves one accepted message (nb blocks at logical start) into the
-// receive ring, paying the buffering's bus idiom, and reports whether the
-// blocks are resident in the NI cache.
-func (c *coherent) deposit(p *sim.Process, start, nb int64) bool {
-	if c.cache != nil {
-		return c.cacheDeposit(p, start, nb)
-	}
-	c.writeBlocks(p, c.depositKind, start, nb)
-	if tr := c.env.Trace; tr != nil {
-		tr("buffer deposit mode=%s blocks=%d", c.depositMode, nb)
+// deposit takes one step of moving the receive engine's message, which
+// holds its ring entry, into the receive ring, paying the buffering's bus
+// idiom, and reports whether the engine must now wait. The step that
+// finishes sets the entry's inCache, whether its blocks are resident in
+// the NI cache, and leaves recvDone.
+func (c *coherent) deposit() (wait bool) {
+	e := &c.recvCur
+	k := c.cache
+	switch c.recvAt {
+	case recvDeposit:
+		switch {
+		case k == nil:
+			c.recvKind, c.recvAt = c.depositKind, recvWrite
+		case c.env.Cfg.DisableCNIBypass:
+			c.recvAt = recvRoom
+		default:
+			c.recvAt = recvPlace
+		}
+	case recvRoom:
+		// Ablation: no bypass — hold the flow-control buffer until the
+		// receive cache has room (backpressure instead of steering
+		// through memory).
+		if k.room(e.nb) {
+			c.recvAt = recvPlace
+		} else if c.reclaim(); !k.room(e.nb) {
+			c.recvWait = waitConsume
+			return true
+		}
+	case recvPlace:
+		if k.room(e.nb) {
+			c.recvAt = recvCache
+			break
+		}
+		// Receive cache full of pending messages: bypass to main memory
+		// so the head stays readable via fast cache-to-cache transfers.
+		// The forced head update (a coherent read of the head-pointer
+		// block, supplied from the processor cache) is the moment the NI
+		// learns which cached messages are dead and can reclaim their
+		// blocks without writeback.
+		c.env.Stats.NIBypasses++
+		c.recvAt = recvBypassed
+		c.env.Bus.Issue(c, membus.GetS, c.recvPtr, 0, cniRecvDone, c)
+		return true
+	case recvCache:
+		// Write into the NI receive cache; invalidate stale processor
+		// copies with address-only transactions.
+		if c.recvBlk < e.nb {
+			k.recvSRAM.Claim() // posted SRAM write
+			c.recvAt = recvCached
+			c.env.Bus.Issue(c, membus.Invalidate, c.recvRing.addr(e.start+c.recvBlk), 0, cniRecvDone, c)
+			return true
+		}
+		k.filling = 0
+		if tr := c.env.Trace; tr != nil {
+			tr("buffer deposit mode=ni-cache blocks=%d live=%d", e.nb, k.live.len())
+		}
+		e.inCache, c.recvAt = true, recvDone
+	case recvCached:
+		k.live.push(e.start + c.recvBlk)
+		k.filling++
+		c.recvBlk++
+		c.recvAt = recvCache
+	case recvBypassed:
+		c.reclaim()
+		c.recvKind, c.recvAt = membus.WriteInvalidate, recvWrite
+	case recvWrite:
+		// One recvKind transaction per receive-ring block of the message.
+		if c.recvBlk < e.nb {
+			c.env.Bus.Issue(c, c.recvKind, c.recvRing.addr(e.start+c.recvBlk), 0, cniRecvDone, c)
+			c.recvBlk++
+			return true
+		}
+		if tr := c.env.Trace; tr != nil {
+			if k != nil {
+				tr("buffer deposit mode=bypass blocks=%d live=%d", e.nb, k.live.len())
+			} else {
+				tr("buffer deposit mode=%s blocks=%d", c.depositMode, e.nb)
+			}
+		}
+		c.recvAt = recvDone
 	}
 	return false
-}
-
-// writeBlocks issues one k transaction per receive-ring block of a
-// message.
-func (c *coherent) writeBlocks(p *sim.Process, k membus.Kind, start, nb int64) {
-	for i := int64(0); i < nb; i++ {
-		c.env.Bus.AccessFrom(p, c, k, c.recvRing.addr(start+i), 0)
-	}
 }
 
 // niCache is CNI_32Q_m's pair of NI SRAM caches over the memory-homed
@@ -106,49 +168,13 @@ type niCache struct {
 	// already holds. The deposit waits on the bus between blocks, so a
 	// consume can reclaim meanwhile; the count it traces excludes them.
 	filling int
+	// blocks is the cache's capacity (Config.CNICacheBlocks).
+	blocks int
 }
 
-func (c *coherent) cacheDeposit(p *sim.Process, start, nb int64) bool {
-	k := c.cache
-	blocks := int64(c.env.Cfg.CNICacheBlocks)
-	if c.env.Cfg.DisableCNIBypass {
-		// Ablation: no bypass — hold the flow-control buffer until the
-		// receive cache has room (backpressure instead of steering
-		// through memory).
-		for int64(k.live.len())+nb > blocks {
-			if c.reclaim(); int64(k.live.len())+nb > blocks {
-				c.consumeCond.Wait(p)
-			}
-		}
-	}
-	if int64(k.live.len())+nb <= blocks {
-		// Write into the NI receive cache; invalidate stale processor
-		// copies with address-only transactions.
-		for i := int64(0); i < nb; i++ {
-			k.recvSRAM.Claim() // posted SRAM write
-			c.env.Bus.AccessFrom(p, c, membus.Invalidate, c.recvRing.addr(start+i), 0)
-			k.live.push(start + i)
-			k.filling++
-		}
-		k.filling = 0
-		if tr := c.env.Trace; tr != nil {
-			tr("buffer deposit mode=ni-cache blocks=%d live=%d", nb, k.live.len())
-		}
-		return true
-	}
-	// Receive cache full of pending messages: bypass to main memory so the
-	// head stays readable via fast cache-to-cache transfers. The forced
-	// head update (a coherent read of the head-pointer block, supplied from
-	// the processor cache) is the moment the NI learns which cached
-	// messages are dead and can reclaim their blocks without writeback.
-	c.env.Stats.NIBypasses++
-	c.env.Bus.AccessFrom(p, c, membus.GetS, c.recvPtr, 0)
-	c.reclaim()
-	c.writeBlocks(p, membus.WriteInvalidate, start, nb)
-	if tr := c.env.Trace; tr != nil {
-		tr("buffer deposit mode=bypass blocks=%d live=%d", nb, k.live.len())
-	}
-	return false
+// room reports whether the receive cache has room for nb more blocks.
+func (k *niCache) room(nb int64) bool {
+	return k.live.len()+int(nb) <= k.blocks
 }
 
 // reclaim frees receive-cache blocks below the (just learned) head — dead-

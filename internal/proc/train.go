@@ -1,40 +1,52 @@
 package proc
 
 import (
+	"nisim/internal/cache"
 	"nisim/internal/membus"
 	"nisim/internal/sim"
 )
 
 // Step is one step of an access train: Cycles processor cycles of work,
-// then, when Access is set, one bus access of Kind at Addr moving Size
-// bytes. The zero Step does nothing.
+// then, when Access is set, one access: a bus access of Kind at Addr
+// moving Size bytes or, when Cached is set as well, a processor load of
+// the Size bytes at Addr through the processor cache, or a store when
+// Write is set. The zero Step does nothing.
 type Step struct {
 	Cycles int64
-	Access bool
 	Kind   membus.Kind
 	Addr   membus.Addr
 	Size   int
+	Access bool
+	Cached bool
+	Write  bool
+}
+
+// CachedStep is the step of a processor load of n bytes at a through the
+// processor cache, or a store when write is set.
+func CachedStep(write bool, a membus.Addr, n int) Step {
+	return Step{Access: true, Cached: true, Write: write, Addr: a, Size: n}
 }
 
 // Steps is the cursor an access train walks: Next fills s with the next
-// step and reports whether there was one. A stepwise train reads one step
-// ahead and a closed one reads them all when it starts, so Next must
-// depend only on the cursor's own counters, never on simulation state
-// that the earlier steps' time could change.
+// step and reports whether there was one. A stepwise train reads each
+// step when the one before it is done, at the time a process issuing them
+// one by one would, so its cursor may read the simulation state the
+// process would see there. A closed train reads them all when it starts,
+// so a cursor run closed must depend only on its own counters.
 type Steps interface {
 	Next(s *Step) bool
 }
 
-// Train is the run state of one access train at a time: the cursor and
-// one step of lookahead. Whoever owns the cursor owns the Train, so a
+// Train is the run state of one access train at a time: the cursor, the
+// step in progress and, while that step's cached access is in flight, the
+// processor cache's op. Whoever owns the cursor owns the Train, so a
 // processor that never runs a train carries none.
 type Train struct {
 	pr    *Proc
 	steps Steps
-	cur   Step // the step in progress; Cycles and Access clear as they are spent
-	next  Step // one step of lookahead, valid when more is set
-	more  bool
-	tail  sim.Time // a closed train's final work, for trainTail
+	cur   Step      // the step in progress; Cycles and Access clear as they are spent
+	op    *cache.Op // cur's cached access, once started
+	tail  sim.Time  // a closed train's final work, for trainTail
 }
 
 // fetch fills s with the cursor's next non-empty step.
@@ -48,28 +60,45 @@ func (t *Train) fetch(s *Step) bool {
 }
 
 // Run runs steps on pr's process as one access train charged to category:
-// the same Work and UncachedRead/UncachedWrite/block accesses, in the same
-// order and at the same simulated times, as issuing them one by one, but
-// with the process parked once for the whole sequence instead of
-// suspending once per step. The blocked time is charged once, and the
-// categories' sums are those of the per-step sleeps.
+// the same Work, UncachedRead/UncachedWrite/block accesses and
+// CachedRead/CachedWrite, in the same order and at the same simulated
+// times, as issuing them one by one, but with the process parked once for
+// the whole sequence instead of suspending once per step. The blocked time
+// is charged once, and the categories' sums are those of the per-step
+// sleeps.
 //
 // On a bus that only the processor drives and no tracer watches
-// (membus.Bus.ClosedTrains), the train is closed: Run computes it whole
-// when it starts and schedules only the event its wakeup comes from (see
-// runClosed). Otherwise it runs stepwise, in event context, one event per
-// step (see advance).
+// (membus.Bus.ClosedTrains), a train without cached steps is closed: Run
+// computes it whole when it starts and schedules only the event its
+// wakeup comes from (see runClosed). Otherwise it runs stepwise, in event
+// context, one event per step (see advance). Run cannot tell a cached
+// step is coming before it reads it, so the owner of a cursor that yields
+// cached steps runs it with RunStepwise.
 //
 //lint:hotpath
 func (t *Train) Run(pr *Proc, category int, steps Steps) {
-	t.pr, t.steps = pr, steps
 	if pr.Bus.ClosedTrains() {
+		t.pr, t.steps = pr, steps
 		if t.runClosed() {
 			pr.P.ParkAs(category)
 		}
-	} else if t.fetch(&t.cur) {
-		t.more = t.fetch(&t.next)
-		t.advance()
+		t.steps = nil
+		return
+	}
+	t.RunStepwise(pr, category, steps)
+}
+
+// RunStepwise is Run on any bus without the closed form: a cached
+// access's outcome (a hit, an upgrade and its re-check, a dirty victim's
+// writeback, a fill) depends on the cache's state at the access's own
+// time, which the snoops of other masters' transactions can change while
+// the train runs, so the processor cache decides it when the step is
+// reached, never ahead.
+//
+//lint:hotpath
+func (t *Train) RunStepwise(pr *Proc, category int, steps Steps) {
+	t.pr, t.steps, t.op = pr, steps, nil
+	if t.fetch(&t.cur) && t.advance() {
 		pr.P.ParkAs(category)
 	}
 	t.steps = nil
@@ -157,8 +186,10 @@ func trainTail(recv any, _ uint64) {
 	t.pr.P.UnparkAfter(t.tail)
 }
 
-// trainStep is the continuation event of a stepwise access train. A
-// process that Drain killed mid-train is done, and its train is dropped.
+// trainStep is the continuation event of a stepwise access train: it
+// runs in the slot the process would resume in, and resumes it there once
+// the train is done. A process that Drain killed mid-train is done, and
+// its train is dropped.
 //
 //lint:hotpath
 func trainStep(recv any, _ uint64) {
@@ -166,12 +197,15 @@ func trainStep(recv any, _ uint64) {
 	if t.pr.P.Done() {
 		return
 	}
-	t.advance()
+	if !t.advance() {
+		t.pr.P.Resume()
+	}
 }
 
-// trainAccessDone is the completion hook of a mid-train access. It
-// schedules the train's continuation at AfterEvent(0), the slot the
-// process's Unpark would have taken, rather than advancing inline.
+// trainAccessDone is the completion hook of a train's access, a cached
+// access's transactions included. It schedules the train's continuation
+// at AfterEvent(0), the slot the process's Unpark would have taken,
+// rather than advancing inline.
 //
 //lint:hotpath
 func trainAccessDone(recv any, _ uint64) {
@@ -179,41 +213,48 @@ func trainAccessDone(recv any, _ uint64) {
 	t.pr.Eng.AfterEvent(0, trainStep, t, 0)
 }
 
-// advance performs the stepwise train's next scheduling step: the current
-// step's work, then its access, then the steps after it. Each step runs in
-// event context and schedules its continuation at the call point the
-// process would have used: a Work of d at AfterEvent(d), the slot Sleep
-// takes, and an access from its completion at AfterEvent(0), the slot
-// Unpark takes. The last step wakes the process itself (UnparkAfter, or an
-// access hook of sim.UnparkHandler), so every event keeps its queue key
-// and the event count is that of the one-by-one steps.
-func (t *Train) advance() {
+// advance performs the stepwise train's next scheduling step, at the time
+// the process would: the current step's work, then its access, then the
+// next step, which it reads from the cursor only now. Each continuation
+// is scheduled at the call point the process would have used: a Work of d
+// at AfterEvent(d), the slot Sleep takes, and an access from its
+// completion at AfterEvent(0), the slot Unpark takes; a cached access
+// waits as the processor cache's op says. So every event keeps its queue
+// key and the event count is that of the one-by-one steps. advance
+// reports whether it scheduled a continuation; false means the train is
+// done, in the slot where the process resumes.
+//
+//lint:hotpath
+func (t *Train) advance() bool {
 	pr := t.pr
 	for {
 		s := &t.cur
 		if s.Cycles != 0 {
 			d := pr.CPU.Cycles(s.Cycles)
 			s.Cycles = 0
-			if s.Access || t.more {
+			pr.Eng.AfterEvent(d, trainStep, t, 0)
+			return true
+		}
+		if s.Access && s.Cached {
+			if t.op == nil {
+				t.op = pr.Cache.Start(s.Addr, s.Size, s.Write, trainAccessDone, t)
+			}
+			d, busy := t.op.Step()
+			if busy {
+				return true
+			}
+			if d != 0 {
 				pr.Eng.AfterEvent(d, trainStep, t, 0)
-			} else {
-				pr.P.UnparkAfter(d)
+				return true
 			}
-			return
-		}
-		if s.Access {
+			t.op = nil
+		} else if s.Access {
 			s.Access = false
-			if t.more {
-				pr.Bus.Issue(nil, s.Kind, s.Addr, s.Size, trainAccessDone, t)
-			} else {
-				pr.Bus.Issue(nil, s.Kind, s.Addr, s.Size, sim.UnparkHandler, pr.P)
-			}
-			return
+			pr.Bus.Issue(nil, s.Kind, s.Addr, s.Size, trainAccessDone, t)
+			return true
 		}
-		if !t.more {
-			panic("proc: access train advanced past its last step")
+		if !t.fetch(&t.cur) {
+			return false
 		}
-		t.cur = t.next
-		t.more = t.fetch(&t.next)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"nisim/internal/cache"
 	"nisim/internal/membus"
 	"nisim/internal/sim"
 	"nisim/internal/stats"
@@ -31,6 +32,13 @@ func (l *listSteps) Next(s *Step) bool {
 func issue(pr *Proc, category int, steps []Step) {
 	for _, s := range steps {
 		switch {
+		case s.Access && s.Cached:
+			pr.Work(category, s.Cycles)
+			if s.Write {
+				pr.CachedWrite(category, s.Addr, s.Size)
+			} else {
+				pr.CachedRead(category, s.Addr, s.Size)
+			}
 		case s.Access && s.Kind == membus.BlockRead:
 			pr.BlockRead(category, s.Addr, s.Cycles)
 		case s.Access && s.Kind == membus.BlockWrite:
@@ -50,18 +58,31 @@ func issue(pr *Proc, category int, steps []Step) {
 // steps do.
 type trainOutcome struct {
 	events, resumes uint64
+	waits           int // the processor's blocked stretches during the steps
 	wake            sim.Time
 	timeIn          [len(stats.Node{}.TimeIn)]sim.Time
 	busTxns         int64
 	uncached        int64
 	blockBuf        int64
-	log             []string
+	// The processor cache's counters: a failed upgrade re-check counts a
+	// hit and a miss for one block.
+	hits, misses, writebacks int64
+	log                      []string
 }
 
+// cachedBlocks are the blocks the cached steps and the rival cache share:
+// two neighbours, and a third that maps onto the first one's line, so a
+// dirty first block is written back when the third is filled.
+var cachedBlocks = [...]membus.Addr{0x4000, 0x4040, 0x4000 + 1<<20}
+
 // runSteps runs steps on a fresh processor, as a train or one by one,
-// while a rival process on the same bus issues uncached reads and short
-// sleeps that tie with the steps' own events: any step scheduled in a
-// different queue slot would reorder the bus trace or the wakeups.
+// while rivals on the same bus issue transactions that tie with the steps'
+// own events: any step scheduled in a different queue slot would reorder
+// the bus trace or the wakeups. One rival process issues uncached reads
+// and short sleeps. The other loads and stores cachedBlocks through a
+// second cache, so the processor cache's lines are shared, invalidated and
+// supplied cache-to-cache while the steps run, and an upgrade can lose its
+// line to the rival before its re-check.
 func runSteps(t *testing.T, steps []Step, train bool) trainOutcome {
 	t.Helper()
 	eng, pr, st := newProc()
@@ -69,24 +90,46 @@ func runSteps(t *testing.T, steps []Step, train bool) trainOutcome {
 	pr.Bus.Trace = func(format string, args ...any) {
 		o.log = append(o.log, fmt.Sprintf("%v ", eng.Now())+fmt.Sprintf(format, args...))
 	}
+	stepping := false
 	p := eng.Spawn("p", func(p *sim.Process) {
 		pr.Compute(3)
+		stepping = true
 		if train {
 			var tr Train
-			tr.Run(pr, stats.Transfer, &listSteps{s: steps})
+			tr.RunStepwise(pr, stats.Transfer, &listSteps{s: steps})
 		} else {
 			issue(pr, stats.Transfer, steps)
 		}
+		stepping = false
 		o.wake = p.Now()
 		o.log = append(o.log, fmt.Sprintf("%v p wakes", p.Now()))
 		pr.UncachedRead(stats.Buffering, 0x3000, 8)
 	})
 	pr.Bind(p)
+	p.OnBlocked = func(category int, d sim.Time) {
+		if stepping {
+			o.waits++
+		}
+		st.Account(category, d)
+	}
 	eng.Spawn("rival", func(q *sim.Process) {
 		for i := 0; i < 24; i++ {
 			pr.Bus.Access(q, membus.UncachedRead, 0x2000, 8)
 			o.log = append(o.log, fmt.Sprintf("%v rival wakes", q.Now()))
 			q.Sleep(sim.Time(i%3) * sim.Nanosecond)
+		}
+	})
+	rc := cache.New("rival", eng, pr.Bus, cache.DefaultConfig(), stats.NewNode())
+	eng.Spawn("rival cache", func(q *sim.Process) {
+		for i := 0; i < 40; i++ {
+			a := cachedBlocks[i%len(cachedBlocks)] + membus.Addr(8*(i%5))
+			if i%4 == 3 {
+				rc.Write(q, a, 8)
+			} else {
+				rc.Read(q, a, 8)
+			}
+			o.log = append(o.log, fmt.Sprintf("%v rival cache wakes", q.Now()))
+			q.Sleep(sim.Time(i%4) * 5 * sim.Nanosecond)
 		}
 	})
 	eng.Run()
@@ -96,6 +139,7 @@ func runSteps(t *testing.T, steps []Step, train bool) trainOutcome {
 	o.events, o.resumes = eng.Events(), eng.Resumes()
 	o.timeIn = st.TimeIn
 	o.busTxns, o.uncached, o.blockBuf = st.BusTransactions, st.UncachedAccesses, st.BlockBufTransfers
+	o.hits, o.misses, o.writebacks = pr.Cache.Hits, pr.Cache.Misses, pr.Cache.Writebacks
 	return o
 }
 
@@ -113,11 +157,36 @@ func blk(k membus.Kind, cycles int64) Step {
 
 func work(cycles int64) Step { return Step{Cycles: cycles} }
 
+// load and store are cached steps of n bytes at a after cycles of work.
+func load(cycles int64, a membus.Addr, n int) Step {
+	s := CachedStep(false, a, n)
+	s.Cycles = cycles
+	return s
+}
+
+func store(cycles int64, a membus.Addr, n int) Step {
+	s := CachedStep(true, a, n)
+	s.Cycles = cycles
+	return s
+}
+
+// pieces counts the blocks the cached steps touch: each is one hit or one
+// miss of the processor cache, and a failed upgrade re-check is both.
+func pieces(steps []Step) int64 {
+	n := int64(0)
+	for _, s := range steps {
+		if s.Access && s.Cached {
+			n += int64((membus.BlockOf(s.Addr+membus.Addr(s.Size)-1)-membus.BlockOf(s.Addr))/membus.BlockSize + 1)
+		}
+	}
+	return n
+}
+
 // checkTrain requires a train of steps to match the one-by-one steps in
-// events, wake time, every TimeIn category, bus counters and the
-// interleaving with the rival, and to resume the process once instead of
-// once per continuation.
-func checkTrain(t *testing.T, steps []Step) {
+// events, wake time, every TimeIn category, bus and cache counters and
+// the interleaving with the rivals, and to resume the process once
+// instead of once per wait. It returns the train's outcome.
+func checkTrain(t *testing.T, steps []Step) trainOutcome {
 	t.Helper()
 	ref := runSteps(t, steps, false)
 	got := runSteps(t, steps, true)
@@ -134,16 +203,20 @@ func checkTrain(t *testing.T, steps []Step) {
 		t.Errorf("bus counters (txns, uncached, block) = (%d, %d, %d), want (%d, %d, %d)",
 			got.busTxns, got.uncached, got.blockBuf, ref.busTxns, ref.uncached, ref.blockBuf)
 	}
+	if got.hits != ref.hits || got.misses != ref.misses || got.writebacks != ref.writebacks {
+		t.Errorf("cache counters (hits, misses, writebacks) = (%d, %d, %d), want (%d, %d, %d)",
+			got.hits, got.misses, got.writebacks, ref.hits, ref.misses, ref.writebacks)
+	}
 	if fmt.Sprint(got.log) != fmt.Sprint(ref.log) {
 		t.Errorf("interleaving differs:\n got %v\nwant %v", got.log, ref.log)
 	}
-	saved := uint64(0)
-	if n := len(actionsOf(steps)); n > 0 {
-		saved = uint64(n - 1)
+	if ref.waits > 0 && got.waits != 1 {
+		t.Errorf("the train blocked the process %d times, want once", got.waits)
 	}
-	if ref.resumes-got.resumes != saved {
-		t.Errorf("resumes = %d, want %d (one per train, not one per step)", got.resumes, ref.resumes-saved)
+	if ref.resumes-got.resumes != uint64(ref.waits-got.waits) {
+		t.Errorf("resumes = %d, want %d (one per train, not one per wait)", got.resumes, ref.resumes-uint64(ref.waits-got.waits))
 	}
+	return got
 }
 
 // trainCases are hand-picked step lists covering every shape a train can
@@ -163,6 +236,39 @@ var trainCases = map[string][]Step{
 	"block read chunks":    {rd(0), work(60), blk(membus.BlockRead, 12), work(8), blk(membus.BlockRead, 12), work(3)},
 	"cm5 push 16B":         {rd(150), wr(2), wr(2), rd(0), wr(2), wr(0)},
 	"single-cycle receive": {work(1), work(15), work(2), work(1), work(2), work(1), work(1), work(2), work(1)},
+}
+
+// cachedCases are hand-picked step lists with cached steps: hits, fills,
+// ranges spanning blocks, and the dirty eviction of a conflicting block,
+// among work and uncached accesses, racing the rival cache.
+var cachedCases = map[string][]Step{
+	"one load":              {load(0, 0x4000, 8)},
+	"load then hit":         {load(0, 0x4000, 8), load(1, 0x4008, 8)},
+	"store ends":            {rd(2), store(0, 0x4040, 8)},
+	"range spans blocks":    {store(3, 0x4020, 100), load(0, 0x4020, 100), work(4)},
+	"dirty eviction":        {store(0, 0x4000, 64), load(2, cachedBlocks[2], 8), wr(1)},
+	"compose and doorbell":  {store(0, 0x4000, 64), store(0, 0x4040, 64), store(0, 0x4000+1<<20, 8)},
+	"consume":               {load(0, 0x4000, 8), load(0, 0x4000, 64), load(0, 0x4040, 40), store(13, cachedBlocks[2], 8)},
+	"upgrade after sharing": {load(0, 0x4040, 8), work(30), store(0, 0x4040, 8), store(40, 0x4040, 8), load(0, 0x4000, 8)},
+}
+
+// randomCachedSteps draws a step list mixing cached loads and stores of
+// cachedBlocks, some spanning two blocks, with the uncached step shapes.
+func randomCachedSteps(seed int64) []Step {
+	rng := rand.New(rand.NewSource(seed))
+	steps := randomSteps(seed)
+	for i := range steps {
+		c := int64(rng.Intn(4)) * int64(rng.Intn(20))
+		a := cachedBlocks[rng.Intn(len(cachedBlocks))] + membus.Addr(8*rng.Intn(8))
+		n := []int{8, 8, 64, 100}[rng.Intn(4)]
+		switch rng.Intn(4) {
+		case 0:
+			steps[i] = load(c, a, n)
+		case 1:
+			steps[i] = store(c, a, n)
+		}
+	}
+	return steps
 }
 
 // randomSteps draws a step list mixing every step shape from seed.
@@ -191,36 +297,58 @@ func TestTrainMatchesSteps(t *testing.T) {
 	for name, steps := range trainCases {
 		t.Run(name, func(t *testing.T) { checkTrain(t, steps) })
 	}
+	for name, steps := range cachedCases {
+		t.Run("cached "+name, func(t *testing.T) { checkTrain(t, steps) })
+	}
 }
 
-// TestTrainMatchesRandomSteps draws step lists mixing every step shape.
+// TestTrainMatchesRandomSteps draws step lists mixing every step shape,
+// cached steps included. Over the cached lists the rival cache must make
+// at least one upgrade fail its re-check, and a dirty block must be
+// evicted, so the test covers both.
 func TestTrainMatchesRandomSteps(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
 		steps := randomSteps(seed)
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) { checkTrain(t, steps) })
 	}
+	failed, evicted := int64(0), int64(0)
+	for seed := int64(1); seed <= 16; seed++ {
+		steps := randomCachedSteps(seed)
+		t.Run(fmt.Sprint("cached seed=", seed), func(t *testing.T) {
+			got := checkTrain(t, steps)
+			failed += got.hits + got.misses - pieces(steps)
+			evicted += got.writebacks
+		})
+	}
+	if failed == 0 || evicted == 0 {
+		t.Errorf("cached trains failed %d upgrade re-checks and wrote back %d dirty blocks; want both", failed, evicted)
+	}
 }
 
 // TestTrainDrainMidTrain kills a process parked mid-train, with a work
-// continuation or a bus access pending, and fires the orphaned
-// continuation: the process unwinds through its deferred functions and
-// the continuation schedules nothing.
+// continuation, a bus access or a cached access's fill pending, and fires
+// the orphaned continuation: the process unwinds through its deferred
+// functions and the continuation schedules nothing.
 func TestTrainDrainMidTrain(t *testing.T) {
-	steps := []Step{work(10), rd(2), work(10), wr(2), rd(0), work(10)}
-	for _, cut := range []sim.Time{5, 15, 25, 40, 60} {
-		t.Run(fmt.Sprint(cut, "ns"), func(t *testing.T) {
+	steps := []Step{work(10), rd(2), work(10), wr(2), load(0, 0x4000, 8), rd(0), work(10)}
+	for _, cut := range []sim.Time{5, 15, 25, 40, 60, 250} {
+		cut := cut * sim.Nanosecond
+		t.Run(fmt.Sprint(cut), func(t *testing.T) {
 			eng, pr, _ := newProc()
 			unwound, returned := false, false
 			var tr Train
 			p := eng.Spawn("p", func(*sim.Process) {
 				defer func() { unwound = true }()
-				tr.Run(pr, stats.Transfer, &listSteps{s: steps})
+				tr.RunStepwise(pr, stats.Transfer, &listSteps{s: steps})
 				returned = true
 			})
 			pr.Bind(p)
-			eng.RunUntil(cut * sim.Nanosecond)
+			eng.RunUntil(cut)
 			if p.Done() || eng.Pending() == 0 {
-				t.Fatalf("train not in flight at %vns", cut)
+				t.Fatalf("train not in flight at %v", cut)
+			}
+			if cut == 250*sim.Nanosecond && tr.op == nil {
+				t.Fatalf("no cached access in flight at %v", cut)
 			}
 			eng.Drain()
 			if !p.Done() || !unwound || returned {

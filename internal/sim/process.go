@@ -238,6 +238,15 @@ func (p *Process) UnparkAfter(d Time) {
 	p.eng.AfterEvent(d, procResume, p, 0)
 }
 
+// Resume switches into the parked process now, from engine context, and
+// returns when it suspends or finishes. An event that runs in the slot a
+// process's wakeup would take, as the last continuation of work the
+// process handed to event context does, resumes it in place instead of
+// scheduling that wakeup. It is a no-op for a done process.
+//
+//lint:hotpath
+func (p *Process) Resume() { p.resume() }
+
 func (p *Process) account(start Time) {
 	if p.OnBlocked != nil {
 		if d := p.eng.now - start; d > 0 {

@@ -113,6 +113,71 @@ func streamTrace(k nic.Kind) []byte {
 	return buf.Bytes()
 }
 
+// TestEvictionTraceText pins the complete bus and NIC trace of an
+// overloaded run on each coherent named NI, to a SHA-256 of its text. The
+// receive ring is cut to 64 blocks and the NI evicts the oldest buffered
+// message once a quarter of it is live, so a burst of 40 four-block
+// messages at a sleeping receiver evicts: the traces cover the eviction
+// path through the ring's retire step, its credit return on the throttled
+// NI, and the deposits and consumes around it.
+func TestEvictionTraceText(t *testing.T) {
+	want := map[nic.Kind]string{
+		nic.StarTJR:         "d60042beb274bbe8b6ca6e62fd11c81ea9e3a0fb09150f11a19e1d1b7ba6ed68",
+		nic.MemoryChannel:   "67f2b7383fa96e8bb22163428f60d75ff283447462d5f592d03528b7e89d5466",
+		nic.CNI512Q:         "2b9c7743c906b2fc383c5ee22bb2b95a5e0a748a1bffa69a74d1f816ffa461ff",
+		nic.CNI32Qm:         "d458df58766647dd5152a78bf7406b7d45799f89c04648caf6d6fd5450e68225",
+		nic.CNI32QmThrottle: "0654b8918b926a49242502806a443ab32fb6270a5bdffda0664a9b4aa2f747ab",
+	}
+	for _, k := range []nic.Kind{nic.StarTJR, nic.MemoryChannel, nic.CNI512Q, nic.CNI32Qm, nic.CNI32QmThrottle} {
+		k := k
+		t.Run(k.ShortName(), func(t *testing.T) {
+			text, evicted := evictTrace(k)
+			if evicted == 0 {
+				t.Fatal("no message was evicted")
+			}
+			sum := sha256.Sum256(text)
+			if got := hex.EncodeToString(sum[:]); got != want[k] {
+				t.Errorf("trace of %d lines (%d evictions) hashes to %s, want %s", bytes.Count(text, []byte("\n")), evicted, got, want[k])
+			}
+		})
+	}
+}
+
+// evictTrace runs the TestEvictionTraceText scenario on kind k and returns
+// the trace text and the receiver's eviction count.
+func evictTrace(k nic.Kind) ([]byte, int64) {
+	const (
+		h     = 1
+		count = 40
+		size  = 200
+	)
+	var buf bytes.Buffer
+	spec := nic.SpecFor(k)
+	spec.Overload = nic.OverloadPolicy{AdmitPct: 25, Refuse: nic.RefuseDrop, Evict: nic.EvictOldest}
+	cfg := machine.DefaultConfig(k, 8)
+	cfg.Nodes = 2
+	cfg.NISpec = &spec
+	cfg.NI.QmQueueBlocks = 64
+	cfg.NI.CNIQueueBlocks = 64
+	cfg.Tracer = trace.New(&buf)
+	m := machine.New(cfg)
+	got := 0
+	m.Nodes[1].EP.Register(h, func(ep *msglayer.Endpoint, msg *msglayer.Message) { got++ })
+	m.Run(func(n *machine.Node) {
+		if n.ID == 0 {
+			for i := 0; i < count; i++ {
+				n.EP.Send(1, h, size, uint64(i))
+			}
+		} else {
+			st := n.Proc.Stats
+			n.Proc.P.SleepAs(stats.Compute, 5*sim.Microsecond)
+			n.EP.WaitUntil(func() bool { return int64(got)+st.AdmitEvictions+st.AdmitDrops == count })
+		}
+		n.Barrier()
+	})
+	return buf.Bytes(), m.Stats.Nodes[1].AdmitEvictions
+}
+
 func TestCategoryFiltering(t *testing.T) {
 	var buf bytes.Buffer
 	tr := trace.New(&buf, trace.NIC)

@@ -30,8 +30,10 @@ func spsolveProgram(p Params, nodes int) func(n *machine.Node) {
 	// derive how many messages it will receive per level. Most of a node's
 	// edges funnel to a single next-level owner (the DAG's chain structure),
 	// which is what makes spsolve's bursts overwhelm a receiver with scant
-	// buffering; the rest scatter irregularly.
-	edgeDest := func(level, node, k, N int) int {
+	// buffering; the rest scatter irregularly, each drawn from er reseeded
+	// by the edge: the calling node's own generator, so no generator is
+	// built per edge and none is shared between nodes.
+	edgeDest := func(er *rand.Rand, level, node, k, N int) int {
 		if k%10 != 0 {
 			// Trains of edges funnel to three next-level owners, giving each
 			// receiver a fan-in of ~3 bursty upstream senders. On fewer than
@@ -43,8 +45,8 @@ func spsolveProgram(p Params, nodes int) func(n *machine.Node) {
 			}
 			return d
 		}
-		r := rand.New(rand.NewSource(int64(level)*1_000_003 + int64(node)*8009 + int64(k)))
-		d := r.Intn(N - 1)
+		er.Seed(int64(level)*1_000_003 + int64(node)*8009 + int64(k))
+		d := er.Intn(N - 1)
 		if d >= node {
 			d++
 		}
@@ -52,6 +54,7 @@ func spsolveProgram(p Params, nodes int) func(n *machine.Node) {
 	}
 	return func(n *machine.Node) {
 		N := n.Size()
+		er := rand.New(rand.NewSource(0))
 		expected := make([]int, levels+1)
 		for l := 0; l < levels; l++ {
 			for src := 0; src < N; src++ {
@@ -59,7 +62,7 @@ func spsolveProgram(p Params, nodes int) func(n *machine.Node) {
 					continue
 				}
 				for k := 0; k < verticesPerLevel; k++ {
-					if edgeDest(l, src, k, N) == n.ID {
+					if edgeDest(er, l, src, k, N) == n.ID {
 						expected[l]++
 					}
 				}
@@ -77,7 +80,7 @@ func spsolveProgram(p Params, nodes int) func(n *machine.Node) {
 		for l := 0; l < levels; l++ {
 			// Fire this level's vertices: a deep burst of tiny messages.
 			for k := 0; k < verticesPerLevel; k++ {
-				rs.countedSend(n, edgeDest(l, n.ID, k, N), hOneWay, edgePayload, uint64(l))
+				rs.countedSend(n, edgeDest(er, l, n.ID, k, N), hOneWay, edgePayload, uint64(l))
 			}
 			for i := 0; i < tinyPerLevel; i++ {
 				d := r.Intn(N - 1)
