@@ -202,6 +202,38 @@ func exchange(t *testing.T, k Kind, rounds, payload int) (resumes, events uint64
 	return r.eng.Resumes(), r.eng.Events()
 }
 
+// TestCM5ResumesPerMessage pins the host process switches a CM-5 message
+// costs. A 64 B payload plus its header is nine fifo words and four
+// sub-message status reads on each side. Issued one access at a time that
+// was 50.02 resumes per message, two per word. As access trains the sender
+// resumes after its path and status read and after its push, and the
+// receiver after its wait and after its receive train: four per message,
+// plus the two process starts over the run.
+func TestCM5ResumesPerMessage(t *testing.T) {
+	const rounds = 50
+	resumes, _ := exchange(t, CM5, rounds, 64)
+	if got, want := float64(resumes)/(2*rounds), 4+2.0/(2*rounds); got != want {
+		t.Fatalf("%.2f resumes per 64 B CM-5 message, want %.2f", got, want)
+	}
+}
+
+// TestCM5EventsPerMessage pins the engine events a CM-5 message costs.
+// Stepwise access trains keep every event of the one-by-one accesses, about
+// five per word (the work step, the address phase, the data phase, a
+// write's home access and the continuation): 121.02 per 64 B message. On
+// the processor-only bus of a fifo NI the trains are closed, and a message
+// costs the completions of the three trains that end in an access (the
+// sender's status check and push, the receiver's drain), the four resumes,
+// and the network's arrival, accept decision and buffer release: ten, plus
+// the two process starts over the run.
+func TestCM5EventsPerMessage(t *testing.T) {
+	const rounds = 50
+	_, events := exchange(t, CM5, rounds, 64)
+	if got, want := float64(events)/(2*rounds), 10+2.0/(2*rounds); got != want {
+		t.Fatalf("%.2f events per 64 B CM-5 message, want %.2f", got, want)
+	}
+}
+
 // TestResumesAndEventsPerMessage pins the host process switches and the
 // engine events a message costs on every named NI, over a 50-round
 // ping-pong (100 messages) whose two process starts add 0.02 to each
