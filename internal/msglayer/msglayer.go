@@ -180,6 +180,12 @@ type Endpoint struct {
 
 	// Delivered counts application messages dispatched to handlers.
 	Delivered int64
+	// Spins counts the SpinWait sleeps taken while blocked on send
+	// resources or on a rendezvous grant.
+	Spins int64
+
+	// blocked is the blocked send's loop (push).
+	blocked blockedSend
 }
 
 // New creates the endpoint for a node whose NI is attached to the network
@@ -303,21 +309,116 @@ func (ep *Endpoint) countSend(handler, payloadLen int) sim.Time {
 }
 
 // push hands one network message to the NI, polling while blocked until
-// the NI can take it.
+// the NI can take it. An arrival waiting to be dispatched is software
+// work, so the process polls it itself; the rest of the poll-while-blocked
+// loop runs in event context (blockedSend).
 func (ep *Endpoint) push(nm *netsim.Message) {
 	for !ep.ni.CanSend(nm) {
-		ep.pollOrSpin()
+		if ep.arrived() {
+			ep.pollOrSpin()
+			continue
+		}
+		ep.block(nm)
 	}
 	ep.ni.Send(ep.pr, nm)
 }
 
-// pollOrSpin is one step of poll-while-blocked: process one arrival, or
-// sleep one spin interval when there is none. Reports whether it processed
-// one.
+// arrived reports whether PollOne would dispatch something now: a
+// completed rendezvous transfer or a fragment the NI holds.
+func (ep *Endpoint) arrived() bool {
+	return ep.rdv != nil && ep.rdv.compHead != nil || ep.ni.Pending()
+}
+
+// blockedSend is the poll-while-blocked loop of a send that found nothing
+// to dispatch, run in event context while the process stays parked
+// (sim.Process.ParkUncharged): each turn polls without success
+// (nic.NI.PollMiss, which also re-pushes a returned message the NI needs
+// software for), sleeps one SpinWait unless it re-pushed, and checks
+// again, exactly as pollOrSpin's turns would. The process resumes, in the
+// slot where it would check, only once nm can go or an arrival waits to
+// be dispatched. A handler the process then runs may send and block
+// again; that loop starts only after this one has resumed the process, so
+// one record per endpoint serves both, held in the Endpoint.
+type blockedSend struct {
+	ep     *Endpoint
+	nm     *netsim.Message
+	since  sim.Time // the SpinWait sleep's start
+	parked bool     // the process has parked; until then it is the caller
+	ready  bool     // the loop ended before the process parked
+}
+
+// block runs the loop until nm can go or an arrival waits.
+func (ep *Endpoint) block(nm *netsim.Message) {
+	b := &ep.blocked
+	b.ep, b.nm, b.ready = ep, nm, false
+	ep.ni.PollMiss(ep.pr, blockedPolled, b)
+	if !b.ready {
+		b.parked = true
+		ep.pr.P.ParkUncharged()
+		b.parked = false
+	}
+}
+
+// blockedPolled ends one unsuccessful poll, where the process would
+// resume from it: after a re-push the loop checks again at once,
+// otherwise it sleeps one SpinWait, charged to Buffering.
+//
+//lint:hotpath
+func blockedPolled(recv any, retried uint64) {
+	b := recv.(*blockedSend)
+	ep := b.ep
+	if retried != 0 {
+		b.check()
+		return
+	}
+	ep.Spins++
+	if ep.cfg.SpinWait == 0 {
+		b.check()
+		return
+	}
+	b.since = ep.pr.Eng.Now()
+	ep.pr.Eng.AfterEvent(ep.cfg.SpinWait, blockedSlept, b, 0)
+}
+
+// blockedSlept ends a SpinWait sleep.
+//
+//lint:hotpath
+func blockedSlept(recv any, _ uint64) {
+	b := recv.(*blockedSend)
+	p := b.ep.pr.P
+	if p.Done() {
+		return
+	}
+	p.Charge(stats.Buffering, b.since)
+	b.check()
+}
+
+// check is the loop's test, where push would make it: the process
+// resumes when nm can go or an arrival waits, and otherwise polls again.
+//
+//lint:hotpath
+func (b *blockedSend) check() {
+	ep := b.ep
+	if !ep.ni.CanSend(b.nm) && !ep.arrived() {
+		ep.ni.PollMiss(ep.pr, blockedPolled, b)
+		return
+	}
+	b.nm = nil
+	if b.parked {
+		ep.pr.P.Resume()
+	} else {
+		b.ready = true
+	}
+}
+
+// pollOrSpin is one step of poll-while-blocked in process context, for
+// the rendezvous waits and for an arrival: process one arrival, or sleep
+// one spin interval when there is none. Reports whether it processed one.
 func (ep *Endpoint) pollOrSpin() bool {
 	if ep.PollOne() {
 		return true
 	}
+	ep.Spins++
 	ep.pr.P.SleepAs(stats.Buffering, ep.cfg.SpinWait)
 	return false
 }

@@ -5,6 +5,7 @@ import (
 
 	"nisim/internal/netsim"
 	"nisim/internal/proc"
+	"nisim/internal/sim"
 )
 
 // sendEngine is the transmit half of a fifo-family transfer engine: the
@@ -16,27 +17,36 @@ type sendEngine interface {
 	// acquiring an outgoing flow-control buffer, pushing the bytes, and
 	// injection.
 	send(pr *proc.Proc, m *netsim.Message)
-	// repush is the cost of re-pushing a bounced message, whether noticed
-	// while the processor waits inside Recv or serviced by RetryOne.
-	repush(pr *proc.Proc, m *netsim.Message)
+	// repush describes re-pushing a bounced message, whether noticed
+	// while the processor waits inside Recv or found by a poll, as the
+	// node's fifo train, and returns the train's category.
+	repush(m *netsim.Message) (*fifoSteps, int)
 }
 
 // recvEngine is the receive half of a fifo-family transfer engine: the
 // processor-side work of polling for and draining one message out of the
 // fifo window, plus the cost of consuming a bounced message off the
-// network before it is re-pushed.
+// network before it is re-pushed. The processor runs the poll miss and the
+// retry's trains from event context too, with its process parked
+// (spinner), so those are described, not run.
 type recvEngine interface {
-	// pollMiss charges an unsuccessful poll (monitoring cost; lands in the
-	// buffering category — the price of limited buffering, §3.2).
-	pollMiss(pr *proc.Proc)
+	// pollMiss describes an unsuccessful poll, the status read that finds
+	// nothing waiting, as the node's fifo train, and returns the train's
+	// category: monitoring cost, Buffering on the udma and block-buffer
+	// engines, but Transfer on the CM-5 engines.
+	pollMiss() (*fifoSteps, int)
 	// receive charges the status check that found the head message, then
 	// drains it out of the fifo window and pops it. The two are one call:
 	// nothing but the processor pops recvQ and OnAccept only appends, so
 	// the head the status check saw is the head receive drains.
 	receive(pr *proc.Proc) *netsim.Message
-	// retryConsume charges reading a bounced message back out of the
-	// network before repush sends it again.
-	retryConsume(pr *proc.Proc, m *netsim.Message)
+	// retryWork is the retry handler's own software, in cycles charged to
+	// Buffering, ahead of retryConsume.
+	retryWork() int64
+	// retryConsume describes reading a bounced message back out of the
+	// network before repush sends it again, as the node's fifo train, and
+	// returns the train's category.
+	retryConsume(m *netsim.Message) (*fifoSteps, int)
 }
 
 // composed is an NI assembled from a Spec: a send transfer engine, a
@@ -181,7 +191,8 @@ func (x *composed) Poll(pr *proc.Proc) (*netsim.Message, bool) {
 		return x.coh.poll(pr)
 	}
 	if x.hw.recvQ.len() == 0 {
-		x.recv.pollMiss(pr)
+		c, category := x.recv.pollMiss()
+		c.start(pr, category)
 		return nil, false
 	}
 	m := x.recv.receive(pr)
@@ -189,6 +200,17 @@ func (x *composed) Poll(pr *proc.Proc) (*netsim.Message, bool) {
 		tr("engine recv complete engine=%s src=%d size=%dB", x.spec.Recv, m.Src, m.Size())
 	}
 	return m, true
+}
+
+// PollMiss implements NI.
+//
+//lint:hotpath
+func (x *composed) PollMiss(pr *proc.Proc, done sim.Handler, recv any) {
+	if x.spec.Recv == CoherentEngine {
+		x.coh.pollMiss(pr, done, recv)
+		return
+	}
+	x.hw.pollMiss(pr, x.send, x.recv, done, recv)
 }
 
 // Recv implements NI.

@@ -45,24 +45,25 @@ func (f *fifoHW) blockChunks(k membus.Kind, bytes int, copies bool) *fifoSteps {
 //lint:hotpath
 func (b *blockBufEngine) send(pr *proc.Proc, m *netsim.Message) {
 	b.hw.acquire(pr, proc.Step{Cycles: b.env.Cfg.BlkbufPathCycles}, statusRead())
-	b.push(pr, m)
+	b.push(m).start(pr, stats.Transfer)
 	b.env.EP.Inject(m)
 }
 
-// push moves the message through the block buffer into the NI fifo and
-// rings the doorbell; it is also the cost of re-pushing a returned message.
-func (b *blockBufEngine) push(pr *proc.Proc, m *netsim.Message) {
+// push describes moving the message through the block buffer into the NI
+// fifo and ringing the doorbell; it is also the cost of re-pushing a
+// returned message.
+func (b *blockBufEngine) push(m *netsim.Message) *fifoSteps {
 	c := b.hw.blockChunks(membus.BlockWrite, m.Size(), true)
 	c.tail = doorbell()
-	c.start(pr, stats.Transfer)
+	return c
 }
 
-// pollMiss implements recvEngine.
+// pollMiss implements recvEngine: an unsuccessful poll's status read
+// (fifoHW.missRead).
 //
 //lint:hotpath
-func (b *blockBufEngine) pollMiss(pr *proc.Proc) {
-	// Unsuccessful poll: monitoring cost attributable to buffering.
-	pr.UncachedRead(stats.Buffering, RegStatus, 8)
+func (b *blockBufEngine) pollMiss() (*fifoSteps, int) {
+	return b.hw.missRead()
 }
 
 // receive implements recvEngine: the status read that found the message,
@@ -79,18 +80,27 @@ func (b *blockBufEngine) receive(pr *proc.Proc) *netsim.Message {
 	return b.hw.pop()
 }
 
-// retryConsume implements recvEngine: the processor consumes the returned
-// message via block loads.
+// retryWork implements recvEngine: the block-buffer retry has no handler
+// work of its own.
 //
 //lint:hotpath
-func (b *blockBufEngine) retryConsume(pr *proc.Proc, m *netsim.Message) {
-	b.hw.blockChunks(membus.BlockRead, m.Size(), false).start(pr, pr.P.Category)
+func (b *blockBufEngine) retryWork() int64 { return 0 }
+
+// retryConsume implements recvEngine: the processor consumes the returned
+// message via block loads, charged to Buffering.
+//
+//lint:hotpath
+func (b *blockBufEngine) retryConsume(m *netsim.Message) (*fifoSteps, int) {
+	return b.hw.blockChunks(membus.BlockRead, m.Size(), false), stats.Buffering
 }
 
-// repush implements sendEngine: re-push through the block buffer.
+// repush implements sendEngine: re-push through the block buffer, charged
+// to Transfer like the first push.
 //
 //lint:hotpath
-func (b *blockBufEngine) repush(pr *proc.Proc, m *netsim.Message) { b.push(pr, m) }
+func (b *blockBufEngine) repush(m *netsim.Message) (*fifoSteps, int) {
+	return b.push(m), stats.Transfer
+}
 
 // reflectiveEngine is the Memory Channel-like send engine. Unlike the
 // AP3000's fifo protocol, the Memory Channel send side is reflective
@@ -123,11 +133,11 @@ func (r *reflectiveEngine) send(pr *proc.Proc, m *netsim.Message) {
 
 // repush implements sendEngine: under FifoVM buffering a returned message
 // is simply streamed through the window again (reflective memory has no
-// doorbell or status protocol to replay).
+// doorbell or status protocol to replay), charged to Transfer.
 //
 //lint:hotpath
-func (r *reflectiveEngine) repush(pr *proc.Proc, m *netsim.Message) {
+func (r *reflectiveEngine) repush(m *netsim.Message) (*fifoSteps, int) {
 	c := r.hw.blockChunks(membus.BlockWrite, m.Size(), true)
 	c.lead[0].Cycles = reflSendCycles
-	c.start(pr, stats.Transfer)
+	return c, stats.Transfer
 }

@@ -50,11 +50,13 @@ type coherent struct {
 	fetchStore, prefetchStore *mainmem.Memory
 	cache                     *niCache
 
-	// The processor's trains: a send's compose and a receive's consume.
-	// The processor runs one at a time, so they share the Train.
+	// The processor's trains: a send's compose, a receive's consume and an
+	// unsuccessful poll's head read. The processor runs one at a time, so
+	// they share the Train.
 	tr        proc.Train
 	composing composeSteps
 	consuming consumeSteps
+	missing   oneStep
 
 	// Send side, used only when the spec's send engine is coherent.
 	sendQ      queue[ringEntry]
@@ -445,14 +447,27 @@ func (c *coherent) recvRun() {
 // deposited a message there.
 func (c *coherent) poll(pr *proc.Proc) (*netsim.Message, bool) {
 	if c.deliverable.len() == 0 {
-		// Unsuccessful poll: a cache-resident head read, so the monitoring
-		// cost of a coherent NI is a 1-cycle hit rather than an uncached
-		// bus round trip.
-		pr.CachedRead(stats.Buffering, c.recvRing.addr(c.recvRing.head), 8)
+		c.tr.RunStepwise(pr, stats.Buffering, c.miss())
 		return nil, false
 	}
 	m := c.consume(pr)
 	return m, m != nil
+}
+
+// miss describes an unsuccessful poll: a cache-resident head read, so the
+// monitoring cost of a coherent NI is a 1-cycle hit rather than an
+// uncached bus round trip, charged to Buffering.
+func (c *coherent) miss() *oneStep {
+	return c.missing.set(proc.CachedStep(false, c.recvRing.addr(c.recvRing.head), 8))
+}
+
+// pollMiss is poll's miss run in event context for a processor blocked in
+// a send (NI.PollMiss). A coherent NI retries returned messages itself, so
+// the poll ends with the head read.
+//
+//lint:hotpath
+func (c *coherent) pollMiss(pr *proc.Proc, done sim.Handler, recv any) {
+	c.tr.StartStepwise(pr, stats.Buffering, c.miss(), done, recv)
 }
 
 // recv blocks until a message is deliverable, then consumes it.

@@ -41,35 +41,16 @@ type udmaEngine struct {
 	dmaMsg  *netsim.Message
 	dmaProc *sim.Process
 
-	// copy is the staging copy's train (stage).
-	copy copySteps
-}
-
-// copySteps is the cursor of a staging copy's train: one cached access
-// over the whole buffer, which the processor cache moves block by block.
-type copySteps struct {
-	tr    proc.Train
-	s     proc.Step
-	taken bool
-}
-
-// Next implements proc.Steps.
-//
-//lint:hotpath
-func (c *copySteps) Next(s *proc.Step) bool {
-	if c.taken {
-		return false
-	}
-	*s, c.taken = c.s, true
-	return true
+	// The staging copy's train (stage): one cached access over the whole
+	// buffer, which the processor cache moves block by block.
+	copyTr proc.Train
+	copy   oneStep
 }
 
 // stage copies the n bytes of a staging buffer at a through the processor
 // cache, stores when write, as one access train charged to Transfer.
 func (u *udmaEngine) stage(pr *proc.Proc, write bool, a membus.Addr, n int) {
-	c := &u.copy
-	c.s, c.taken = proc.CachedStep(write, a, n), false
-	c.tr.RunStepwise(pr, stats.Transfer, c)
+	u.copyTr.RunStepwise(pr, stats.Transfer, u.copy.set(proc.CachedStep(write, a, n)))
 }
 
 // udmaStagingBase is the DRAM region UDMA deposits received messages into
@@ -90,16 +71,19 @@ func (u *udmaEngine) staging() membus.Addr {
 	return udmaStagingBase + membus.Addr(u.stagingSeq%256)*1024
 }
 
-// start runs the two-instruction UDMA start: an uncached store of the
-// buffer address, then an uncached load that checks and commits the start.
-func (u *udmaEngine) start(pr *proc.Proc, category int) {
-	u.hw.lead(pr, category, uncached(membus.UncachedWrite, RegUdmaAddr, 8), uncached(membus.UncachedRead, RegUdmaStat, 8))
+// startSeq describes the two-instruction UDMA start: an uncached store of
+// the buffer address, then an uncached load that checks and commits the
+// start.
+func (u *udmaEngine) startSeq() *fifoSteps {
+	c := u.hw.train()
+	c.lead = [2]proc.Step{uncached(membus.UncachedWrite, RegUdmaAddr, 8), uncached(membus.UncachedRead, RegUdmaStat, 8)}
+	return c
 }
 
 // initiate models the UDMA start plus the bus-master handoff from
 // processor to NI.
 func (u *udmaEngine) initiate(pr *proc.Proc) {
-	u.start(pr, stats.Transfer)
+	u.startSeq().start(pr, stats.Transfer)
 	pr.P.SleepAs(stats.Transfer, u.env.Cfg.UDMAMasterSwitch)
 }
 
@@ -164,19 +148,18 @@ func dmaBlockDone(recv any, _ uint64) {
 }
 
 // repush implements sendEngine: the software cost of re-sending a returned
-// message. Small messages are re-pushed through the window; for UDMA
-// transfers the data still sits in the NI, so the software re-runs the
-// start sequence.
+// message, charged to Buffering. Small messages are re-pushed through the
+// window; for UDMA transfers the data still sits in the NI, so the
+// software re-runs the start sequence.
 //
 //lint:hotpath
-func (u *udmaEngine) repush(pr *proc.Proc, m *netsim.Message) {
+func (u *udmaEngine) repush(m *netsim.Message) (*fifoSteps, int) {
 	if !u.useDMA(m) {
 		c := u.words(membus.UncachedWrite, m.Size(), u.env.Cfg.WordLoopCycles)
 		c.tail = doorbell()
-		c.start(pr, stats.Buffering)
-		return
+		return c, stats.Buffering
 	}
-	u.start(pr, stats.Buffering)
+	return u.startSeq(), stats.Buffering
 }
 
 // send implements sendEngine.
@@ -204,12 +187,12 @@ func (u *udmaEngine) send(pr *proc.Proc, m *netsim.Message) {
 	u.dma(pr, membus.GetS, src, blocksFor(m), m)
 }
 
-// pollMiss implements recvEngine.
+// pollMiss implements recvEngine: an unsuccessful poll's status read
+// (fifoHW.missRead).
 //
 //lint:hotpath
-func (u *udmaEngine) pollMiss(pr *proc.Proc) {
-	// Unsuccessful poll: monitoring cost attributable to buffering.
-	pr.UncachedRead(stats.Buffering, RegStatus, 8)
+func (u *udmaEngine) pollMiss() (*fifoSteps, int) {
+	return u.hw.missRead()
 }
 
 // receive implements recvEngine: the status read that found the message,
@@ -245,14 +228,19 @@ func (u *udmaEngine) receive(pr *proc.Proc) *netsim.Message {
 	return u.hw.pop()
 }
 
-// retryConsume implements recvEngine: the processor examines the returned
-// message in the window before re-pushing it.
+// retryWork implements recvEngine: the UDMA retry has no handler work of
+// its own.
 //
 //lint:hotpath
-func (u *udmaEngine) retryConsume(pr *proc.Proc, m *netsim.Message) {
+func (u *udmaEngine) retryWork() int64 { return 0 }
+
+// retryConsume implements recvEngine: the processor examines the returned
+// message in the window before re-pushing it, charged to Buffering.
+//
+//lint:hotpath
+func (u *udmaEngine) retryConsume(m *netsim.Message) (*fifoSteps, int) {
 	if !u.useDMA(m) {
-		u.words(membus.UncachedRead, m.Size(), 0).start(pr, pr.P.Category)
-		return
+		return u.words(membus.UncachedRead, m.Size(), 0), stats.Buffering
 	}
-	u.head().start(pr, pr.P.Category)
+	return u.head(), stats.Buffering
 }

@@ -82,17 +82,17 @@ func (n *wordEngine) words(k membus.Kind, bytes int) *fifoSteps {
 //lint:hotpath
 func (n *wordEngine) send(pr *proc.Proc, m *netsim.Message) {
 	n.hw.acquire(pr, n.path(), n.status())
-	n.push(pr, m)
+	n.push(m).start(pr, stats.Transfer)
 	n.env.EP.Inject(m)
 }
 
-// push moves the message through the two-word window and fires the
-// doorbell, whose final uncached store launches the message; it is also
-// the cost of re-pushing a returned message.
-func (n *wordEngine) push(pr *proc.Proc, m *netsim.Message) {
+// push describes moving the message through the two-word window and
+// firing the doorbell, whose final uncached store launches the message; it
+// is also the cost of re-pushing a returned message.
+func (n *wordEngine) push(m *netsim.Message) *fifoSteps {
 	c := n.words(membus.UncachedWrite, m.Size())
 	c.tail = n.access(membus.UncachedWrite, RegGo, 8)
-	c.start(pr, stats.Transfer)
+	return c
 }
 
 // pollMiss implements recvEngine: one status read with nothing waiting.
@@ -101,8 +101,10 @@ func (n *wordEngine) push(pr *proc.Proc, m *netsim.Message) {
 // would change every CM-5 breakdown.
 //
 //lint:hotpath
-func (n *wordEngine) pollMiss(pr *proc.Proc) {
-	n.hw.lead(pr, stats.Transfer, n.status(), proc.Step{})
+func (n *wordEngine) pollMiss() (*fifoSteps, int) {
+	c := n.hw.train()
+	c.lead[0] = n.status()
+	return c, stats.Transfer
 }
 
 // receive implements recvEngine: the status read that found the message,
@@ -118,18 +120,26 @@ func (n *wordEngine) receive(pr *proc.Proc) *netsim.Message {
 	return n.hw.pop()
 }
 
-// retryConsume implements recvEngine: the processor first consumes the
-// returned message from the network (it comes back through the receive
-// path). The retry handler is messaging software — register mapping does
-// not shrink it — hence the fixed fifo-path charge.
+// retryWork implements recvEngine: the retry handler is messaging
+// software — register mapping does not shrink it — hence the fixed
+// fifo-path charge.
 //
 //lint:hotpath
-func (n *wordEngine) retryConsume(pr *proc.Proc, m *netsim.Message) {
-	pr.Work(pr.P.Category, n.env.Cfg.FifoPathCycles)
-	n.words(membus.UncachedRead, m.Size()).start(pr, stats.Transfer)
+func (n *wordEngine) retryWork() int64 { return n.env.Cfg.FifoPathCycles }
+
+// retryConsume implements recvEngine: the processor consumes the returned
+// message word by word from the network (it comes back through the
+// receive path), charged to Transfer like every CM-5 word move.
+//
+//lint:hotpath
+func (n *wordEngine) retryConsume(m *netsim.Message) (*fifoSteps, int) {
+	return n.words(membus.UncachedRead, m.Size()), stats.Transfer
 }
 
-// repush implements sendEngine: re-push word by word.
+// repush implements sendEngine: re-push word by word, charged to
+// Transfer like the first push.
 //
 //lint:hotpath
-func (n *wordEngine) repush(pr *proc.Proc, m *netsim.Message) { n.push(pr, m) }
+func (n *wordEngine) repush(m *netsim.Message) (*fifoSteps, int) {
+	return n.push(m), stats.Transfer
+}

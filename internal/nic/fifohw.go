@@ -23,21 +23,36 @@ import (
 // window hardware but leave bouncing to the NI; the composer un-wires
 // OnBounce for them.
 type fifoHW struct {
-	env      *Env
-	fifo     *mainmem.Memory // serialized NI SRAM behind the fifo window
-	regs     *regsTarget
-	recvQ    msgQueue
-	bounced  msgQueue // returned-to-sender messages awaiting re-push
-	recvCond *sim.Cond
-	steps    *fifoSteps // the processor's fifo train cursor (see train)
+	env     *Env
+	fifo    *mainmem.Memory // serialized NI SRAM behind the fifo window
+	regs    *regsTarget
+	recvQ   msgQueue
+	bounced msgQueue // returned-to-sender messages awaiting re-push
+	cpu     *fifoCPU // the processor's side of the window (see processor)
+}
+
+// fifoCPU is the processor's state at a node's fifo window: the cursor
+// its fifo trains run on and the spinner that runs its blocked work.
+type fifoCPU struct {
+	steps fifoSteps
+	spin  spinner
+}
+
+// processor returns the node's fifoCPU. It is allocated on the node's
+// first fifo transfer, not when the machine is built.
+func (f *fifoHW) processor() *fifoCPU {
+	if f.cpu == nil {
+		f.cpu = new(fifoCPU) //lint:allow noalloc once per node, on its first fifo transfer
+		f.cpu.spin.f = f
+	}
+	return f.cpu
 }
 
 func newFifoHW(env *Env) *fifoHW {
 	f := &fifoHW{
-		env:      env,
-		fifo:     mainmem.New("ni-fifo", env.Cfg.NISRAM+env.Cfg.IOBridge, env.Eng),
-		regs:     &regsTarget{latency: env.Cfg.NISRAM + env.Cfg.IOBridge},
-		recvCond: sim.NewCond(env.Eng),
+		env:  env,
+		fifo: mainmem.New("ni-fifo", env.Cfg.NISRAM+env.Cfg.IOBridge, env.Eng),
+		regs: &regsTarget{latency: env.Cfg.NISRAM + env.Cfg.IOBridge},
 	}
 	env.Bus.MapRange(RegBase, FifoBase, f.regs)
 	env.Bus.MapRange(FifoBase, NIQSendBase, f.fifo)
@@ -48,38 +63,27 @@ func newFifoHW(env *Env) *fifoHW {
 		if tr := env.Trace; tr != nil {
 			tr("buffer accept src=%d size=%dB queued=%d", m.Src, m.Size(), f.recvQ.len())
 		}
-		f.recvCond.Broadcast()
+		f.wake()
 	}
 	env.EP.OnBounce = func(m *netsim.Message) {
 		f.bounced.push(m)
 		if tr := env.Trace; tr != nil {
 			tr("buffer bounce dst=%d size=%dB awaiting-retry=%d", m.Dst, m.Size(), f.bounced.len())
 		}
-		f.recvCond.Broadcast()
+		f.wake()
 	}
 	return f
 }
 
-// retryOne re-sends the oldest returned message: the receive engine, when
-// non-nil, charges reading it back off the network, and the send engine
-// its re-push; the time, and the injection, count as processor-involved
-// buffering work. Callers must prefer consuming incoming messages over
-// retrying (consume-first avoids livelock between mutually bouncing
-// senders).
+// retryOne re-sends the oldest returned message from pr's process, as
+// the spinner's retry does (retry) with the process parked until it is
+// done. Callers must prefer consuming incoming messages over retrying
+// (consume-first avoids livelock between mutually bouncing senders).
 func (f *fifoHW) retryOne(pr *proc.Proc, send sendEngine, recv recvEngine) {
-	m := f.bounced.pop()
-	f.env.Stats.Retries++
-	if tr := f.env.Trace; tr != nil {
-		tr("buffer retry dst=%d size=%dB remaining=%d", m.Dst, m.Size(), f.bounced.len())
-	}
-	prev := pr.P.Category
-	pr.P.Category = stats.Buffering
-	if recv != nil {
-		recv.retryConsume(pr, m)
-	}
-	send.repush(pr, m)
-	pr.P.Category = prev
-	f.env.EP.Inject(m)
+	s := f.spinner(pr, send)
+	s.recv, s.done, s.doneRecv = recv, sim.ResumeHandler, pr.P
+	s.retry()
+	pr.P.ParkUncharged()
 }
 
 // hasBounced reports whether returned messages await software service.
@@ -105,20 +109,211 @@ func (f *fifoHW) pop() *netsim.Message {
 
 // waitForMessageServicing parks the processor until a message is waiting,
 // re-pushing returned messages with the send engine while it waits;
-// incoming messages take priority over retries. The idle time is charged
-// to the compute category (it is communication wait, not an NI
-// data-transfer or buffering cost).
+// incoming messages take priority over retries. The processor's work runs
+// in event context (spinner.serve) and the process resumes only once a
+// message is waiting. The idle time is charged to the compute category (it
+// is communication wait, not an NI data-transfer or buffering cost).
 func (f *fifoHW) waitForMessageServicing(pr *proc.Proc, send sendEngine) {
+	if f.recvQ.len() > 0 {
+		return
+	}
+	s := f.spinner(pr, send)
+	s.recv, s.done = nil, nil
+	s.serve()
+	pr.P.ParkUncharged()
+}
+
+// pollMiss runs an unsuccessful poll in event context for the processor
+// blocked in a send (NI.PollMiss): the receive engine's miss train, then,
+// in the slot where the processor resumed from it, one retry when a
+// returned message waits.
+func (f *fifoHW) pollMiss(pr *proc.Proc, send sendEngine, recv recvEngine, done sim.Handler, doneRecv any) {
+	s := f.spinner(pr, send)
+	s.recv, s.done, s.doneRecv = recv, done, doneRecv
+	c, category := recv.pollMiss()
+	c.startThen(pr, category, spinMissed, s)
+}
+
+// spinner is the processor's poll-while-blocked work run in event
+// context while its process stays parked (sim.Process.ParkUncharged): an
+// unsuccessful poll and the retry it finds for a blocked send (pollMiss),
+// the wait of a blocking receive and its retries (serve), and a retry for
+// RetryOne. Each piece keeps the event keys it had as process steps: a
+// train's end runs where the process resumed from it, and a wake where
+// the wait's Unpark scheduled the process. The processor runs one of them
+// at a time, so one record per node serves them all (fifoCPU).
+type spinner struct {
+	f    *fifoHW
+	pr   *proc.Proc
+	send sendEngine
+	recv recvEngine // reads a returned message back before its re-push; nil in Recv
+
+	m     *netsim.Message // the returned message being re-pushed
+	stage retryStage
+	// A blocking receive's wait for an accept or a bounce: whether it
+	// waits, and since when.
+	waiting bool
+	since   sim.Time
+	// done runs when the retry or the poll is over, with arg 1 after a
+	// retry; nil in a blocking receive, which serves on.
+	done     sim.Handler
+	doneRecv any
+}
+
+// retryStage is the next step of a retry.
+type retryStage int8
+
+const (
+	retryHandler retryStage = iota // the retry handler's own software (recvEngine.retryWork)
+	retryRead                      // reading the message back (recvEngine.retryConsume)
+	retryPush                      // the re-push (sendEngine.repush)
+	retryInject                    // the injection
+)
+
+// spinner returns the node's spinner set up for pr and send.
+func (f *fifoHW) spinner(pr *proc.Proc, send sendEngine) *spinner {
+	s := &f.processor().spin
+	s.pr, s.send = pr, send
+	return s
+}
+
+// spinMissed ends the miss train of pollMiss, in the slot where the
+// processor resumed from it: a returned message waiting for software is
+// re-pushed now; otherwise the poll is over.
+//
+//lint:hotpath
+func spinMissed(recv any, _ uint64) {
+	s := recv.(*spinner)
+	if s.f.hasBounced() {
+		s.retry()
+		return
+	}
+	s.finish(0)
+}
+
+// retry starts the re-push of the oldest returned message: the receive
+// engine, when non-nil, charges the retry handler's software and reading
+// the message back off the network, the send engine its re-push, each as
+// one train, and the message is injected again when the re-push ends.
+// The engines do not agree on the category: the handler work is
+// Buffering; the CM-5 engines charge the read-back and the re-push to
+// Transfer, the block-buffer engine its read-back to Buffering and its
+// re-push (and the reflective engine's) to Transfer, and UDMA both to
+// Buffering.
+//
+//lint:hotpath
+func (s *spinner) retry() {
+	f := s.f
+	s.m = f.bounced.pop()
+	f.env.Stats.Retries++
+	if tr := f.env.Trace; tr != nil {
+		tr("buffer retry dst=%d size=%dB remaining=%d", s.m.Dst, s.m.Size(), f.bounced.len())
+	}
+	s.stage = retryHandler
+	s.next()
+}
+
+// retryStep continues a retry where the processor resumed from its last
+// train.
+//
+//lint:hotpath
+func retryStep(recv any, _ uint64) { recv.(*spinner).next() }
+
+// next starts the retry's next train, or injects the message once the
+// re-push is done.
+//
+//lint:hotpath
+func (s *spinner) next() {
 	for {
-		if f.recvQ.len() > 0 {
+		stage := s.stage
+		s.stage++
+		switch stage {
+		case retryHandler:
+			if s.recv == nil || s.recv.retryWork() == 0 {
+				break
+			}
+			c := s.f.train()
+			c.lead[0].Cycles = s.recv.retryWork()
+			c.startThen(s.pr, stats.Buffering, retryStep, s)
+			return
+		case retryRead:
+			if s.recv == nil {
+				break
+			}
+			c, category := s.recv.retryConsume(s.m)
+			c.startThen(s.pr, category, retryStep, s)
+			return
+		case retryPush:
+			c, category := s.send.repush(s.m)
+			c.startThen(s.pr, category, retryStep, s)
+			return
+		default: // retryInject
+			m := s.m
+			s.m = nil
+			s.f.env.EP.Inject(m)
+			s.finish(1)
 			return
 		}
-		if f.bounced.len() > 0 {
-			f.retryOne(pr, send, nil)
-			continue
-		}
-		f.recvCond.WaitAs(pr.P, stats.Compute)
 	}
+}
+
+// finish ends a retry or a poll: it runs the done hook, or a blocking
+// receive serves on.
+//
+//lint:hotpath
+func (s *spinner) finish(retried uint64) {
+	done := s.done
+	if done == nil {
+		s.serve()
+		return
+	}
+	s.done = nil
+	done(s.doneRecv, retried)
+}
+
+// serve is one turn of a blocking receive's loop, at the time the process
+// would run it: a waiting message resumes the process, a returned message
+// is re-pushed, and otherwise the receive waits for an accept or a bounce
+// (wake). It runs first from the process, which then parks; no message is
+// waiting then.
+//
+//lint:hotpath
+func (s *spinner) serve() {
+	f := s.f
+	switch {
+	case f.recvQ.len() > 0:
+		s.pr.P.Resume()
+	case f.hasBounced():
+		s.retry()
+	default:
+		s.waiting, s.since = true, f.env.Eng.Now()
+	}
+}
+
+// wake is the call point of an accept or a bounce: a waiting receive
+// serves on in the slot its Unpark takes.
+//
+//lint:hotpath
+func (f *fifoHW) wake() {
+	if f.cpu == nil {
+		return
+	}
+	if s := &f.cpu.spin; s.waiting && !s.pr.P.Done() {
+		s.waiting = false
+		f.env.Eng.AfterEvent(0, spinWoke, s, 0)
+	}
+}
+
+// spinWoke serves a woken receive on, charging its wait to Compute.
+//
+//lint:hotpath
+func spinWoke(recv any, _ uint64) {
+	s := recv.(*spinner)
+	if s.pr.P.Done() {
+		return
+	}
+	s.pr.P.Charge(stats.Compute, s.since)
+	s.serve()
 }
 
 // recordRecv updates the NI-level fragment counters; application-message
@@ -155,6 +350,32 @@ type fifoTrain struct {
 	chunk       int
 	status      proc.Step
 	tail        proc.Step
+	// stepwise runs the train stepwise even where the bus allows the
+	// closed form (see pollMiss on the udma and blkbuf engines).
+	stepwise bool
+}
+
+// oneStep is the cursor of a train of one step.
+type oneStep struct {
+	s     proc.Step
+	taken bool
+}
+
+// set makes the cursor yield s once.
+func (c *oneStep) set(s proc.Step) *oneStep {
+	c.s, c.taken = s, false
+	return c
+}
+
+// Next implements proc.Steps.
+//
+//lint:hotpath
+func (c *oneStep) Next(s *proc.Step) bool {
+	if c.taken {
+		return false
+	}
+	*s, c.taken = c.s, true
+	return true
 }
 
 // fifoSteps is the cursor a node's fifo trains run on: the train being
@@ -171,14 +392,11 @@ type fifoSteps struct {
 
 // train returns the node's fifo train cursor reset to an empty train, for
 // an engine to describe in place and then start. A processor runs one
-// train at a time, so the node's fifo engines share the cursor. It is
-// allocated on the first transfer, not when the machine is built.
+// train at a time, so the node's fifo engines share the cursor.
 func (f *fifoHW) train() *fifoSteps {
-	if f.steps == nil {
-		f.steps = new(fifoSteps) //lint:allow noalloc once per node, on its first fifo transfer
-	}
-	*f.steps = fifoSteps{}
-	return f.steps
+	c := &f.processor().steps
+	*c = fifoSteps{}
+	return c
 }
 
 // start runs the described train on pr charged to category.
@@ -186,7 +404,35 @@ func (f *fifoHW) train() *fifoSteps {
 //lint:hotpath
 func (c *fifoSteps) start(pr *proc.Proc, category int) {
 	c.left = c.bytes
+	if c.stepwise {
+		c.tr.RunStepwise(pr, category, c)
+		return
+	}
 	c.tr.Run(pr, category, c)
+}
+
+// startThen runs the described train in event context, with pr's process
+// parked, and runs done(recv, 0) when it ends (proc.Train.Start).
+//
+//lint:hotpath
+func (c *fifoSteps) startThen(pr *proc.Proc, category int, done sim.Handler, recv any) {
+	c.left = c.bytes
+	if c.stepwise {
+		c.tr.StartStepwise(pr, category, c, done, recv)
+		return
+	}
+	c.tr.Start(pr, category, c, done, recv)
+}
+
+// missRead describes the udma and blkbuf engines' unsuccessful poll: the
+// status read, charged to Buffering as monitoring cost. It runs stepwise,
+// keeping the bus events it had as a process's uncached read: closed, it
+// would drop them from the engine's event count, which the benchmark
+// pins.
+func (f *fifoHW) missRead() (*fifoSteps, int) {
+	c := f.train()
+	c.lead[0], c.stepwise = statusRead(), true
+	return c, stats.Buffering
 }
 
 // lead runs a train of at most two steps.

@@ -159,6 +159,14 @@ type NI interface {
 	// queue reads) and returns it. When none is available it charges only
 	// the design's polling cost and returns false.
 	Poll(pr *proc.Proc) (*netsim.Message, bool)
+	// PollMiss is Poll for a processor that found nothing to receive
+	// (Pending is false), blocked in a send, run in event context: pr's
+	// process is parked (sim.Process.ParkUncharged) and stays so. It
+	// charges the design's polling cost and then, when NeedsRetry holds,
+	// RetryOne's re-push, each to the category Poll and RetryOne charge
+	// it to, and runs done(recv, retried) where the process would resume
+	// after them, retried 1 after a re-push.
+	PollMiss(pr *proc.Proc, done sim.Handler, recv any)
 	// Recv blocks until a message is available, then receives it as Poll
 	// does. Idle waiting is charged to the compute category; only the
 	// actual transfer work counts as transfer time.

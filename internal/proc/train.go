@@ -38,15 +38,23 @@ type Steps interface {
 }
 
 // Train is the run state of one access train at a time: the cursor, the
-// step in progress and, while that step's cached access is in flight, the
-// processor cache's op. Whoever owns the cursor owns the Train, so a
-// processor that never runs a train carries none.
+// step in progress, while that step's cached access is in flight the
+// processor cache's op, and the train's end. Whoever owns the cursor owns
+// the Train, so a processor that never runs a train carries none.
 type Train struct {
 	pr    *Proc
 	steps Steps
 	cur   Step      // the step in progress; Cycles and Access clear as they are spent
 	op    *cache.Op // cur's cached access, once started
 	tail  sim.Time  // a closed train's final work, for trainTail
+
+	// The train's end (see end): its time since start is charged to
+	// category, then done(doneRecv, 0) runs, or the process resumes when
+	// done is nil.
+	category int
+	start    sim.Time
+	done     sim.Handler
+	doneRecv any
 }
 
 // fetch fills s with the cursor's next non-empty step.
@@ -77,15 +85,9 @@ func (t *Train) fetch(s *Step) bool {
 //
 //lint:hotpath
 func (t *Train) Run(pr *Proc, category int, steps Steps) {
-	if pr.Bus.ClosedTrains() {
-		t.pr, t.steps = pr, steps
-		if t.runClosed() {
-			pr.P.ParkAs(category)
-		}
-		t.steps = nil
-		return
+	if t.begin(pr, category, steps, nil, nil, pr.Bus.ClosedTrains()) {
+		pr.P.ParkUncharged()
 	}
-	t.RunStepwise(pr, category, steps)
 }
 
 // RunStepwise is Run on any bus without the closed form: a cached
@@ -97,15 +99,77 @@ func (t *Train) Run(pr *Proc, category int, steps Steps) {
 //
 //lint:hotpath
 func (t *Train) RunStepwise(pr *Proc, category int, steps Steps) {
-	t.pr, t.steps, t.op = pr, steps, nil
-	if t.fetch(&t.cur) && t.advance() {
-		pr.P.ParkAs(category)
+	if t.begin(pr, category, steps, nil, nil, false) {
+		pr.P.ParkUncharged()
 	}
-	t.steps = nil
+}
+
+// Start is Run for work the processor does while its process stays
+// parked (sim.Process.ParkUncharged), driven from event context: it
+// returns at once, and when the train is done it charges the train's
+// time to category and runs done(recv, 0) in the slot where Run would
+// have resumed the process, with the event keys Run's train has. A train
+// that ends where it starts (no step, or cached hits of zero latency)
+// runs done before Start returns, so a caller in process context must
+// not let done resume the process.
+//
+//lint:hotpath
+func (t *Train) Start(pr *Proc, category int, steps Steps, done sim.Handler, recv any) {
+	if !t.begin(pr, category, steps, done, recv, pr.Bus.ClosedTrains()) {
+		done(recv, 0)
+	}
+}
+
+// StartStepwise is Start on any bus without the closed form, for cursors
+// with cached steps (see RunStepwise).
+//
+//lint:hotpath
+func (t *Train) StartStepwise(pr *Proc, category int, steps Steps, done sim.Handler, recv any) {
+	if !t.begin(pr, category, steps, done, recv, false) {
+		done(recv, 0)
+	}
+}
+
+// begin starts the train, closed or stepwise, with its end, and reports
+// whether it is in flight; false means it ended where it started, with
+// nothing to charge.
+//
+//lint:hotpath
+func (t *Train) begin(pr *Proc, category int, steps Steps, done sim.Handler, recv any, closed bool) bool {
+	t.pr, t.steps, t.op = pr, steps, nil
+	t.category, t.start, t.done, t.doneRecv = category, pr.Eng.Now(), done, recv
+	var ran bool
+	if closed {
+		ran = t.runClosed()
+	} else {
+		ran = t.fetch(&t.cur) && t.advance()
+	}
+	if !ran {
+		t.steps, t.done, t.doneRecv = nil, nil, nil
+	}
+	return ran
+}
+
+// end finishes the train in the slot where its process would resume:
+// it charges the train's time, then runs the done hook or, without one,
+// resumes the process in place. The Train is free again before the hook
+// runs, so the hook may start the next train on it.
+//
+//lint:hotpath
+func (t *Train) end() {
+	p := t.pr.P
+	done, recv := t.done, t.doneRecv
+	t.steps, t.done, t.doneRecv = nil, nil, nil
+	p.Charge(t.category, t.start)
+	if done == nil {
+		p.Resume()
+		return
+	}
+	done(recv, 0)
 }
 
 // runClosed walks the whole train in virtual time from now and schedules
-// the process's wakeup, reporting whether the train had a step. Each work
+// the train's end, reporting whether the train had a step. Each work
 // step adds its cycles; each access applies, through
 // membus.Bus.ClosedAccess, what the stepwise access applies, at the time
 // the stepwise train would issue it. Nothing else reads or writes that
@@ -113,24 +177,24 @@ func (t *Train) RunStepwise(pr *Proc, category int, steps Steps) {
 // access slots and the node's bus counters belong to the parked processor
 // alone.
 //
-// So only the process's wakeup can tell the two paths apart, and it must
+// So only the train's end can tell the two paths apart, and it must
 // pop where the stepwise one does, also among the events that tie with
 // it on time and schedule stamp. Those pop in the order they were
-// scheduled, and the stepwise train schedules the wakeup in the middle of
+// scheduled, and the stepwise train schedules its end in the middle of
 // an instant, so an event scheduled earlier in that instant pops first:
 // the accept of a header-only message whose ejection ends just as a final
 // 8-cycle block-buffer drain does, say. So the closed train schedules
 // ahead of time, with its stepwise key, the event the stepwise train
-// schedules the wakeup from:
-//   - after a final access, its completion hook, sim.UnparkHandler, at the
+// schedules the end from:
+//   - after a final access, its completion hook, trainDone, at the
 //     completion time stamped with the address-phase end, where the bus
-//     schedules it; the hook's AfterEvent(0) resume follows as before;
+//     schedules it; the hook's AfterEvent(0) end follows as before;
 //   - after a final work step that follows another step, trainTail, with
 //     the key of the stepwise continuation into that work, which schedules
-//     the resume with UnparkAfter from that work's start;
-//   - when the work is the train's only step, nothing: Run's process
-//     context is that event, and it calls UnparkAfter as the stepwise
-//     train does.
+//     the end at AfterEvent of that work from its start;
+//   - when the work is the train's only step, nothing: the context that
+//     starts the train is that event, and it schedules the end as the
+//     stepwise train does.
 //
 // That event takes the first place among its own ties instead. DESIGN.md
 // §4.1 says why no event that ties with it on a processor-only bus's node
@@ -142,7 +206,7 @@ func (t *Train) runClosed() bool {
 	at := pr.Eng.Now()
 	// stamp is the latest step's start for work and its address-phase end
 	// for an access; from is the schedule stamp of the stepwise event that
-	// starts the latest work step, unless lone: the process starts it.
+	// starts the latest work step, unless lone: the train's starter starts it.
 	var stamp, from sim.Time
 	ran, access, lone := false, false, false
 	for t.fetch(&t.cur) {
@@ -166,9 +230,9 @@ func (t *Train) runClosed() bool {
 	switch {
 	case !ran:
 	case access:
-		pr.Eng.AtEventFrom(at, stamp, sim.UnparkHandler, pr.P, 0)
+		pr.Eng.AtEventFrom(at, stamp, trainDone, t, 0)
 	case lone:
-		pr.P.UnparkAfter(at - stamp)
+		pr.Eng.AfterEvent(at-stamp, trainEnd, t, 0)
 	default:
 		t.tail = at - stamp
 		pr.Eng.AtEventFrom(stamp, from, trainTail, t, 0)
@@ -176,20 +240,46 @@ func (t *Train) runClosed() bool {
 	return ran
 }
 
+// trainDone is the completion hook of a closed train's final access: the
+// train ends in the slot Unpark takes from it.
+//
+//lint:hotpath
+func trainDone(recv any, _ uint64) {
+	t := recv.(*Train)
+	if t.pr.P.Done() {
+		return
+	}
+	t.pr.Eng.AfterEvent(0, trainEnd, t, 0)
+}
+
 // trainTail is the last continuation of a closed train that ends in
-// work: it schedules the resume when that work ends, as the stepwise
+// work: it schedules the end when that work ends, as the stepwise
 // continuation into it does.
 //
 //lint:hotpath
 func trainTail(recv any, _ uint64) {
 	t := recv.(*Train)
-	t.pr.P.UnparkAfter(t.tail)
+	if t.pr.P.Done() {
+		return
+	}
+	t.pr.Eng.AfterEvent(t.tail, trainEnd, t, 0)
+}
+
+// trainEnd ends a closed train.
+//
+//lint:hotpath
+func trainEnd(recv any, _ uint64) {
+	t := recv.(*Train)
+	if t.pr.P.Done() {
+		return
+	}
+	t.end()
 }
 
 // trainStep is the continuation event of a stepwise access train: it
-// runs in the slot the process would resume in, and resumes it there once
-// the train is done. A process that Drain killed mid-train is done, and
-// its train is dropped.
+// runs in the slot the process would resume in, and ends the train there
+// once it is done. A process that Drain killed mid-train is done, and its
+// train is dropped.
 //
 //lint:hotpath
 func trainStep(recv any, _ uint64) {
@@ -198,7 +288,7 @@ func trainStep(recv any, _ uint64) {
 		return
 	}
 	if !t.advance() {
-		t.pr.P.Resume()
+		t.end()
 	}
 }
 

@@ -362,3 +362,46 @@ func TestTrainDrainMidTrain(t *testing.T) {
 		})
 	}
 }
+
+// TestTrainStartDrain kills a process parked while a train it started for
+// event context (Start) runs, closed and stepwise, and fires each
+// continuation the train can have pending: none runs the done hook or
+// schedules an event.
+func TestTrainStartDrain(t *testing.T) {
+	steps := []Step{work(10), rd(2), work(10), wr(2), rd(0), work(10)}
+	for _, closed := range []bool{false, true} {
+		for _, cut := range []sim.Time{5, 15, 25, 40} {
+			cut := cut * sim.Nanosecond
+			t.Run(fmt.Sprintf("closed=%v/%v", closed, cut), func(t *testing.T) {
+				eng, pr, _ := newProc()
+				if closed {
+					pr.Bus.SetProcessorOnly()
+				}
+				var tr Train
+				called, unwound := 0, false
+				done := func(any, uint64) { called++ }
+				p := eng.Spawn("p", func(p *sim.Process) {
+					defer func() { unwound = true }()
+					tr.Start(pr, stats.Transfer, &listSteps{s: steps}, done, nil)
+					p.ParkUncharged()
+				})
+				pr.Bind(p)
+				eng.RunUntil(cut)
+				if p.Done() || eng.Pending() == 0 || called != 0 {
+					t.Fatalf("train not in flight at %v", cut)
+				}
+				eng.Drain()
+				if !p.Done() || !unwound {
+					t.Fatalf("drain: done=%v unwound=%v", p.Done(), unwound)
+				}
+				n := eng.Pending()
+				for _, h := range []sim.Handler{trainStep, trainDone, trainTail, trainEnd} {
+					h(&tr, 0)
+				}
+				if called != 0 || eng.Pending() != n {
+					t.Fatalf("continuations of a dead process ran the hook %d times and scheduled %d events", called, eng.Pending()-n)
+				}
+			})
+		}
+	}
+}

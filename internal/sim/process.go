@@ -213,30 +213,43 @@ func (p *Process) ParkAs(category int) {
 	p.Category = prev
 }
 
+// ParkUncharged suspends the process, as Park does, without charging the
+// blocked time to any category: event-context code that runs the
+// process's work while it is parked charges each piece of that work to its
+// own category with Charge.
+//
+//lint:hotpath
+func (p *Process) ParkUncharged() { p.suspend() }
+
+// Charge charges the time since start to category through OnBlocked, as a
+// park that began at start and ends now in that category would. Event
+// context may call it for a process parked with ParkUncharged.
+//
+//lint:hotpath
+func (p *Process) Charge(category int, start Time) {
+	if p.OnBlocked != nil {
+		if d := p.eng.now - start; d > 0 {
+			p.OnBlocked(category, d)
+		}
+	}
+}
+
 // Unpark schedules a parked process to resume at the current time. It is a
 // no-op for done processes. Safe to call from engine or process context.
 //
 //lint:hotpath
-func (p *Process) Unpark() { p.UnparkAfter(0) }
+func (p *Process) Unpark() {
+	if p.done {
+		return
+	}
+	p.eng.AfterEvent(0, procResume, p, 0)
+}
 
 // UnparkHandler is Unpark as a Handler whose recv is the *Process: the
 // completion hook that wakes a process parked on an event-context step.
 //
 //lint:hotpath
 func UnparkHandler(recv any, _ uint64) { recv.(*Process).Unpark() }
-
-// UnparkAfter schedules a parked process to resume d picoseconds from now:
-// the wakeup Sleep(d) would have scheduled, for a process that parked
-// instead of sleeping while event-context code ran its steps. It is a
-// no-op for done processes.
-//
-//lint:hotpath
-func (p *Process) UnparkAfter(d Time) {
-	if p.done {
-		return
-	}
-	p.eng.AfterEvent(d, procResume, p, 0)
-}
 
 // Resume switches into the parked process now, from engine context, and
 // returns when it suspends or finishes. An event that runs in the slot a
@@ -247,13 +260,14 @@ func (p *Process) UnparkAfter(d Time) {
 //lint:hotpath
 func (p *Process) Resume() { p.resume() }
 
-func (p *Process) account(start Time) {
-	if p.OnBlocked != nil {
-		if d := p.eng.now - start; d > 0 {
-			p.OnBlocked(p.Category, d)
-		}
-	}
-}
+// ResumeHandler is Resume as a Handler whose recv is the *Process: the
+// done hook of event-context work that ends in the slot where the process
+// resumes.
+//
+//lint:hotpath
+func ResumeHandler(recv any, _ uint64) { recv.(*Process).Resume() }
+
+func (p *Process) account(start Time) { p.Charge(p.Category, start) }
 
 // Cond is a condition variable for processes. The zero value is not usable;
 // create with NewCond.
