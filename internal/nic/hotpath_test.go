@@ -185,9 +185,9 @@ func TestAdmissionControlAllocFree(t *testing.T) {
 }
 
 // exchange runs rounds of a 2-node ping-pong of payload-byte messages on
-// kind k and returns the engine's process resumes and events over the run.
-func exchange(t *testing.T, k Kind, rounds, payload int) (resumes, events uint64) {
-	r := newTwoNodes(t, k, 8, nil)
+// spec and returns the engine's process resumes and events over the run.
+func exchange(t *testing.T, spec Spec, rounds, payload int) (resumes, events uint64) {
+	r := newTwoNodesSpec(t, spec, 8, nil)
 	r.run(t, func(pr *proc.Proc, ni NI) {
 		for i := 0; i < rounds; i++ {
 			ni.Send(pr, netsim.NewSized(0, 1, 1, payload))
@@ -211,7 +211,7 @@ func exchange(t *testing.T, k Kind, rounds, payload int) (resumes, events uint64
 // plus the two process starts over the run.
 func TestCM5ResumesPerMessage(t *testing.T) {
 	const rounds = 50
-	resumes, _ := exchange(t, CM5, rounds, 64)
+	resumes, _ := exchange(t, SpecFor(CM5), rounds, 64)
 	if got, want := float64(resumes)/(2*rounds), 4+2.0/(2*rounds); got != want {
 		t.Fatalf("%.2f resumes per 64 B CM-5 message, want %.2f", got, want)
 	}
@@ -228,16 +228,16 @@ func TestCM5ResumesPerMessage(t *testing.T) {
 // the two process starts over the run.
 func TestCM5EventsPerMessage(t *testing.T) {
 	const rounds = 50
-	_, events := exchange(t, CM5, rounds, 64)
+	_, events := exchange(t, SpecFor(CM5), rounds, 64)
 	if got, want := float64(events)/(2*rounds), 10+2.0/(2*rounds); got != want {
 		t.Fatalf("%.2f events per 64 B CM-5 message, want %.2f", got, want)
 	}
 }
 
 // TestResumesAndEventsPerMessage pins the host process switches and the
-// engine events a message costs on every named NI, over a 50-round
-// ping-pong (100 messages) whose two process starts add 0.02 to each
-// resume count.
+// engine events a message costs on every named NI and on the three RDMA
+// specs, over a 50-round ping-pong (100 messages) whose two process
+// starts add 0.02 to each resume count.
 //
 // Resumes. The processor runs each access sequence as one access train.
 // A fifo message costs four: the sender resumes after its path and status
@@ -253,29 +253,43 @@ func TestCM5EventsPerMessage(t *testing.T) {
 // hardware that never resumes. Memory Channel sends through the fifo
 // window, so it costs the fifo sender's two.
 //
+// An RDMA message costs 6 to 9 (plus the two rdma processes' starts): its
+// sender posts a descriptor and rings the doorbell, each node's NI-side
+// rdma process resumes per wait and once per 64 B block it fetches
+// (Bus.Access), and a coherent receiver consumes the message.
+//
 // Events. A fifo NI's bus is processor-only, so its trains are closed:
 // ten events per message (see DESIGN.md §4.4). A coherent NI's trains are
 // stepwise and its engines move each block, so its events grow with the
 // message: every step keeps the event a process would have run.
 func TestResumesAndEventsPerMessage(t *testing.T) {
 	const rounds = 50
-	want := map[Kind][3][2]uint64{ // per payload 8, 64, 248 B: resumes, events
-		CM5:             {{402, 1002}, {402, 1002}, {402, 1002}},
-		CM5SingleCycle:  {{402, 1001}, {402, 1002}, {402, 1002}},
-		UDMA:            {{402, 1002}, {402, 1002}, {1302, 6202}},
-		AP3000:          {{402, 1002}, {402, 1002}, {402, 1002}},
-		StarTJR:         {{302, 2310}, {302, 3510}, {302, 5766}},
-		MemoryChannel:   {{402, 2006}, {402, 3106}, {402, 5306}},
-		CNI512Q:         {{302, 2210}, {302, 3210}, {302, 5210}},
-		CNI32Qm:         {{302, 2220}, {302, 3234}, {302, 5146}},
-		CNI32QmThrottle: {{302, 2309}, {302, 3309}, {302, 5165}},
+	rdma := func(b Buffering) Spec { return Spec{Send: RDMAEngine, Recv: CoherentEngine, Buffering: b} }
+	want := map[Spec][3][2]uint64{ // per payload 8, 64, 248 B: resumes, events
+		SpecFor(CM5):             {{402, 1002}, {402, 1002}, {402, 1002}},
+		SpecFor(CM5SingleCycle):  {{402, 1001}, {402, 1002}, {402, 1002}},
+		SpecFor(UDMA):            {{402, 1002}, {402, 1002}, {1302, 6202}},
+		SpecFor(AP3000):          {{402, 1002}, {402, 1002}, {402, 1002}},
+		SpecFor(StarTJR):         {{302, 2310}, {302, 3510}, {302, 5766}},
+		SpecFor(MemoryChannel):   {{402, 2006}, {402, 3106}, {402, 5306}},
+		SpecFor(CNI512Q):         {{302, 2210}, {302, 3210}, {302, 5210}},
+		SpecFor(CNI32Qm):         {{302, 2220}, {302, 3234}, {302, 5146}},
+		SpecFor(CNI32QmThrottle): {{302, 2309}, {302, 3309}, {302, 5165}},
+		rdma(MemoryRing):         {{606, 2310}, {706, 3210}, {906, 5010}},
+		rdma(NIRing):             {{606, 2210}, {706, 3010}, {906, 4610}},
+		rdma(NICachedRing):       {{606, 2220}, {706, 3034}, {906, 4690}},
 	}
+	var specs []Spec
 	for _, k := range Kinds() {
+		specs = append(specs, SpecFor(k))
+	}
+	specs = append(specs, rdma(MemoryRing), rdma(NIRing), rdma(NICachedRing))
+	for _, spec := range specs {
 		for i, payload := range []int{8, 64, 248} {
-			k, i, payload := k, i, payload
-			t.Run(fmt.Sprintf("%s/%dB", k.ShortName(), payload), func(t *testing.T) {
-				resumes, events := exchange(t, k, rounds, payload)
-				w := want[k][i]
+			spec, i, payload := spec, i, payload
+			t.Run(fmt.Sprintf("%s/%dB", spec.Name(), payload), func(t *testing.T) {
+				resumes, events := exchange(t, spec, rounds, payload)
+				w := want[spec][i]
 				if resumes != w[0] || events != w[1] {
 					t.Errorf("%.2f resumes and %.2f events per message, want %.2f and %.2f",
 						float64(resumes)/(2*rounds), float64(events)/(2*rounds),
