@@ -29,12 +29,13 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/sim/
 
 # bench-smoke is the CI benchmark gate: the AllocsPerRun gates on the
-# scheduler, message-delivery, and composed NI hot paths and the
-# per-message resume and event pins, then every benchmark for one
-# iteration (an execute-smoke, not a measurement), with the output saved
-# to bench_smoke.txt for the CI artifact.
+# scheduler, message-delivery, and composed NI hot paths, the per-message
+# resume and event pins, and the blocked-send flood's per-spin resume,
+# event, spin and retry pins, then every benchmark for one iteration (an
+# execute-smoke, not a measurement), with the output saved to
+# bench_smoke.txt for the CI artifact.
 bench-smoke: build
-	$(GO) test -run 'AllocFree|PerMessage' -count=1 ./internal/sim/ ./internal/proc/ ./internal/netsim/ ./internal/nic/ ./internal/msglayer/
+	$(GO) test -run 'AllocFree|PerMessage|PerSpin' -count=1 ./internal/sim/ ./internal/proc/ ./internal/netsim/ ./internal/nic/ ./internal/msglayer/
 	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/sim/ | tee bench_smoke.txt
 
 # bench-json regenerates BENCH_results.json: the whole evaluation grid run

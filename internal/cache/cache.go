@@ -211,11 +211,10 @@ func (c *Cache) evict(l *line, done sim.Handler, recv any) bool {
 
 // Op is one processor load or store of the bytes [a, a+n), in flight
 // through the cache one block at a time. It never blocks: Step does what
-// the access does at the current time and says what it waits for, so the
-// caller decides how to wait. A process parks or sleeps (Read, Write,
-// ReadBytes, WriteBytes); an access train schedules its continuation
-// events (proc.Train). The hit, upgrade, eviction and fill logic lives
-// here alone, whoever drives it.
+// the access does at the current time and says what it waits for, and
+// the processor's access train (proc.Train) schedules its continuation
+// events from that. The hit, upgrade, eviction and fill logic lives here
+// alone.
 type Op struct {
 	c     *Cache
 	a     membus.Addr // the current piece's first byte
@@ -360,57 +359,4 @@ func (op *Op) fill() {
 	}
 	op.wait = opFill
 	op.c.bus.Issue(op.c, kind, membus.BlockOf(op.a), 0, opDone, op)
-}
-
-// run drives an op in process context: p parks on each bus transaction
-// and sleeps through each hit.
-func (c *Cache) run(p *sim.Process, a membus.Addr, n int, write bool) {
-	op := c.Start(a, n, write, sim.UnparkHandler, p)
-	for {
-		d, busy := op.Step()
-		switch {
-		case busy:
-			p.Park()
-		case d > 0:
-			p.Sleep(d)
-		default:
-			return
-		}
-	}
-}
-
-// Read performs a processor load of size bytes at a, blocking p until the
-// data is available. Accesses must not span a block boundary.
-func (c *Cache) Read(p *sim.Process, a membus.Addr, size int) {
-	checkBlock(a, size)
-	c.run(p, a, size, false)
-}
-
-// Write performs a processor store of size bytes at a, blocking p until the
-// store is ordered (hit or exclusive ownership obtained).
-func (c *Cache) Write(p *sim.Process, a membus.Addr, size int) {
-	checkBlock(a, size)
-	c.run(p, a, size, true)
-}
-
-// checkBlock panics when [a, a+size) spans a block boundary.
-func checkBlock(a membus.Addr, size int) {
-	if membus.BlockOf(a+membus.Addr(size)-1) != membus.BlockOf(a) {
-		panic(fmt.Sprintf("cache: access %#x size %d spans blocks", a, size))
-	}
-}
-
-// ReadBytes performs loads covering [a, a+n), block by block.
-func (c *Cache) ReadBytes(p *sim.Process, a membus.Addr, n int) { c.run(p, a, n, false) }
-
-// WriteBytes performs stores covering [a, a+n), block by block.
-func (c *Cache) WriteBytes(p *sim.Process, a membus.Addr, n int) { c.run(p, a, n, true) }
-
-// Flush writes back (if dirty) and invalidates the block containing a.
-func (c *Cache) Flush(p *sim.Process, a membus.Addr) {
-	block := membus.BlockOf(a)
-	if l := c.slot(block); l.holds(block) && c.evict(l, sim.UnparkHandler, p) {
-		p.Park()
-		l.set(l.block(), Invalid)
-	}
 }

@@ -56,6 +56,41 @@ func (r *rig) logWritebacks(lo, hi membus.Addr) *writebackLog {
 	return w
 }
 
+// drive is the reference per-step driver of an Op in process context: p
+// parks on each bus transaction and sleeps through each hit, as a process
+// issuing the load of n bytes at a, or the store when write, one step at a
+// time would. The processor's access trains (proc.Train) drive Ops from
+// event context instead.
+func (c *Cache) drive(p *sim.Process, a membus.Addr, n int, write bool) {
+	op := c.Start(a, n, write, sim.UnparkHandler, p)
+	for {
+		d, busy := op.Step()
+		switch {
+		case busy:
+			p.Park()
+		case d > 0:
+			p.Sleep(d)
+		default:
+			return
+		}
+	}
+}
+
+// read loads the n bytes at a, blocking p until the data is available.
+func (c *Cache) read(p *sim.Process, a membus.Addr, n int) { c.drive(p, a, n, false) }
+
+// write stores the n bytes at a, blocking p until the store is ordered.
+func (c *Cache) write(p *sim.Process, a membus.Addr, n int) { c.drive(p, a, n, true) }
+
+// flush writes back (if dirty) and invalidates the block containing a.
+func (c *Cache) flush(p *sim.Process, a membus.Addr) {
+	block := membus.BlockOf(a)
+	if l := c.slot(block); l.holds(block) && c.evict(l, sim.UnparkHandler, p) {
+		p.Park()
+		l.set(l.block(), Invalid)
+	}
+}
+
 // runProc runs body as a process and drives the engine to completion.
 func (r *rig) runProc(t *testing.T, body func(p *sim.Process)) sim.Time {
 	t.Helper()
@@ -73,10 +108,10 @@ func TestReadMissThenHit(t *testing.T) {
 	var missT, hitT sim.Time
 	r.runProc(t, func(p *sim.Process) {
 		start := p.Now()
-		c.Read(p, 0x1000, 8)
+		c.read(p, 0x1000, 8)
 		missT = p.Now() - start
 		start = p.Now()
-		c.Read(p, 0x1008, 8) // same block
+		c.read(p, 0x1008, 8) // same block
 		hitT = p.Now() - start
 	})
 	if c.Misses != 1 || c.Hits != 1 {
@@ -98,7 +133,7 @@ func TestWriteAllocatesModified(t *testing.T) {
 	r := newRig(t, 1)
 	c := r.caches[0]
 	r.runProc(t, func(p *sim.Process) {
-		c.Write(p, 0x2000, 8)
+		c.write(p, 0x2000, 8)
 	})
 	if got := c.StateOf(0x2000); got != Modified {
 		t.Fatalf("state after write miss = %v, want M", got)
@@ -109,12 +144,12 @@ func TestSharedUpgrade(t *testing.T) {
 	r := newRig(t, 2)
 	c0, c1 := r.caches[0], r.caches[1]
 	r.runProc(t, func(p *sim.Process) {
-		c0.Read(p, 0x3000, 8)
-		c1.Read(p, 0x3000, 8) // c0 E -> S, supplies cache-to-cache
+		c0.read(p, 0x3000, 8)
+		c1.read(p, 0x3000, 8) // c0 E -> S, supplies cache-to-cache
 		if c0.StateOf(0x3000) != Shared || c1.StateOf(0x3000) != Shared {
 			t.Errorf("states after 2 reads: %v/%v, want S/S", c0.StateOf(0x3000), c1.StateOf(0x3000))
 		}
-		c0.Write(p, 0x3000, 8) // upgrade
+		c0.write(p, 0x3000, 8) // upgrade
 		if c0.StateOf(0x3000) != Modified {
 			t.Errorf("c0 after upgrade = %v, want M", c0.StateOf(0x3000))
 		}
@@ -129,9 +164,9 @@ func TestCacheToCacheSupply(t *testing.T) {
 	c0, c1 := r.caches[0], r.caches[1]
 	var supplied sim.Time
 	r.runProc(t, func(p *sim.Process) {
-		c0.Write(p, 0x4000, 8) // c0 M
+		c0.write(p, 0x4000, 8) // c0 M
 		start := p.Now()
-		c1.Read(p, 0x4000, 8)
+		c1.read(p, 0x4000, 8)
 		supplied = p.Now() - start
 	})
 	if c0.StateOf(0x4000) != Owned {
@@ -154,8 +189,8 @@ func TestGetXInvalidatesAndSupplies(t *testing.T) {
 	r := newRig(t, 2)
 	c0, c1 := r.caches[0], r.caches[1]
 	r.runProc(t, func(p *sim.Process) {
-		c0.Write(p, 0x5000, 8)
-		c1.Write(p, 0x5000, 8)
+		c0.write(p, 0x5000, 8)
+		c1.write(p, 0x5000, 8)
 	})
 	if c0.StateOf(0x5000) != Invalid {
 		t.Errorf("c0 = %v, want I", c0.StateOf(0x5000))
@@ -171,8 +206,8 @@ func TestOnInvalidateFires(t *testing.T) {
 	var invalidated []membus.Addr
 	c1.OnInvalidate = func(b membus.Addr) { invalidated = append(invalidated, b) }
 	r.runProc(t, func(p *sim.Process) {
-		c1.Read(p, 0x7000, 8)
-		c0.Write(p, 0x7000, 8)
+		c1.read(p, 0x7000, 8)
+		c0.write(p, 0x7000, 8)
 	})
 	if len(invalidated) != 1 || invalidated[0] != 0x7000 {
 		t.Fatalf("OnInvalidate got %v, want [0x7000]", invalidated)
@@ -183,7 +218,7 @@ func TestRangeAccessSpansBlocks(t *testing.T) {
 	r := newRig(t, 1)
 	c := r.caches[0]
 	r.runProc(t, func(p *sim.Process) {
-		c.WriteBytes(p, 0x8020, 130) // touches blocks 0x8000, 0x8040, 0x8080
+		c.write(p, 0x8020, 130) // touches blocks 0x8000, 0x8040, 0x8080
 	})
 	if c.Misses != 3 {
 		t.Fatalf("misses = %d, want 3", c.Misses)
@@ -194,8 +229,8 @@ func TestFlushWritesBackDirty(t *testing.T) {
 	r := newRig(t, 1)
 	c := r.caches[0]
 	r.runProc(t, func(p *sim.Process) {
-		c.Write(p, 0x9000, 8)
-		c.Flush(p, 0x9000)
+		c.write(p, 0x9000, 8)
+		c.flush(p, 0x9000)
 	})
 	if r.mem.Writes != 1 {
 		t.Fatalf("mem writes = %d, want 1", r.mem.Writes)
@@ -224,9 +259,9 @@ func TestCoherenceInvariants(t *testing.T) {
 				bi := int(op/4) % len(blocks)
 				write := rng.Intn(2) == 0
 				if write {
-					r.caches[ci].Write(p, blocks[bi], 8)
+					r.caches[ci].write(p, blocks[bi], 8)
 				} else {
-					r.caches[ci].Read(p, blocks[bi], 8)
+					r.caches[ci].read(p, blocks[bi], 8)
 				}
 				// Invariant: at most one M/E/O holder per block; if any cache
 				// is M or E, no other cache holds the block at all.
@@ -325,9 +360,9 @@ func TestMemWatch(t *testing.T) {
 	log := r.logWritebacks(0x6000, 0x7000)
 	r.runProc(t, func(p *sim.Process) {
 		c := r.caches[0]
-		c.Write(p, 0x6000, 8)
-		c.Flush(p, 0x6000) // writeback hits the watcher
-		c.Read(p, 0x500, 8)
+		c.write(p, 0x6000, 8)
+		c.flush(p, 0x6000) // writeback hits the watcher
+		c.read(p, 0x500, 8)
 	})
 	if seen := log.addrs; len(seen) != 1 || seen[0] != 0x6000 {
 		t.Fatalf("watcher saw %v, want [0x6000]", seen)
@@ -395,10 +430,10 @@ func TestConflictEvictionWritesBack(t *testing.T) {
 			log := r.logWritebacks(0, 1<<30)
 			r.runProc(t, func(p *sim.Process) {
 				if !tc.first {
-					c.Read(p, victim+membus.BlockSize, 8) // same page, next index
+					c.read(p, victim+membus.BlockSize, 8) // same page, next index
 				}
-				c.Write(p, victim, 8)
-				c.Read(p, other, 8)
+				c.write(p, victim, 8)
+				c.read(p, other, 8)
 			})
 			if written := log.addrs; c.Writebacks != 1 || len(written) != 1 || written[0] != victim {
 				t.Fatalf("writebacks = %d to %#x, want 1 to %#x", c.Writebacks, written, membus.Addr(victim))
@@ -417,7 +452,7 @@ func TestInstallAllocatesOnlyItsPage(t *testing.T) {
 		r := newRig(t, 1)
 		c := r.caches[0]
 		a := membus.Addr(k*pageLines*membus.BlockSize + 5*membus.BlockSize)
-		r.runProc(t, func(p *sim.Process) { c.Read(p, a, 8) })
+		r.runProc(t, func(p *sim.Process) { c.read(p, a, 8) })
 		for j, pg := range c.pages {
 			if (pg != nil) != (j == k) {
 				t.Errorf("install into page %d: page %d allocated = %v", k, j, pg != nil)

@@ -495,9 +495,10 @@ func (b *Bus) release(t *Transaction) {
 }
 
 // Access issues the transaction Issue would for an issuer that is not a
-// snooper, such as the processor's uncached and block-buffer accesses, and
-// blocks p until it completes, charging the blocked time to p's current
-// category.
+// snooper, such as the RDMA engine's DMA reads, and blocks p until it
+// completes, charging the blocked time to p's current category. The
+// processor's own accesses never block here: they run as access trains
+// (proc.Train).
 func (b *Bus) Access(p *sim.Process, k Kind, a Addr, size int) {
 	b.Issue(nil, k, a, size, sim.UnparkHandler, p)
 	p.Park()

@@ -56,7 +56,7 @@ type coherent struct {
 	tr        proc.Train
 	composing composeSteps
 	consuming consumeSteps
-	missing   oneStep
+	missing   proc.OneStep
 
 	// Send side, used only when the spec's send engine is coherent.
 	sendQ      queue[ringEntry]
@@ -231,7 +231,7 @@ func (c *coherent) send(pr *proc.Proc, m *netsim.Message) {
 	start := c.sendRing.tail
 	c.sendRing.tail += nb
 	c.composing.m, c.composing.start, c.composing.i = m, start, 0
-	c.tr.RunStepwise(pr, stats.Transfer, &c.composing)
+	c.tr.Run(pr, stats.Transfer, &c.composing)
 	c.doorbelled = c.sendRing.tail
 	c.sendQ.push(ringEntry{m: m, start: start, nb: nb})
 	if tr := c.env.Trace; tr != nil {
@@ -447,7 +447,7 @@ func (c *coherent) recvRun() {
 // deposited a message there.
 func (c *coherent) poll(pr *proc.Proc) (*netsim.Message, bool) {
 	if c.deliverable.len() == 0 {
-		c.tr.RunStepwise(pr, stats.Buffering, c.miss())
+		c.tr.Run(pr, stats.Buffering, c.miss())
 		return nil, false
 	}
 	m := c.consume(pr)
@@ -457,8 +457,8 @@ func (c *coherent) poll(pr *proc.Proc) (*netsim.Message, bool) {
 // miss describes an unsuccessful poll: a cache-resident head read, so the
 // monitoring cost of a coherent NI is a 1-cycle hit rather than an
 // uncached bus round trip, charged to Buffering.
-func (c *coherent) miss() *oneStep {
-	return c.missing.set(proc.CachedStep(false, c.recvRing.addr(c.recvRing.head), 8))
+func (c *coherent) miss() *proc.OneStep {
+	return c.missing.Set(proc.CachedStep(false, c.recvRing.addr(c.recvRing.head), 8))
 }
 
 // pollMiss is poll's miss run in event context for a processor blocked in
@@ -467,7 +467,7 @@ func (c *coherent) miss() *oneStep {
 //
 //lint:hotpath
 func (c *coherent) pollMiss(pr *proc.Proc, done sim.Handler, recv any) {
-	c.tr.StartStepwise(pr, stats.Buffering, c.miss(), done, recv)
+	c.tr.Start(pr, stats.Buffering, c.miss(), done, recv)
 }
 
 // recv blocks until a message is deliverable, then consumes it.
@@ -489,7 +489,7 @@ func (c *coherent) recv(pr *proc.Proc) *netsim.Message {
 // was in flight.
 func (c *coherent) consume(pr *proc.Proc) *netsim.Message {
 	c.consuming.i = 0
-	c.tr.RunStepwise(pr, stats.Transfer, &c.consuming)
+	c.tr.Run(pr, stats.Transfer, &c.consuming)
 	e := c.consuming.e
 	if e.m == nil {
 		return nil

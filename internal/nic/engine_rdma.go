@@ -51,6 +51,10 @@ type rdma struct {
 	stagingSeq int
 	busy       bool
 	unsettled  int // reliable one-sided frames injected but not yet settled
+
+	// The processor's doorbell train (post).
+	bellTr proc.Train
+	bell   proc.OneStep
 }
 
 type rdmaDescKind uint8
@@ -241,7 +245,7 @@ func (r *rdma) post(pr *proc.Proc, d rdmaDesc) {
 		}
 	}
 	pr.Work(stats.Transfer, r.env.Cfg.RDMADescCycles)
-	pr.UncachedWrite(stats.Transfer, RegGo, 8)
+	r.bellTr.Run(pr, stats.Transfer, r.bell.Set(doorbell()))
 	r.descQ.push(d)
 	r.work.Broadcast()
 }

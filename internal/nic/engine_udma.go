@@ -44,13 +44,13 @@ type udmaEngine struct {
 	// The staging copy's train (stage): one cached access over the whole
 	// buffer, which the processor cache moves block by block.
 	copyTr proc.Train
-	copy   oneStep
+	copy   proc.OneStep
 }
 
 // stage copies the n bytes of a staging buffer at a through the processor
 // cache, stores when write, as one access train charged to Transfer.
 func (u *udmaEngine) stage(pr *proc.Proc, write bool, a membus.Addr, n int) {
-	u.copyTr.RunStepwise(pr, stats.Transfer, u.copy.set(proc.CachedStep(write, a, n)))
+	u.copyTr.Run(pr, stats.Transfer, u.copy.Set(proc.CachedStep(write, a, n)))
 }
 
 // udmaStagingBase is the DRAM region UDMA deposits received messages into
@@ -120,7 +120,7 @@ func (u *udmaEngine) dma(pr *proc.Proc, kind membus.Kind, base membus.Addr, bloc
 	u.dmaKind, u.dmaNext, u.dmaLeft, u.dmaMsg, u.dmaProc = kind, base, blocks, m, pr.P
 	u.issueBlock()
 	pr.P.ParkAs(stats.Transfer)
-	pr.UncachedRead(stats.Transfer, RegUdmaStat, 8)
+	u.hw.lead(pr, stats.Transfer, uncached(membus.UncachedRead, RegUdmaStat, 8), proc.Step{})
 }
 
 // issueBlock puts the chain's next block on the bus.

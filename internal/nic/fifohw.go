@@ -39,7 +39,8 @@ type fifoCPU struct {
 }
 
 // processor returns the node's fifoCPU. It is allocated on the node's
-// first fifo transfer, not when the machine is built.
+// first fifo transfer, not when the machine is built: held by value it
+// would add about 0.5 KiB to every node's build (DESIGN.md §4.4).
 func (f *fifoHW) processor() *fifoCPU {
 	if f.cpu == nil {
 		f.cpu = new(fifoCPU) //lint:allow noalloc once per node, on its first fifo transfer
@@ -350,32 +351,6 @@ type fifoTrain struct {
 	chunk       int
 	status      proc.Step
 	tail        proc.Step
-	// stepwise runs the train stepwise even where the bus allows the
-	// closed form (see pollMiss on the udma and blkbuf engines).
-	stepwise bool
-}
-
-// oneStep is the cursor of a train of one step.
-type oneStep struct {
-	s     proc.Step
-	taken bool
-}
-
-// set makes the cursor yield s once.
-func (c *oneStep) set(s proc.Step) *oneStep {
-	c.s, c.taken = s, false
-	return c
-}
-
-// Next implements proc.Steps.
-//
-//lint:hotpath
-func (c *oneStep) Next(s *proc.Step) bool {
-	if c.taken {
-		return false
-	}
-	*s, c.taken = c.s, true
-	return true
 }
 
 // fifoSteps is the cursor a node's fifo trains run on: the train being
@@ -404,10 +379,6 @@ func (f *fifoHW) train() *fifoSteps {
 //lint:hotpath
 func (c *fifoSteps) start(pr *proc.Proc, category int) {
 	c.left = c.bytes
-	if c.stepwise {
-		c.tr.RunStepwise(pr, category, c)
-		return
-	}
 	c.tr.Run(pr, category, c)
 }
 
@@ -417,21 +388,14 @@ func (c *fifoSteps) start(pr *proc.Proc, category int) {
 //lint:hotpath
 func (c *fifoSteps) startThen(pr *proc.Proc, category int, done sim.Handler, recv any) {
 	c.left = c.bytes
-	if c.stepwise {
-		c.tr.StartStepwise(pr, category, c, done, recv)
-		return
-	}
 	c.tr.Start(pr, category, c, done, recv)
 }
 
 // missRead describes the udma and blkbuf engines' unsuccessful poll: the
-// status read, charged to Buffering as monitoring cost. It runs stepwise,
-// keeping the bus events it had as a process's uncached read: closed, it
-// would drop them from the engine's event count, which the benchmark
-// pins.
+// status read, charged to Buffering as monitoring cost.
 func (f *fifoHW) missRead() (*fifoSteps, int) {
 	c := f.train()
-	c.lead[0], c.stepwise = statusRead(), true
+	c.lead[0] = statusRead()
 	return c, stats.Buffering
 }
 

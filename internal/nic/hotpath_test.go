@@ -268,7 +268,7 @@ func TestResumesAndEventsPerMessage(t *testing.T) {
 	want := map[Spec][3][2]uint64{ // per payload 8, 64, 248 B: resumes, events
 		SpecFor(CM5):             {{402, 1002}, {402, 1002}, {402, 1002}},
 		SpecFor(CM5SingleCycle):  {{402, 1001}, {402, 1002}, {402, 1002}},
-		SpecFor(UDMA):            {{402, 1002}, {402, 1002}, {1302, 6202}},
+		SpecFor(UDMA):            {{402, 1002}, {402, 1002}, {1302, 6002}},
 		SpecFor(AP3000):          {{402, 1002}, {402, 1002}, {402, 1002}},
 		SpecFor(StarTJR):         {{302, 2310}, {302, 3510}, {302, 5766}},
 		SpecFor(MemoryChannel):   {{402, 2006}, {402, 3106}, {402, 5306}},

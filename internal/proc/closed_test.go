@@ -115,7 +115,7 @@ func runOnProcessorBus(t *testing.T, steps []Step, traced bool, probe *closedOut
 		tr.Run(pr, stats.Transfer, &listSteps{s: steps})
 		o.wake, woke = p.Now(), true
 		mark("wake")
-		pr.UncachedRead(stats.Buffering, 0x3000, 8)
+		issue(pr, stats.Buffering, []Step{{Access: true, Kind: membus.UncachedRead, Addr: 0x3000, Size: 8}})
 		o.after = p.Now()
 	})
 	pr.Bind(p)
@@ -265,4 +265,36 @@ func TestClosedTrainDrainMidTrain(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTrainFormFromFirstStep checks that a train picks its form from its
+// first step on a processor-only bus: a train that opens with a cached
+// step runs stepwise, with the events and charges of the same train on a
+// traced bus, and a closed train that meets a cached step later panics.
+func TestTrainFormFromFirstStep(t *testing.T) {
+	cached := []Step{load(0, 0x4000, 8), store(2, 0x4040, 8)}
+	runOn := func(traced bool, steps []Step) (events uint64, timeIn [len(stats.Node{}.TimeIn)]sim.Time) {
+		eng, pr, st := newProc()
+		pr.Bus.SetProcessorOnly()
+		if traced {
+			pr.Bus.Trace = func(string, ...any) {}
+		}
+		run(t, eng, pr, func() { runTrain(pr, stats.Transfer, steps...) })
+		return eng.Events(), st.TimeIn
+	}
+	gotEvents, gotTime := runOn(false, cached)
+	refEvents, refTime := runOn(true, cached)
+	if gotEvents != refEvents || gotTime != refTime {
+		t.Errorf("cached train on a processor-only bus: %d events, TimeIn %v; stepwise %d, %v",
+			gotEvents, gotTime, refEvents, refTime)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "closed access train met a cached step") {
+			t.Fatalf("closed train reaching a cached step: recovered %v, want its panic", r)
+		}
+	}()
+	eng, pr, _ := newProc()
+	pr.Bus.SetProcessorOnly()
+	defer eng.Drain()
+	run(t, eng, pr, func() { runTrain(pr, stats.Transfer, rd(0), load(0, 0x4000, 8)) })
 }

@@ -1,7 +1,8 @@
 // Package proc bundles the processor-side view of a node: the software
 // process, the processor cache, the memory bus, the statistics record, and
 // the processor clock. NI models and the messaging layer charge
-// processor-time costs through it.
+// processor-time costs through it, and run every memory access the
+// processor makes as an access train (Train).
 package proc
 
 import (
@@ -40,60 +41,4 @@ func (pr *Proc) Compute(n int64) {
 // (stats.Transfer for messaging-layer instructions, etc.).
 func (pr *Proc) Work(category int, n int64) {
 	pr.P.SleepAs(category, pr.CPU.Cycles(n))
-}
-
-// UncachedRead performs an uncached load of size bytes from a device
-// address, blocking until the data returns. Charged to category.
-func (pr *Proc) UncachedRead(category int, a membus.Addr, size int) {
-	prev := pr.P.Category
-	pr.P.Category = category
-	pr.Bus.Access(pr.P, membus.UncachedRead, a, size)
-	pr.P.Category = prev
-}
-
-// UncachedWrite performs an uncached store of size bytes to a device
-// address, blocking until the bus accepts it (the device sees it later).
-func (pr *Proc) UncachedWrite(category int, a membus.Addr, size int) {
-	prev := pr.P.Category
-	pr.P.Category = category
-	pr.Bus.Access(pr.P, membus.UncachedWrite, a, size)
-	pr.P.Category = prev
-}
-
-// BlockRead performs an UltraSparc-style block load: 64 bytes from a device
-// into the processor's block buffer, plus the instruction overhead the
-// paper charges for loading the buffer (§6.1.1: 12 cycles per flush/load).
-func (pr *Proc) BlockRead(category int, a membus.Addr, instrCycles int64) {
-	prev := pr.P.Category
-	pr.P.Category = category
-	pr.P.Sleep(pr.CPU.Cycles(instrCycles))
-	pr.Bus.Access(pr.P, membus.BlockRead, a, membus.BlockSize)
-	pr.P.Category = prev
-}
-
-// BlockWrite performs an UltraSparc-style block store from the block buffer
-// to a device.
-func (pr *Proc) BlockWrite(category int, a membus.Addr, instrCycles int64) {
-	prev := pr.P.Category
-	pr.P.Category = category
-	pr.P.Sleep(pr.CPU.Cycles(instrCycles))
-	pr.Bus.Access(pr.P, membus.BlockWrite, a, membus.BlockSize)
-	pr.P.Category = prev
-}
-
-// CachedRead reads n bytes at a through the processor cache, charged to
-// category.
-func (pr *Proc) CachedRead(category int, a membus.Addr, n int) {
-	prev := pr.P.Category
-	pr.P.Category = category
-	pr.Cache.ReadBytes(pr.P, a, n)
-	pr.P.Category = prev
-}
-
-// CachedWrite writes n bytes at a through the processor cache.
-func (pr *Proc) CachedWrite(category int, a membus.Addr, n int) {
-	prev := pr.P.Category
-	pr.P.Category = category
-	pr.Cache.WriteBytes(pr.P, a, n)
-	pr.P.Category = prev
 }

@@ -47,12 +47,15 @@ func TestWorkChargesGivenCategory(t *testing.T) {
 	}
 }
 
+// runTrain runs steps as one access train charged to category.
+func runTrain(pr *Proc, category int, steps ...Step) {
+	var tr Train
+	tr.Run(pr, category, &listSteps{s: steps})
+}
+
 func TestUncachedOpsChargeTransfer(t *testing.T) {
 	eng, pr, st := newProc()
-	run(t, eng, pr, func() {
-		pr.UncachedRead(stats.Transfer, 0x100, 8)
-		pr.UncachedWrite(stats.Transfer, 0x100, 8)
-	})
+	run(t, eng, pr, func() { runTrain(pr, stats.Transfer, rd(0), wr(0)) })
 	if st.TimeIn[stats.Transfer] == 0 {
 		t.Fatal("no transfer time for uncached ops")
 	}
@@ -69,7 +72,7 @@ func TestBlockOpsIncludeInstructionOverhead(t *testing.T) {
 	var dur sim.Time
 	run(t, eng, pr, func() {
 		start := pr.P.Now()
-		pr.BlockRead(stats.Transfer, 0x100, 12)
+		runTrain(pr, stats.Transfer, blk(membus.BlockRead, 12))
 		dur = pr.P.Now() - start
 	})
 	// 12 cycles + addr 8 + mem 120 + turn+2 beats 12 = 152ns
@@ -83,26 +86,28 @@ func TestBlockOpsIncludeInstructionOverhead(t *testing.T) {
 
 func TestCachedOpsUseTheCache(t *testing.T) {
 	eng, pr, _ := newProc()
-	run(t, eng, pr, func() {
-		pr.CachedWrite(stats.Transfer, 0x400, 64)
-		pr.CachedRead(stats.Transfer, 0x400, 64)
-	})
+	run(t, eng, pr, func() { runTrain(pr, stats.Transfer, store(0, 0x400, 64), load(0, 0x400, 64)) })
 	if pr.Cache.Hits == 0 {
 		t.Fatal("cached read after write did not hit")
 	}
 }
 
+// TestCategoryRestoredAfterOps requires a train to charge its own
+// category and leave the process's as it found it.
 func TestCategoryRestoredAfterOps(t *testing.T) {
-	eng, pr, _ := newProc()
+	eng, pr, st := newProc()
 	run(t, eng, pr, func() {
 		pr.P.Category = stats.Compute
-		pr.UncachedRead(stats.Transfer, 0x100, 8)
+		runTrain(pr, stats.Transfer, rd(0))
 		if pr.P.Category != stats.Compute {
 			t.Errorf("category not restored: %d", pr.P.Category)
 		}
-		pr.CachedRead(stats.Buffering, 0x200, 8)
+		runTrain(pr, stats.Buffering, load(0, 0x200, 8))
 		if pr.P.Category != stats.Compute {
 			t.Errorf("category not restored after cached op: %d", pr.P.Category)
 		}
 	})
+	if st.TimeIn[stats.Transfer] == 0 || st.TimeIn[stats.Buffering] == 0 || st.TimeIn[stats.Compute] != 0 {
+		t.Errorf("TimeIn = %v, want only Transfer and Buffering charged", st.TimeIn)
+	}
 }

@@ -27,6 +27,29 @@ func CachedStep(write bool, a membus.Addr, n int) Step {
 	return Step{Access: true, Cached: true, Write: write, Addr: a, Size: n}
 }
 
+// OneStep is the cursor of a train of one step.
+type OneStep struct {
+	s     Step
+	taken bool
+}
+
+// Set makes the cursor yield s once.
+func (c *OneStep) Set(s Step) *OneStep {
+	c.s, c.taken = s, false
+	return c
+}
+
+// Next implements Steps.
+//
+//lint:hotpath
+func (c *OneStep) Next(s *Step) bool {
+	if c.taken {
+		return false
+	}
+	*s, c.taken = c.s, true
+	return true
+}
+
 // Steps is the cursor an access train walks: Next fills s with the next
 // step and reports whether there was one. A stepwise train reads each
 // step when the one before it is done, at the time a process issuing them
@@ -68,38 +91,26 @@ func (t *Train) fetch(s *Step) bool {
 }
 
 // Run runs steps on pr's process as one access train charged to category:
-// the same Work, UncachedRead/UncachedWrite/block accesses and
-// CachedRead/CachedWrite, in the same order and at the same simulated
-// times, as issuing them one by one, but with the process parked once for
-// the whole sequence instead of suspending once per step. The blocked time
-// is charged once, and the categories' sums are those of the per-step
-// sleeps.
+// the same work, uncached, block-buffer and cached accesses, in the same
+// order and at the same simulated times, as issuing them one by one, but
+// with the process parked once for the whole sequence instead of
+// suspending once per step. The blocked time is charged once, and the
+// categories' sums are those of the per-step sleeps.
 //
-// On a bus that only the processor drives and no tracer watches
-// (membus.Bus.ClosedTrains), a train without cached steps is closed: Run
-// computes it whole when it starts and schedules only the event its
-// wakeup comes from (see runClosed). Otherwise it runs stepwise, in event
-// context, one event per step (see advance). Run cannot tell a cached
-// step is coming before it reads it, so the owner of a cursor that yields
-// cached steps runs it with RunStepwise.
+// The train alone picks its form, from its first step (see begin). On a
+// bus that only the processor drives and no tracer watches
+// (membus.Bus.ClosedTrains), a train whose first step is not cached is
+// closed: it is computed whole when it starts and schedules only the event
+// its wakeup comes from (see runClosed). Otherwise it runs stepwise, in
+// event context, one event per step (see advance): a cached access's
+// outcome (a hit, an upgrade and its re-check, a dirty victim's writeback,
+// a fill) depends on the cache's state at the access's own time, which the
+// snoops of other masters' transactions can change while the train runs,
+// so the processor cache decides it when the step is reached, never ahead.
 //
 //lint:hotpath
 func (t *Train) Run(pr *Proc, category int, steps Steps) {
-	if t.begin(pr, category, steps, nil, nil, pr.Bus.ClosedTrains()) {
-		pr.P.ParkUncharged()
-	}
-}
-
-// RunStepwise is Run on any bus without the closed form: a cached
-// access's outcome (a hit, an upgrade and its re-check, a dirty victim's
-// writeback, a fill) depends on the cache's state at the access's own
-// time, which the snoops of other masters' transactions can change while
-// the train runs, so the processor cache decides it when the step is
-// reached, never ahead.
-//
-//lint:hotpath
-func (t *Train) RunStepwise(pr *Proc, category int, steps Steps) {
-	if t.begin(pr, category, steps, nil, nil, false) {
+	if t.begin(pr, category, steps, nil, nil) {
 		pr.P.ParkUncharged()
 	}
 }
@@ -115,34 +126,31 @@ func (t *Train) RunStepwise(pr *Proc, category int, steps Steps) {
 //
 //lint:hotpath
 func (t *Train) Start(pr *Proc, category int, steps Steps, done sim.Handler, recv any) {
-	if !t.begin(pr, category, steps, done, recv, pr.Bus.ClosedTrains()) {
+	if !t.begin(pr, category, steps, done, recv) {
 		done(recv, 0)
 	}
 }
 
-// StartStepwise is Start on any bus without the closed form, for cursors
-// with cached steps (see RunStepwise).
+// begin fetches the train's first step and starts the train with its
+// end: closed when the bus allows the closed form and that step is not
+// cached, stepwise otherwise. It reports whether the train is in flight;
+// false means it ended where it started, with nothing to charge. Only the
+// UDMA staging copy and shmem's shadow accesses bring cached steps to a
+// processor-only bus (Spec.Validate keeps the coherent engines off it),
+// and each is a train of that one step, so a closed train never meets a
+// cached step (runClosed panics if it does).
 //
 //lint:hotpath
-func (t *Train) StartStepwise(pr *Proc, category int, steps Steps, done sim.Handler, recv any) {
-	if !t.begin(pr, category, steps, done, recv, false) {
-		done(recv, 0)
-	}
-}
-
-// begin starts the train, closed or stepwise, with its end, and reports
-// whether it is in flight; false means it ended where it started, with
-// nothing to charge.
-//
-//lint:hotpath
-func (t *Train) begin(pr *Proc, category int, steps Steps, done sim.Handler, recv any, closed bool) bool {
+func (t *Train) begin(pr *Proc, category int, steps Steps, done sim.Handler, recv any) bool {
 	t.pr, t.steps, t.op = pr, steps, nil
 	t.category, t.start, t.done, t.doneRecv = category, pr.Eng.Now(), done, recv
-	var ran bool
-	if closed {
-		ran = t.runClosed()
-	} else {
-		ran = t.fetch(&t.cur) && t.advance()
+	ran := t.fetch(&t.cur)
+	switch {
+	case !ran:
+	case pr.Bus.ClosedTrains() && !t.cur.Cached:
+		t.runClosed()
+	default:
+		ran = t.advance()
 	}
 	if !ran {
 		t.steps, t.done, t.doneRecv = nil, nil, nil
@@ -168,9 +176,9 @@ func (t *Train) end() {
 	done(recv, 0)
 }
 
-// runClosed walks the whole train in virtual time from now and schedules
-// the train's end, reporting whether the train had a step. Each work
-// step adds its cycles; each access applies, through
+// runClosed walks the whole train, from its first step (t.cur), in virtual
+// time from now and schedules the train's end. Each work step adds its
+// cycles; each access applies, through
 // membus.Bus.ClosedAccess, what the stepwise access applies, at the time
 // the stepwise train would issue it. Nothing else reads or writes that
 // state before the train completes: the bus occupancy, the device's
@@ -201,18 +209,21 @@ func (t *Train) end() {
 // can tell.
 //
 //lint:hotpath
-func (t *Train) runClosed() bool {
+func (t *Train) runClosed() {
 	pr := t.pr
 	at := pr.Eng.Now()
 	// stamp is the latest step's start for work and its address-phase end
 	// for an access; from is the schedule stamp of the stepwise event that
 	// starts the latest work step, unless lone: the train's starter starts it.
 	var stamp, from sim.Time
-	ran, access, lone := false, false, false
-	for t.fetch(&t.cur) {
+	access, lone := false, false
+	for first := true; first || t.fetch(&t.cur); first = false {
 		s := &t.cur
+		if s.Cached {
+			panic("proc: a closed access train met a cached step")
+		}
 		if s.Cycles != 0 {
-			lone = !ran
+			lone = first
 			if access {
 				from = at // AfterEvent(0) from the access's completion
 			} else {
@@ -225,10 +236,8 @@ func (t *Train) runClosed() bool {
 			stamp, at = pr.Bus.ClosedAccess(s.Kind, s.Addr, s.Size, at)
 			access = true
 		}
-		ran = true
 	}
 	switch {
-	case !ran:
 	case access:
 		pr.Eng.AtEventFrom(at, stamp, trainDone, t, 0)
 	case lone:
@@ -237,7 +246,6 @@ func (t *Train) runClosed() bool {
 		t.tail = at - stamp
 		pr.Eng.AtEventFrom(stamp, from, trainTail, t, 0)
 	}
-	return ran
 }
 
 // trainDone is the completion hook of a closed train's final access: the

@@ -27,29 +27,40 @@ func (l *listSteps) Next(s *Step) bool {
 	return true
 }
 
-// issue performs steps one by one in process context, with the primitives
-// a transfer loop would call.
+// issue performs steps one by one in process context, as a transfer loop
+// issuing them without trains would: each step's work as a sleep, then its
+// access through Bus.Access or, for a cached step, drive. It is the
+// reference the trains are checked against.
 func issue(pr *Proc, category int, steps []Step) {
+	p := pr.P
+	prev := p.Category
+	p.Category = category
 	for _, s := range steps {
+		p.Sleep(pr.CPU.Cycles(s.Cycles))
 		switch {
 		case s.Access && s.Cached:
-			pr.Work(category, s.Cycles)
-			if s.Write {
-				pr.CachedWrite(category, s.Addr, s.Size)
-			} else {
-				pr.CachedRead(category, s.Addr, s.Size)
-			}
-		case s.Access && s.Kind == membus.BlockRead:
-			pr.BlockRead(category, s.Addr, s.Cycles)
-		case s.Access && s.Kind == membus.BlockWrite:
-			pr.BlockWrite(category, s.Addr, s.Cycles)
+			drive(p, pr.Cache, s.Addr, s.Size, s.Write)
+		case s.Access:
+			pr.Bus.Access(p, s.Kind, s.Addr, s.Size)
+		}
+	}
+	p.Category = prev
+}
+
+// drive is the reference per-step driver of a cached access: p loads the
+// n bytes at a through c, or stores them when write, parking on each bus
+// transaction and sleeping through each hit.
+func drive(p *sim.Process, c *cache.Cache, a membus.Addr, n int, write bool) {
+	op := c.Start(a, n, write, sim.UnparkHandler, p)
+	for {
+		d, busy := op.Step()
+		switch {
+		case busy:
+			p.Park()
+		case d > 0:
+			p.Sleep(d)
 		default:
-			pr.Work(category, s.Cycles)
-			if s.Access && s.Kind == membus.UncachedRead {
-				pr.UncachedRead(category, s.Addr, s.Size)
-			} else if s.Access {
-				pr.UncachedWrite(category, s.Addr, s.Size)
-			}
+			return
 		}
 	}
 }
@@ -96,14 +107,14 @@ func runSteps(t *testing.T, steps []Step, train bool) trainOutcome {
 		stepping = true
 		if train {
 			var tr Train
-			tr.RunStepwise(pr, stats.Transfer, &listSteps{s: steps})
+			tr.Run(pr, stats.Transfer, &listSteps{s: steps})
 		} else {
 			issue(pr, stats.Transfer, steps)
 		}
 		stepping = false
 		o.wake = p.Now()
 		o.log = append(o.log, fmt.Sprintf("%v p wakes", p.Now()))
-		pr.UncachedRead(stats.Buffering, 0x3000, 8)
+		issue(pr, stats.Buffering, []Step{{Access: true, Kind: membus.UncachedRead, Addr: 0x3000, Size: 8}})
 	})
 	pr.Bind(p)
 	p.OnBlocked = func(category int, d sim.Time) {
@@ -123,11 +134,7 @@ func runSteps(t *testing.T, steps []Step, train bool) trainOutcome {
 	eng.Spawn("rival cache", func(q *sim.Process) {
 		for i := 0; i < 40; i++ {
 			a := cachedBlocks[i%len(cachedBlocks)] + membus.Addr(8*(i%5))
-			if i%4 == 3 {
-				rc.Write(q, a, 8)
-			} else {
-				rc.Read(q, a, 8)
-			}
+			drive(q, rc, a, 8, i%4 == 3)
 			o.log = append(o.log, fmt.Sprintf("%v rival cache wakes", q.Now()))
 			q.Sleep(sim.Time(i%4) * 5 * sim.Nanosecond)
 		}
@@ -339,7 +346,7 @@ func TestTrainDrainMidTrain(t *testing.T) {
 			var tr Train
 			p := eng.Spawn("p", func(*sim.Process) {
 				defer func() { unwound = true }()
-				tr.RunStepwise(pr, stats.Transfer, &listSteps{s: steps})
+				tr.Run(pr, stats.Transfer, &listSteps{s: steps})
 				returned = true
 			})
 			pr.Bind(p)

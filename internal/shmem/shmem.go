@@ -26,6 +26,8 @@ import (
 	"nisim/internal/machine"
 	"nisim/internal/membus"
 	"nisim/internal/msglayer"
+	"nisim/internal/proc"
+	"nisim/internal/stats"
 )
 
 // Block states at a caching node.
@@ -115,6 +117,10 @@ type endpoint struct {
 	st   map[int64]state      // local cache state per global block
 	wait map[int64]bool       // outstanding miss per block
 	data map[int64][]byte     // local copy when real bytes are in use
+
+	// The processor's shadow accesses (shadowAccess).
+	tr  proc.Train
+	one proc.OneStep
 }
 
 // New creates a protocol with the given data grain.
@@ -212,11 +218,7 @@ func (ep *endpoint) access(gblock int64, write bool) {
 	st := ep.st[gblock]
 	if st == exclusive || (st == shared && !write) {
 		// Hit: a cached access to the shadow block.
-		if write {
-			ep.n.Proc.CachedWrite(0, ep.shadow(gblock), 8)
-		} else {
-			ep.n.Proc.CachedRead(0, ep.shadow(gblock), 8)
-		}
+		ep.shadowAccess(gblock, write)
 		return
 	}
 	if ep.wait[gblock] {
@@ -236,11 +238,14 @@ func (ep *endpoint) access(gblock int64, write bool) {
 	}
 	ep.n.EP.WaitUntil(func() bool { return !ep.wait[gblock] })
 	// Install into the local cache model.
-	if write {
-		ep.n.Proc.CachedWrite(0, ep.shadow(gblock), 8)
-	} else {
-		ep.n.Proc.CachedRead(0, ep.shadow(gblock), 8)
-	}
+	ep.shadowAccess(gblock, write)
+}
+
+// shadowAccess loads 8 bytes of gblock's shadow block through the
+// processor cache, or stores them when write, as a one-step access train
+// charged to Compute, as the rest of the access is.
+func (ep *endpoint) shadowAccess(gblock int64, write bool) {
+	ep.tr.Run(ep.n.Proc, stats.Compute, ep.one.Set(proc.CachedStep(write, ep.shadow(gblock), 8)))
 }
 
 func (ep *endpoint) entry(gblock int64) *directory {
