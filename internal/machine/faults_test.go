@@ -44,7 +44,7 @@ func faultWorkload(t *testing.T, m *machine.Machine, count int) (*stats.Machine,
 type nodeSnap struct {
 	msgsSent, msgsRecv, bytesSent, bytesRecv int64
 	fragsSent, fragsRecv                     int64
-	bounces, retries, sendBlocked            int64
+	bounces, retries                         int64
 	bus, c2c, m2c                            int64
 	drops, corrupts, dups, delays, fBounces  int64
 	ctlDrops, retrans, corruptDrop, dupSup   int64
@@ -55,7 +55,7 @@ func snap(n *stats.Node) nodeSnap {
 	return nodeSnap{
 		n.MessagesSent, n.MessagesReceived, n.BytesSent, n.BytesReceived,
 		n.FragmentsSent, n.FragmentsReceived,
-		n.Bounces, n.Retries, n.SendBlocked,
+		n.Bounces, n.Retries,
 		n.BusTransactions, n.CacheToCache, n.MemToCache,
 		n.FaultDrops, n.FaultCorruptions, n.FaultDuplicates, n.FaultDelays, n.ForcedBounces,
 		n.CtlDrops, n.Retransmits, n.CorruptDropped, n.DupSuppressed,

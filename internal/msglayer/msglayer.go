@@ -338,13 +338,15 @@ func (ep *Endpoint) arrived() bool {
 // slot where it would check, only once nm can go or an arrival waits to
 // be dispatched. A handler the process then runs may send and block
 // again; that loop starts only after this one has resumed the process, so
-// one record per endpoint serves both, held in the Endpoint.
+// one record per endpoint serves both, held in the Endpoint. PollOne's
+// unsuccessful poll parks the process on the same record (pollMiss).
 type blockedSend struct {
-	ep     *Endpoint
-	nm     *netsim.Message
-	since  sim.Time // the SpinWait sleep's start
-	parked bool     // the process has parked; until then it is the caller
-	ready  bool     // the loop ended before the process parked
+	ep      *Endpoint
+	nm      *netsim.Message
+	since   sim.Time // the SpinWait sleep's start
+	parked  bool     // the process has parked; until then it is the caller
+	ready   bool     // the loop ended before the process parked
+	retried bool     // PollOne's poll re-pushed a returned message
 }
 
 // block runs the loop until nm can go or an arrival waits.
@@ -352,10 +354,28 @@ func (ep *Endpoint) block(nm *netsim.Message) {
 	b := &ep.blocked
 	b.ep, b.nm, b.ready = ep, nm, false
 	ep.ni.PollMiss(ep.pr, blockedPolled, b)
+	b.park()
+}
+
+// park parks the process until the loop ends (wake), unless it already
+// has: event-context work may end before the process parks.
+func (b *blockedSend) park() {
 	if !b.ready {
 		b.parked = true
-		ep.pr.P.ParkUncharged()
+		b.ep.pr.P.ParkUncharged()
 		b.parked = false
+	}
+}
+
+// wake ends the loop where the process resumes: it resumes the parked
+// process, or tells park, still to come, not to park.
+//
+//lint:hotpath
+func (b *blockedSend) wake() {
+	if b.parked {
+		b.ep.pr.P.Resume()
+	} else {
+		b.ready = true
 	}
 }
 
@@ -404,11 +424,7 @@ func (b *blockedSend) check() {
 		return
 	}
 	b.nm = nil
-	if b.parked {
-		ep.pr.P.Resume()
-	} else {
-		b.ready = true
-	}
+	b.wake()
 }
 
 // pollOrSpin is one step of poll-while-blocked in process context, for
@@ -424,24 +440,42 @@ func (ep *Endpoint) pollOrSpin() bool {
 }
 
 // PollOne polls the NI once; if a fragment is available it is received and,
-// when it completes an application message, the handler runs. Reports
-// whether a fragment was processed.
+// when it completes an application message, the handler runs. Otherwise
+// the poll is unsuccessful and re-pushes one returned-to-sender message if
+// the NI needs the processor for that (fifo NIs, Table 2). Reports whether
+// a fragment was processed or a message re-pushed.
 func (ep *Endpoint) PollOne() bool {
 	if ep.rdv != nil && ep.rdv.deliverOne() {
 		return true
 	}
+	if !ep.ni.Pending() {
+		return ep.pollMiss()
+	}
 	nm, ok := ep.ni.Poll(ep.pr)
 	if ok {
 		ep.accept(nm)
-		return true
 	}
-	// Nothing to consume: service one returned-to-sender message if the NI
-	// needs the processor for that (fifo NIs, Table 2).
-	if ep.ni.NeedsRetry() {
-		ep.ni.RetryOne(ep.pr)
-		return true
-	}
-	return false
+	return ok
+}
+
+// pollMiss runs PollOne's unsuccessful poll in event context with the
+// process parked (nic.NI.PollMiss) and reports whether it re-pushed a
+// returned message.
+func (ep *Endpoint) pollMiss() bool {
+	b := &ep.blocked
+	b.ep, b.ready = ep, false
+	ep.ni.PollMiss(ep.pr, polledOne, b)
+	b.park()
+	return b.retried
+}
+
+// polledOne ends PollOne's unsuccessful poll where the process resumes.
+//
+//lint:hotpath
+func polledOne(recv any, retried uint64) {
+	b := recv.(*blockedSend)
+	b.retried = retried != 0
+	b.wake()
 }
 
 // waitOne blocks until a fragment arrives, then processes it. A rendezvous

@@ -63,16 +63,29 @@ func newFloodRig(t *testing.T, kind nic.Kind, stepwise bool) *floodRig {
 
 // spawn starts the flood of n messages: node 0 sends them and then waits
 // for node 1's acknowledgement, re-pushing its bounced messages from
-// inside Recv; node 1 computes 300 cycles before each receive and
+// inside Recv; node 1 computes 1000 cycles before each receive and
 // acknowledges the last.
-func (r *floodRig) spawn(n int) {
+func (r *floodRig) spawn(n int) { r.spawnWaiting(n, false) }
+
+// spawnWaiting is spawn with node 0's wait for the acknowledgement either
+// a blocking WaitUntil or, when polled, PollOne in a loop with 100 cycles
+// of computation after each poll that found nothing to do.
+func (r *floodRig) spawnWaiting(n int, polled bool) {
 	r.procs[0] = r.eng.Spawn("n0", func(*sim.Process) {
 		defer func() { r.unwound = true }()
 		ep := r.eps[0]
 		for i := 0; i < n; i++ {
 			ep.Send(1, hFlood, 64, 0)
 		}
-		ep.WaitUntil(func() bool { return r.acked })
+		if polled {
+			for !r.acked {
+				if !ep.PollOne() {
+					ep.pr.Compute(100)
+				}
+			}
+		} else {
+			ep.WaitUntil(func() bool { return r.acked })
+		}
 		r.finished = true
 	})
 	r.eps[0].pr.Bind(r.procs[0])
@@ -128,6 +141,47 @@ func TestResumesAndEventsPerSpin(t *testing.T) {
 				r.spawn(n)
 				r.eng.Run()
 				if r.got != n || !r.acked {
+					t.Fatalf("flood did not finish: %d of %d delivered, acked %v", r.got, n, r.acked)
+				}
+				w := want[k]
+				got := [5]int64{int64(r.eng.Resumes()), 0, 0,
+					r.eps[0].Spins + r.eps[1].Spins,
+					r.eps[0].pr.Stats.Retries + r.eps[1].pr.Stats.Retries}
+				got[1+i] = int64(r.eng.Events())
+				w[2-i] = 0
+				if got != w {
+					t.Errorf("resumes, events (closed, stepwise), spins, retries = %v, want %v", got, w)
+				}
+			})
+		}
+	}
+}
+
+// TestResumesAndEventsPerSpinPolled is TestResumesAndEventsPerSpin with
+// node 0 waiting for the acknowledgement by polling (spawnWaiting) on the
+// NIs whose buffering involves the processor. Its misses run in event
+// context with the process parked (NI.PollMiss), and a miss that finds a
+// returned message re-pushes it there and resumes the process once. Run
+// as process steps, the miss and the re-push each resumed the process:
+// 838, 760, 749 and 740 resumes on the CM-5, its single-cycle variant,
+// UDMA and AP3000. The events, spins and retries are those of the process
+// steps.
+func TestResumesAndEventsPerSpinPolled(t *testing.T) {
+	const n = 100
+	want := map[nic.Kind][5]int64{ // resumes, events closed, events stepwise, spins, retries
+		nic.CM5:            {837, 3233, 23160, 295, 99},
+		nic.CM5SingleCycle: {758, 4210, 15524, 704, 171},
+		nic.UDMA:           {748, 3198, 18111, 315, 109},
+		nic.AP3000:         {739, 3697, 9185, 383, 143},
+	}
+	for _, k := range []nic.Kind{nic.CM5, nic.CM5SingleCycle, nic.UDMA, nic.AP3000} {
+		for i, mode := range []string{"closed", "stepwise"} {
+			k, i := k, i
+			t.Run(k.ShortName()+"/"+mode, func(t *testing.T) {
+				r := newFloodRig(t, k, i == 1)
+				r.spawnWaiting(n, true)
+				r.eng.Run()
+				if r.got != n || !r.acked || !r.finished {
 					t.Fatalf("flood did not finish: %d of %d delivered, acked %v", r.got, n, r.acked)
 				}
 				w := want[k]

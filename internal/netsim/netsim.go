@@ -52,12 +52,11 @@ type Message struct {
 	attempts int  // total injections (first send, bounce retries, retransmits)
 	retx     int  // timer-driven retransmissions only (bounded by MaxAttempts)
 	corrupt  bool // corrupted in flight; ChecksumOK reports false
-	// oneSided marks an RDMA put frame or get request (see Endpoint.Put and
-	// Endpoint.Get). One-sided messages hold no flow-control buffer on either
-	// side, carry no handler dispatch, and can neither bounce nor be
+	// oneSided marks an RDMA put frame (see Endpoint.Put). One-sided
+	// messages hold no flow-control buffer on either side, carry no handler dispatch, and can neither bounce nor be
 	// admission-refused: the rendezvous handshake already reserved their
 	// landing memory, so delivery is decided by the checksum gate alone.
-	oneSided uint8
+	oneSided bool
 	// deadline is the absolute delivery deadline stamped at first injection
 	// when the reliability layer runs with a per-message deadline; zero means
 	// none. Retries (timer or bounce) past it abandon the send.
@@ -78,17 +77,8 @@ type Message struct {
 	next *Message
 }
 
-// One-sided message kinds (Message.oneSided). Zero is a two-sided send.
-const (
-	oneSidedPut = 1
-	oneSidedGet = 2
-)
-
 // IsPut reports whether m is a one-sided RDMA put frame.
-func (m *Message) IsPut() bool { return m.oneSided == oneSidedPut }
-
-// IsGet reports whether m is a one-sided RDMA get request.
-func (m *Message) IsGet() bool { return m.oneSided == oneSidedGet }
+func (m *Message) IsPut() bool { return m.oneSided }
 
 // Recycle resets the delivery state a previous transit left on m so the
 // message can be injected again as a fresh send. Payload, addressing, and
@@ -107,7 +97,7 @@ func (m *Message) Recycle() {
 	m.corrupt = false
 	m.deadline = 0
 	m.orig = nil
-	m.oneSided = 0
+	m.oneSided = false
 	m.SendTime = 0
 	m.ArriveTime = 0
 }
@@ -212,7 +202,6 @@ func New(eng *sim.Engine, cfg Config, n, bufs int) *Network {
 		ep := &Endpoint{
 			net: nw, id: i, eng: eng,
 			outFree: bufs, inFree: bufs, bufs: bufs,
-			outCond: sim.NewCond(eng),
 		}
 		if cfg.Reliability.Enabled {
 			ep.inflight = make(map[*Message]sim.Timer)
@@ -386,7 +375,7 @@ func (nw *Network) serialization(bytes int) sim.Time {
 
 // Endpoint is one NI's attachment to the network, implementing the
 // return-to-sender protocol. The owning NI wires OnAccept (and optionally
-// OnOutFree) and calls AcquireOut/Inject to send and ReleaseIn when it has
+// OnOutFree) and calls TryAcquireOut/Inject to send and ReleaseIn when it has
 // drained an accepted message out of the incoming flow-control buffer.
 type Endpoint struct {
 	net  *Network
@@ -413,7 +402,6 @@ type Endpoint struct {
 
 	outFree int
 	inFree  int
-	outCond *sim.Cond
 
 	nextInjectAt sim.Time
 	nextEjectAt  sim.Time
@@ -454,10 +442,6 @@ type Endpoint struct {
 	// is receiver-owned after the call only on a lossless network; under the
 	// reliability layer the sender retains it for retransmission.
 	OnPut func(m *Message)
-	// OnGet is invoked when a one-sided get request lands (see Endpoint.Get).
-	// Same context rules as OnPut; the hook is expected to queue a put-back
-	// transfer of the requested bytes.
-	OnGet func(m *Message)
 	// OnSettled, if non-nil, is invoked when the reliability layer settles a
 	// one-sided send — acknowledged or abandoned. One-sided frames hold no
 	// outgoing buffer, so this hook replaces the releaseOut credit as the
@@ -542,27 +526,6 @@ func (ep *Endpoint) TryAcquireOut() bool {
 	return true
 }
 
-// AcquireOut blocks process p until an outgoing buffer is free, then claims
-// it. Blocked time is charged to the Buffering category.
-//
-//lint:hotpath
-func (ep *Endpoint) AcquireOut(p *sim.Process) {
-	if ep.outFree <= 0 && ep.Stats != nil {
-		ep.Stats.SendBlocked++
-	}
-	for ep.outFree <= 0 {
-		ep.outCond.WaitAs(p, stats.Buffering)
-	}
-	ep.outFree--
-}
-
-// WaitOut parks p until an outgoing buffer may have freed; callers re-check
-// with TryAcquireOut (used by NIs whose processors spin on a status
-// register). Blocked time is charged to the Buffering category.
-//
-//lint:hotpath
-func (ep *Endpoint) WaitOut(p *sim.Process) { ep.outCond.WaitAs(p, stats.Buffering) }
-
 // releaseOut returns an outgoing buffer (ack received or send aborted).
 // Surplus credits are ignored: under fault injection without the
 // reliability layer, a duplicated message is acknowledged twice, and a
@@ -575,7 +538,6 @@ func (ep *Endpoint) releaseOut() {
 	}
 	ep.activity++
 	ep.outFree++
-	ep.outCond.Broadcast()
 	if ep.OnOutFree != nil {
 		ep.eng.AfterEvent(0, epNotifyOutFree, ep, 0)
 	}
@@ -642,7 +604,7 @@ func (ep *Endpoint) Inject(m *Message) {
 			// refuse them from — so a forced bounce degrades to a drop: the
 			// bandwidth is consumed and the reliability layer (if any)
 			// retransmits.
-			if m.oneSided != 0 {
+			if m.oneSided {
 				if ep.Stats != nil {
 					ep.Stats.FaultDrops++
 				}
@@ -691,17 +653,7 @@ func (ep *Endpoint) Inject(m *Message) {
 //
 //lint:hotpath
 func (ep *Endpoint) Put(m *Message) {
-	m.oneSided = oneSidedPut
-	ep.Inject(m)
-}
-
-// Get injects m as a one-sided RDMA get request: a small frame asking the
-// target's NI to put the described bytes back. Delivery lands in OnGet with
-// the same no-buffer, no-bounce semantics as Put.
-//
-//lint:hotpath
-func (ep *Endpoint) Get(m *Message) {
-	m.oneSided = oneSidedGet
+	m.oneSided = true
 	ep.Inject(m)
 }
 
@@ -736,19 +688,19 @@ func (ep *Endpoint) eject(m *Message) {
 	}
 	done := start + ep.net.serialization(m.Size())
 	ep.nextEjectAt = done
-	if m.oneSided != 0 {
+	if m.oneSided {
 		eng.AtEvent(done, msgOneSided, m, 0)
 		return
 	}
 	eng.AtEvent(done, msgDecide, m, 0)
 }
 
-// oneSidedDeliver lands a put frame or get request: no admission gate, no
-// flow-control buffer, no bounce path — after the checksum gate the bytes
-// are in their pre-negotiated destination and only the OnPut/OnGet
-// bookkeeping hook runs. The ack (reliable networks only) settles the
-// sender's retransmission state through OnSettled rather than freeing an
-// outgoing buffer, since Put/Get never held one.
+// oneSidedDeliver lands a put frame: no admission gate, no flow-control
+// buffer, no bounce path — after the checksum gate the bytes are in their
+// pre-negotiated destination and only the OnPut bookkeeping hook runs. The
+// ack (reliable networks only) settles the sender's retransmission state
+// through OnSettled rather than freeing an outgoing buffer, since Put never
+// held one.
 func (ep *Endpoint) oneSidedDeliver(m *Message) {
 	ep.activity++
 	eng := ep.eng
@@ -764,13 +716,6 @@ func (ep *Endpoint) oneSidedDeliver(m *Message) {
 	ep.delivered++
 	if reliable && !ep.dropControl(AckControl, m) {
 		ep.post(m.Src, eng.Now()+ep.net.cfg.Latency, msgAcked, m.origin(), 0)
-	}
-	if m.oneSided == oneSidedGet {
-		if ep.OnGet == nil {
-			panic(fmt.Sprintf("netsim: endpoint %d received a get request with no OnGet", ep.id))
-		}
-		ep.OnGet(m)
-		return
 	}
 	if ep.OnPut == nil {
 		panic(fmt.Sprintf("netsim: endpoint %d received a put frame with no OnPut", ep.id))

@@ -97,33 +97,36 @@ func TestBounceAndRetry(t *testing.T) {
 	}
 }
 
+// TestAcquireOutBlocksProcess: with one buffer in flight a second claim
+// fails, and the credit the ack returns is announced through OnOutFree,
+// where the claim succeeds.
 func TestAcquireOutBlocksProcess(t *testing.T) {
 	eng, nw := newNet(2, 1)
-	st := stats.NewNode()
 	ep := nw.Endpoint(0)
-	ep.Stats = st
-	release := sim.Time(0)
 	nw.Endpoint(1).OnAccept = func(m *Message) { nw.Endpoint(1).ReleaseIn() }
 	var acquiredAt sim.Time
-	eng.Spawn("sender", func(p *sim.Process) {
-		ep.AcquireOut(p)
+	ep.OnOutFree = func() {
+		if acquiredAt == 0 && ep.TryAcquireOut() {
+			acquiredAt = eng.Now()
+		}
+	}
+	eng.AfterEvent(0, func(any, uint64) {
+		if !ep.TryAcquireOut() {
+			t.Error("first claim failed with a free buffer")
+		}
 		ep.Inject(NewSized(0, 1, 0, 8))
-		ep.AcquireOut(p) // blocks until the ack frees the buffer
-		acquiredAt = p.Now()
-		release = p.Now()
-	})
+		if ep.TryAcquireOut() {
+			t.Error("second claim succeeded with the only buffer in flight")
+		}
+	}, nil, 0)
 	eng.Run()
 	if acquiredAt == 0 {
-		t.Fatal("second AcquireOut never succeeded")
+		t.Fatal("second claim never succeeded")
 	}
 	// Ack path: 16 inject + 40 + 16 eject + 40 ack = 112ns.
 	if acquiredAt != 112*sim.Nanosecond {
 		t.Fatalf("buffer freed at %v, want 112ns", acquiredAt)
 	}
-	if st.SendBlocked != 1 {
-		t.Fatalf("SendBlocked = %d, want 1", st.SendBlocked)
-	}
-	_ = release
 }
 
 func TestInjectionSerialization(t *testing.T) {
@@ -275,36 +278,23 @@ func TestSwitchBufferTable(t *testing.T) {
 }
 
 func TestAcquireOutBlocksUntilCredit(t *testing.T) {
-	// One buffer, three sends: the second and third AcquireOut block until
-	// the receiver's release returns the credit.
+	// One buffer, three sends: the second and third claim wait for
+	// OnOutFree to announce the credit the receiver's release returns.
 	eng, nw := newNet(2, 1)
-	got := 0
+	ep := nw.Endpoint(0)
+	got, sent := 0, 0
 	nw.Endpoint(1).OnAccept = func(m *Message) { got++; nw.Endpoint(1).ReleaseIn() }
-	eng.Spawn("s", func(p *sim.Process) {
-		for i := 0; i < 3; i++ {
-			nw.Endpoint(0).AcquireOut(p)
-			nw.Endpoint(0).Inject(NewSized(0, 1, 0, 8))
+	send := func() {
+		for sent < 3 && ep.TryAcquireOut() {
+			ep.Inject(NewSized(0, 1, 0, 8))
+			sent++
 		}
-	})
+	}
+	ep.OnOutFree = send
+	eng.AfterEvent(0, func(any, uint64) { send() }, nil, 0)
 	eng.Run()
 	if got != 3 {
 		t.Fatalf("delivered %d, want 3", got)
-	}
-}
-
-func TestAcquireOutCountsBlockedOnce(t *testing.T) {
-	eng, nw := newNet(2, 1)
-	st := stats.NewNode()
-	nw.Endpoint(0).Stats = st
-	nw.Endpoint(1).OnAccept = func(m *Message) { nw.Endpoint(1).ReleaseIn() }
-	eng.Spawn("s", func(p *sim.Process) {
-		nw.Endpoint(0).AcquireOut(p)
-		nw.Endpoint(0).Inject(NewSized(0, 1, 0, 8))
-		nw.Endpoint(0).AcquireOut(p) // must wait for the ack
-	})
-	eng.Run()
-	if st.SendBlocked != 1 {
-		t.Fatalf("SendBlocked = %d, want 1", st.SendBlocked)
 	}
 }
 

@@ -14,7 +14,6 @@ type oneSidedRig struct {
 	eng      *sim.Engine
 	nw       *Network
 	puts     []*Message
-	gets     []*Message
 	settled  []*Message
 	accepted int
 	st       [2]*stats.Node
@@ -32,7 +31,6 @@ func newOneSidedRig(t *testing.T, cfg Config) *oneSidedRig {
 	}
 	recv := r.nw.Endpoint(1)
 	recv.OnPut = func(m *Message) { r.puts = append(r.puts, m) }
-	recv.OnGet = func(m *Message) { r.gets = append(r.gets, m) }
 	r.nw.Endpoint(0).OnSettled = func(m *Message) { r.settled = append(r.settled, m) }
 	return r
 }
@@ -56,8 +54,8 @@ func TestOneSidedPutBypassesBuffers(t *testing.T) {
 	if len(r.puts) != 1 || r.puts[0] != m {
 		t.Fatalf("OnPut saw %d frames, want the injected put", len(r.puts))
 	}
-	if !m.IsPut() || m.IsGet() {
-		t.Errorf("delivered frame kind: IsPut=%v IsGet=%v, want put", m.IsPut(), m.IsGet())
+	if !m.IsPut() {
+		t.Error("delivered frame does not report IsPut")
 	}
 	if r.accepted != 0 {
 		t.Errorf("put frame entered the two-sided accept path (%d accepts)", r.accepted)
@@ -74,22 +72,6 @@ func TestOneSidedPutBypassesBuffers(t *testing.T) {
 	}
 	if m.ArriveTime == 0 {
 		t.Error("ArriveTime not stamped on one-sided delivery")
-	}
-}
-
-// TestOneSidedGetDelivery pins Get: the request lands in OnGet carrying its
-// Arg metadata (the requester's transfer descriptor).
-func TestOneSidedGetDelivery(t *testing.T) {
-	r := newOneSidedRig(t, DefaultConfig())
-	g := NewSized(0, 1, 0, 0)
-	g.Arg = 0xabcd<<32 | 512
-	r.eng.AfterEvent(0, func(any, uint64) { r.nw.Endpoint(0).Get(g) }, nil, 0)
-	r.eng.Run()
-	if len(r.gets) != 1 || r.gets[0].Arg != g.Arg {
-		t.Fatalf("OnGet saw %d requests, want 1 carrying arg %#x", len(r.gets), g.Arg)
-	}
-	if !g.IsGet() {
-		t.Error("delivered request does not report IsGet")
 	}
 }
 

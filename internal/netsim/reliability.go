@@ -254,7 +254,7 @@ func (ep *Endpoint) acked(m *Message) {
 	}
 	t.Stop()
 	delete(ep.inflight, m)
-	if m.oneSided != 0 {
+	if m.oneSided {
 		ep.activity++
 		if ep.OnSettled != nil {
 			ep.OnSettled(m)
@@ -316,7 +316,7 @@ func (ep *Endpoint) abandon(m *Message, reason string) {
 	}
 	err := &DeliveryError{Msg: m, Attempts: m.attempts, Time: ep.eng.Now(), Reason: reason} //lint:allow noalloc at most one structured error per abandoned message, off the steady-state path
 	ep.failures = append(ep.failures, err)                                                  //lint:allow noalloc failure log grows once per abandoned message, not per delivery
-	if m.oneSided != 0 {
+	if m.oneSided {
 		// One-sided sends hold no outgoing buffer; settle the frame so the
 		// sender's engine can reuse it.
 		if ep.OnSettled != nil {

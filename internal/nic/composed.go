@@ -14,8 +14,8 @@ import (
 // must go out again.
 type sendEngine interface {
 	// send performs the full transmit path: path overhead, status checks,
-	// acquiring an outgoing flow-control buffer, pushing the bytes, and
-	// injection.
+	// claiming the outgoing flow-control buffer CanSend found free, pushing
+	// the bytes, and injection.
 	send(pr *proc.Proc, m *netsim.Message)
 	// repush describes re-pushing a bounced message, whether noticed
 	// while the processor waits inside Recv or found by a poll, as the
@@ -56,7 +56,7 @@ type recvEngine interface {
 // Dispatch is by layer, not by design: the coherent engine owns whichever
 // sides the Spec marks coherent, the fifo engines own the rest, and the
 // buffering policy (FifoVM's bounce queue vs. a coherent ring's NI-side
-// retry) decides the NeedsRetry/RetryOne behavior.
+// retry) decides the NeedsRetry behavior.
 type composed struct {
 	env  *Env
 	kind Kind
@@ -187,13 +187,12 @@ func (x *composed) Send(pr *proc.Proc, m *netsim.Message) {
 //
 //lint:hotpath
 func (x *composed) Poll(pr *proc.Proc) (*netsim.Message, bool) {
-	if x.spec.Recv == CoherentEngine {
-		return x.coh.poll(pr)
+	if !x.Pending() {
+		panic("nic: Poll without Pending")
 	}
-	if x.hw.recvQ.len() == 0 {
-		c, category := x.recv.pollMiss()
-		c.start(pr, category)
-		return nil, false
+	if x.spec.Recv == CoherentEngine {
+		m := x.coh.consume(pr)
+		return m, m != nil
 	}
 	m := x.recv.receive(pr)
 	if tr := x.env.Trace; tr != nil {
@@ -248,7 +247,7 @@ func (x *composed) CanSend(m *netsim.Message) bool {
 		return x.coh.canSend(m)
 	}
 	if x.spec.Send == RDMAEngine {
-		return x.rdma.canSend()
+		return x.rdma.CanPut()
 	}
 	return x.env.EP.OutFree() > 0
 }
@@ -259,17 +258,6 @@ func (x *composed) CanSend(m *netsim.Message) bool {
 //lint:hotpath
 func (x *composed) NeedsRetry() bool {
 	return x.spec.Buffering == FifoVM && x.hw.hasBounced()
-}
-
-// RetryOne implements NI: consume the bounced message off the network with
-// the receive engine, then re-push it with the send engine.
-//
-//lint:hotpath
-func (x *composed) RetryOne(pr *proc.Proc) {
-	if x.spec.Buffering != FifoVM {
-		return
-	}
-	x.hw.retryOne(pr, x.send, x.recv)
 }
 
 // Idle implements NI: fifo-family sends complete synchronously inside

@@ -52,7 +52,7 @@ func newTwoNodesNet(t *testing.T, spec Spec, bufs int, netCfg netsim.Config, mut
 // spec through one send/poll/recv/bounce/drain scenario and checks the NI
 // contract invariants that hold for all designs:
 //
-//   - Poll agrees with Pending: a message comes back exactly when Pending
+//   - A poll agrees with Pending: a message comes back exactly when Pending
 //     was true immediately before the call (no Recv without Pending).
 //   - Bounced messages are eventually redelivered: every sent message
 //     arrives exactly once, even when the sleeping receiver forces bounces.
@@ -87,17 +87,21 @@ func TestSpecConformance(t *testing.T) {
 			idleDrained := false
 			r.run(t,
 				func(pr *proc.Proc, ni NI) {
+					q := &poller{pr: pr, ni: ni}
+					// poll services software retries, which only
+					// processor-involved buffering asks for.
+					poll := func() {
+						if ni.NeedsRetry() && !fifoVM {
+							t.Error("ring-buffered NI reported processor retry work")
+						}
+						if _, ok := q.poll(); !ok {
+							pr.P.SleepAs(stats.Buffering, 100*sim.Nanosecond)
+						}
+					}
 					for i := 0; i < count; i++ {
 						m := netsim.NewSized(0, 1, 1, payload)
 						for !ni.CanSend(m) {
-							if ni.NeedsRetry() {
-								if !fifoVM {
-									t.Error("ring-buffered NI reported processor retry work")
-								}
-								ni.RetryOne(pr)
-							} else {
-								pr.P.SleepAs(stats.Buffering, 100*sim.Nanosecond)
-							}
+							poll()
 						}
 						ni.Send(pr, m)
 					}
@@ -105,14 +109,7 @@ func TestSpecConformance(t *testing.T) {
 					// been delivered network-wide, then wait for the send side
 					// to go idle.
 					for r.net.Delivered() < count {
-						if ni.NeedsRetry() {
-							if !fifoVM {
-								t.Error("ring-buffered NI reported processor retry work")
-							}
-							ni.RetryOne(pr)
-						} else {
-							pr.P.SleepAs(stats.Buffering, 100*sim.Nanosecond)
-						}
+						poll()
 					}
 					for spin := 0; !ni.Idle(); spin++ {
 						if spin > 100000 {
@@ -134,16 +131,14 @@ func TestSpecConformance(t *testing.T) {
 					} else {
 						got++
 					}
+					q := &poller{pr: pr, ni: ni}
 					for got < count {
 						pending := ni.Pending()
-						m, ok := ni.Poll(pr)
-						if ok != pending {
-							t.Errorf("Poll returned %v with Pending()=%v", ok, pending)
+						m, _ := q.poll()
+						if (m != nil) != pending {
+							t.Errorf("poll returned %v with Pending()=%v", m, pending)
 						}
-						if ok {
-							if m == nil {
-								t.Error("successful Poll returned nil message")
-							}
+						if m != nil {
 							got++
 							continue
 						}
@@ -152,8 +147,8 @@ func TestSpecConformance(t *testing.T) {
 					if ni.Pending() {
 						t.Error("Pending still true after the whole batch was consumed")
 					}
-					if _, ok := ni.Poll(pr); ok {
-						t.Error("Poll produced a message beyond the sent batch")
+					if m, _ := q.poll(); m != nil {
+						t.Error("poll produced a message beyond the sent batch")
 					}
 				})
 			if !idleDrained {
@@ -233,6 +228,7 @@ func TestSpecConformanceBounceStorm(t *testing.T) {
 			r.run(t,
 				func(pr *proc.Proc, ni NI) {
 					defer func() { senderDone = true }()
+					q := &poller{pr: pr, ni: ni}
 					for i := 0; i < count; i++ {
 						m := netsim.NewSized(0, 1, 1, payload)
 						for spin := 0; !ni.CanSend(m); spin++ {
@@ -240,9 +236,7 @@ func TestSpecConformanceBounceStorm(t *testing.T) {
 								t.Error("CanSend never came true under the storm")
 								return
 							}
-							if ni.NeedsRetry() {
-								ni.RetryOne(pr)
-							} else {
+							if _, ok := q.poll(); !ok {
 								pr.P.SleepAs(stats.Buffering, 100*sim.Nanosecond)
 							}
 						}
@@ -255,20 +249,19 @@ func TestSpecConformanceBounceStorm(t *testing.T) {
 							t.Errorf("only %d/%d sends abandoned under the storm", len(r.net.Failures()), count)
 							return
 						}
-						if ni.NeedsRetry() {
-							ni.RetryOne(pr)
-						} else {
+						if _, ok := q.poll(); !ok {
 							pr.P.SleepAs(stats.Buffering, 100*sim.Nanosecond)
 						}
 					}
 				},
 				func(pr *proc.Proc, ni NI) {
+					q := &poller{pr: pr, ni: ni}
 					for spin := 0; !senderDone; spin++ {
 						if spin > 100000 {
 							t.Error("receiver never released: sender stuck")
 							return
 						}
-						if _, ok := ni.Poll(pr); ok {
+						if m, _ := q.poll(); m != nil {
 							t.Error("storm delivered a message despite bouncing every injection")
 						}
 						pr.P.SleepAs(stats.Compute, 1*sim.Microsecond)
@@ -327,5 +320,98 @@ func TestCrossSpecCount(t *testing.T) {
 		if SpecFor(k).Name() != k.ShortName() {
 			t.Errorf("SpecFor(%s).Name() = %q", k.ShortName(), SpecFor(k).Name())
 		}
+	}
+}
+
+// TestSendWithoutCanSendPanics checks the NI contract's preconditions on
+// every send path: Send requires CanSend and Put requires CanPut, so a call
+// that would have to wait for its resource panics rather than waiting. The
+// sender fills one resource (the fifo's one outgoing buffer, a two-block
+// coherent send ring, a two-block throttle credit, a one-entry RDMA
+// descriptor ring) while node 1 never consumes, then calls once more.
+func TestSendWithoutCanSendPanics(t *testing.T) {
+	rdma := Spec{Send: RDMAEngine, Recv: CoherentEngine, Buffering: NIRing}
+	type sender struct {
+		can  func(ni NI, m *netsim.Message) bool
+		call func(pr *proc.Proc, ni NI, m *netsim.Message)
+		want string
+	}
+	send := sender{
+		func(ni NI, m *netsim.Message) bool { return ni.CanSend(m) },
+		func(pr *proc.Proc, ni NI, m *netsim.Message) { ni.Send(pr, m) },
+		"nic: Send without CanSend",
+	}
+	put := sender{
+		func(ni NI, _ *netsim.Message) bool { return ni.(RDMACapable).RDMA().CanPut() },
+		func(pr *proc.Proc, ni NI, m *netsim.Message) {
+			ni.(RDMACapable).RDMA().Put(pr, PutOp{Dst: 1, PayloadLen: m.PayloadLen})
+		},
+		"nic: Put without CanPut",
+	}
+	for _, c := range []struct {
+		name   string
+		spec   Spec
+		mutate func(*Config)
+		// full reports whether the resource under test is what refuses.
+		full func(x *composed) bool
+		sender
+	}{
+		{"fifo", SpecFor(CM5), nil,
+			func(x *composed) bool { return x.env.EP.OutFree() == 0 }, send},
+		{"ring", SpecFor(CNI512Q), func(c *Config) { c.CNIQueueBlocks = 2 },
+			func(x *composed) bool { r := &x.coh.sendRing; return r.tail-r.head == r.cap }, send},
+		{"throttle", SpecFor(CNI32QmThrottle), func(c *Config) { c.CNICacheBlocks = 2 },
+			func(x *composed) bool { return x.coh.outstanding[1] == 2 }, send},
+		{"rdma", rdma, func(c *Config) { c.RDMADescRing = 1 },
+			func(x *composed) bool { return x.rdma.descQ.len() == 1 }, send},
+		{"put", rdma, func(c *Config) { c.RDMADescRing = 1 },
+			func(x *composed) bool { return x.rdma.descQ.len() == 1 }, put},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			r := newTwoNodesSpec(t, c.spec, 1, c.mutate)
+			defer r.eng.Drain()
+			full := false
+			r.procs[0].Bind(r.eng.Spawn("n0", func(*sim.Process) {
+				pr, ni := r.procs[0], r.nis[0]
+				m := netsim.NewSized(0, 1, 1, 8)
+				for c.can(ni, m) {
+					c.call(pr, ni, m)
+					m = netsim.NewSized(0, 1, 1, 8)
+				}
+				full = c.full(ni.(*composed))
+				c.call(pr, ni, m)
+			}))
+			r.procs[1].Bind(r.eng.Spawn("n1", func(p *sim.Process) { p.Park() }))
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Fatalf("recovered %v, want the panic %q", got, c.want)
+				}
+				if !full {
+					t.Fatal("the call was refused by another resource than the one under test")
+				}
+			}()
+			r.eng.Run()
+		})
+	}
+}
+
+// TestPollWithoutPendingPanics checks Poll's precondition on a fifo and a
+// coherent receive side: with nothing to receive, Poll panics rather than
+// charging a miss; an unsuccessful poll is PollMiss.
+func TestPollWithoutPendingPanics(t *testing.T) {
+	for _, k := range []Kind{CM5, CNI512Q} {
+		k := k
+		t.Run(k.ShortName(), func(t *testing.T) {
+			r := newTwoNodes(t, k, 1, nil)
+			defer r.eng.Drain()
+			r.procs[0].Bind(r.eng.Spawn("n0", func(*sim.Process) { r.nis[0].Poll(r.procs[0]) }))
+			defer func() {
+				if got, want := recover(), "nic: Poll without Pending"; got != want {
+					t.Fatalf("recovered %v, want the panic %q", got, want)
+				}
+			}()
+			r.eng.Run()
+		})
 	}
 }

@@ -60,8 +60,7 @@ type coherent struct {
 
 	// Send side, used only when the spec's send engine is coherent.
 	sendQ      queue[ringEntry]
-	sendSpace  *sim.Cond // ring space freed
-	doorbelled int64     // logical tail covered by doorbells
+	doorbelled int64 // logical tail covered by doorbells
 	// fetched marks send blocks the NI already holds, indexed by logical
 	// block modulo the ring capacity: marks lie between the send ring's
 	// head and tail, at most one capacity apart.
@@ -92,8 +91,7 @@ type coherent struct {
 	// ledger, indexed by node; retiring a message at the receiver returns
 	// the credit as a control post that lands here one network latency
 	// later (creditReturn).
-	outstanding  []int64
-	throttleCond *sim.Cond
+	outstanding []int64
 }
 
 // cniWait is what a waiting coherent NI engine waits for: the event whose
@@ -127,7 +125,6 @@ func newCoherent(env *Env, spec Spec) *coherent {
 	c.composing.c, c.consuming.c = c, c
 	if c.throttle {
 		c.outstanding = make([]int64, env.EP.Nodes())
-		c.throttleCond = sim.NewCond(env.Eng)
 		env.EP.OnControl = c.creditReturn
 	}
 	c.installRings(spec.Buffering)
@@ -145,7 +142,6 @@ func newCoherent(env *Env, spec Spec) *coherent {
 		// Specs that only receive coherently (Memory Channel, RDMA, and
 		// fifo-send cross points) send through another engine, so the
 		// NI-side send machine's out-buffer hook is left unwired.
-		c.sendSpace = sim.NewCond(env.Eng)
 		env.EP.OnOutFree = func() { c.kickSend(waitOut) }
 	}
 	return c
@@ -216,17 +212,18 @@ func prefetchDone(recv any, _ uint64) { recv.(*coherent).prefetchStore.Claim() }
 // send is the processor side of a coherent transmit: compose the message
 // into cacheable queue memory and ring the doorbell, as one access train;
 // the NI manages the transfer from there, so the processor is released
-// immediately (modulo throttling).
+// immediately. It requires canSend. When throttled (CNI_32Q_m+Throttle),
+// the message takes its blocks of the receiver's credit, so no more
+// unconsumed blocks are outstanding than the receiver's NI cache holds,
+// and the receiver keeps consuming from fast NI SRAM instead of main
+// memory; retire returns the credit.
 func (c *coherent) send(pr *proc.Proc, m *netsim.Message) {
+	if !c.canSend(m) {
+		panic("nic: Send without CanSend")
+	}
 	nb := int64(blocksFor(m))
 	if c.throttle {
-		c.throttleWait(pr, m, nb)
-	}
-	if c.sendRing.tail+nb-c.sendRing.head > c.sendRing.cap {
-		c.env.Stats.SendBlocked++
-		for c.sendRing.tail+nb-c.sendRing.head > c.sendRing.cap {
-			c.sendSpace.WaitAs(pr.P, stats.Buffering)
-		}
+		c.outstanding[m.Dst] += nb
 	}
 	start := c.sendRing.tail
 	c.sendRing.tail += nb
@@ -266,17 +263,6 @@ func (s *composeSteps) Next(st *proc.Step) bool {
 	return true
 }
 
-// throttleWait models CNI_32Q_m+Throttle: a software credit scheme holds
-// the sender until the receiver's NI cache has room for the message, so the
-// receiver keeps consuming from fast NI SRAM instead of overflowing to main
-// memory. Credits return when the receiver retires the message (retire).
-func (c *coherent) throttleWait(pr *proc.Proc, m *netsim.Message, nb int64) {
-	for c.outstanding[m.Dst]+nb > int64(c.env.Cfg.CNICacheBlocks) {
-		c.throttleCond.WaitAs(pr.P, stats.Buffering)
-	}
-	c.outstanding[m.Dst] += nb
-}
-
 // Credit returns pack (retiring node, blocks) into the control arg.
 const (
 	creditNodeShift = 32
@@ -288,12 +274,11 @@ const (
 // retired the message. arg packs the receiving node's id and the number of
 // blocks freed. It runs on the sender's own engine (netsim routes it across
 // the partition seam when the two nodes live on different shards), so the
-// ledger write and the wakeup stay shard-local.
+// ledger write stays shard-local.
 //
 //lint:hotpath
 func (c *coherent) creditReturn(arg uint64) {
 	c.outstanding[arg>>creditNodeShift] -= int64(arg & creditBlockMask)
-	c.throttleCond.Broadcast()
 }
 
 // sendStage is where the send engine stands in moving a message.
@@ -368,7 +353,6 @@ func (c *coherent) sendRun() {
 			}
 			c.sendRing.head = e.start + e.nb
 			c.sendCur, c.sendAt = ringEntry{}, sendIdle
-			c.sendSpace.Broadcast()
 		}
 	}
 }
@@ -441,33 +425,18 @@ func (c *coherent) recvRun() {
 	}
 }
 
-// poll is a sense-reverse poll: a cached read of the head block — a 1-cycle
-// cache hit while nothing has arrived, a coherent fetch (from the NI cache,
-// NI memory, or DRAM, depending on the ring store) when the NI has
-// deposited a message there.
-func (c *coherent) poll(pr *proc.Proc) (*netsim.Message, bool) {
-	if c.deliverable.len() == 0 {
-		c.tr.Run(pr, stats.Buffering, c.miss())
-		return nil, false
-	}
-	m := c.consume(pr)
-	return m, m != nil
-}
-
-// miss describes an unsuccessful poll: a cache-resident head read, so the
-// monitoring cost of a coherent NI is a 1-cycle hit rather than an
-// uncached bus round trip, charged to Buffering.
-func (c *coherent) miss() *proc.OneStep {
-	return c.missing.Set(proc.CachedStep(false, c.recvRing.addr(c.recvRing.head), 8))
-}
-
-// pollMiss is poll's miss run in event context for a processor blocked in
-// a send (NI.PollMiss). A coherent NI retries returned messages itself, so
-// the poll ends with the head read.
+// pollMiss is an unsuccessful sense-reverse poll, run in event context
+// (NI.PollMiss): a cached read of the head block, a 1-cycle hit while
+// nothing has arrived, so the monitoring cost of a coherent NI is a cache
+// hit rather than an uncached bus round trip, charged to Buffering. (Once
+// the NI deposits a message there, the same read is a coherent fetch from
+// the NI cache, NI memory or DRAM: consume's first step.) A coherent NI
+// retries returned messages itself, so the poll ends with the head read.
 //
 //lint:hotpath
 func (c *coherent) pollMiss(pr *proc.Proc, done sim.Handler, recv any) {
-	c.tr.Start(pr, stats.Buffering, c.miss(), done, recv)
+	head := proc.CachedStep(false, c.recvRing.addr(c.recvRing.head), 8)
+	c.tr.Start(pr, stats.Buffering, c.missing.Set(head), done, recv)
 }
 
 // recv blocks until a message is deliverable, then consumes it.

@@ -15,7 +15,7 @@ import (
 // buffer and rings a doorbell; the NI DMA-reads the buffer and moves it as
 // one-sided put frames that land directly in the target's registered memory
 // — they never enter the target's receive queue, so they can neither bounce
-// nor be admission-evicted (netsim's Endpoint.Put/Get seam). Two-sided
+// nor be admission-evicted (netsim's Endpoint.Put seam). Two-sided
 // sends ride the same descriptor queue but inject ordinary messages that
 // the target's coherent ring receives normally.
 //
@@ -38,7 +38,6 @@ type rdma struct {
 
 	descQ   queue[rdmaDesc]
 	work    *sim.Cond // descriptor posted
-	space   *sim.Cond // descriptor-ring entry freed
 	outFree *sim.Cond // network out-buffer freed (two-sided sends only)
 
 	// pinned is the registration cache: per remote target node, the
@@ -62,12 +61,11 @@ type rdmaDescKind uint8
 const (
 	descSend rdmaDescKind = iota // two-sided message
 	descPut                      // one-sided put (fragmented into frames)
-	descGet                      // one-sided get request
 )
 
 type rdmaDesc struct {
 	kind rdmaDescKind
-	m    *netsim.Message // descSend / descGet
+	m    *netsim.Message // descSend
 	put  putWork         // descPut
 }
 
@@ -92,26 +90,15 @@ type PutOp struct {
 	SendTime              sim.Time
 }
 
-// GetOp describes a one-sided get: ask Dst to put Bytes back to us, tagged
-// with XferID. The remote NI serves the request without processor help.
-type GetOp struct {
-	Dst, Handler, Channel int
-	XferID                uint32
-	Bytes                 int
-	SendTime              sim.Time
-}
-
 // RDMA is the one-sided interface an RDMAEngine send side exposes beyond
 // the plain NI contract.
 type RDMA interface {
-	// CanPut reports whether a put/get descriptor can be posted without
-	// blocking on descriptor-ring space.
+	// CanPut reports, at zero simulated cost, whether the descriptor ring
+	// has room for a put.
 	CanPut() bool
 	// Put posts a one-sided put descriptor, charging pr the registration
-	// and posting costs. Blocks while the descriptor ring is full.
+	// and posting costs. It requires CanPut.
 	Put(pr *proc.Proc, op PutOp)
-	// Get posts a one-sided get descriptor.
-	Get(pr *proc.Proc, op GetOp)
 	// SetPutSink installs the delivery hook for incoming put frames. It
 	// runs in network-event context: bookkeeping only, no blocking.
 	SetPutSink(fn func(m *netsim.Message))
@@ -145,16 +132,6 @@ func DecodePutFrame(arg uint64) (xfer uint32, idx, total int) {
 	return uint32(arg), int(arg >> putFrameIdxShift & putFrameMask), int(arg >> putFrameTotalShift & putFrameMask)
 }
 
-// GetArg encodes a get request's descriptor: transfer id and byte count.
-func GetArg(xfer uint32, bytes int) uint64 {
-	return uint64(xfer) | uint64(bytes)<<32
-}
-
-// DecodeGetArg unpacks GetArg.
-func DecodeGetArg(arg uint64) (xfer uint32, bytes int) {
-	return uint32(arg), int(arg >> 32)
-}
-
 // rdmaStagingBase is the DRAM region the engine's DMA reads source from —
 // the model's stand-in for the caller's registered user buffers, rotated so
 // consecutive transfers do not artificially hit in the cache.
@@ -166,7 +143,6 @@ func newRDMA(env *Env) *rdma {
 		frameCap: env.EP.MaxNetMsg() - netsim.HeaderBytes,
 		reliable: env.EP.Reliable(),
 		work:     sim.NewCond(env.Eng),
-		space:    sim.NewCond(env.Eng),
 		outFree:  sim.NewCond(env.Eng),
 		pinned:   make([]int64, env.EP.Nodes()),
 	}
@@ -184,20 +160,6 @@ func newRDMA(env *Env) *rdma {
 		if r.putSink != nil {
 			r.putSink(m)
 		}
-		if m.Seq == 0 {
-			r.env.EP.FreeFrame(m)
-		}
-	}
-	env.EP.OnGet = func(m *netsim.Message) {
-		// Serve the get entirely on the NI: no descriptor-post or pin cost
-		// is charged — the requester registered the region; the responder's
-		// processor never learns the transfer happened.
-		xfer, bytes := DecodeGetArg(m.Arg)
-		r.descQ.push(rdmaDesc{kind: descPut, put: putWork{
-			dst: m.Src, handler: m.Handler, channel: m.Channel,
-			xfer: xfer, n: bytes, sendTime: r.env.Eng.Now(),
-		}})
-		r.work.Broadcast()
 		if m.Seq == 0 {
 			r.env.EP.FreeFrame(m)
 		}
@@ -233,17 +195,11 @@ func (r *rdma) chargePin(pr *proc.Proc, dst int, bytes int) {
 	r.pinned[dst] = pages
 }
 
-// post charges descriptor composition and the doorbell, waiting out a full
-// descriptor ring, then queues d for the NI.
+// post charges descriptor composition and the doorbell, then queues d for
+// the NI. The caller has checked that the ring has room (CanPut).
 //
 //lint:hotpath
 func (r *rdma) post(pr *proc.Proc, d rdmaDesc) {
-	if r.descQ.len() >= r.env.Cfg.RDMADescRing {
-		r.env.Stats.SendBlocked++
-		for r.descQ.len() >= r.env.Cfg.RDMADescRing {
-			r.space.WaitAs(pr.P, stats.Buffering)
-		}
-	}
 	pr.Work(stats.Transfer, r.env.Cfg.RDMADescCycles)
 	r.bellTr.Run(pr, stats.Transfer, r.bell.Set(doorbell()))
 	r.descQ.push(d)
@@ -253,10 +209,13 @@ func (r *rdma) post(pr *proc.Proc, d rdmaDesc) {
 // send is the two-sided path through the descriptor queue: register the
 // buffer, post, and return — the NI fetches and injects asynchronously,
 // like a coherent send but with the registration tax instead of a
-// cacheable queue copy.
+// cacheable queue copy. It requires CanSend.
 //
 //lint:hotpath
 func (r *rdma) send(pr *proc.Proc, m *netsim.Message) {
+	if !r.CanPut() {
+		panic("nic: Send without CanSend")
+	}
 	r.chargePin(pr, m.Dst, m.Size())
 	r.post(pr, rdmaDesc{kind: descSend, m: m})
 }
@@ -265,28 +224,14 @@ func (r *rdma) send(pr *proc.Proc, m *netsim.Message) {
 //
 //lint:hotpath
 func (r *rdma) Put(pr *proc.Proc, op PutOp) {
+	if !r.CanPut() {
+		panic("nic: Put without CanPut")
+	}
 	r.chargePin(pr, op.Dst, op.PayloadLen)
 	r.post(pr, rdmaDesc{kind: descPut, put: putWork{
 		dst: op.Dst, handler: op.Handler, channel: op.Channel,
 		xfer: op.XferID, payload: op.Payload, n: op.PayloadLen, sendTime: op.SendTime,
 	}})
-}
-
-// Get implements RDMA. The request itself is a zero-payload one-sided
-// frame; the registration charged covers the landing zone for the bytes
-// coming back.
-//
-//lint:hotpath
-func (r *rdma) Get(pr *proc.Proc, op GetOp) {
-	r.chargePin(pr, op.Dst, op.Bytes)
-	g := r.env.EP.TakeFrame()
-	g.Src = r.env.ID
-	g.Dst = op.Dst
-	g.Handler = op.Handler
-	g.Channel = op.Channel
-	g.Arg = GetArg(op.XferID, op.Bytes)
-	g.SendTime = op.SendTime
-	r.post(pr, rdmaDesc{kind: descGet, m: g})
 }
 
 // CanPut implements RDMA.
@@ -318,7 +263,6 @@ func (r *rdma) engine(p *sim.Process) {
 		}
 		r.busy = true
 		d := r.descQ.pop()
-		r.space.Broadcast()
 		switch d.kind {
 		case descSend:
 			r.dmaRead(p, d.m.Size())
@@ -331,14 +275,6 @@ func (r *rdma) engine(p *sim.Process) {
 			}
 		case descPut:
 			r.servePut(p, d.put)
-		case descGet:
-			r.env.EP.Get(d.m)
-			if r.reliable {
-				r.unsettled++
-			}
-			if tr := r.env.Trace; tr != nil {
-				tr("rdma get dst=%d arg=%#x", d.m.Dst, d.m.Arg)
-			}
 		}
 	}
 }
@@ -400,11 +336,6 @@ func (r *rdma) dmaRead(p *sim.Process, n int) {
 		r.env.Bus.Access(p, membus.GetS, src+membus.Addr(i*membus.BlockSize), membus.BlockSize)
 	}
 }
-
-// canSend mirrors CanPut for the plain NI contract.
-//
-//lint:hotpath
-func (r *rdma) canSend() bool { return r.descQ.len() < r.env.Cfg.RDMADescRing }
 
 // idle reports whether the descriptor queue has drained, the state machine
 // is parked, and (on reliable networks) every one-sided frame settled.

@@ -76,17 +76,6 @@ func newFifoHW(env *Env) *fifoHW {
 	return f
 }
 
-// retryOne re-sends the oldest returned message from pr's process, as
-// the spinner's retry does (retry) with the process parked until it is
-// done. Callers must prefer consuming incoming messages over retrying
-// (consume-first avoids livelock between mutually bouncing senders).
-func (f *fifoHW) retryOne(pr *proc.Proc, send sendEngine, recv recvEngine) {
-	s := f.spinner(pr, send)
-	s.recv, s.done, s.doneRecv = recv, sim.ResumeHandler, pr.P
-	s.retry()
-	pr.P.ParkUncharged()
-}
-
 // hasBounced reports whether returned messages await software service.
 func (f *fifoHW) hasBounced() bool { return f.bounced.len() > 0 }
 
@@ -124,10 +113,9 @@ func (f *fifoHW) waitForMessageServicing(pr *proc.Proc, send sendEngine) {
 	pr.P.ParkUncharged()
 }
 
-// pollMiss runs an unsuccessful poll in event context for the processor
-// blocked in a send (NI.PollMiss): the receive engine's miss train, then,
-// in the slot where the processor resumed from it, one retry when a
-// returned message waits.
+// pollMiss runs an unsuccessful poll in event context (NI.PollMiss): the
+// receive engine's miss train, then, in the slot where the processor
+// resumed from it, one retry when a returned message waits.
 func (f *fifoHW) pollMiss(pr *proc.Proc, send sendEngine, recv recvEngine, done sim.Handler, doneRecv any) {
 	s := f.spinner(pr, send)
 	s.recv, s.done, s.doneRecv = recv, done, doneRecv
@@ -137,11 +125,11 @@ func (f *fifoHW) pollMiss(pr *proc.Proc, send sendEngine, recv recvEngine, done 
 
 // spinner is the processor's poll-while-blocked work run in event
 // context while its process stays parked (sim.Process.ParkUncharged): an
-// unsuccessful poll and the retry it finds for a blocked send (pollMiss),
-// the wait of a blocking receive and its retries (serve), and a retry for
-// RetryOne. Each piece keeps the event keys it had as process steps: a
-// train's end runs where the process resumed from it, and a wake where
-// the wait's Unpark scheduled the process. The processor runs one of them
+// unsuccessful poll and the retry it finds (pollMiss), and the wait of a
+// blocking receive and its retries (serve). Each piece keeps the event
+// keys it had as process steps: a train's end runs where the process
+// resumed from it, and a wake where the wait's Unpark scheduled the
+// process. The processor runs one of them
 // at a time, so one record per node serves them all (fifoCPU).
 type spinner struct {
 	f    *fifoHW
@@ -407,16 +395,16 @@ func (f *fifoHW) lead(pr *proc.Proc, category int, a, b proc.Step) {
 }
 
 // acquire is the fifo engines' send prologue: the path cycles and a check
-// of the status register, then, while no outgoing flow-control buffer (the
-// send fifo slot) is free, a wait and another check; the spin is a
-// buffering stall. A zero status step means the engine checks nothing.
+// of the status register, then the claim of the outgoing flow-control
+// buffer (the send fifo slot) that CanSend found free. Only this node's
+// sends claim one, so the buffer free at entry is still free for the
+// claim. A zero status step means the engine checks nothing.
 func (f *fifoHW) acquire(pr *proc.Proc, path, status proc.Step) {
-	f.lead(pr, stats.Transfer, path, status)
-	for !f.env.EP.TryAcquireOut() {
-		f.env.Stats.SendBlocked++
-		f.env.EP.WaitOut(pr.P)
-		f.lead(pr, stats.Transfer, status, proc.Step{})
+	if f.env.EP.OutFree() == 0 {
+		panic("nic: Send without CanSend")
 	}
+	f.lead(pr, stats.Transfer, path, status)
+	f.env.EP.TryAcquireOut()
 }
 
 // Next implements proc.Steps.

@@ -74,9 +74,9 @@ func composedRoundAllocFree(t *testing.T, k Kind, payload int) {
 	})
 	r.procs[0].Bind(p0)
 	p1 := r.eng.Spawn("receiver", func(p *sim.Process) {
-		pr, ni := r.procs[1], r.nis[1]
+		q := &poller{pr: r.procs[1], ni: r.nis[1]}
 		for got < total {
-			if _, ok := ni.Poll(pr); ok {
+			if m, _ := q.poll(); m != nil {
 				got++
 			} else {
 				p.Sleep(100 * sim.Nanosecond)
@@ -120,15 +120,14 @@ func TestAdmissionControlAllocFree(t *testing.T) {
 	release, got := 0, 0
 	p0 := r.eng.Spawn("sender", func(p *sim.Process) {
 		pr, ni := r.procs[0], r.nis[0]
+		q := &poller{pr: pr, ni: ni}
 		for i := 0; i < total; i++ {
 			for release <= i {
 				p.Sleep(100 * sim.Nanosecond)
 			}
 			for _, m := range []*netsim.Message{m1, m2} {
 				for !ni.CanSend(m) {
-					if ni.NeedsRetry() {
-						ni.RetryOne(pr)
-					} else {
+					if _, ok := q.poll(); !ok {
 						p.Sleep(100 * sim.Nanosecond)
 					}
 				}
@@ -136,9 +135,7 @@ func TestAdmissionControlAllocFree(t *testing.T) {
 			}
 			// Service the refused send's bounce until both land.
 			for r.net.Delivered() < int64(2*(i+1)) {
-				if ni.NeedsRetry() {
-					ni.RetryOne(pr)
-				} else {
+				if _, ok := q.poll(); !ok {
 					p.Sleep(100 * sim.Nanosecond)
 				}
 			}
@@ -146,13 +143,13 @@ func TestAdmissionControlAllocFree(t *testing.T) {
 	})
 	r.procs[0].Bind(p0)
 	p1 := r.eng.Spawn("receiver", func(p *sim.Process) {
-		pr, ni := r.procs[1], r.nis[1]
+		q := &poller{pr: r.procs[1], ni: r.nis[1]}
 		for got < 2*total {
 			// Let both arrivals hit the admission gate before draining, so
 			// the second is refused against the first's occupancy.
 			p.Sleep(2 * sim.Microsecond)
 			for got < 2*release {
-				if _, ok := ni.Poll(pr); ok {
+				if m, _ := q.poll(); m != nil {
 					got++
 				} else {
 					p.Sleep(100 * sim.Nanosecond)

@@ -119,6 +119,11 @@ func KindByName(s string) (Kind, error) {
 // messaging layer is the only intended caller; it fragments application
 // messages to the network maximum before calling Send.
 //
+// Two calls have preconditions, the same for all designs: Send requires
+// CanSend, and Poll requires Pending. Either one called without its
+// precondition panics. So the NI never waits for send resources itself:
+// the messaging layer alone decides what the processor does meanwhile.
+//
 // Three of the zero-cost queries have semantics precise enough to be worth
 // stating once, for all designs:
 //
@@ -152,20 +157,22 @@ type NI interface {
 	// Send performs all processor-side work to transmit m and hands it to
 	// the network, blocking the calling processor exactly as long as the
 	// design requires (a CM-5-like NI blocks for every word; a CNI returns
-	// after composing the message in cacheable queue memory).
+	// after composing the message in cacheable queue memory). It requires
+	// CanSend(m).
 	Send(pr *proc.Proc, m *netsim.Message)
-	// Poll checks for a received message. When one is available it performs
-	// the processor-side reception work (pops, block loads, or coherent
-	// queue reads) and returns it. When none is available it charges only
-	// the design's polling cost and returns false.
+	// Poll receives the message Pending promises: it performs the
+	// processor-side reception work (pops, block loads, or coherent queue
+	// reads) and returns the message. It requires Pending, and reports
+	// false only when an overload eviction took the message while the
+	// processor's head read was in flight.
 	Poll(pr *proc.Proc) (*netsim.Message, bool)
-	// PollMiss is Poll for a processor that found nothing to receive
-	// (Pending is false), blocked in a send, run in event context: pr's
-	// process is parked (sim.Process.ParkUncharged) and stays so. It
-	// charges the design's polling cost and then, when NeedsRetry holds,
-	// RetryOne's re-push, each to the category Poll and RetryOne charge
-	// it to, and runs done(recv, retried) where the process would resume
-	// after them, retried 1 after a re-push.
+	// PollMiss is the unsuccessful poll of a processor that found nothing
+	// to receive (Pending is false), run in event context: pr's process is
+	// parked (sim.Process.ParkUncharged) and stays so. It charges the
+	// design's polling cost and then, when NeedsRetry holds, the re-push of
+	// the oldest returned message, each to its design's category, and runs
+	// done(recv, retried) where the process would resume after them,
+	// retried 1 after a re-push.
 	PollMiss(pr *proc.Proc, done sim.Handler, recv any)
 	// Recv blocks until a message is available, then receives it as Poll
 	// does. Idle waiting is charged to the compute category; only the
@@ -185,10 +192,6 @@ type NI interface {
 	// re-push (true only for NIs whose buffering involves the processor,
 	// Table 2). Zero simulated cost.
 	NeedsRetry() bool
-	// RetryOne re-pushes the oldest returned message, charging the
-	// processor the design's re-push cost. Callers must prefer consuming
-	// incoming messages first.
-	RetryOne(pr *proc.Proc)
 	// Idle reports whether the NI has no queued or in-flight work on the
 	// send side (used by drain barriers at the end of program phases).
 	Idle() bool
@@ -244,7 +247,7 @@ type Config struct {
 	// buffers the NI reads directly over the bus, so the OS must pin the
 	// pages and install them in the adapter's translation table before the
 	// first transfer — the classic VIA/InfiniBand memory-registration tax.
-	// The charge is per *region*: the first put or get touching a remote
+	// The charge is per *region*: the first put touching a remote
 	// target pays RDMAPinCycles plus RDMAPagePinCycles per page; repeated
 	// transfers to the same target reuse the cached registration and pay
 	// only for pages beyond the largest extent seen so far.
@@ -259,8 +262,8 @@ type Config struct {
 	// RDMADescCycles is the processor cost to compose and post one RDMA
 	// work descriptor (doorbell write is charged separately).
 	RDMADescCycles int64
-	// RDMADescRing is the descriptor ring depth; a full ring stalls the
-	// posting processor until the NI drains an entry.
+	// RDMADescRing is the descriptor ring depth; while the ring is full,
+	// CanSend and CanPut are false until the NI drains an entry.
 	RDMADescRing int
 
 	// Ablation switches (all off in the paper's configurations).

@@ -62,27 +62,62 @@ func (r *twoNodes) run(t *testing.T, send, recv func(pr *proc.Proc, ni NI)) {
 	r.eng.Drain()
 }
 
-// sendN sends count messages and then keeps servicing bounce retries until
-// the whole batch has been delivered network-wide (the messaging layer does
-// this in the full stack; here the test drives the NI directly).
+// poller mirrors the messaging layer's PollOne for tests that drive an NI
+// directly: poll receives the message Pending promises, or runs an
+// unsuccessful poll (NI.PollMiss) with the process parked, which re-pushes
+// a returned message when the NI needs software for that. It returns the
+// message, or nil, and whether it received or re-pushed one. Make one per
+// process; polling allocates nothing.
+type poller struct {
+	pr                     *proc.Proc
+	ni                     NI
+	parked, ready, retried bool
+}
+
+func (q *poller) poll() (*netsim.Message, bool) {
+	if q.ni.Pending() {
+		return q.ni.Poll(q.pr)
+	}
+	q.ready = false
+	q.ni.PollMiss(q.pr, pollerDone, q)
+	if !q.ready {
+		q.parked = true
+		q.pr.P.ParkUncharged()
+		q.parked = false
+	}
+	return nil, q.retried
+}
+
+// pollerDone ends an unsuccessful poll where the process resumes.
+func pollerDone(recv any, retried uint64) {
+	q := recv.(*poller)
+	q.retried = retried != 0
+	if q.parked {
+		q.pr.P.Resume()
+	} else {
+		q.ready = true
+	}
+}
+
+// sendN sends count messages, polling while the NI cannot take one, and
+// then keeps polling, which services bounce retries, until the whole batch
+// has been delivered network-wide (the messaging layer does this in the
+// full stack; here the test drives the NI directly).
 func (r *twoNodes) sendN(count, payload int) func(pr *proc.Proc, ni NI) {
 	return func(pr *proc.Proc, ni NI) {
+		q := &poller{pr: pr, ni: ni}
 		for i := 0; i < count; i++ {
 			m := netsim.NewSized(0, 1, 1, payload)
 			for !ni.CanSend(m) {
-				if _, ok := ni.Poll(pr); !ok {
-					if ni.NeedsRetry() {
-						ni.RetryOne(pr)
-					} else {
-						pr.P.SleepAs(stats.Buffering, 100*sim.Nanosecond)
-					}
+				if _, ok := q.poll(); !ok {
+					pr.P.SleepAs(stats.Buffering, 100*sim.Nanosecond)
 				}
 			}
 			ni.Send(pr, m)
 		}
 		for r.net.Delivered() < int64(count) {
 			if ni.NeedsRetry() {
-				ni.RetryOne(pr)
+				q.poll()
 			} else {
 				pr.P.SleepAs(stats.Buffering, 100*sim.Nanosecond)
 			}
@@ -289,9 +324,10 @@ func TestEvictionDuringHeadRead(t *testing.T) {
 			const count = 40
 			got, empty := 0, 0
 			r.run(t, r.sendN(count, 200), func(pr *proc.Proc, ni NI) {
+				q := &poller{pr: pr, ni: ni}
 				for got+int(r.nodes[1].AdmitEvictions) < count {
 					pending := ni.Pending()
-					if _, ok := ni.Poll(pr); ok {
+					if m, _ := q.poll(); m != nil {
 						got++
 						continue
 					}
@@ -314,21 +350,21 @@ func TestFifoBounceNeedsProcessorRetry(t *testing.T) {
 	r.run(t,
 		func(pr *proc.Proc, ni NI) {
 			// Blast 10 messages at a receiver that is asleep: bounces must
-			// appear and require RetryOne.
+			// appear and require a software re-push, which a poll runs.
+			q := &poller{pr: pr, ni: ni}
 			for i := 0; i < 10; i++ {
 				m := netsim.NewSized(0, 1, 1, 16)
 				for !ni.CanSend(m) {
-					if ni.NeedsRetry() {
+					if _, ok := q.poll(); ok {
 						retried = true
-						ni.RetryOne(pr)
 					} else {
 						pr.P.SleepAs(stats.Buffering, 100*sim.Nanosecond)
 					}
 				}
 				ni.Send(pr, m)
 				for ni.NeedsRetry() {
-					retried = true
-					ni.RetryOne(pr)
+					_, ok := q.poll()
+					retried = retried || ok
 				}
 			}
 		},
@@ -456,24 +492,19 @@ func TestAnyPayloadSizeDelivered(t *testing.T) {
 		ok := true
 		done := 0
 		p0 := r.eng.Spawn("s", func(p *sim.Process) {
+			q := &poller{pr: r.procs[0], ni: r.nis[0]}
 			for _, b := range raw {
 				payload := int(b) % 240 // stay within one network message
 				m := netsim.NewSized(0, 1, 1, payload)
 				for !r.nis[0].CanSend(m) {
-					if _, got := r.nis[0].Poll(r.procs[0]); !got {
-						if r.nis[0].NeedsRetry() {
-							r.nis[0].RetryOne(r.procs[0])
-						} else {
-							p.SleepAs(stats.Buffering, 100*sim.Nanosecond)
-						}
+					if _, ok := q.poll(); !ok {
+						p.SleepAs(stats.Buffering, 100*sim.Nanosecond)
 					}
 				}
 				r.nis[0].Send(r.procs[0], m)
 			}
 			for r.net.Delivered() < int64(count) {
-				if r.nis[0].NeedsRetry() {
-					r.nis[0].RetryOne(r.procs[0])
-				} else {
+				if _, ok := q.poll(); !ok {
 					p.SleepAs(stats.Buffering, 100*sim.Nanosecond)
 				}
 			}
@@ -532,7 +563,9 @@ func TestClosedTrainTiesWithArrival(t *testing.T) {
 		}, func(pr *proc.Proc, ni NI) {
 			ni.Recv(pr)
 			tie = accepted == pr.P.Now()
-			if _, hit = ni.Poll(pr); !hit {
+			if m, _ := (&poller{pr: pr, ni: ni}).poll(); m != nil {
+				hit = true
+			} else {
 				ni.Recv(pr)
 			}
 			end = pr.P.Now()

@@ -136,59 +136,6 @@ func TestRDMAPutDelivery(t *testing.T) {
 	}
 }
 
-// TestRDMAGetRoundTrip pins the get path: the requester posts one
-// descriptor, and the responder's NI serves the put-back without any
-// responder software — its processor never runs a receive.
-func TestRDMAGetRoundTrip(t *testing.T) {
-	r := newTwoNodesNet(t, rdmaSpec(), 4, reliableNet(), nil)
-
-	type seen struct {
-		xfer        uint32
-		idx, total  int
-		handler, pb int
-	}
-	const xferBytes = 600
-	var frames []seen
-	requester := r.nis[0].(RDMACapable).RDMA()
-	requester.SetPutSink(func(m *netsim.Message) {
-		xfer, idx, n := DecodePutFrame(m.Arg)
-		frames = append(frames, seen{xfer: xfer, idx: idx, total: n, handler: m.Handler, pb: m.PayloadLen})
-	})
-
-	frameCap := netsim.DefaultConfig().MaxNetMsg - netsim.HeaderBytes
-	wantFrames := (xferBytes + frameCap - 1) / frameCap
-	r.run(t,
-		func(pr *proc.Proc, ni NI) {
-			requester.Get(pr, GetOp{Dst: 1, Handler: 9, XferID: 7, Bytes: xferBytes, SendTime: r.eng.Now()})
-			for len(frames) < wantFrames || !requester.Settled() {
-				pr.P.SleepAs(stats.Buffering, 100*sim.Nanosecond)
-			}
-		},
-		func(pr *proc.Proc, ni NI) {},
-	)
-
-	if len(frames) != wantFrames {
-		t.Fatalf("get of %dB returned %d frames, want %d", xferBytes, len(frames), wantFrames)
-	}
-	total := 0
-	for i, f := range frames {
-		if f.xfer != 7 || f.idx != i || f.total != wantFrames || f.handler != 9 {
-			t.Errorf("frame %d tagged (xfer=%d idx=%d total=%d h=%d)", i, f.xfer, f.idx, f.total, f.handler)
-		}
-		total += f.pb
-	}
-	if total != xferBytes {
-		t.Errorf("put-back carries %d bytes, want %d", total, xferBytes)
-	}
-	// The responder's NI moved the data; its processor was never involved.
-	if got := r.nodes[1].FragmentsSent; got != int64(wantFrames) {
-		t.Errorf("responder FragmentsSent = %d, want %d", got, wantFrames)
-	}
-	if rep := r.net.QuiescenceReport(); rep != "" {
-		t.Errorf("network not quiescent:\n%s", rep)
-	}
-}
-
 // TestRDMARegistrationAmortized pins the pinning cost model: the first
 // transfer to a target pays the registration syscall and per-page charges;
 // a repeat of the same extent pays neither; growing the extent pays only
@@ -282,12 +229,16 @@ func TestRDMAPutAllocFree(t *testing.T) {
 // observes a full queue. With a resume threshold the first refusal latches
 // until the receiver drains below the lower watermark, so the policy
 // refuses more while refusing *less often* (one latched episode instead of
-// per-message flapping), and AdmitFlaps records each episode.
+// per-message flapping), and AdmitFlaps records each episode. How many
+// more depends on where the drain's timing puts the arrivals, so the
+// receiver drains at each of eleven paces, 200 ns to 1.2 us apart: the
+// latch may tie the plain policy at a pace but never refuse fewer, and it
+// refuses more over the sweep.
 func TestOverloadHysteresis(t *testing.T) {
 	type result struct {
 		bounces, flaps int64
 	}
-	runPolicy := func(resume int) result {
+	runPolicy := func(resume int, gap sim.Time) result {
 		spec := SpecFor(CM5)
 		spec.Overload = OverloadPolicy{AdmitPct: 50, ResumePct: resume, Refuse: RefuseBounce}
 		r := newTwoNodesNet(t, spec, 8, netsim.DefaultConfig(), nil)
@@ -300,7 +251,7 @@ func TestOverloadHysteresis(t *testing.T) {
 				pr.P.SleepAs(stats.Compute, 10*sim.Microsecond)
 				for i := 0; i < total; i++ {
 					ni.Recv(pr)
-					pr.P.SleepAs(stats.Compute, 500*sim.Nanosecond)
+					pr.P.SleepAs(stats.Compute, gap)
 				}
 			})
 		if got := r.nodes[1].FragmentsReceived; got != total {
@@ -309,25 +260,33 @@ func TestOverloadHysteresis(t *testing.T) {
 		return result{bounces: r.nodes[1].AdmitBounces, flaps: r.nodes[1].AdmitFlaps}
 	}
 
-	plain := runPolicy(0)
-	hyst := runPolicy(25)
+	var plainSum, hystSum int64
+	for gap := 200 * sim.Nanosecond; gap <= 1200*sim.Nanosecond; gap += 100 * sim.Nanosecond {
+		plain := runPolicy(0, gap)
+		hyst := runPolicy(25, gap)
+		plainSum += plain.bounces
+		hystSum += hyst.bounces
 
-	if plain.bounces == 0 {
-		t.Fatal("single-threshold run never hit the watermark; the comparison proves nothing")
+		if plain.bounces == 0 {
+			t.Fatalf("drain every %v: single-threshold run never hit the watermark; the comparison proves nothing", gap)
+		}
+		if plain.flaps != 0 {
+			t.Errorf("drain every %v: single-threshold policy recorded %d flaps; counter must stay silent without hysteresis", gap, plain.flaps)
+		}
+		if hyst.flaps == 0 {
+			t.Errorf("drain every %v: hysteresis run recorded no admit flaps", gap)
+		}
+		if hyst.bounces < plain.bounces {
+			t.Errorf("drain every %v: hysteresis refused %d arrivals vs plain %d; the latch should refuse more while draining",
+				gap, hyst.bounces, plain.bounces)
+		}
+		// The latch converts per-message flapping into whole episodes: each flap
+		// must account for multiple refusals.
+		if hyst.flaps >= hyst.bounces {
+			t.Errorf("drain every %v: hysteresis flapped %d times for %d refusals; refusals should batch per episode", gap, hyst.flaps, hyst.bounces)
+		}
 	}
-	if plain.flaps != 0 {
-		t.Errorf("single-threshold policy recorded %d flaps; counter must stay silent without hysteresis", plain.flaps)
-	}
-	if hyst.flaps == 0 {
-		t.Error("hysteresis run recorded no admit flaps")
-	}
-	if hyst.bounces <= plain.bounces {
-		t.Errorf("hysteresis refused %d arrivals vs plain %d; the latch should refuse more while draining",
-			hyst.bounces, plain.bounces)
-	}
-	// The latch converts per-message flapping into whole episodes: each flap
-	// must account for multiple refusals.
-	if hyst.flaps >= hyst.bounces {
-		t.Errorf("hysteresis flapped %d times for %d refusals; refusals should batch per episode", hyst.flaps, hyst.bounces)
+	if hystSum <= plainSum {
+		t.Errorf("hysteresis refused %d arrivals over the sweep vs plain %d; the latch should refuse more while draining", hystSum, plainSum)
 	}
 }

@@ -10,8 +10,9 @@ import (
 
 // TestRecvWaitDrain kills a process blocked in a fifo NI's Recv, once
 // while it waits for an arrival and once while it re-pushes a returned
-// message. Node 1 never receives, so node 0's second message bounces off
-// its one full buffer again and again. After Drain neither the wake of an
+// message. Node 1 never receives, so node 0's second message, sent once
+// the ack of the first frees node 0's one outgoing buffer, bounces off
+// node 1's one full buffer again and again. After Drain neither the wake of an
 // accept or a bounce nor the wait's continuation schedules an event,
 // resumes the dead process or charges it time.
 func TestRecvWaitDrain(t *testing.T) {
@@ -20,9 +21,13 @@ func TestRecvWaitDrain(t *testing.T) {
 			k, cut := k, cut
 			t.Run(fmt.Sprintf("%s/%s", k.ShortName(), cut), func(t *testing.T) {
 				r := newTwoNodes(t, k, 1, nil)
-				p0 := r.eng.Spawn("n0", func(*sim.Process) {
+				p0 := r.eng.Spawn("n0", func(p *sim.Process) {
 					for i := 0; i < 2; i++ {
-						r.nis[0].Send(r.procs[0], netsim.NewSized(0, 1, 1, 64))
+						m := netsim.NewSized(0, 1, 1, 64)
+						for !r.nis[0].CanSend(m) {
+							p.Sleep(100 * sim.Nanosecond)
+						}
+						r.nis[0].Send(r.procs[0], m)
 					}
 					r.nis[0].Recv(r.procs[0])
 				})

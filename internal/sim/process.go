@@ -284,7 +284,7 @@ type Cond struct {
 // NewCond returns a condition variable bound to engine e.
 func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
 
-// Wait parks p until Broadcast or Signal. As with sync.Cond, callers must
+// Wait parks p until Broadcast. As with sync.Cond, callers must
 // re-check their predicate in a loop: wakeups are broadcast at time t and a
 // competing process may consume the resource first.
 //
@@ -316,18 +316,6 @@ func (c *Cond) Broadcast() {
 		ws[i] = nil // drop the reference; the array outlives the wakeup
 		p.Unpark()
 	}
-}
-
-// Signal wakes the longest-waiting process, if any.
-//
-//lint:hotpath
-func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
-	}
-	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	p.Unpark()
 }
 
 // Waiters returns the number of processes currently waiting.

@@ -137,31 +137,6 @@ func TestCondBroadcastWakesAll(t *testing.T) {
 	}
 }
 
-func TestCondSignalWakesOne(t *testing.T) {
-	e := NewEngine()
-	c := NewCond(e)
-	woken := 0
-	for i := 0; i < 3; i++ {
-		e.Spawn("w", func(p *Process) {
-			c.Wait(p)
-			woken++
-		})
-	}
-	e.Spawn("s", func(p *Process) {
-		p.Sleep(Nanosecond)
-		c.Signal()
-		p.Sleep(Nanosecond)
-		if woken != 1 {
-			t.Errorf("after one Signal, woken = %d", woken)
-		}
-	})
-	e.Run()
-	if woken != 1 {
-		t.Fatalf("woken = %d, want 1", woken)
-	}
-	e.Drain()
-}
-
 func TestParkUnpark(t *testing.T) {
 	e := NewEngine()
 	var target *Process

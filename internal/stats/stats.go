@@ -53,9 +53,8 @@ type Node struct {
 	FragmentsReceived int64
 
 	// Flow control counters.
-	Bounces     int64 // messages returned to this sender
-	Retries     int64 // re-injections after a bounce
-	SendBlocked int64 // sends that had to wait for an outgoing buffer
+	Bounces int64 // messages returned to this sender
+	Retries int64 // re-injections after a bounce
 
 	// Fault-injection counters (what the fault plane did to this node's
 	// traffic) and reliable-delivery counters (what the reliability layer
@@ -144,7 +143,6 @@ func (m *Machine) Total() *Node {
 		t.FragmentsReceived += n.FragmentsReceived
 		t.Bounces += n.Bounces
 		t.Retries += n.Retries
-		t.SendBlocked += n.SendBlocked
 		t.FaultDrops += n.FaultDrops
 		t.FaultCorruptions += n.FaultCorruptions
 		t.FaultDuplicates += n.FaultDuplicates
