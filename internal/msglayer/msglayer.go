@@ -204,6 +204,7 @@ func New(pr *proc.Proc, ni nic.NI, net *netsim.Endpoint, cfg Config) *Endpoint {
 		in:       make(map[[2]uint64]*inbound),
 		done:     newDoneSet(doneWindow),
 	}
+	ep.blocked.ep = ep
 	if cfg.Protocol == Rendezvous {
 		// Degrades to nil — purely eager — on NIs without an RDMA engine,
 		// so a protocol sweep can run the whole design grid.
@@ -352,7 +353,7 @@ type blockedSend struct {
 // block runs the loop until nm can go or an arrival waits.
 func (ep *Endpoint) block(nm *netsim.Message) {
 	b := &ep.blocked
-	b.ep, b.nm, b.ready = ep, nm, false
+	b.nm, b.ready = nm, false
 	ep.ni.PollMiss(ep.pr, blockedPolled, b)
 	b.park()
 }
@@ -463,7 +464,7 @@ func (ep *Endpoint) PollOne() bool {
 // returned message.
 func (ep *Endpoint) pollMiss() bool {
 	b := &ep.blocked
-	b.ep, b.ready = ep, false
+	b.ready = false
 	ep.ni.PollMiss(ep.pr, polledOne, b)
 	b.park()
 	return b.retried
