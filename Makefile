@@ -31,11 +31,14 @@ bench:
 # bench-smoke is the CI benchmark gate: the AllocsPerRun gates on the
 # scheduler, message-delivery, and composed NI hot paths, the per-message
 # resume and event pins, and the blocked-send flood's per-spin resume,
-# event, spin and retry pins, then every benchmark for one iteration (an
-# execute-smoke, not a measurement), with the output saved to
-# bench_smoke.txt for the CI artifact.
+# event, spin and retry pins, the memory pins (the 256-node machine.New
+# footprint, the network frame's size and the cache's lazy tag store),
+# then every benchmark for one iteration (an execute-smoke, not a
+# measurement), with the output saved to bench_smoke.txt for the CI
+# artifact.
 bench-smoke: build
 	$(GO) test -run 'AllocFree|PerMessage|PerSpin' -count=1 ./internal/sim/ ./internal/proc/ ./internal/netsim/ ./internal/nic/ ./internal/msglayer/
+	$(GO) test -run 'Footprint|FrameSize|AbsentPage|OnlyItsPage' -count=1 ./internal/machine/ ./internal/netsim/ ./internal/cache/
 	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/sim/ | tee bench_smoke.txt
 
 # bench-json regenerates BENCH_results.json: the whole evaluation grid run

@@ -58,8 +58,8 @@ func (l *line) holds(block membus.Addr) bool {
 
 func (l *line) set(block membus.Addr, s State) { *l = line(block) | line(s) }
 
-// pageLines is the number of lines in one page of the tag store: 4 KiB.
-const pageLines = 512
+// pageLines is the number of lines in one page of the tag store: 512 B.
+const pageLines = 64
 
 // Config holds cache geometry and latencies.
 type Config struct {
@@ -86,10 +86,12 @@ type Cache struct {
 	node *stats.Node
 	mask int // number of lines - 1
 
-	// pages is the tag store, pageLines lines a page. A page is allocated
-	// when the first line in it is installed; until then all its lines
-	// read as Invalid. A large direct-mapped cache on a many-node machine
-	// touches few of its pages, so memory follows the lines a run uses.
+	// pages is the tag store, pageLines lines a page. The directory is
+	// allocated on the cache's first install and a page when the first
+	// line in it is installed; until then all its lines read as Invalid.
+	// A large direct-mapped cache on a many-node machine touches few of
+	// its pages, and many caches install nothing, so memory follows the
+	// lines a run uses.
 	pages []*[pageLines]line
 
 	// Hits and Misses count processor accesses.
@@ -112,8 +114,7 @@ func New(name string, e *sim.Engine, b *membus.Bus, cfg Config, node *stats.Node
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("cache: size %d is not a power-of-two multiple of the block size", cfg.SizeBytes))
 	}
-	pages := make([]*[pageLines]line, (n+pageLines-1)/pageLines)
-	c := &Cache{name: name, eng: e, bus: b, cfg: cfg, node: node, mask: n - 1, pages: pages}
+	c := &Cache{name: name, eng: e, bus: b, cfg: cfg, node: node, mask: n - 1}
 	b.AttachSnooper(c)
 	return c
 }
@@ -129,19 +130,24 @@ func (c *Cache) index(block membus.Addr) int {
 // ever been installed.
 func (c *Cache) slot(block membus.Addr) *line {
 	i := c.index(block)
-	pg := c.pages[i/pageLines]
-	if pg == nil {
-		return nil
+	if p := i / pageLines; p < len(c.pages) {
+		if pg := c.pages[p]; pg != nil {
+			return &pg[i%pageLines]
+		}
 	}
-	return &pg[i%pageLines]
+	return nil
 }
 
-// install returns the line block maps to, allocating its page on the first
-// install. Only the miss path calls it.
+// install returns the line block maps to, allocating the page directory on
+// the cache's first install and the line's page on the page's first.
+// Only the miss path calls it.
 func (c *Cache) install(block membus.Addr) *line {
+	if c.pages == nil {
+		c.pages = make([]*[pageLines]line, (c.mask+pageLines)/pageLines)
+	}
 	pg := &c.pages[c.index(block)/pageLines]
 	if *pg == nil {
-		*pg = new([pageLines]line) //lint:allow noalloc at most nlines/512 pages per cache, each allocated once on its first install; amortized like the event pool miss
+		*pg = new([pageLines]line)
 	}
 	return c.slot(block)
 }
@@ -342,7 +348,7 @@ func (op *Op) miss(l *line) {
 	c.Misses++
 	block := membus.BlockOf(op.a)
 	if l == nil {
-		l = c.install(block)
+		l = c.install(block) //lint:allow noalloc one directory per cache and at most nlines/64 pages, each allocated once on its first install; amortized like the event pool miss
 	} else if l.state().Valid() && l.block() != block && c.evict(l, opDone, op) {
 		op.l, op.wait = l, opWriteback
 		return

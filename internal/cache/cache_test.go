@@ -11,6 +11,10 @@ import (
 	"nisim/internal/stats"
 )
 
+// rigCacheBytes is the size of a rig's caches: small, so tests can force
+// conflicts.
+const rigCacheBytes = 1 << 16
+
 // rig assembles an engine, one bus, DRAM at [0, 1GB), and n caches.
 type rig struct {
 	eng    *sim.Engine
@@ -28,7 +32,7 @@ func newRig(t *testing.T, n int) *rig {
 	r.bus.MapRange(0, 1<<30, r.mem)
 	for i := 0; i < n; i++ {
 		cfg := DefaultConfig()
-		cfg.SizeBytes = 1 << 16 // small cache so tests can force conflicts
+		cfg.SizeBytes = rigCacheBytes
 		r.caches = append(r.caches, New("c", r.eng, r.bus, cfg, r.node))
 	}
 	return r
@@ -370,28 +374,37 @@ func TestMemWatch(t *testing.T) {
 }
 
 // A block whose page of the tag store was never installed into reads as
-// Invalid and snoops as a miss, without allocating the page.
+// Invalid and snoops as a miss, without allocating anything: on a fresh
+// cache, which has no page directory yet, and beside an installed page.
 func TestAbsentPageReadsInvalid(t *testing.T) {
 	r := newRig(t, 1)
 	c := r.caches[0]
-	const a = 0x2_0000 + 0x140
+	const a = 0x2_0000 + 0x140                     // page 0 of the tag store
+	const other = 3 * pageLines * membus.BlockSize // page 3
 	getx := &membus.Transaction{Kind: membus.GetX, Addr: a}
-	if got := c.StateOf(a); got != Invalid {
-		t.Errorf("StateOf on absent page = %v, want I", got)
-	}
-	if got := c.Snoop(getx); got != (membus.SnoopReply{}) {
-		t.Errorf("Snoop on absent page = %+v, want empty reply", got)
-	}
-	if n := testing.AllocsPerRun(100, func() { c.StateOf(a) }); n != 0 {
-		t.Errorf("StateOf allocs/op = %v, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { c.Snoop(getx) }); n != 0 {
-		t.Errorf("Snoop allocs/op = %v, want 0", n)
-	}
-	for k, pg := range c.pages {
-		if pg != nil {
-			t.Errorf("page %d allocated by reads and snoops alone", k)
+	check := func(where string) {
+		t.Helper()
+		if got := c.StateOf(a); got != Invalid {
+			t.Errorf("%s: StateOf on absent page = %v, want I", where, got)
 		}
+		if got := c.Snoop(getx); got != (membus.SnoopReply{}) {
+			t.Errorf("%s: Snoop on absent page = %+v, want empty reply", where, got)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.StateOf(a) }); n != 0 {
+			t.Errorf("%s: StateOf allocs/op = %v, want 0", where, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.Snoop(getx) }); n != 0 {
+			t.Errorf("%s: Snoop allocs/op = %v, want 0", where, n)
+		}
+	}
+	check("fresh cache")
+	if c.pages != nil {
+		t.Fatal("page directory allocated by reads and snoops alone")
+	}
+	r.runProc(t, func(p *sim.Process) { c.read(p, other, 8) })
+	check("beside an installed page")
+	if c.pages[0] != nil {
+		t.Error("page 0 allocated by reads and snoops alone")
 	}
 }
 
@@ -446,13 +459,22 @@ func TestConflictEvictionWritesBack(t *testing.T) {
 }
 
 // Installing a line allocates its own page of the tag store and no other.
+// The page count comes from the geometry: the directory itself is
+// allocated only on a cache's first install, so a fresh cache holds no
+// tag store at all.
 func TestInstallAllocatesOnlyItsPage(t *testing.T) {
-	n := len(newRig(t, 1).caches[0].pages)
+	const n = rigCacheBytes / membus.BlockSize / pageLines
 	for k := 0; k < n; k++ {
 		r := newRig(t, 1)
 		c := r.caches[0]
+		if c.pages != nil {
+			t.Fatalf("fresh cache holds a tag store of %d pages, want none", len(c.pages))
+		}
 		a := membus.Addr(k*pageLines*membus.BlockSize + 5*membus.BlockSize)
 		r.runProc(t, func(p *sim.Process) { c.read(p, a, 8) })
+		if len(c.pages) != n {
+			t.Fatalf("install into page %d: directory holds %d pages, want %d", k, len(c.pages), n)
+		}
 		for j, pg := range c.pages {
 			if (pg != nil) != (j == k) {
 				t.Errorf("install into page %d: page %d allocated = %v", k, j, pg != nil)

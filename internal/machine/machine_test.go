@@ -291,8 +291,12 @@ func ExampleNode() {
 // Building a machine costs memory in proportion to what a run can touch
 // before it starts, not to the capacity of its nodes' structures: a
 // 256-node scalefig1 machine (CM-5 NI, one flow-control buffer) has 256 MB
-// of processor cache, but a cache allocates its tag store page by page as
-// lines are installed. Dense 1 MB tag arrays alone would cost 64 MiB here.
+// of processor cache, but a cache allocates its tag store on its first
+// install, page by page as lines are installed. Dense 1 MB tag arrays
+// alone would cost 64 MiB here. The bound is tight enough to catch an
+// eager page directory: 256 pointers to 512 B pages per cache add
+// 0.5 MiB, which raised this build from 0.6 to 1.2 MiB and its time by
+// about 60%.
 func TestMachineNewFootprint(t *testing.T) {
 	cfg := DefaultConfig(nic.CM5, 1)
 	cfg.Nodes = 256
@@ -303,7 +307,7 @@ func TestMachineNewFootprint(t *testing.T) {
 	runtime.KeepAlive(m)
 	got := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
 	t.Logf("256-node machine.New allocated %.2f MiB", got)
-	if got >= 4 {
-		t.Fatalf("256-node machine.New allocated %.1f MiB, want < 4 MiB", got)
+	if got >= 1 {
+		t.Fatalf("256-node machine.New allocated %.2f MiB, want < 1 MiB", got)
 	}
 }

@@ -26,10 +26,10 @@ func TestFragArgRoundTrip(t *testing.T) {
 func TestMarkDoneRingEviction(t *testing.T) {
 	for _, c := range []struct {
 		name string
-		key  func(i int) [2]uint64
+		key  func(i int) msgKey
 	}{
-		{"eager", func(i int) [2]uint64 { return [2]uint64{3, uint64(i)} }},
-		{"rendezvous", func(i int) [2]uint64 { return rdvKey(3, uint32(i)) }},
+		{"eager", func(i int) msgKey { return eagerKey(3, uint64(i)) }},
+		{"rendezvous", func(i int) msgKey { return rdvKey(3, uint32(i)) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			d := newDoneSet(doneWindow)
@@ -49,6 +49,67 @@ func TestMarkDoneRingEviction(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDoneWindowEvictionEdge adds one key more than the done set's depth,
+// from senders that alternate, and checks that exactly the first key is
+// forgotten: the window is a global first-in, first-out one over both
+// protocols' keys.
+func TestDoneWindowEvictionEdge(t *testing.T) {
+	key := func(i int) msgKey {
+		if i%2 == 0 {
+			return eagerKey(i%7, uint64(i))
+		}
+		return rdvKey(i%7, uint32(i))
+	}
+	d := newDoneSet(doneWindow)
+	for i := 0; i < doneWindow+1; i++ {
+		d.add(key(i))
+	}
+	if len(d.keys) != doneWindow {
+		t.Fatalf("done set holds %d entries, want exactly %d", len(d.keys), doneWindow)
+	}
+	for i := 0; i < doneWindow+1; i++ {
+		if got, want := d.has(key(i)), i != 0; got != want {
+			t.Fatalf("key %d present = %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestMsgKeyInjective packs boundary inputs of both protocols into keys
+// and checks that no two distinct (src, seq) or (src, xfer) pairs share
+// one: the largest node id the packing holds, the largest eager sequence
+// number, and the largest 16-bit and 32-bit transfer ids.
+func TestMsgKeyInjective(t *testing.T) {
+	const maxSrc = 1<<(64-keySrcShift) - 1
+	type pair struct {
+		rdv bool
+		src int
+		low uint64
+	}
+	seen := map[msgKey]pair{}
+	for _, src := range []int{0, 1, 255, 256, maxSrc - 1, maxSrc} {
+		for _, seq := range []uint64{0, 1, 0xFFFF, 0x10000, 0xFFFFFF} {
+			p, k := pair{false, src, seq}, eagerKey(src, seq)
+			if q, dup := seen[k]; dup {
+				t.Fatalf("%+v and %+v share key %#x", p, q, uint64(k))
+			}
+			seen[k] = p
+		}
+		for _, xfer := range []uint32{0, 1, 0xFFFF, 0x10000, 0xFFFFFF, 0xFFFFFFFF} {
+			p, k := pair{true, src, uint64(xfer)}, rdvKey(src, xfer)
+			if q, dup := seen[k]; dup {
+				t.Fatalf("%+v and %+v share key %#x", p, q, uint64(k))
+			}
+			seen[k] = p
+		}
+	}
+	if got := uint64(rdvKey(maxSrc, 0xFFFFFFFF)); got != ^uint64(0) {
+		t.Fatalf("largest rendezvous key = %#x, want every bit set", got)
+	}
+	if got := uint64(eagerKey(maxSrc, 0xFFFFFF)) >> keySrcShift; got != maxSrc {
+		t.Fatalf("largest node id reads back as %d, want %d", got, maxSrc)
 	}
 }
 

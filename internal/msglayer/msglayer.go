@@ -97,11 +97,11 @@ func fragTotal(a uint64) int  { return int(a >> 16 & 0xFFFF) }
 func fragSeq(a uint64) uint64 { return a >> 32 & 0xFFFFFF }
 
 // inbound is one message being reassembled, by either protocol: eager
-// fragments from the receive queue, keyed (src, seq), or rendezvous put
-// frames from the put sink, keyed rdvKey(src, xfer). Records recycle
+// fragments from the receive queue, keyed eagerKey(src, seq), or rendezvous
+// put frames from the put sink, keyed rdvKey(src, xfer). Records recycle
 // through the endpoint's free list once their handler returns.
 type inbound struct {
-	key      [2]uint64
+	key      msgKey
 	m        Message // PayloadLen accumulates as fragments land
 	buf      []byte  // payload store, kept across reuses of the record
 	got      []bool  // fragment indexes already placed (duplicate suppression)
@@ -112,16 +112,31 @@ type inbound struct {
 	next *inbound
 }
 
+// msgKey names a message at its receiver, for either protocol, in one
+// word: the sender's node id shifted above keySrcShift, and below it the
+// eager sequence number or the rendezvous transfer id with rdvTag set. The
+// low part is always below 1<<keySrcShift, so distinct (src, low) pairs
+// with src below 1<<31 never share a key.
+type msgKey uint64
+
+// keySrcShift is where a msgKey's sender id starts: above rdvTag.
+const keySrcShift = 33
+
 // rdvTag marks a rendezvous key. Eager sequence numbers are 24 bits and
 // rendezvous transfer ids 16, so tagged transfer ids never equal a
 // sequence number: the two protocols share one inbound table and one done
 // set without one's keys masking the other's.
 const rdvTag = 1 << 32
 
+// eagerKey is the inbound and done-set key of eager message seq from src.
+func eagerKey(src int, seq uint64) msgKey {
+	return msgKey(uint64(src)<<keySrcShift | seq)
+}
+
 // rdvKey is the inbound and done-set key of rendezvous transfer xfer from
 // src.
-func rdvKey(src int, xfer uint32) [2]uint64 {
-	return [2]uint64{uint64(src), uint64(xfer) | rdvTag}
+func rdvKey(src int, xfer uint32) msgKey {
+	return msgKey(uint64(src)<<keySrcShift | uint64(xfer) | rdvTag)
 }
 
 // doneSet remembers the last depth completed keys, so late duplicates of a
@@ -131,8 +146,8 @@ func rdvKey(src int, xfer uint32) [2]uint64 {
 // deep outlasts any duplicate the network can still deliver.
 type doneSet struct {
 	depth int
-	keys  map[[2]uint64]struct{}
-	ring  [][2]uint64 // eviction order
+	keys  map[msgKey]struct{}
+	ring  []msgKey // eviction order
 	head  int
 }
 
@@ -140,15 +155,15 @@ type doneSet struct {
 const doneWindow = 1 << 13
 
 func newDoneSet(depth int) doneSet {
-	return doneSet{depth: depth, keys: make(map[[2]uint64]struct{})}
+	return doneSet{depth: depth, keys: make(map[msgKey]struct{})}
 }
 
-func (d *doneSet) has(key [2]uint64) bool {
+func (d *doneSet) has(key msgKey) bool {
 	_, ok := d.keys[key]
 	return ok
 }
 
-func (d *doneSet) add(key [2]uint64) {
+func (d *doneSet) add(key msgKey) {
 	d.keys[key] = struct{}{} //lint:allow noalloc done set is bounded by its depth; past it the paired delete frees a bucket for every insert
 	if len(d.ring) < d.depth {
 		d.ring = append(d.ring, key) //lint:allow noalloc eviction ring grows once to its depth, then recycles slots in place
@@ -168,9 +183,9 @@ type Endpoint struct {
 	maxFrag  int // max payload bytes per network message
 	handlers map[int]Handler
 	seq      uint64
-	in       map[[2]uint64]*inbound // messages being reassembled, both protocols
-	done     doneSet                // completed keys, both protocols
-	free     *inbound               // recycled reassembly records
+	in       map[msgKey]*inbound // messages being reassembled, both protocols
+	done     doneSet             // completed keys, both protocols
+	free     *inbound            // recycled reassembly records
 
 	// rdv is the rendezvous protocol state, nil unless the Config selects
 	// Rendezvous AND the NI exposes an RDMA engine. Every receive path
@@ -201,7 +216,7 @@ func New(pr *proc.Proc, ni nic.NI, net *netsim.Endpoint, cfg Config) *Endpoint {
 		cfg:      cfg,
 		maxFrag:  net.MaxNetMsg() - netsim.HeaderBytes,
 		handlers: make(map[int]Handler),
-		in:       make(map[[2]uint64]*inbound),
+		in:       make(map[msgKey]*inbound),
 		done:     newDoneSet(doneWindow),
 	}
 	ep.blocked.ep = ep
@@ -527,7 +542,7 @@ func (ep *Endpoint) accept(nm *netsim.Message) {
 			return
 		}
 	}
-	key := [2]uint64{uint64(nm.Src), fragSeq(nm.Arg)}
+	key := eagerKey(nm.Src, fragSeq(nm.Arg))
 	if ep.done.has(key) {
 		ep.pr.Stats.DupSuppressed++
 		return
@@ -611,7 +626,7 @@ func (ep *Endpoint) dispatch(m *Message, frags int) {
 // newInbound takes a reassembly record from the free list for message m,
 // its fragment bitmap sized and cleared for total fragments, and enters it
 // in the inbound table under key.
-func (ep *Endpoint) newInbound(key [2]uint64, total int, m Message) *inbound {
+func (ep *Endpoint) newInbound(key msgKey, total int, m Message) *inbound {
 	in := ep.free
 	if in == nil {
 		in = &inbound{} //lint:allow noalloc one record per concurrently reassembling message, recycled through the free list thereafter

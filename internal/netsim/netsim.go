@@ -49,14 +49,17 @@ type Message struct {
 	// reliability layer verifies it at the destination.
 	Checksum uint32
 
-	attempts int  // total injections (first send, bounce retries, retransmits)
-	retx     int  // timer-driven retransmissions only (bounded by MaxAttempts)
-	corrupt  bool // corrupted in flight; ChecksumOK reports false
+	// The unexported fields are ordered so the frame packs into 144 B, a
+	// size class of the runtime's allocator (TestMessageFrameSize): the two
+	// flags fill the padding after Checksum.
+	corrupt bool // corrupted in flight; ChecksumOK reports false
 	// oneSided marks an RDMA put frame (see Endpoint.Put). One-sided
 	// messages hold no flow-control buffer on either side, carry no handler dispatch, and can neither bounce nor be
 	// admission-refused: the rendezvous handshake already reserved their
 	// landing memory, so delivery is decided by the checksum gate alone.
 	oneSided bool
+	attempts int32 // total injections (first send, bounce retries, retransmits)
+	retx     int32 // timer-driven retransmissions only (bounded by MaxAttempts)
 	// deadline is the absolute delivery deadline stamped at first injection
 	// when the reliability layer runs with a per-message deadline; zero means
 	// none. Retries (timer or bounce) past it abandon the send.
@@ -65,8 +68,6 @@ type Message struct {
 	// net is set at first injection so typed-event handlers can resolve the
 	// source and destination endpoints from the message alone.
 	net *Network
-	// scratch is the reusable corruption buffer (see corruptedCopy).
-	scratch []byte
 	// orig, on a cross-shard transit copy under the reliability layer,
 	// points at the sender-owned original (the retransmission buffer). The
 	// receiver's acks and bounces settle the original, never the copy; see
@@ -81,11 +82,11 @@ type Message struct {
 func (m *Message) IsPut() bool { return m.oneSided }
 
 // Recycle resets the delivery state a previous transit left on m so the
-// message can be injected again as a fresh send. Payload, addressing, and
-// the corruption scratch buffer are kept — the caller overwrites those per
-// send; what must be cleared is the reliability identity (Seq, Checksum,
-// deadline), the attempt counters, and the one-sided marking, or the next
-// Inject would treat the reused message as a retransmission of the old one.
+// message can be injected again as a fresh send. Payload and addressing
+// are kept — the caller overwrites those per send; what must be cleared is
+// the reliability identity (Seq, Checksum, deadline), the attempt
+// counters, and the one-sided marking, or the next Inject would treat the
+// reused message as a retransmission of the old one.
 // Protocol layers recycle through Endpoint.FreeFrame, which calls it.
 //
 //lint:hotpath
@@ -355,13 +356,10 @@ func (ep *Endpoint) crossShard(dst int) bool {
 // delivery under the reliability layer: the original stays at the sender
 // as the retransmission buffer (and may be re-injected concurrently with
 // the copy's delivery on the other shard), so the two sides must not share
-// a mutable object. Control replies settle the original via origin. The
-// copy drops the corruption scratch so concurrent transits never share
-// bytes either.
+// a mutable object. Control replies settle the original via origin.
 func (m *Message) transitCopy() *Message {
 	c := *m //lint:allow noalloc one copy per cross-shard reliable transit; the shards would otherwise share a mutable message
 	c.orig = m.origin()
-	c.scratch = nil
 	return &c
 }
 
@@ -853,7 +851,7 @@ func (ep *Endpoint) bounced(m *Message) {
 		// the retry traffic out instead of stacking a linear ramp of
 		// re-injections onto an already saturated receiver.
 		d = ep.net.cfg.RetryBase
-		for i := 1; i < m.attempts && d < ep.net.cfg.RetryCap; i++ {
+		for i := 1; i < int(m.attempts) && d < ep.net.cfg.RetryCap; i++ {
 			d <<= 1
 		}
 	} else {

@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"nisim/internal/sim"
 	"nisim/internal/stats"
@@ -381,4 +382,14 @@ func TestMessageString(t *testing.T) {
 // msglayer's fragmenter does.
 func payloadMessage(src, dst, handler int, payload []byte) *Message {
 	return &Message{Src: src, Dst: dst, Handler: handler, Payload: payload, PayloadLen: len(payload)}
+}
+
+// Message is the frame of every queued fragment; at its peak a 256-node
+// dsmc cell with infinite buffering holds about 46k of them. The runtime
+// rounds an allocation up to its size class, so a 184 B frame took a
+// 192 B slot: at most 144 B fills the 144 B class exactly.
+func TestMessageFrameSize(t *testing.T) {
+	if got := unsafe.Sizeof(Message{}); got > 144 {
+		t.Fatalf("netsim.Message is %d B, want <= 144 (the 144 B size class)", got)
+	}
 }

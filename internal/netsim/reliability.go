@@ -187,30 +187,15 @@ func (m *Message) ChecksumOK() bool { return !m.corrupt && m.Checksum == m.check
 // corruptedCopy returns a copy of m carrying a single flipped payload bit
 // (chosen by bitPos), leaving the original — the sender's retransmission
 // buffer — pristine. When the payload is synthetic the flip is modeled by
-// the corrupt flag alone.
-//
-// Under the reliability layer the payload buffer for the copy is allocated
-// once per message and reused across retransmission attempts, instead of a
-// fresh copy per corrupted attempt. Reuse is safe there because a corrupted
-// copy is always discarded at the destination's checksum gate (the corrupt
-// flag short-circuits ChecksumOK), so its payload bytes are never delivered
-// and two in-flight copies sharing the buffer cannot be observed. Without
-// the reliability layer corrupted copies ARE delivered, so that path keeps
-// a private allocation per copy.
+// the corrupt flag alone. Each copy owns its payload bytes: without the
+// reliability layer a corrupted copy is delivered, and with it two copies
+// of one message may be in flight at once. Only runs with faults and real
+// payload bytes reach the allocation.
 func (m *Message) corruptedCopy(bitPos uint64) *Message {
 	c := *m
 	c.corrupt = true
-	c.scratch = nil
 	if len(m.Payload) > 0 {
-		var p []byte
-		if m.net != nil && m.net.cfg.Reliability.Enabled {
-			if cap(m.scratch) < len(m.Payload) {
-				m.scratch = make([]byte, len(m.Payload)) //lint:allow noalloc once-per-message scratch, reused across every retransmission
-			}
-			p = m.scratch[:len(m.Payload)]
-		} else {
-			p = make([]byte, len(m.Payload)) //lint:allow noalloc unreliable delivery hands the corrupted copy to the receiver, so the copy must own its bytes
-		}
+		p := make([]byte, len(m.Payload)) //lint:allow noalloc a corrupted copy owns its bytes, so neither the original nor another copy can see its flipped bit
 		copy(p, m.Payload)
 		i := int(bitPos/8) % len(p)
 		p[i] ^= 1 << (bitPos % 8)
@@ -228,7 +213,6 @@ func (m *Message) corruptedCopy(bitPos uint64) *Message {
 func (ep *Endpoint) dupFrame(m *Message) *Message {
 	d := ep.TakeFrame()
 	*d = *m
-	d.scratch = nil
 	d.next = nil
 	return d
 }
@@ -272,7 +256,7 @@ func (ep *Endpoint) armTimer(m *Message) {
 	if t, ok := ep.inflight[m]; ok {
 		t.Stop()
 	}
-	d := ep.net.cfg.Reliability.timeout(m.retx + 1)
+	d := ep.net.cfg.Reliability.timeout(int(m.retx) + 1)
 	ep.inflight[m] = ep.eng.AfterTimer(d, msgAckTimeout, m, 0) //lint:allow noalloc steady-state rewrite of a warm bucket; gated by TestReliableDeliveryPathAllocFree
 }
 
@@ -288,7 +272,7 @@ func (ep *Endpoint) ackTimeout(m *Message) {
 		return
 	}
 	rc := ep.net.cfg.Reliability
-	if rc.MaxAttempts > 0 && m.retx >= rc.MaxAttempts {
+	if rc.MaxAttempts > 0 && int(m.retx) >= rc.MaxAttempts {
 		ep.abandon(m, ReasonBudget)
 		return
 	}
@@ -314,8 +298,8 @@ func (ep *Endpoint) abandon(m *Message, reason string) {
 	if ep.Stats != nil {
 		ep.Stats.DeliveryFailures++
 	}
-	err := &DeliveryError{Msg: m, Attempts: m.attempts, Time: ep.eng.Now(), Reason: reason} //lint:allow noalloc at most one structured error per abandoned message, off the steady-state path
-	ep.failures = append(ep.failures, err)                                                  //lint:allow noalloc failure log grows once per abandoned message, not per delivery
+	err := &DeliveryError{Msg: m, Attempts: int(m.attempts), Time: ep.eng.Now(), Reason: reason} //lint:allow noalloc at most one structured error per abandoned message, off the steady-state path
+	ep.failures = append(ep.failures, err)                                                       //lint:allow noalloc failure log grows once per abandoned message, not per delivery
 	if m.oneSided {
 		// One-sided sends hold no outgoing buffer; settle the frame so the
 		// sender's engine can reuse it.

@@ -234,6 +234,31 @@ func TestChecksumCoversHeaderAndPayload(t *testing.T) {
 			if !m.ChecksumOK() || !bytes.Equal(m.Payload, orig) {
 				t.Fatal("corruptedCopy mutated the original")
 			}
+			// Under the reliability layer two corrupted copies of one
+			// message can be in flight at once: each owns its bytes, so
+			// the second flip neither shows in the first copy nor reaches
+			// the original, the sender's retransmission buffer.
+			_, m.net = newReliableNet(2, 1)
+			c1 := m.corruptedCopy(13)
+			first := bytes.Clone(c1.Payload)
+			c2 := m.corruptedCopy(21)
+			if c1.ChecksumOK() || c2.ChecksumOK() {
+				t.Fatal("corrupted copy verifies under reliability")
+			}
+			if len(orig) > 0 {
+				if &c1.Payload[0] == &c2.Payload[0] || &c1.Payload[0] == &m.Payload[0] || &c2.Payload[0] == &m.Payload[0] {
+					t.Fatal("corrupted copies share payload bytes")
+				}
+				if !bytes.Equal(c1.Payload, first) {
+					t.Fatal("second corrupted copy changed the first's payload")
+				}
+				if bytes.Equal(c1.Payload, orig) || bytes.Equal(c2.Payload, orig) {
+					t.Fatal("corrupted copy carries no flipped bit")
+				}
+			}
+			if !m.ChecksumOK() || !bytes.Equal(m.Payload, orig) {
+				t.Fatal("corruptedCopy under reliability mutated the original")
+			}
 		})
 	}
 }
