@@ -31,14 +31,16 @@ var MapOrder = &Analyzer{
 
 // simSchedNames are the sim-package functions and methods that schedule
 // events or transfer control between processes: reaching one of these from
-// a map-ordered loop makes the event queue order run-dependent.
+// a map-ordered loop makes the event queue order run-dependent. Each names
+// a definition in internal/sim; a name listed here without one would only
+// hide a gap.
 var simSchedNames = map[string]bool{
 	"AtEvent": true, "AfterEvent": true, "AtEventPosted": true, "AtEventStamped": true,
-	"AtTimer": true, "AfterTimer": true, "Spawn": true, "Step": true,
-	"Run": true, "RunUntil": true, "RunWhile": true,
+	"AtEventFrom": true, "AtTimer": true, "AfterTimer": true, "Spawn": true,
+	"Step": true, "Run": true, "RunUntil": true, "RunWhile": true, "RunWindow": true,
 	"Sleep": true, "SleepAs": true, "Yield": true,
-	"Park": true, "ParkAs": true, "Unpark": true,
-	"Wait": true, "WaitAs": true, "Signal": true, "Broadcast": true,
+	"Park": true, "ParkUncharged": true, "Unpark": true, "Resume": true,
+	"Wait": true, "Broadcast": true,
 }
 
 // outputFuncs are fmt's writing functions; Sprint* are pure and excluded.

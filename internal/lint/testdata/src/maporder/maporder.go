@@ -17,6 +17,36 @@ func schedulesDirect(e *sim.Engine, delays map[int]int) {
 	}
 }
 
+// schedulesFrom schedules with an explicit stamp, as a precomputed chain
+// of steps does.
+func schedulesFrom(e *sim.Engine, at map[int]sim.Time) {
+	for k, t := range at {
+		e.AtEventFrom(t, 0, nil, nil, uint64(k)) // want `reaches the event queue`
+	}
+}
+
+// resumesParked switches into processes in map order: the order they run
+// in is the order their events are scheduled.
+func resumesParked(parked map[string]*sim.Process) {
+	for _, p := range parked {
+		p.Resume() // want `reaches the event queue`
+	}
+}
+
+// parksEach parks processes in map order.
+func parksEach(ps map[int]*sim.Process) {
+	for _, p := range ps {
+		p.ParkUncharged() // want `reaches the event queue`
+	}
+}
+
+// runsWindows runs engines' windows in map order.
+func runsWindows(engines map[int]*sim.Engine, end sim.Time) {
+	for _, e := range engines {
+		e.RunWindow(end) // want `reaches the event queue`
+	}
+}
+
 func helper(e *sim.Engine) { e.AfterEvent(sim.Nanosecond, nil, nil, 0) }
 
 func wake(e *sim.Engine) { helper(e) }

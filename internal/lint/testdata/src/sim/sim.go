@@ -31,6 +31,12 @@ func (e *Engine) AtEvent(t Time, h Handler, recv any, arg uint64) {}
 // AfterEvent schedules h(recv, arg) d after now.
 func (e *Engine) AfterEvent(d Time, h Handler, recv any, arg uint64) {}
 
+// AtEventFrom schedules h(recv, arg) at t as if scheduled at schedAt.
+func (e *Engine) AtEventFrom(t, schedAt Time, h Handler, recv any, arg uint64) {}
+
+// RunWindow runs the events before end.
+func (e *Engine) RunWindow(end Time) {}
+
 // Spawn starts a cooperative process.
 func (e *Engine) Spawn(name string, body func(p *Process)) *Process { return &Process{} }
 
@@ -42,3 +48,9 @@ func (p *Process) Sleep(d Time) {}
 
 // Unpark wakes a parked process.
 func (p *Process) Unpark() {}
+
+// ParkUncharged parks the process without charging the wait.
+func (p *Process) ParkUncharged() {}
+
+// Resume switches into the parked process now.
+func (p *Process) Resume() {}

@@ -199,8 +199,17 @@ type Endpoint struct {
 	// resources or on a rendezvous grant.
 	Spins int64
 
-	// blocked is the blocked send's loop (push).
-	blocked blockedSend
+	// The endpoint's call in event context (see send): the send in
+	// progress, the receive that ended, and the messaging layer's own
+	// software in progress (work): its category, its continuation and its
+	// start, which is also a blocked send's SpinWait sleep's. retried
+	// reports that PollOne's unsuccessful poll re-pushed a message.
+	out      sendCall
+	rcv      recvCall
+	workThen sim.Handler
+	since    sim.Time
+	workCat  int8
+	retried  bool
 }
 
 // New creates the endpoint for a node whose NI is attached to the network
@@ -219,7 +228,6 @@ func New(pr *proc.Proc, ni nic.NI, net *netsim.Endpoint, cfg Config) *Endpoint {
 		in:       make(map[msgKey]*inbound),
 		done:     newDoneSet(doneWindow),
 	}
-	ep.blocked.ep = ep
 	if cfg.Protocol == Rendezvous {
 		// Degrades to nil — purely eager — on NIs without an RDMA engine,
 		// so a protocol sweep can run the whole design grid.
@@ -277,32 +285,23 @@ func (ep *Endpoint) send(dst, handler int, payload []byte, payloadLen int, arg u
 		return
 	}
 	ep.seq++
-	seq := ep.seq
 	total := ep.frags(payloadLen)
-	sendTime := ep.countSend(handler, payloadLen)
-	for i := 0; i < total; i++ {
+	frags := make([]netsim.Message, total)
+	for i := range frags {
 		lo := i * ep.maxFrag
 		hi := min(lo+ep.maxFrag, payloadLen)
-		nm := &netsim.Message{
-			Src:        ep.pr.ID,
-			Dst:        dst,
-			Handler:    handler,
-			PayloadLen: hi - lo,
-			Arg:        fragArg(i, total, seq),
-			SendTime:   sendTime,
-		}
+		nm := &frags[i]
+		nm.Src, nm.Dst, nm.Handler = ep.pr.ID, dst, handler
+		nm.PayloadLen = hi - lo
+		nm.Arg = fragArg(i, total, ep.seq)
 		if payload != nil {
 			nm.Payload = payload[lo:hi]
 		}
-		if i == 0 {
-			nm.Channel = int(arg)
-		}
-		ep.pr.Stats.FragmentsSent++
-		if i > 0 {
-			ep.pr.Work(stats.Transfer, ep.cfg.FragCycles)
-		}
-		ep.push(nm)
 	}
+	frags[0].Channel = int(arg)
+	ep.out = sendCall{frags: frags}
+	ep.work(stats.Transfer, ep.cfg.SendCycles, sendCounted)
+	ep.finishSend()
 }
 
 // frags is the number of network messages a payload of n bytes takes.
@@ -310,33 +309,34 @@ func (ep *Endpoint) frags(n int) int {
 	return max(1, (n+ep.maxFrag-1)/ep.maxFrag)
 }
 
-// countSend charges and counts one application message on the send side,
-// the same for both protocols, and returns its SendTime stamp. Table 4
-// histograms application messages only, not runtime-internal traffic such
-// as barriers.
+// countSend charges and counts one application message on the send side
+// in process context, for the rendezvous protocol, and returns its
+// SendTime stamp.
 func (ep *Endpoint) countSend(handler, payloadLen int) sim.Time {
 	ep.pr.Work(stats.Transfer, ep.cfg.SendCycles)
+	ep.recordSend(handler, payloadLen)
+	return ep.pr.P.Now()
+}
+
+// recordSend counts one application message on the send side, the same
+// for both protocols, once its SendCycles are charged. Table 4 histograms
+// application messages only, not runtime-internal traffic such as
+// barriers.
+func (ep *Endpoint) recordSend(handler, payloadLen int) {
 	ep.pr.Stats.MessagesSent++
 	ep.pr.Stats.BytesSent += int64(payloadLen + netsim.HeaderBytes)
 	if handler < ReservedHandlerBase {
 		ep.pr.Stats.RecordMessageSize(payloadLen + netsim.HeaderBytes)
 	}
-	return ep.pr.P.Now()
 }
 
-// push hands one network message to the NI, polling while blocked until
-// the NI can take it. An arrival waiting to be dispatched is software
-// work, so the process polls it itself; the rest of the poll-while-blocked
-// loop runs in event context (blockedSend).
+// push hands one prepared network message to the NI in process context,
+// polling while blocked until the NI can take it, as an eager send pushes
+// each fragment: the rendezvous protocol's control messages.
 func (ep *Endpoint) push(nm *netsim.Message) {
-	for !ep.ni.CanSend(nm) {
-		if ep.arrived() {
-			ep.pollOrSpin()
-			continue
-		}
-		ep.block(nm)
-	}
-	ep.ni.Send(ep.pr, nm)
+	ep.out = sendCall{nm: nm}
+	ep.check()
+	ep.finishSend()
 }
 
 // arrived reports whether PollOne would dispatch something now: a
@@ -345,102 +345,197 @@ func (ep *Endpoint) arrived() bool {
 	return ep.rdv != nil && ep.rdv.compHead != nil || ep.ni.Pending()
 }
 
-// blockedSend is the poll-while-blocked loop of a send that found nothing
-// to dispatch, run in event context while the process stays parked
-// (sim.Process.ParkUncharged): each turn polls without success
-// (nic.NI.PollMiss, which also re-pushes a returned message the NI needs
-// software for), sleeps one SpinWait unless it re-pushed, and checks
-// again, exactly as pollOrSpin's turns would. The process resumes, in the
-// slot where it would check, only once nm can go or an arrival waits to
-// be dispatched. A handler the process then runs may send and block
-// again; that loop starts only after this one has resumed the process, so
-// one record per endpoint serves both, held in the Endpoint. PollOne's
-// unsuccessful poll parks the process on the same record (pollMiss).
-type blockedSend struct {
-	ep      *Endpoint
+// An endpoint runs its calls in event context while the process stays
+// parked, uncharged (proc.Proc.Park): an eager send from its SendCycles to
+// its last fragment's NI send, including the poll-while-blocked loop of a
+// send that must wait, and a receive from the NI's receive to the
+// dispatch's RecvCycles. Each piece runs where the process would have run
+// it, and each sleep keeps the event key the process's sleep had (work),
+// so the events are those of the process steps. The process resumes only
+// where software must run: at the call's end, to run a handler or
+// re-check a WaitUntil predicate, or to dispatch an arrival during a
+// blocked send (pollOrSpin). So a Send parks once and a receive once per
+// fragment. The processor makes one call at a time: a send that resumes
+// its process mid-way waits on the process's stack while the handler's
+// calls use the endpoint's record (finishSend), so one record serves
+// every level.
+//
+// sendCall is the send in progress: the fragments of an eager message
+// (built before the send starts, by the process), the fragment being
+// pushed and its index, and whether the send resumed its process for an
+// arrival. A rendezvous control message is a lone fragment (nm) without
+// frags.
+type sendCall struct {
+	frags   []netsim.Message
 	nm      *netsim.Message
-	since   sim.Time // the SpinWait sleep's start
-	parked  bool     // the process has parked; until then it is the caller
-	ready   bool     // the loop ended before the process parked
-	retried bool     // PollOne's poll re-pushed a returned message
+	i       int32
+	arrival bool
 }
 
-// block runs the loop until nm can go or an arrival waits.
-func (ep *Endpoint) block(nm *netsim.Message) {
-	b := &ep.blocked
-	b.nm, b.ready = nm, false
-	ep.ni.PollMiss(ep.pr, blockedPolled, b)
-	b.park()
+// recvCall is the receive that ended: the fragment, and the completed
+// message whose handler the process runs.
+type recvCall struct {
+	nm *netsim.Message
+	in *inbound
 }
 
-// park parks the process until the loop ends (wake), unless it already
-// has: event-context work may end before the process parks.
-func (b *blockedSend) park() {
-	if !b.ready {
-		b.parked = true
-		b.ep.pr.P.ParkUncharged()
-		b.parked = false
-	}
-}
-
-// wake ends the loop where the process resumes: it resumes the parked
-// process, or tells park, still to come, not to park.
+// work runs n cycles of the messaging layer's software charged to
+// category in event context: a sleep in the slot proc.Proc.Work's sleep
+// takes, whose end (worked) runs then(ep, 0) where the process would
+// resume from it.
 //
 //lint:hotpath
-func (b *blockedSend) wake() {
-	if b.parked {
-		b.ep.pr.P.Resume()
-	} else {
-		b.ready = true
+func (ep *Endpoint) work(category int, n int64, then sim.Handler) {
+	d := ep.pr.CPU.Cycles(n)
+	if d == 0 {
+		then(ep, 0)
+		return
+	}
+	ep.workCat, ep.workThen, ep.since = int8(category), then, ep.pr.Eng.Now()
+	ep.pr.Eng.AfterEvent(d, worked, ep, 0)
+}
+
+// worked ends the messaging layer's software, charging it.
+//
+//lint:hotpath
+func worked(recv any, _ uint64) {
+	ep := recv.(*Endpoint)
+	p := ep.pr.P
+	if p.Done() {
+		return
+	}
+	p.Charge(int(ep.workCat), ep.since)
+	then := ep.workThen
+	ep.workThen = nil
+	then(ep, 0)
+}
+
+// finishSend parks the process until the send chain ends. The chain
+// resumes it early only for an arrival during a blocked send: a handler
+// is software, so the process polls it itself (pollOrSpin, which sleeps
+// one SpinWait when an overload eviction took the arrival during the head
+// read), and the chain goes on from its check. The handler may send; the
+// blocked send's state waits on the process's stack meanwhile.
+func (ep *Endpoint) finishSend() {
+	for {
+		ep.pr.Park()
+		if !ep.out.arrival {
+			ep.out = sendCall{}
+			return
+		}
+		s := ep.out
+		s.arrival = false
+		ep.pollOrSpin()
+		ep.out = s
+		ep.check()
 	}
 }
 
-// blockedPolled ends one unsuccessful poll, where the process would
-// resume from it: after a re-push the loop checks again at once,
-// otherwise it sleeps one SpinWait, charged to Buffering.
+// sendCounted ends the SendCycles: the message is counted and its
+// fragments stamped, and the first goes.
+//
+//lint:hotpath
+func sendCounted(recv any, _ uint64) {
+	ep := recv.(*Endpoint)
+	frags, now, n := ep.out.frags, ep.pr.Eng.Now(), 0
+	for i := range frags {
+		frags[i].SendTime = now
+		n += frags[i].PayloadLen
+	}
+	ep.recordSend(frags[0].Handler, n)
+	ep.frag()
+}
+
+// frag pushes the next fragment after its FragCycles, or ends the send
+// after the last.
+//
+//lint:hotpath
+func (ep *Endpoint) frag() {
+	s := &ep.out
+	if int(s.i) == len(s.frags) {
+		ep.pr.Return()
+		return
+	}
+	s.nm = &s.frags[s.i]
+	ep.pr.Stats.FragmentsSent++
+	if s.i > 0 {
+		ep.work(stats.Transfer, ep.cfg.FragCycles, fragReady)
+		return
+	}
+	ep.check()
+}
+
+// fragReady ends a fragment's FragCycles.
+//
+//lint:hotpath
+func fragReady(recv any, _ uint64) { recv.(*Endpoint).check() }
+
+// check is push's test, where the process would make it: the fragment
+// goes when the NI can take it; otherwise an arrival resumes the process
+// to dispatch it, and without one the send blocks: it polls without
+// success (nic.NI.PollMiss, which also re-pushes a returned message the
+// NI needs software for), sleeps one SpinWait unless it re-pushed, and
+// checks again.
+//
+//lint:hotpath
+func (ep *Endpoint) check() {
+	switch {
+	case ep.ni.CanSend(ep.out.nm):
+		ep.ni.Send(ep.pr, ep.out.nm, fragSent, ep)
+	case ep.arrived():
+		ep.out.arrival = true
+		ep.pr.Return()
+	default:
+		ep.ni.PollMiss(ep.pr, blockedPolled, ep)
+	}
+}
+
+// fragSent ends a fragment's NI send: the next fragment goes, or a lone
+// one's send is over.
+//
+//lint:hotpath
+func fragSent(recv any, _ uint64) {
+	ep := recv.(*Endpoint)
+	ep.out.nm = nil
+	if ep.out.frags == nil {
+		ep.pr.Return()
+		return
+	}
+	ep.out.i++
+	ep.frag()
+}
+
+// blockedPolled ends one unsuccessful poll of a blocked send, where the
+// process would resume from it: after a re-push the send checks again at
+// once, otherwise it sleeps one SpinWait, charged to Buffering.
 //
 //lint:hotpath
 func blockedPolled(recv any, retried uint64) {
-	b := recv.(*blockedSend)
-	ep := b.ep
+	ep := recv.(*Endpoint)
 	if retried != 0 {
-		b.check()
+		ep.check()
 		return
 	}
 	ep.Spins++
 	if ep.cfg.SpinWait == 0 {
-		b.check()
+		ep.check()
 		return
 	}
-	b.since = ep.pr.Eng.Now()
-	ep.pr.Eng.AfterEvent(ep.cfg.SpinWait, blockedSlept, b, 0)
+	ep.since = ep.pr.Eng.Now()
+	ep.pr.Eng.AfterEvent(ep.cfg.SpinWait, blockedSlept, ep, 0)
 }
 
 // blockedSlept ends a SpinWait sleep.
 //
 //lint:hotpath
 func blockedSlept(recv any, _ uint64) {
-	b := recv.(*blockedSend)
-	p := b.ep.pr.P
+	ep := recv.(*Endpoint)
+	p := ep.pr.P
 	if p.Done() {
 		return
 	}
-	p.Charge(stats.Buffering, b.since)
-	b.check()
-}
-
-// check is the loop's test, where push would make it: the process
-// resumes when nm can go or an arrival waits, and otherwise polls again.
-//
-//lint:hotpath
-func (b *blockedSend) check() {
-	ep := b.ep
-	if !ep.ni.CanSend(b.nm) && !ep.arrived() {
-		ep.ni.PollMiss(ep.pr, blockedPolled, b)
-		return
-	}
-	b.nm = nil
-	b.wake()
+	p.Charge(stats.Buffering, ep.since)
+	ep.check()
 }
 
 // pollOrSpin is one step of poll-while-blocked in process context, for
@@ -465,46 +560,84 @@ func (ep *Endpoint) PollOne() bool {
 		return true
 	}
 	if !ep.ni.Pending() {
-		return ep.pollMiss()
+		ep.ni.PollMiss(ep.pr, polledOne, ep)
+		ep.pr.Park()
+		return ep.retried
 	}
-	nm, ok := ep.ni.Poll(ep.pr)
-	if ok {
-		ep.accept(nm)
-	}
-	return ok
-}
-
-// pollMiss runs PollOne's unsuccessful poll in event context with the
-// process parked (nic.NI.PollMiss) and reports whether it re-pushed a
-// returned message.
-func (ep *Endpoint) pollMiss() bool {
-	b := &ep.blocked
-	b.ready = false
-	ep.ni.PollMiss(ep.pr, polledOne, b)
-	b.park()
-	return b.retried
+	ep.ni.Poll(ep.pr, fragReceived, ep)
+	return ep.finishRecv()
 }
 
 // polledOne ends PollOne's unsuccessful poll where the process resumes.
 //
 //lint:hotpath
 func polledOne(recv any, retried uint64) {
-	b := recv.(*blockedSend)
-	b.retried = retried != 0
-	b.wake()
+	ep := recv.(*Endpoint)
+	ep.retried = retried != 0
+	ep.pr.Return()
 }
 
 // waitOne blocks until a fragment arrives, then processes it. A rendezvous
-// endpoint cannot park in the NI's blocking Recv: one-sided completions
-// bypass the receive queue, so a blocked Recv would sleep through them. It
-// polls both planes instead.
+// endpoint cannot park in the NI's blocking receive: one-sided completions
+// bypass the receive queue, so a blocked receive would sleep through them.
+// It polls both planes instead.
 func (ep *Endpoint) waitOne() {
-	if ep.rdv == nil {
-		ep.accept(ep.ni.Recv(ep.pr))
+	if ep.rdv != nil {
+		for !ep.pollOrSpin() {
+		}
 		return
 	}
-	for !ep.pollOrSpin() {
+	ep.ni.Recv(ep.pr, fragReceived, ep)
+	ep.finishRecv()
+}
+
+// fragReceived ends the NI's receive of a fragment, where the process
+// would resume from it: the fragment is integrated, and when it completes
+// a message, the dispatch's software runs (dispatched). The process
+// resumes after that, to run the handler, or at once, to re-check its
+// predicate. A rendezvous endpoint integrates in process context (its
+// control messages run protocol software).
+//
+//lint:hotpath
+func fragReceived(recv any, nm *netsim.Message) {
+	ep := recv.(*Endpoint)
+	ep.rcv.nm = nm
+	if nm == nil || ep.rdv != nil {
+		ep.pr.Return()
+		return
 	}
+	in := ep.integrate(nm)
+	if in == nil {
+		ep.pr.Return()
+		return
+	}
+	ep.rcv.in = in
+	ep.done.add(in.key)
+	ep.work(stats.Transfer, ep.count(in), dispatched)
+}
+
+// dispatched ends a dispatch's software: the process runs the handler.
+//
+//lint:hotpath
+func dispatched(recv any, _ uint64) { recv.(*Endpoint).pr.Return() }
+
+// finishRecv parks the process until the receive chain ends, then runs
+// the handler of the message it completed, or, on a rendezvous endpoint,
+// integrates the fragment. It reports whether a fragment was received: a
+// poll's eviction during the head read takes it.
+func (ep *Endpoint) finishRecv() bool {
+	ep.pr.Park()
+	r := ep.rcv
+	ep.rcv = recvCall{}
+	switch {
+	case r.nm == nil:
+		return false
+	case ep.rdv != nil:
+		ep.accept(r.nm)
+	case r.in != nil:
+		ep.handle(r.in)
+	}
+	return true
 }
 
 // WaitUntil polls (blocking between arrivals) until pred is true. It is the
@@ -528,9 +661,9 @@ func (ep *Endpoint) Drain() {
 	}
 }
 
-// accept integrates one network fragment, dispatching the handler when the
-// application message is complete. Duplicates of completed messages are
-// suppressed by the done set, duplicate fragments by the record's bitmap.
+// accept integrates one network fragment in process context, dispatching
+// the handler when the application message is complete: a rendezvous
+// endpoint's receive.
 func (ep *Endpoint) accept(nm *netsim.Message) {
 	if ep.rdv != nil {
 		switch nm.Handler {
@@ -542,10 +675,21 @@ func (ep *Endpoint) accept(nm *netsim.Message) {
 			return
 		}
 	}
+	if in := ep.integrate(nm); in != nil {
+		ep.deliver(in)
+	}
+}
+
+// integrate places one eager fragment into its message's record and
+// returns the record once the message is complete, taken out of the
+// inbound table and stamped with its arrival. Duplicates of completed
+// messages are suppressed by the done set, duplicate fragments by the
+// record's bitmap.
+func (ep *Endpoint) integrate(nm *netsim.Message) *inbound {
 	key := eagerKey(nm.Src, fragSeq(nm.Arg))
 	if ep.done.has(key) {
 		ep.pr.Stats.DupSuppressed++
-		return
+		return nil
 	}
 	idx, total := fragIdx(nm.Arg), fragTotal(nm.Arg)
 	in := ep.in[key]
@@ -553,27 +697,27 @@ func (ep *Endpoint) accept(nm *netsim.Message) {
 		in = ep.newInbound(key, total, Message{Src: nm.Src, Dst: ep.pr.ID, Handler: nm.Handler, SendTime: nm.SendTime})
 	}
 	if !ep.place(in, idx, total, nm) {
-		return
+		return nil
 	}
 	if idx == 0 {
 		in.m.Arg = uint64(nm.Channel)
 	}
 	if in.received < total {
-		return
+		return nil
 	}
 	delete(ep.in, key)
-	in.m.ArriveTime = ep.pr.P.Now()
-	ep.deliver(in)
+	in.m.ArriveTime = ep.pr.Eng.Now()
+	return in
 }
 
-// deliver finishes a completed message, for either protocol: its key
-// joins the done set, the handler runs on the record's own Message, and
-// the record recycles once the handler returns. Receives nested inside the
-// handler use other records.
+// deliver finishes a completed message in process context, for either
+// protocol: its key joins the done set, the dispatch's software runs, and
+// then the handler (handle). Receives nested inside the handler use other
+// records.
 func (ep *Endpoint) deliver(in *inbound) {
 	ep.done.add(in.key)
-	ep.dispatch(&in.m, len(in.got))
-	ep.release(in)
+	ep.pr.Work(stats.Transfer, ep.count(in))
+	ep.handle(in)
 }
 
 // place integrates fragment idx of a total-fragment message into in,
@@ -605,22 +749,30 @@ func (ep *Endpoint) place(in *inbound, idx, total int, nm *netsim.Message) bool 
 	return true
 }
 
-// dispatch runs the handler for a completed message, charging the
-// per-message receive cost plus the per-fragment cost of every fragment
-// past the first. The handler sees exactly PayloadLen payload bytes.
-func (ep *Endpoint) dispatch(m *Message, frags int) {
+// count counts a completed message's receive and returns the cycles of
+// its dispatch: the per-message receive cost plus the per-fragment cost
+// of every fragment past the first. The handler sees exactly PayloadLen
+// payload bytes.
+func (ep *Endpoint) count(in *inbound) int64 {
+	m := &in.m
 	if m.Payload != nil {
 		m.Payload = m.Payload[:m.PayloadLen]
 	}
 	ep.pr.Stats.MessagesReceived++
 	ep.pr.Stats.BytesReceived += int64(m.PayloadLen + netsim.HeaderBytes)
-	ep.pr.Work(stats.Transfer, ep.cfg.RecvCycles+ep.cfg.FragCycles*int64(frags-1))
-	h := ep.handlers[m.Handler]
+	return ep.cfg.RecvCycles + ep.cfg.FragCycles*int64(len(in.got)-1)
+}
+
+// handle runs the handler of a dispatched message on the record's own
+// Message, and recycles the record once the handler returns.
+func (ep *Endpoint) handle(in *inbound) {
+	h := ep.handlers[in.m.Handler]
 	if h == nil {
-		panic(fmt.Sprintf("msglayer: node %d has no handler %d", ep.pr.ID, m.Handler))
+		panic(fmt.Sprintf("msglayer: node %d has no handler %d", ep.pr.ID, in.m.Handler))
 	}
 	ep.Delivered++
-	h(ep, m)
+	h(ep, &in.m)
+	ep.release(in)
 }
 
 // newInbound takes a reassembly record from the free list for message m,

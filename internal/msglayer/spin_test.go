@@ -26,6 +26,7 @@ type floodRig struct {
 	eps   [2]*Endpoint
 	procs [2]*sim.Process
 	got   int // messages node 1 has handled
+	size  int // the flood's payload bytes
 	acked bool
 	// Node 0's program ran to its end, or unwound through its deferred
 	// function.
@@ -39,26 +40,36 @@ const (
 
 func newFloodRig(t *testing.T, kind nic.Kind, stepwise bool) *floodRig {
 	t.Helper()
-	r := &floodRig{eng: sim.NewEngine()}
-	nw := netsim.New(r.eng, netsim.DefaultConfig(), 2, 1)
-	for i := 0; i < 2; i++ {
-		st := stats.NewNode()
-		bus := membus.New(r.eng, membus.DefaultTiming(), st)
-		if stepwise {
-			bus.Trace = func(string, ...any) {}
-		}
-		mem := mainmem.New("dram", 120*sim.Nanosecond, r.eng)
-		bus.MapRange(nic.DRAMBase, nic.DRAMLimit, mem)
-		c := cache.New("cache", r.eng, bus, cache.DefaultConfig(), st)
-		pr := &proc.Proc{ID: i, Eng: r.eng, Bus: bus, Cache: c, Stats: st, CPU: sim.GHz(1)}
-		ep := nw.Endpoint(i)
-		ep.Stats = st
-		ni := nic.New(kind, &nic.Env{Eng: r.eng, ID: i, Bus: bus, Mem: mem, EP: ep, Stats: st, CPU: sim.GHz(1), Cfg: nic.DefaultConfig()})
-		r.eps[i] = New(pr, ni, ep, DefaultConfig())
-	}
+	r := &floodRig{size: 64}
+	r.eng, r.eps = newPair(kind, 1, stepwise)
 	r.eps[1].Register(hFlood, func(*Endpoint, *Message) { r.got++ })
 	r.eps[0].Register(hAck, func(*Endpoint, *Message) { r.acked = true })
 	return r
+}
+
+// newPair builds two endpoints on kind with bufs flow-control buffers per
+// node, no process bound; stepwise makes the buses run every access train
+// stepwise, as tracing does.
+func newPair(kind nic.Kind, bufs int, stepwise bool) (*sim.Engine, [2]*Endpoint) {
+	eng := sim.NewEngine()
+	var eps [2]*Endpoint
+	nw := netsim.New(eng, netsim.DefaultConfig(), 2, bufs)
+	for i := 0; i < 2; i++ {
+		st := stats.NewNode()
+		bus := membus.New(eng, membus.DefaultTiming(), st)
+		if stepwise {
+			bus.Trace = func(string, ...any) {}
+		}
+		mem := mainmem.New("dram", 120*sim.Nanosecond, eng)
+		bus.MapRange(nic.DRAMBase, nic.DRAMLimit, mem)
+		c := cache.New("cache", eng, bus, cache.DefaultConfig(), st)
+		pr := &proc.Proc{ID: i, Eng: eng, Bus: bus, Cache: c, Stats: st, CPU: sim.GHz(1)}
+		ep := nw.Endpoint(i)
+		ep.Stats = st
+		ni := nic.New(kind, &nic.Env{Eng: eng, ID: i, Bus: bus, Mem: mem, EP: ep, Stats: st, CPU: sim.GHz(1), Cfg: nic.DefaultConfig()})
+		eps[i] = New(pr, ni, ep, DefaultConfig())
+	}
+	return eng, eps
 }
 
 // spawn starts the flood of n messages: node 0 sends them and then waits
@@ -75,7 +86,7 @@ func (r *floodRig) spawnWaiting(n int, polled bool) {
 		defer func() { r.unwound = true }()
 		ep := r.eps[0]
 		for i := 0; i < n; i++ {
-			ep.Send(1, hFlood, 64, 0)
+			ep.Send(1, hFlood, r.size, 0)
 		}
 		if polled {
 			for !r.acked {
@@ -108,30 +119,35 @@ func (r *floodRig) spawnWaiting(n int, polled bool) {
 //
 // A blocked send polls without success, re-pushes a returned message the
 // NI needs software for, sleeps one SpinWait and checks again, all in
-// event context: the process resumes once per blocked send, when the send
-// can go or an arrival waits to be dispatched, and a blocking receive's
-// retries resume nothing. So no resume grows with the spins or the
-// retries. Run as process steps, a spin iteration cost two resumes (the
-// miss and the sleep) and a retry two or three (the CM-5's handler work,
-// the read-back and the re-push): 1691, 2698, 1571, 1804 and 816 resumes
-// on the CM-5, its single-cycle variant, UDMA, AP3000 and Memory Channel,
-// and 2207 on the throttled CNI, whose sends block on credit. The coherent
-// NIs without throttling never block here, and their retries are the NI's
-// own. The spins, the retries and the stepwise events are those of the
-// process steps. Closed, an unsuccessful poll's status read on UDMA and
-// AP3000 costs its completion and the end event, one fewer than stepwise.
+// event context, and goes on to its NI send there when the send can go:
+// the process resumes only when an arrival waits to be dispatched, which
+// never happens here, and a blocking receive's retries resume nothing. So
+// no resume grows with the spins or the retries, and the flood costs 304
+// on every NI: the two process starts, one per Send (101), one per
+// received message (101) and node 1's 100 computations. When a blocked
+// send resumed its process once it could go, and each NI train, wait and
+// messaging-layer cost resumed it too, the flood cost 806, 707, 712, 707
+// and 707 resumes on the CM-5, its single-cycle variant, UDMA, AP3000 and
+// Memory Channel, 507 on the coherent NIs and 585 on the throttled CNI,
+// whose sends block on credit; run as process steps, a spin iteration
+// cost two more (the miss and the sleep) and a retry two or three (the
+// CM-5's handler work, the read-back and the re-push). The coherent NIs
+// without throttling never block here, and their retries are the NI's
+// own. The events, spins and retries are those of the process steps.
+// Closed, an unsuccessful poll's status read on UDMA and AP3000 costs its
+// completion and the end event, one fewer than stepwise.
 func TestResumesAndEventsPerSpin(t *testing.T) {
 	const n = 100
 	want := map[nic.Kind][5]int64{ // resumes, events closed, events stepwise, spins, retries
-		nic.CM5:             {806, 3184, 23049, 295, 99},
-		nic.CM5SingleCycle:  {707, 4161, 15456, 704, 172},
-		nic.UDMA:            {712, 3148, 18054, 315, 110},
-		nic.AP3000:          {707, 3653, 9129, 383, 144},
-		nic.StarTJR:         {507, 3689, 3689, 0, 6},
-		nic.MemoryChannel:   {707, 3542, 3542, 104, 1},
-		nic.CNI512Q:         {507, 3434, 3434, 0, 0},
-		nic.CNI32Qm:         {507, 3698, 3698, 0, 2},
-		nic.CNI32QmThrottle: {585, 5165, 5165, 850, 0},
+		nic.CM5:             {304, 3184, 23049, 295, 99},
+		nic.CM5SingleCycle:  {304, 4161, 15456, 704, 172},
+		nic.UDMA:            {304, 3148, 18054, 315, 110},
+		nic.AP3000:          {304, 3653, 9129, 383, 144},
+		nic.StarTJR:         {304, 3689, 3689, 0, 6},
+		nic.MemoryChannel:   {304, 3542, 3542, 104, 1},
+		nic.CNI512Q:         {304, 3434, 3434, 0, 0},
+		nic.CNI32Qm:         {304, 3698, 3698, 0, 2},
+		nic.CNI32QmThrottle: {304, 5165, 5165, 850, 0},
 	}
 	for _, k := range nic.Kinds() {
 		for i, mode := range []string{"closed", "stepwise"} {
@@ -161,18 +177,22 @@ func TestResumesAndEventsPerSpin(t *testing.T) {
 // node 0 waiting for the acknowledgement by polling (spawnWaiting) on the
 // NIs whose buffering involves the processor. Its misses run in event
 // context with the process parked (NI.PollMiss), and a miss that finds a
-// returned message re-pushes it there and resumes the process once. Run
+// returned message re-pushes it there and resumes the process once. Node
+// 0 resumes once per poll and once per computation after a poll that
+// found nothing, so the resumes follow its polls: 335, 356, 341 and 337
+// on the CM-5, its single-cycle variant, UDMA and AP3000. When a blocked
+// send resumed its process once it could go, and every NI train and
+// messaging-layer cost resumed it, they were 837, 758, 748 and 739; run
 // as process steps, the miss and the re-push each resumed the process:
-// 838, 760, 749 and 740 resumes on the CM-5, its single-cycle variant,
-// UDMA and AP3000. The events, spins and retries are those of the process
-// steps.
+// 838, 760, 749 and 740. The events, spins and retries are those of the
+// process steps.
 func TestResumesAndEventsPerSpinPolled(t *testing.T) {
 	const n = 100
 	want := map[nic.Kind][5]int64{ // resumes, events closed, events stepwise, spins, retries
-		nic.CM5:            {837, 3233, 23160, 295, 99},
-		nic.CM5SingleCycle: {758, 4210, 15524, 704, 171},
-		nic.UDMA:           {748, 3198, 18111, 315, 109},
-		nic.AP3000:         {739, 3697, 9185, 383, 143},
+		nic.CM5:            {335, 3233, 23160, 295, 99},
+		nic.CM5SingleCycle: {356, 4210, 15524, 704, 171},
+		nic.UDMA:           {341, 3198, 18111, 315, 109},
+		nic.AP3000:         {337, 3697, 9185, 383, 143},
 	}
 	for _, k := range []nic.Kind{nic.CM5, nic.CM5SingleCycle, nic.UDMA, nic.AP3000} {
 		for i, mode := range []string{"closed", "stepwise"} {
@@ -213,14 +233,17 @@ func settledGoroutines() int {
 	return n
 }
 
-// TestBlockedSendDrain kills the flood's sender while its blocked send
-// sleeps one SpinWait, and while a retry's trains run: Drain unwinds the
-// process through its deferred function, the loop's sleep continuation
-// fired afterwards schedules, resumes and charges nothing, and the
-// goroutine count settles back to where it started.
+// TestBlockedSendDrain kills the flood's sender while its send runs in
+// event context: during its SendCycles, during a later fragment's
+// FragCycles (a 600 B flood, three fragments), while the blocked send
+// sleeps one SpinWait, and while a retry's trains run. Drain unwinds the
+// process through its deferred function, the send's continuations fired
+// afterwards (the end of its software, the end of its sleep) schedule,
+// resume and charge nothing, and the goroutine count settles back to
+// where it started.
 func TestBlockedSendDrain(t *testing.T) {
 	for _, k := range []nic.Kind{nic.CM5, nic.AP3000, nic.UDMA, nic.MemoryChannel, nic.CNI32QmThrottle} {
-		for _, cut := range []string{"spin", "retry"} {
+		for _, cut := range []string{"count", "frag", "spin", "retry"} {
 			if cut == "retry" && nic.SpecFor(k).Buffering != nic.FifoVM {
 				continue // the NI re-pushes returned messages itself
 			}
@@ -229,18 +252,20 @@ func TestBlockedSendDrain(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/stepwise=%v", k.ShortName(), cut, stepwise), func(t *testing.T) {
 					base := settledGoroutines()
 					r := newFloodRig(t, k, stepwise)
+					if cut == "frag" {
+						r.size = 600
+					}
 					r.spawn(100)
 					ep := r.eps[0]
-					b := &ep.blocked
 					for {
 						spins, retries := ep.Spins, ep.pr.Stats.Retries
 						if !r.eng.Step() {
-							t.Fatalf("the flood ended without a blocked send's %s", cut)
+							t.Fatalf("the flood ended without a send's %s", cut)
 						}
-						if b.nm == nil {
-							continue
-						}
-						if cut == "spin" && ep.Spins > spins || cut == "retry" && ep.pr.Stats.Retries > retries {
+						s, working := &ep.out, ep.workThen != nil
+						if cut == "count" && working && s.frags != nil && s.nm == nil ||
+							cut == "frag" && working && s.i > 0 && s.nm != nil && r.got > 0 ||
+							s.nm != nil && (cut == "spin" && ep.Spins > spins || cut == "retry" && ep.pr.Stats.Retries > retries) {
 							break
 						}
 					}
@@ -249,9 +274,12 @@ func TestBlockedSendDrain(t *testing.T) {
 						t.Fatalf("drain: done=%v unwound=%v finished=%v", r.procs[0].Done(), r.unwound, r.finished)
 					}
 					pending, resumes, charged := r.eng.Pending(), r.eng.Resumes(), ep.pr.Stats.TimeIn
-					blockedSlept(b, 0)
+					if ep.workThen != nil {
+						worked(ep, 0)
+					}
+					blockedSlept(ep, 0)
 					if r.eng.Pending() != pending || r.eng.Resumes() != resumes || ep.pr.Stats.TimeIn != charged {
-						t.Fatalf("the loop's continuation of a dead process scheduled %d events, resumed %d times and charged %v",
+						t.Fatalf("the send's continuations of a dead process scheduled %d events, resumed %d times and charged %v",
 							r.eng.Pending()-pending, r.eng.Resumes()-resumes, ep.pr.Stats.TimeIn)
 					}
 					if n := settledGoroutines(); n != base {

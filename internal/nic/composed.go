@@ -11,12 +11,18 @@ import (
 // sendEngine is the transmit half of a fifo-family transfer engine: the
 // processor-side work of handing one message to the network, plus the
 // re-push cost the FifoVM buffering policy charges when a bounced message
-// must go out again.
+// must go out again. A send runs in event context (fifoHW.send), so the
+// engine describes its trains and chains them; it runs none in process
+// context.
 type sendEngine interface {
-	// send performs the full transmit path: path overhead, status checks,
-	// claiming the outgoing flow-control buffer CanSend found free, pushing
-	// the bytes, and injection.
-	send(pr *proc.Proc, m *netsim.Message)
+	// prologue describes the send's first train, the path cycles and the
+	// status check, ahead of the claim of the outgoing flow-control buffer
+	// CanSend found free. A zero status step means the engine checks
+	// nothing.
+	prologue() (path, status proc.Step)
+	// transmit moves c's message once the buffer is claimed, injects it,
+	// and ends the send with c.sendDone.
+	transmit(c *fifoCall)
 	// repush describes re-pushing a bounced message, whether noticed
 	// while the processor waits inside Recv or found by a poll, as the
 	// node's fifo train, and returns the train's category.
@@ -26,20 +32,21 @@ type sendEngine interface {
 // recvEngine is the receive half of a fifo-family transfer engine: the
 // processor-side work of polling for and draining one message out of the
 // fifo window, plus the cost of consuming a bounced message off the
-// network before it is re-pushed. The processor runs the poll miss and the
-// retry's trains from event context too, with its process parked
-// (spinner), so those are described, not run.
+// network before it is re-pushed. The processor runs all of it from event
+// context, with its process parked (fifoCall, spinner), so the engine
+// describes its trains and chains them.
 type recvEngine interface {
 	// pollMiss describes an unsuccessful poll, the status read that finds
 	// nothing waiting, as the node's fifo train, and returns the train's
 	// category: monitoring cost, Buffering on the udma and block-buffer
 	// engines, but Transfer on the CM-5 engines.
 	pollMiss() (*fifoSteps, int)
-	// receive charges the status check that found the head message, then
-	// drains it out of the fifo window and pops it. The two are one call:
-	// nothing but the processor pops recvQ and OnAccept only appends, so
-	// the head the status check saw is the head receive drains.
-	receive(pr *proc.Proc) *netsim.Message
+	// receive runs the status check that found the head message, then
+	// drains it out of the fifo window, and ends with c.recvDone, which
+	// pops it. The two are one chain: nothing but the processor pops
+	// recvQ and OnAccept only appends, so the head the status check saw
+	// is the head receive drains.
+	receive(c *fifoCall)
 	// retryWork is the retry handler's own software, in cycles charged to
 	// Buffering, ahead of retryConsume.
 	retryWork() int64
@@ -127,7 +134,7 @@ func compose(spec Spec, kind Kind, env *Env) *composed {
 	}
 	x := &composed{env: env, kind: kind, spec: spec}
 	if spec.Send.fifoFamily() || spec.Recv.fifoFamily() {
-		x.hw = newFifoHW(env)
+		x.hw = newFifoHW(env, spec)
 	}
 	if spec.Send.fifoFamily() {
 		e := newFifoEngine(env, x.hw, spec.Send)
@@ -165,40 +172,30 @@ func (x *composed) Spec() Spec { return x.spec }
 // Send implements NI.
 //
 //lint:hotpath
-func (x *composed) Send(pr *proc.Proc, m *netsim.Message) {
+func (x *composed) Send(pr *proc.Proc, m *netsim.Message, done sim.Handler, recv any) {
 	if x.spec.Send == CoherentEngine {
-		x.coh.send(pr, m)
+		x.coh.send(pr, m, done, recv)
 		return
 	}
 	if x.spec.Send == RDMAEngine {
-		x.rdma.send(pr, m)
+		x.rdma.send(pr, m, done, recv)
 		return
 	}
-	if tr := x.env.Trace; tr != nil {
-		tr("engine send start engine=%s dst=%d size=%dB", x.spec.Send, m.Dst, m.Size())
-	}
-	x.send.send(pr, m)
-	if tr := x.env.Trace; tr != nil {
-		tr("engine send complete engine=%s dst=%d", x.spec.Send, m.Dst)
-	}
+	x.hw.send(pr, x.send, m, done, recv)
 }
 
 // Poll implements NI.
 //
 //lint:hotpath
-func (x *composed) Poll(pr *proc.Proc) (*netsim.Message, bool) {
+func (x *composed) Poll(pr *proc.Proc, done Received, recv any) {
 	if !x.Pending() {
 		panic("nic: Poll without Pending")
 	}
 	if x.spec.Recv == CoherentEngine {
-		m := x.coh.consume(pr)
-		return m, m != nil
+		x.coh.receive(pr, true, done, recv)
+		return
 	}
-	m := x.recv.receive(pr)
-	if tr := x.env.Trace; tr != nil {
-		tr("engine recv complete engine=%s src=%d size=%dB", x.spec.Recv, m.Src, m.Size())
-	}
-	return m, true
+	x.hw.poll(pr, x.recv, done, recv)
 }
 
 // PollMiss implements NI.
@@ -215,16 +212,12 @@ func (x *composed) PollMiss(pr *proc.Proc, done sim.Handler, recv any) {
 // Recv implements NI.
 //
 //lint:hotpath
-func (x *composed) Recv(pr *proc.Proc) *netsim.Message {
+func (x *composed) Recv(pr *proc.Proc, done Received, recv any) {
 	if x.spec.Recv == CoherentEngine {
-		return x.coh.recv(pr)
+		x.coh.receive(pr, false, done, recv)
+		return
 	}
-	x.hw.waitForMessageServicing(pr, x.send)
-	m := x.recv.receive(pr)
-	if tr := x.env.Trace; tr != nil {
-		tr("engine recv complete engine=%s src=%d size=%dB", x.spec.Recv, m.Src, m.Size())
-	}
-	return m
+	x.hw.recv(pr, x.send, x.recv, done, recv)
 }
 
 // Pending implements NI.

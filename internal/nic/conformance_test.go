@@ -103,7 +103,7 @@ func TestSpecConformance(t *testing.T) {
 						for !ni.CanSend(m) {
 							poll()
 						}
-						ni.Send(pr, m)
+						sendOn(pr, ni, m)
 					}
 					// Drain: service software retries until the whole batch has
 					// been delivered network-wide, then wait for the send side
@@ -126,7 +126,7 @@ func TestSpecConformance(t *testing.T) {
 					pr.P.SleepAs(stats.Compute, 20*sim.Microsecond)
 					got := 0
 					// Exercise the blocking receive path once.
-					if m := ni.Recv(pr); m == nil {
+					if m := recvOn(pr, ni); m == nil {
 						t.Error("Recv returned nil")
 					} else {
 						got++
@@ -240,7 +240,7 @@ func TestSpecConformanceBounceStorm(t *testing.T) {
 								pr.P.SleepAs(stats.Buffering, 100*sim.Nanosecond)
 							}
 						}
-						ni.Send(pr, m)
+						sendOn(pr, ni, m)
 					}
 					// Every send must terminate in a delivery error: service
 					// software bounce retries until the deadline abandons them.
@@ -338,7 +338,7 @@ func TestSendWithoutCanSendPanics(t *testing.T) {
 	}
 	send := sender{
 		func(ni NI, m *netsim.Message) bool { return ni.CanSend(m) },
-		func(pr *proc.Proc, ni NI, m *netsim.Message) { ni.Send(pr, m) },
+		func(pr *proc.Proc, ni NI, m *netsim.Message) { sendOn(pr, ni, m) },
 		"nic: Send without CanSend",
 	}
 	put := sender{
@@ -405,7 +405,7 @@ func TestPollWithoutPendingPanics(t *testing.T) {
 		t.Run(k.ShortName(), func(t *testing.T) {
 			r := newTwoNodes(t, k, 1, nil)
 			defer r.eng.Drain()
-			r.procs[0].Bind(r.eng.Spawn("n0", func(*sim.Process) { r.nis[0].Poll(r.procs[0]) }))
+			r.procs[0].Bind(r.eng.Spawn("n0", func(*sim.Process) { r.nis[0].Poll(r.procs[0], nil, nil) }))
 			defer func() {
 				if got, want := recover(), "nic: Poll without Pending"; got != want {
 					t.Fatalf("recovered %v, want the panic %q", got, want)

@@ -38,16 +38,19 @@ func (f *fifoHW) blockChunks(k membus.Kind, bytes int, copies bool) *fifoSteps {
 	return c
 }
 
-// send implements sendEngine: check status, then per 64-byte chunk copy the
-// payload into the block buffer and block-store it to the NI fifo; finally
-// ring the doorbell.
+// prologue implements sendEngine: the path cycles and a status check.
 //
 //lint:hotpath
-func (b *blockBufEngine) send(pr *proc.Proc, m *netsim.Message) {
-	b.hw.acquire(pr, proc.Step{Cycles: b.env.Cfg.BlkbufPathCycles}, statusRead())
-	b.push(m).start(pr, stats.Transfer)
-	b.env.EP.Inject(m)
+func (b *blockBufEngine) prologue() (proc.Step, proc.Step) {
+	return proc.Step{Cycles: b.env.Cfg.BlkbufPathCycles}, statusRead()
 }
+
+// transmit implements sendEngine: per 64-byte chunk copy the payload into
+// the block buffer and block-store it to the NI fifo; finally ring the
+// doorbell.
+//
+//lint:hotpath
+func (b *blockBufEngine) transmit(c *fifoCall) { c.push(b.push(c.m)) }
 
 // push describes moving the message through the block buffer into the NI
 // fifo and ringing the doorbell; it is also the cost of re-pushing a
@@ -71,13 +74,10 @@ func (b *blockBufEngine) pollMiss() (*fifoSteps, int) {
 // it into registers/cache.
 //
 //lint:hotpath
-func (b *blockBufEngine) receive(pr *proc.Proc) *netsim.Message {
-	m := b.hw.head()
-	c := b.hw.blockChunks(membus.BlockRead, m.Size(), true)
-	c.lead = [2]proc.Step{statusRead(), {Cycles: b.env.Cfg.BlkbufPathCycles}}
-	c.start(pr, stats.Transfer)
-	recordRecv(b.env, m)
-	return b.hw.pop()
+func (b *blockBufEngine) receive(c *fifoCall) {
+	t := b.hw.blockChunks(membus.BlockRead, b.hw.head().Size(), true)
+	t.lead = [2]proc.Step{statusRead(), {Cycles: b.env.Cfg.BlkbufPathCycles}}
+	c.drain(t)
 }
 
 // retryWork implements recvEngine: the block-buffer retry has no handler
@@ -121,14 +121,20 @@ func newReflectiveEngine(env *Env, hw *fifoHW) *reflectiveEngine {
 // send (header build, page-table-mapped window selection).
 const reflSendCycles = 30
 
-// send implements sendEngine: fill the block buffer and block-store each
-// 64-byte chunk into the mapped send window.
+// prologue implements sendEngine: the fixed software cost, and no status
+// check.
 //
 //lint:hotpath
-func (r *reflectiveEngine) send(pr *proc.Proc, m *netsim.Message) {
-	r.hw.acquire(pr, proc.Step{Cycles: reflSendCycles}, proc.Step{})
-	r.hw.blockChunks(membus.BlockWrite, m.Size(), true).start(pr, stats.Transfer)
-	r.env.EP.Inject(m)
+func (r *reflectiveEngine) prologue() (proc.Step, proc.Step) {
+	return proc.Step{Cycles: reflSendCycles}, proc.Step{}
+}
+
+// transmit implements sendEngine: fill the block buffer and block-store
+// each 64-byte chunk into the mapped send window.
+//
+//lint:hotpath
+func (r *reflectiveEngine) transmit(c *fifoCall) {
+	c.push(r.hw.blockChunks(membus.BlockWrite, c.m.Size(), true))
 }
 
 // repush implements sendEngine: under FifoVM buffering a returned message

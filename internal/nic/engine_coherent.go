@@ -58,6 +58,19 @@ type coherent struct {
 	consuming consumeSteps
 	missing   proc.OneStep
 
+	// The processor's call in progress (NI.Send, Poll, Recv), run in
+	// event context while its process stays parked: the caller,
+	// where the call ends, whether a receive polls (an eviction during its
+	// head read ends it with no message) or waits on, and, while it waits
+	// for a deliverable message, since when.
+	caller   *proc.Proc
+	sent     sim.Handler
+	received Received
+	doneRecv any
+	polling  bool
+	waiting  bool
+	since    sim.Time
+
 	// Send side, used only when the spec's send engine is coherent.
 	sendQ      queue[ringEntry]
 	doorbelled int64 // logical tail covered by doorbells
@@ -75,7 +88,6 @@ type coherent struct {
 	// Receive side.
 	acceptQ     msgQueue
 	deliverable queue[ringEntry]
-	recvCond    *sim.Cond
 	// The receive engine (recvRun): its stage, what it waits for, the
 	// message it is depositing (its ring entry once it has ring space),
 	// the next block, and the bus idiom of a deposit through the bus.
@@ -118,7 +130,6 @@ func newCoherent(env *Env, spec Spec) *coherent {
 		env:       env,
 		snoopName: spec.Name(),
 		throttle:  spec.Throttle,
-		recvCond:  sim.NewCond(env.Eng),
 		sendWait:  waitWork,
 		recvWait:  waitWork,
 	}
@@ -209,15 +220,18 @@ func (c *coherent) snoopCompose(a membus.Addr) {
 // fetched block's local store.
 func prefetchDone(recv any, _ uint64) { recv.(*coherent).prefetchStore.Claim() }
 
-// send is the processor side of a coherent transmit: compose the message
-// into cacheable queue memory and ring the doorbell, as one access train;
-// the NI manages the transfer from there, so the processor is released
-// immediately. It requires canSend. When throttled (CNI_32Q_m+Throttle),
-// the message takes its blocks of the receiver's credit, so no more
-// unconsumed blocks are outstanding than the receiver's NI cache holds,
-// and the receiver keeps consuming from fast NI SRAM instead of main
-// memory; retire returns the credit.
-func (c *coherent) send(pr *proc.Proc, m *netsim.Message) {
+// send is the processor side of a coherent transmit, in event context
+// (NI.Send): compose the message into cacheable queue memory and ring
+// the doorbell, as one access train; the NI manages the transfer from
+// there, so the processor is released where the train ends (cniComposed).
+// It requires canSend. When throttled (CNI_32Q_m+Throttle), the message
+// takes its blocks of the receiver's credit, so no more unconsumed blocks
+// are outstanding than the receiver's NI cache holds, and the receiver
+// keeps consuming from fast NI SRAM instead of main memory; retire
+// returns the credit.
+//
+//lint:hotpath
+func (c *coherent) send(pr *proc.Proc, m *netsim.Message, done sim.Handler, recv any) {
 	if !c.canSend(m) {
 		panic("nic: Send without CanSend")
 	}
@@ -228,13 +242,27 @@ func (c *coherent) send(pr *proc.Proc, m *netsim.Message) {
 	start := c.sendRing.tail
 	c.sendRing.tail += nb
 	c.composing.m, c.composing.start, c.composing.i = m, start, 0
-	c.tr.Run(pr, stats.Transfer, &c.composing)
+	c.sent, c.doneRecv = done, recv
+	c.tr.Start(pr, stats.Transfer, &c.composing, cniComposed, c)
+}
+
+// cniComposed ends a send's compose train: the message joins the NI's
+// send queue and the send engine is kicked; the send is over.
+//
+//lint:hotpath
+func cniComposed(recv any, _ uint64) {
+	c := recv.(*coherent)
+	m, start := c.composing.m, c.composing.start
+	nb := int64(blocksFor(m))
 	c.doorbelled = c.sendRing.tail
 	c.sendQ.push(ringEntry{m: m, start: start, nb: nb})
 	if tr := c.env.Trace; tr != nil {
 		tr("engine compose dst=%d blocks=%d ring=[%d,%d)", m.Dst, nb, c.sendRing.head, c.sendRing.tail)
 	}
 	c.kickSend(waitWork)
+	done, r := c.sent, c.doneRecv
+	c.sent, c.doneRecv = nil, nil
+	done(r, 0)
 }
 
 // composeSteps is the cursor of a send's train: a cached store of each
@@ -416,7 +444,7 @@ func (c *coherent) recvRun() {
 			c.env.EP.ReleaseIn()
 			c.deliverable.push(*e)
 			c.recvCur, c.recvAt = ringEntry{}, recvIdle
-			c.recvCond.Broadcast()
+			c.wake()
 		default:
 			if c.deposit() {
 				return
@@ -439,34 +467,77 @@ func (c *coherent) pollMiss(pr *proc.Proc, done sim.Handler, recv any) {
 	c.tr.Start(pr, stats.Buffering, c.missing.Set(head), done, recv)
 }
 
-// recv blocks until a message is deliverable, then consumes it.
-func (c *coherent) recv(pr *proc.Proc) *netsim.Message {
-	for {
-		for c.deliverable.len() == 0 {
-			c.recvCond.WaitAs(pr.P, stats.Compute)
-		}
-		if m := c.consume(pr); m != nil {
-			return m
-		}
+// receive is the processor's receive in event context: a poll's
+// (NI.Poll) or a blocking receive's (NI.Recv), which first waits
+// for a deliverable message, charging the wait to Compute (wake).
+//
+//lint:hotpath
+func (c *coherent) receive(pr *proc.Proc, polling bool, done Received, recv any) {
+	c.caller, c.polling, c.received, c.doneRecv = pr, polling, done, recv
+	c.consume()
+}
+
+// consume is the receive's next turn, where the process would take it: it
+// waits while nothing is deliverable, and otherwise runs the consume
+// train, the processor's receive of the head message: the head read that
+// finds it, its blocks, the copy into the user buffer and the
+// head-pointer update.
+//
+//lint:hotpath
+func (c *coherent) consume() {
+	if c.deliverable.len() == 0 {
+		c.waiting, c.since = true, c.env.Eng.Now()
+		return
+	}
+	c.consuming.i = 0
+	c.tr.Start(c.caller, stats.Transfer, &c.consuming, cniConsumed, c)
+}
+
+// wake is the call point of a deposit's delivery: a waiting receive
+// consumes on in the slot its Unpark takes.
+//
+//lint:hotpath
+func (c *coherent) wake() {
+	if c.waiting && !c.caller.P.Done() {
+		c.waiting = false
+		c.env.Eng.AfterEvent(0, cniWoke, c, 0)
 	}
 }
 
-// consume is the processor's receive of the head message: the head read
-// that finds it, its blocks, the copy into the user buffer and the
-// head-pointer update, as one access train. It returns nil when an
-// overload eviction took the only deliverable message while the head read
-// was in flight.
-func (c *coherent) consume(pr *proc.Proc) *netsim.Message {
-	c.consuming.i = 0
-	c.tr.Run(pr, stats.Transfer, &c.consuming)
-	e := c.consuming.e
-	if e.m == nil {
-		return nil
+// cniWoke ends a receive's wait, charging it to Compute.
+//
+//lint:hotpath
+func cniWoke(recv any, _ uint64) {
+	c := recv.(*coherent)
+	p := c.caller.P
+	if p.Done() {
+		return
 	}
-	c.consuming.e = ringEntry{}
-	c.retire(e)
-	recordRecv(c.env, e.m)
-	return e.m
+	p.Charge(stats.Compute, c.since)
+	c.consume()
+}
+
+// cniConsumed ends a consume train and the receive with the message it
+// took. When an overload eviction took the only deliverable message while
+// the head read was in flight, a poll ends with none and a blocking
+// receive waits again.
+//
+//lint:hotpath
+func cniConsumed(recv any, _ uint64) {
+	c := recv.(*coherent)
+	e := c.consuming.e
+	if e.m == nil && !c.polling {
+		c.consume()
+		return
+	}
+	if e.m != nil {
+		c.consuming.e = ringEntry{}
+		c.retire(e)
+		recordRecv(c.env)
+	}
+	done, r := c.received, c.doneRecv
+	c.received, c.doneRecv = nil, nil
+	done(r, e.m)
 }
 
 // consumeSteps is the cursor of a receive's train: a cached load of the

@@ -22,7 +22,7 @@ import (
 // The price of the direct path is registration: the NI can only DMA pinned
 // pages it holds translations for, so the first transfer touching a remote
 // target pays a pinning syscall plus a per-page table charge, amortized
-// across repeated transfers to the same target (chargePin). This is the
+// across repeated transfers to the same target (pinCycles). This is the
 // cost the paper's coherent NIs avoid entirely — the crossover between the
 // two is what the eager/rendezvous sweep measures.
 //
@@ -51,9 +51,17 @@ type rdma struct {
 	busy       bool
 	unsettled  int // reliable one-sided frames injected but not yet settled
 
-	// The processor's doorbell train (post).
-	bellTr proc.Train
-	bell   proc.OneStep
+	// The processor's post in progress (post), in event context while its
+	// process stays parked: its next stage, the descriptor, the
+	// processor, the train its work and doorbell run as, and where the
+	// post ends.
+	postAt   int8
+	desc     rdmaDesc
+	caller   *proc.Proc
+	bellTr   proc.Train
+	bell     proc.OneStep
+	posted   sim.Handler
+	doneRecv any
 }
 
 type rdmaDescKind uint8
@@ -174,10 +182,11 @@ func newRDMA(env *Env) *rdma {
 	return r
 }
 
-// chargePin charges pr the registration cost for a transfer of bytes to
-// dst: first touch pays the pinning syscall plus the per-page translation
-// installs; later transfers pay only for pages beyond the cached extent.
-func (r *rdma) chargePin(pr *proc.Proc, dst int, bytes int) {
+// pinCycles returns the registration cost of a transfer of bytes to dst,
+// and records the registration: first touch pays the pinning syscall
+// plus the per-page translation installs; later transfers pay only for
+// pages beyond the cached extent.
+func (r *rdma) pinCycles(dst int, bytes int) int64 {
 	cfg := &r.env.Cfg
 	pages := int64((bytes + cfg.RDMAPageBytes - 1) / cfg.RDMAPageBytes)
 	if pages < 1 {
@@ -185,53 +194,76 @@ func (r *rdma) chargePin(pr *proc.Proc, dst int, bytes int) {
 	}
 	cur := r.pinned[dst]
 	if pages <= cur {
-		return
+		return 0
 	}
 	cycles := (pages - cur) * cfg.RDMAPagePinCycles
 	if cur == 0 {
 		cycles += cfg.RDMAPinCycles
 	}
-	pr.Work(stats.Transfer, cycles)
 	r.pinned[dst] = pages
+	return cycles
 }
 
-// post charges descriptor composition and the doorbell, then queues d for
-// the NI. The caller has checked that the ring has room (CanPut).
+// post charges the registration of a transfer of bytes to dst, the
+// descriptor's composition and the doorbell, then queues d for the NI and
+// runs done(recv, 0), in event context: each piece is a train that
+// continues the post where the processor would resume from it (rdmaPosted).
+// The caller has checked that the ring has room (CanPut).
 //
 //lint:hotpath
-func (r *rdma) post(pr *proc.Proc, d rdmaDesc) {
-	pr.Work(stats.Transfer, r.env.Cfg.RDMADescCycles)
-	r.bellTr.Run(pr, stats.Transfer, r.bell.Set(doorbell()))
-	r.descQ.push(d)
-	r.work.Broadcast()
+func (r *rdma) post(pr *proc.Proc, d rdmaDesc, dst, bytes int, done sim.Handler, recv any) {
+	r.postAt, r.desc, r.caller, r.posted, r.doneRecv = 0, d, pr, done, recv
+	r.bellTr.Start(pr, stats.Transfer, r.bell.Set(proc.Step{Cycles: r.pinCycles(dst, bytes)}), rdmaPosted, r)
 }
 
-// send is the two-sided path through the descriptor queue: register the
-// buffer, post, and return — the NI fetches and injects asynchronously,
-// like a coherent send but with the registration tax instead of a
-// cacheable queue copy. It requires CanSend.
+// rdmaPosted continues a post: the descriptor's composition, the
+// doorbell, then the queued descriptor wakes the NI.
 //
 //lint:hotpath
-func (r *rdma) send(pr *proc.Proc, m *netsim.Message) {
+func rdmaPosted(recv any, _ uint64) {
+	r := recv.(*rdma)
+	pr := r.caller
+	r.postAt++
+	switch r.postAt {
+	case 1:
+		r.bellTr.Start(pr, stats.Transfer, r.bell.Set(proc.Step{Cycles: r.env.Cfg.RDMADescCycles}), rdmaPosted, r)
+	case 2:
+		r.bellTr.Start(pr, stats.Transfer, r.bell.Set(doorbell()), rdmaPosted, r)
+	default:
+		r.descQ.push(r.desc)
+		r.desc = rdmaDesc{}
+		r.work.Broadcast()
+		done, dr := r.posted, r.doneRecv
+		r.posted, r.doneRecv = nil, nil
+		done(dr, 0)
+	}
+}
+
+// send is the two-sided path through the descriptor queue, in event
+// context (NI.Send): register the buffer, post, and return — the NI
+// fetches and injects asynchronously, like a coherent send but with the
+// registration tax instead of a cacheable queue copy. It requires CanSend.
+//
+//lint:hotpath
+func (r *rdma) send(pr *proc.Proc, m *netsim.Message, done sim.Handler, recv any) {
 	if !r.CanPut() {
 		panic("nic: Send without CanSend")
 	}
-	r.chargePin(pr, m.Dst, m.Size())
-	r.post(pr, rdmaDesc{kind: descSend, m: m})
+	r.post(pr, rdmaDesc{kind: descSend, m: m}, m.Dst, m.Size(), done, recv)
 }
 
-// Put implements RDMA.
+// Put implements RDMA, with the process parked once for the post.
 //
 //lint:hotpath
 func (r *rdma) Put(pr *proc.Proc, op PutOp) {
 	if !r.CanPut() {
 		panic("nic: Put without CanPut")
 	}
-	r.chargePin(pr, op.Dst, op.PayloadLen)
 	r.post(pr, rdmaDesc{kind: descPut, put: putWork{
 		dst: op.Dst, handler: op.Handler, channel: op.Channel,
 		xfer: op.XferID, payload: op.Payload, n: op.PayloadLen, sendTime: op.SendTime,
-	}})
+	}}, op.Dst, op.PayloadLen, proc.ReturnHandler, pr)
+	pr.Park()
 }
 
 // CanPut implements RDMA.

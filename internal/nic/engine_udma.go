@@ -31,27 +31,42 @@ type udmaEngine struct {
 	// consecutive transfers do not artificially hit in the cache.
 	stagingSeq int
 
-	// The block chain of the DMA in flight (see dma): the kind and address
-	// of its next block, the blocks still to issue, the message to inject
-	// when the last completes (nil on the receive side), and the process
-	// waiting for it.
+	// The DMA call in progress (see next): its next stage, whether it
+	// sends, the staging buffer, and the start of the wait in progress
+	// (the bus-master handoff or the block chain).
+	stage   udmaStage
+	sending bool
+	buf     membus.Addr
+	since   sim.Time
+
+	// The block chain of the DMA in flight: the kind and address of its
+	// next block, the blocks still to issue, and the message to inject
+	// when the last completes (nil on the receive side).
 	dmaKind membus.Kind
 	dmaNext membus.Addr
 	dmaLeft int
 	dmaMsg  *netsim.Message
-	dmaProc *sim.Process
 
-	// The staging copy's train (stage): one cached access over the whole
-	// buffer, which the processor cache moves block by block.
+	// The staging copy's train: one cached access over the whole buffer,
+	// which the processor cache moves block by block.
 	copyTr proc.Train
 	copy   proc.OneStep
 }
 
-// stage copies the n bytes of a staging buffer at a through the processor
-// cache, stores when write, as one access train charged to Transfer.
-func (u *udmaEngine) stage(pr *proc.Proc, write bool, a membus.Addr, n int) {
-	u.copyTr.Run(pr, stats.Transfer, u.copy.Set(proc.CachedStep(write, a, n)))
-}
+// udmaStage is the next step of a DMA call. A send runs udmaCopyOut to
+// udmaStatus, a receive udmaHead to udmaCopyIn; each skips the other's.
+type udmaStage int8
+
+const (
+	udmaHead    udmaStage = iota // receive: examine the message head in the window
+	udmaCopyOut                  // send: stage the message through the cache
+	udmaStart                    // the two-instruction start
+	udmaSwitch                   // the bus-master handoff
+	udmaBlocks                   // the NI-managed block chain
+	udmaStatus                   // the completion check
+	udmaCopyIn                   // receive: the handler's read of the deposit
+	udmaEnd
+)
 
 // udmaStagingBase is the DRAM region UDMA deposits received messages into
 // (and reads send data from); user buffers in a real system. Offset so the
@@ -80,13 +95,6 @@ func (u *udmaEngine) startSeq() *fifoSteps {
 	return c
 }
 
-// initiate models the UDMA start plus the bus-master handoff from
-// processor to NI.
-func (u *udmaEngine) initiate(pr *proc.Proc) {
-	u.startSeq().start(pr, stats.Transfer)
-	pr.P.SleepAs(stats.Transfer, u.env.Cfg.UDMAMasterSwitch)
-}
-
 // words describes the uncached-word loop through the 64-word window: per
 // Cfg.UncachedWordBytes word, loop cycles of software, then one window
 // access of kind k.
@@ -108,19 +116,108 @@ func (u *udmaEngine) head() *fifoSteps {
 	return c
 }
 
-// dma runs an NI-managed block DMA: one bus transaction of the given kind
-// per block from base, chained so each issues when the previous completes,
-// then injection of m (nil on the receive side). The software waits for the
-// whole transfer by polling the NI's completion register (the paper's
-// messaging layer "waits until each UDMA transfer is complete").
-func (u *udmaEngine) dma(pr *proc.Proc, kind membus.Kind, base membus.Addr, blocks int, m *netsim.Message) {
-	if u.dmaProc != nil {
-		panic("nic: UDMA transfer started while another is in flight")
+// dmaThen runs the DMA path of a send (sending) or a receive in event
+// context (see next).
+func (u *udmaEngine) dmaThen(sending bool) {
+	u.stage, u.sending = udmaHead, sending
+	u.next()
+}
+
+// next runs the DMA call's next stage, each where the processor resumed
+// from the one before. A send stages the message through the cache, so
+// the DMA reads hit the true source (processor cache or memory); a
+// receive first examines the message head in the 64-word window to find
+// its size and destination buffer. Then the UDMA start and the bus-master
+// handoff from processor to NI, and the NI-managed DMA: coherent block
+// reads of the source buffer and injection on a send, block writes of the
+// deposit on a receive. The software waits for the whole transfer by
+// polling the NI's completion register (the paper's messaging layer
+// "waits until each UDMA transfer is complete"). A receive ends with the
+// handler's cached read of the deposited message.
+//
+//lint:hotpath
+func (u *udmaEngine) next() {
+	c := &u.hw.cpu.call
+	pr := c.pr
+	for {
+		stage := u.stage
+		u.stage++
+		switch stage {
+		case udmaHead:
+			if u.sending {
+				continue
+			}
+			t := u.head()
+			t.lead = [2]proc.Step{statusRead(), {Cycles: u.env.Cfg.FifoPathCycles}}
+			t.startThen(pr, stats.Transfer, udmaStep, u)
+		case udmaCopyOut:
+			if !u.sending {
+				continue
+			}
+			u.buf = u.staging()
+			u.copyTr.Start(pr, stats.Transfer, u.copy.Set(proc.CachedStep(true, u.buf, c.m.Size())), udmaStep, u)
+		case udmaStart:
+			if !u.sending {
+				u.buf = u.staging()
+			}
+			u.startSeq().startThen(pr, stats.Transfer, udmaStep, u)
+		case udmaSwitch:
+			d := u.env.Cfg.UDMAMasterSwitch
+			if d == 0 {
+				continue
+			}
+			u.since = u.env.Eng.Now()
+			u.env.Eng.AfterEvent(d, udmaWoke, u, 0)
+		case udmaBlocks:
+			if u.sending {
+				u.dmaKind, u.dmaMsg = membus.GetS, c.m
+				u.dmaLeft = blocksFor(c.m)
+			} else {
+				u.dmaKind = membus.WriteInvalidate
+				u.dmaLeft = blocksFor(u.hw.head())
+			}
+			u.dmaNext, u.since = u.buf, u.env.Eng.Now()
+			u.issueBlock()
+		case udmaStatus:
+			t := u.hw.train()
+			t.lead[0] = uncached(membus.UncachedRead, RegUdmaStat, 8)
+			t.startThen(pr, stats.Transfer, udmaStep, u)
+		case udmaCopyIn:
+			if u.sending {
+				continue
+			}
+			// The handler will read the data from memory; that cost lands
+			// on the consumer's cached reads of the staging buffer.
+			u.copyTr.Start(pr, stats.Transfer, u.copy.Set(proc.CachedStep(false, u.buf, u.hw.head().Size())), udmaStep, u)
+		default:
+			if u.sending {
+				c.sendDone()
+			} else {
+				c.recvDone()
+			}
+		}
+		return
 	}
-	u.dmaKind, u.dmaNext, u.dmaLeft, u.dmaMsg, u.dmaProc = kind, base, blocks, m, pr.P
-	u.issueBlock()
-	pr.P.ParkAs(stats.Transfer)
-	u.hw.lead(pr, stats.Transfer, uncached(membus.UncachedRead, RegUdmaStat, 8), proc.Step{})
+}
+
+// udmaStep continues a DMA call where the processor resumed from its
+// last train.
+//
+//lint:hotpath
+func udmaStep(recv any, _ uint64) { recv.(*udmaEngine).next() }
+
+// udmaWoke ends a wait of a DMA call, the bus-master handoff or the block
+// chain, charging it to Transfer, and continues the call.
+//
+//lint:hotpath
+func udmaWoke(recv any, _ uint64) {
+	u := recv.(*udmaEngine)
+	p := u.hw.cpu.call.pr.P
+	if p.Done() {
+		return
+	}
+	p.Charge(stats.Transfer, u.since)
+	u.next()
 }
 
 // issueBlock puts the chain's next block on the bus.
@@ -132,7 +229,8 @@ func (u *udmaEngine) issueBlock() {
 }
 
 // dmaBlockDone is the completion hook of a DMA block: it issues the next
-// block, or after the last injects the message and wakes the software.
+// block, or after the last injects the message and ends the software's
+// wait in the slot the process's Unpark took.
 func dmaBlockDone(recv any, _ uint64) {
 	u := recv.(*udmaEngine)
 	if u.dmaLeft > 0 {
@@ -141,10 +239,11 @@ func dmaBlockDone(recv any, _ uint64) {
 	}
 	if u.dmaMsg != nil {
 		u.env.EP.Inject(u.dmaMsg)
+		u.dmaMsg = nil
 	}
-	p := u.dmaProc
-	u.dmaMsg, u.dmaProc = nil, nil
-	p.Unpark()
+	if !u.hw.cpu.call.pr.P.Done() {
+		u.env.Eng.AfterEvent(0, udmaWoke, u, 0)
+	}
 }
 
 // repush implements sendEngine: the software cost of re-sending a returned
@@ -162,29 +261,26 @@ func (u *udmaEngine) repush(m *netsim.Message) (*fifoSteps, int) {
 	return u.startSeq(), stats.Buffering
 }
 
-// send implements sendEngine.
+// prologue implements sendEngine: the fifo path cycles and a status
+// check.
 //
 //lint:hotpath
-func (u *udmaEngine) send(pr *proc.Proc, m *netsim.Message) {
-	u.hw.acquire(pr, proc.Step{Cycles: u.env.Cfg.FifoPathCycles}, statusRead())
-	if !u.useDMA(m) {
-		// CM-5-style uncached pushes through the 64-word window.
-		c := u.words(membus.UncachedWrite, m.Size(), u.env.Cfg.WordLoopCycles)
-		c.tail = doorbell()
-		c.start(pr, stats.Transfer)
-		u.env.EP.Inject(m)
+func (u *udmaEngine) prologue() (proc.Step, proc.Step) {
+	return proc.Step{Cycles: u.env.Cfg.FifoPathCycles}, statusRead()
+}
+
+// transmit implements sendEngine: CM-5-style uncached pushes through the
+// 64-word window, or the DMA path (next).
+//
+//lint:hotpath
+func (u *udmaEngine) transmit(c *fifoCall) {
+	if u.useDMA(c.m) {
+		u.dmaThen(true)
 		return
 	}
-
-	// The message was composed in user memory: stage it through the cache
-	// so the DMA reads hit the true source (processor cache or memory).
-	src := u.staging()
-	u.stage(pr, true, src, m.Size())
-	u.initiate(pr)
-
-	// NI-managed DMA: coherent block reads of the source buffer, then
-	// injection. The software waits for completion (paper's simplification).
-	u.dma(pr, membus.GetS, src, blocksFor(m), m)
+	t := u.words(membus.UncachedWrite, c.m.Size(), u.env.Cfg.WordLoopCycles)
+	t.tail = doorbell()
+	c.push(t)
 }
 
 // pollMiss implements recvEngine: an unsuccessful poll's status read
@@ -197,35 +293,18 @@ func (u *udmaEngine) pollMiss() (*fifoSteps, int) {
 
 // receive implements recvEngine: the status read that found the message,
 // the path cycles, then the message drained through the window or
-// deposited by UDMA.
+// deposited by UDMA (next).
 //
 //lint:hotpath
-func (u *udmaEngine) receive(pr *proc.Proc) *netsim.Message {
+func (u *udmaEngine) receive(c *fifoCall) {
 	m := u.hw.head()
-	lead := [2]proc.Step{statusRead(), {Cycles: u.env.Cfg.FifoPathCycles}}
-	if !u.useDMA(m) {
-		c := u.words(membus.UncachedRead, m.Size(), u.env.Cfg.WordLoopCycles)
-		c.lead = lead
-		c.start(pr, stats.Transfer)
-		recordRecv(u.env, m)
-		return u.hw.pop()
+	if u.useDMA(m) {
+		u.dmaThen(false)
+		return
 	}
-
-	// UDMA receive: the software first examines the message head in the
-	// 64-word window to find its size and destination buffer, then initiates
-	// the UDMA that deposits it into main memory without further processor
-	// involvement, and waits for completion.
-	c := u.head()
-	c.lead = lead
-	c.start(pr, stats.Transfer)
-	dst := u.staging()
-	u.initiate(pr)
-	u.dma(pr, membus.WriteInvalidate, dst, blocksFor(m), nil)
-	// The handler will read the data from memory; that cost lands on the
-	// consumer's cached reads of the staging buffer.
-	u.stage(pr, false, dst, m.Size())
-	recordRecv(u.env, m)
-	return u.hw.pop()
+	t := u.words(membus.UncachedRead, m.Size(), u.env.Cfg.WordLoopCycles)
+	t.lead = [2]proc.Step{statusRead(), {Cycles: u.env.Cfg.FifoPathCycles}}
+	c.drain(t)
 }
 
 // retryWork implements recvEngine: the UDMA retry has no handler work of

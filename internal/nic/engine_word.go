@@ -75,16 +75,18 @@ func (n *wordEngine) words(k membus.Kind, bytes int) *fifoSteps {
 	return c
 }
 
-// send implements sendEngine: check send space, push the message through
-// the two-word fifo window, and fire the doorbell. The processor manages
-// the whole transfer.
+// prologue implements sendEngine: the path cycles and a check of send
+// space.
 //
 //lint:hotpath
-func (n *wordEngine) send(pr *proc.Proc, m *netsim.Message) {
-	n.hw.acquire(pr, n.path(), n.status())
-	n.push(m).start(pr, stats.Transfer)
-	n.env.EP.Inject(m)
-}
+func (n *wordEngine) prologue() (proc.Step, proc.Step) { return n.path(), n.status() }
+
+// transmit implements sendEngine: push the message through the two-word
+// fifo window and fire the doorbell. The processor manages the whole
+// transfer.
+//
+//lint:hotpath
+func (n *wordEngine) transmit(c *fifoCall) { c.push(n.push(c.m)) }
 
 // push describes moving the message through the two-word window and
 // firing the doorbell, whose final uncached store launches the message; it
@@ -111,13 +113,10 @@ func (n *wordEngine) pollMiss() (*fifoSteps, int) {
 // then pop the head message word by word.
 //
 //lint:hotpath
-func (n *wordEngine) receive(pr *proc.Proc) *netsim.Message {
-	m := n.hw.head()
-	c := n.words(membus.UncachedRead, m.Size())
-	c.lead = [2]proc.Step{n.status(), n.path()}
-	c.start(pr, stats.Transfer)
-	recordRecv(n.env, m)
-	return n.hw.pop()
+func (n *wordEngine) receive(c *fifoCall) {
+	t := n.words(membus.UncachedRead, n.hw.head().Size())
+	t.lead = [2]proc.Step{n.status(), n.path()}
+	c.drain(t)
 }
 
 // retryWork implements recvEngine: the retry handler is messaging

@@ -29,12 +29,16 @@ type fifoHW struct {
 	recvQ   msgQueue
 	bounced msgQueue // returned-to-sender messages awaiting re-push
 	cpu     *fifoCPU // the processor's side of the window (see processor)
+
+	sendEng, recvEng Engine // the spec's engines, for the trace
 }
 
 // fifoCPU is the processor's state at a node's fifo window: the cursor
-// its fifo trains run on and the spinner that runs its blocked work.
+// its fifo trains run on, the NI call it is making and the spinner that
+// runs its blocked work.
 type fifoCPU struct {
 	steps fifoSteps
+	call  fifoCall
 	spin  spinner
 }
 
@@ -44,16 +48,18 @@ type fifoCPU struct {
 func (f *fifoHW) processor() *fifoCPU {
 	if f.cpu == nil {
 		f.cpu = new(fifoCPU) //lint:allow noalloc once per node, on its first fifo transfer
-		f.cpu.spin.f = f
+		f.cpu.call.f, f.cpu.spin.f = f, f
 	}
 	return f.cpu
 }
 
-func newFifoHW(env *Env) *fifoHW {
+func newFifoHW(env *Env, spec Spec) *fifoHW {
 	f := &fifoHW{
-		env:  env,
-		fifo: mainmem.New("ni-fifo", env.Cfg.NISRAM+env.Cfg.IOBridge, env.Eng),
-		regs: &regsTarget{latency: env.Cfg.NISRAM + env.Cfg.IOBridge},
+		env:     env,
+		sendEng: spec.Send,
+		recvEng: spec.Recv,
+		fifo:    mainmem.New("ni-fifo", env.Cfg.NISRAM+env.Cfg.IOBridge, env.Eng),
+		regs:    &regsTarget{latency: env.Cfg.NISRAM + env.Cfg.IOBridge},
 	}
 	env.Bus.MapRange(RegBase, FifoBase, f.regs)
 	env.Bus.MapRange(FifoBase, NIQSendBase, f.fifo)
@@ -97,20 +103,144 @@ func (f *fifoHW) pop() *netsim.Message {
 	return m
 }
 
-// waitForMessageServicing parks the processor until a message is waiting,
-// re-pushing returned messages with the send engine while it waits;
-// incoming messages take priority over retries. The processor's work runs
-// in event context (spinner.serve) and the process resumes only once a
-// message is waiting. The idle time is charged to the compute category (it
-// is communication wait, not an NI data-transfer or buffering cost).
-func (f *fifoHW) waitForMessageServicing(pr *proc.Proc, send sendEngine) {
+// fifoCall is the NI call the processor is making at the fifo window
+// (NI.Send, Poll, Recv), run in event context while its process stays
+// parked: the engines, the message in hand and where the call ends. The
+// processor makes one call at a time, so one record per node serves them
+// all (fifoCPU).
+type fifoCall struct {
+	f    *fifoHW
+	pr   *proc.Proc
+	send sendEngine
+	recv recvEngine
+	m    *netsim.Message // the message being sent
+	// The call's end: sent(doneRecv, 0) after a send, received(doneRecv,
+	// m) after a receive.
+	sent     sim.Handler
+	received Received
+	doneRecv any
+}
+
+// call returns the node's call record set up for pr.
+func (f *fifoHW) call(pr *proc.Proc) *fifoCall {
+	c := &f.processor().call
+	c.pr = pr
+	return c
+}
+
+// send runs a send in event context (NI.Send): the engine's prologue
+// train, then, where the processor resumed from it, the claim of the
+// outgoing flow-control buffer (the send fifo slot) that CanSend found
+// free, and the engine's transmit. Only this node's sends claim one, so
+// the buffer free at entry is still free for the claim.
+//
+//lint:hotpath
+func (f *fifoHW) send(pr *proc.Proc, e sendEngine, m *netsim.Message, done sim.Handler, recv any) {
+	if f.env.EP.OutFree() == 0 {
+		panic("nic: Send without CanSend")
+	}
+	if tr := f.env.Trace; tr != nil {
+		tr("engine send start engine=%s dst=%d size=%dB", f.sendEng, m.Dst, m.Size())
+	}
+	c := f.call(pr)
+	c.send, c.m, c.sent, c.doneRecv = e, m, done, recv
+	t := f.train()
+	t.lead[0], t.lead[1] = e.prologue()
+	t.startThen(pr, stats.Transfer, fifoAcquired, c)
+}
+
+// fifoAcquired ends a send's prologue train: the buffer is claimed and
+// the engine transmits.
+//
+//lint:hotpath
+func fifoAcquired(recv any, _ uint64) {
+	c := recv.(*fifoCall)
+	c.f.env.EP.TryAcquireOut()
+	c.send.transmit(c)
+}
+
+// push runs t, the push train of c's message, and injects the message
+// when it ends: the whole transmit of every engine but UDMA's DMA path.
+//
+//lint:hotpath
+func (c *fifoCall) push(t *fifoSteps) { t.startThen(c.pr, stats.Transfer, fifoPushed, c) }
+
+// fifoPushed ends a push train: the message goes out.
+//
+//lint:hotpath
+func fifoPushed(recv any, _ uint64) {
+	c := recv.(*fifoCall)
+	c.f.env.EP.Inject(c.m)
+	c.sendDone()
+}
+
+// sendDone ends a send, its message injected, where the process would
+// resume from it.
+//
+//lint:hotpath
+func (c *fifoCall) sendDone() {
+	m, done, recv := c.m, c.sent, c.doneRecv
+	c.m, c.sent, c.doneRecv = nil, nil, nil
+	if tr := c.f.env.Trace; tr != nil {
+		tr("engine send complete engine=%s dst=%d", c.f.sendEng, m.Dst)
+	}
+	done(recv, 0)
+}
+
+// poll runs a poll in event context (NI.Poll): the receive of the
+// head message.
+//
+//lint:hotpath
+func (f *fifoHW) poll(pr *proc.Proc, e recvEngine, done Received, recv any) {
+	c := f.call(pr)
+	c.recv, c.received, c.doneRecv = e, done, recv
+	e.receive(c)
+}
+
+// recv runs a blocking receive in event context (NI.Recv): the wait
+// for a message, re-pushing returned messages with the send engine
+// meanwhile (spinner.serve), then the receive. Incoming messages take
+// priority over retries. The idle time is charged to the compute category
+// (it is communication wait, not an NI data-transfer or buffering cost).
+//
+//lint:hotpath
+func (f *fifoHW) recv(pr *proc.Proc, send sendEngine, e recvEngine, done Received, recv any) {
+	c := f.call(pr)
+	c.recv, c.received, c.doneRecv = e, done, recv
 	if f.recvQ.len() > 0 {
+		e.receive(c)
 		return
 	}
 	s := f.spinner(pr, send)
 	s.recv, s.done = nil, nil
 	s.serve()
-	pr.P.ParkUncharged()
+}
+
+// drain runs t, the train that drains the head message out of the
+// window, and ends the receive when it ends.
+//
+//lint:hotpath
+func (c *fifoCall) drain(t *fifoSteps) { t.startThen(c.pr, stats.Transfer, fifoDrained, c) }
+
+// fifoDrained ends a drain train.
+//
+//lint:hotpath
+func fifoDrained(recv any, _ uint64) { recv.(*fifoCall).recvDone() }
+
+// recvDone ends a receive where the process would resume from it: the
+// head message, drained, is popped, freeing its flow-control buffer.
+//
+//lint:hotpath
+func (c *fifoCall) recvDone() {
+	f := c.f
+	recordRecv(f.env)
+	m := f.pop()
+	if tr := f.env.Trace; tr != nil {
+		tr("engine recv complete engine=%s src=%d size=%dB", f.recvEng, m.Src, m.Size())
+	}
+	done, recv := c.received, c.doneRecv
+	c.received, c.doneRecv = nil, nil
+	done(recv, m)
 }
 
 // pollMiss runs an unsuccessful poll in event context (NI.PollMiss): the
@@ -261,17 +391,17 @@ func (s *spinner) finish(retried uint64) {
 }
 
 // serve is one turn of a blocking receive's loop, at the time the process
-// would run it: a waiting message resumes the process, a returned message
-// is re-pushed, and otherwise the receive waits for an accept or a bounce
-// (wake). It runs first from the process, which then parks; no message is
-// waiting then.
+// would run it: a waiting message is received, a returned message is
+// re-pushed, and otherwise the receive waits for an accept or a bounce
+// (wake). It runs first from fifoHW.recv, when no message is waiting.
 //
 //lint:hotpath
 func (s *spinner) serve() {
 	f := s.f
 	switch {
 	case f.recvQ.len() > 0:
-		s.pr.P.Resume()
+		c := &f.cpu.call
+		c.recv.receive(c)
 	case f.hasBounced():
 		s.retry()
 	default:
@@ -307,7 +437,7 @@ func spinWoke(recv any, _ uint64) {
 
 // recordRecv updates the NI-level fragment counters; application-message
 // counters are maintained by the messaging layer on reassembly.
-func recordRecv(env *Env, m *netsim.Message) {
+func recordRecv(env *Env) {
 	env.Stats.FragmentsReceived++
 }
 
@@ -362,14 +492,6 @@ func (f *fifoHW) train() *fifoSteps {
 	return c
 }
 
-// start runs the described train on pr charged to category.
-//
-//lint:hotpath
-func (c *fifoSteps) start(pr *proc.Proc, category int) {
-	c.left = c.bytes
-	c.tr.Run(pr, category, c)
-}
-
 // startThen runs the described train in event context, with pr's process
 // parked, and runs done(recv, 0) when it ends (proc.Train.Start).
 //
@@ -385,26 +507,6 @@ func (f *fifoHW) missRead() (*fifoSteps, int) {
 	c := f.train()
 	c.lead[0] = statusRead()
 	return c, stats.Buffering
-}
-
-// lead runs a train of at most two steps.
-func (f *fifoHW) lead(pr *proc.Proc, category int, a, b proc.Step) {
-	c := f.train()
-	c.lead = [2]proc.Step{a, b}
-	c.start(pr, category)
-}
-
-// acquire is the fifo engines' send prologue: the path cycles and a check
-// of the status register, then the claim of the outgoing flow-control
-// buffer (the send fifo slot) that CanSend found free. Only this node's
-// sends claim one, so the buffer free at entry is still free for the
-// claim. A zero status step means the engine checks nothing.
-func (f *fifoHW) acquire(pr *proc.Proc, path, status proc.Step) {
-	if f.env.EP.OutFree() == 0 {
-		panic("nic: Send without CanSend")
-	}
-	f.lead(pr, stats.Transfer, path, status)
-	f.env.EP.TryAcquireOut()
 }
 
 // Next implements proc.Steps.

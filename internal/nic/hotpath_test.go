@@ -69,7 +69,7 @@ func composedRoundAllocFree(t *testing.T, k Kind, payload int) {
 			for !ni.CanSend(m) {
 				p.Sleep(100 * sim.Nanosecond)
 			}
-			ni.Send(pr, m)
+			sendOn(pr, ni, m)
 		}
 	})
 	r.procs[0].Bind(p0)
@@ -131,7 +131,7 @@ func TestAdmissionControlAllocFree(t *testing.T) {
 						p.Sleep(100 * sim.Nanosecond)
 					}
 				}
-				ni.Send(pr, m)
+				sendOn(pr, ni, m)
 			}
 			// Service the refused send's bounce until both land.
 			for r.net.Delivered() < int64(2*(i+1)) {
@@ -187,13 +187,13 @@ func exchange(t *testing.T, spec Spec, rounds, payload int) (resumes, events uin
 	r := newTwoNodesSpec(t, spec, 8, nil)
 	r.run(t, func(pr *proc.Proc, ni NI) {
 		for i := 0; i < rounds; i++ {
-			ni.Send(pr, netsim.NewSized(0, 1, 1, payload))
-			ni.Recv(pr)
+			sendOn(pr, ni, netsim.NewSized(0, 1, 1, payload))
+			recvOn(pr, ni)
 		}
 	}, func(pr *proc.Proc, ni NI) {
 		for i := 0; i < rounds; i++ {
-			ni.Recv(pr)
-			ni.Send(pr, netsim.NewSized(1, 0, 1, payload))
+			recvOn(pr, ni)
+			sendOn(pr, ni, netsim.NewSized(1, 0, 1, payload))
 		}
 	})
 	return r.eng.Resumes(), r.eng.Events()
@@ -202,14 +202,16 @@ func exchange(t *testing.T, spec Spec, rounds, payload int) (resumes, events uin
 // TestCM5ResumesPerMessage pins the host process switches a CM-5 message
 // costs. A 64 B payload plus its header is nine fifo words and four
 // sub-message status reads on each side. Issued one access at a time that
-// was 50.02 resumes per message, two per word. As access trains the sender
-// resumes after its path and status read and after its push, and the
-// receiver after its wait and after its receive train: four per message,
-// plus the two process starts over the run.
+// was 50.02 resumes per message, two per word; as access trains resumed
+// at each train's end, four: the sender after its path and status read
+// and after its push, the receiver after its wait and after its receive
+// train. Each call now chains its trains in event context and resumes its
+// process once, where it returns: the sender's Send and the receiver's
+// Recv, two per message, plus the two process starts over the run.
 func TestCM5ResumesPerMessage(t *testing.T) {
 	const rounds = 50
 	resumes, _ := exchange(t, SpecFor(CM5), rounds, 64)
-	if got, want := float64(resumes)/(2*rounds), 4+2.0/(2*rounds); got != want {
+	if got, want := float64(resumes)/(2*rounds), 2+2.0/(2*rounds); got != want {
 		t.Fatalf("%.2f resumes per 64 B CM-5 message, want %.2f", got, want)
 	}
 }
@@ -236,45 +238,46 @@ func TestCM5EventsPerMessage(t *testing.T) {
 // specs, over a 50-round ping-pong (100 messages) whose two process
 // starts add 0.02 to each resume count.
 //
-// Resumes. The processor runs each access sequence as one access train.
-// A fifo message costs four: the sender resumes after its path and status
-// read and after its push, the receiver after its wait and after its
-// receive train. UDMA above its DMA threshold (248 B) costs 13: the
-// sender's path and status read, the receiver's wait and head
-// examination, and on each side the DMA start, the bus-master handoff,
-// the wait for the block chain, the completion check and the staging copy
-// through the cache (one cached train).
-// A coherent message costs three: the sender's compose train (block
-// stores and doorbell), the receiver's wait and its consume train (head
-// read, blocks, copy, head-pointer store); the NI's engines are event
-// hardware that never resumes. Memory Channel sends through the fifo
-// window, so it costs the fifo sender's two.
+// Resumes. Every NI call runs in event context, its trains and waits
+// chained through done hooks, and resumes its process once, where it
+// returns: a message costs the sender's Send and the receiver's Recv, two
+// on every named NI at every size. As trains that each resumed the
+// process, a fifo message cost four (the sender's path and status read
+// and its push, the receiver's wait and its receive train), a coherent
+// one three (the compose train, the wait and the consume train), Memory
+// Channel four, and UDMA above its DMA threshold (248 B) 13: on each side
+// the DMA start, the bus-master handoff, the wait for the block chain,
+// the completion check and the staging copy, plus the sender's path and
+// status read and the receiver's wait and head examination.
 //
-// An RDMA message costs 6 to 9 (plus the two rdma processes' starts): its
-// sender posts a descriptor and rings the doorbell, each node's NI-side
-// rdma process resumes per wait and once per 64 B block it fetches
-// (Bus.Access), and a coherent receiver consumes the message.
+// An RDMA message costs 4 to 7 (plus the two rdma processes' starts, and
+// one registration on each side's first send): the post (its work and
+// doorbell) and the coherent receive resume once each, and each node's
+// NI-side rdma process resumes per wait and once per 64 B block it
+// fetches (Bus.Access).
 //
 // Events. A fifo NI's bus is processor-only, so its trains are closed:
 // ten events per message (see DESIGN.md §4.4). A coherent NI's trains are
 // stepwise and its engines move each block, so its events grow with the
-// message: every step keeps the event a process would have run.
+// message: every step keeps the event a process would have run. Each
+// hook runs in the slot its process's wakeup had, so no event moved when
+// the calls went to event context.
 func TestResumesAndEventsPerMessage(t *testing.T) {
 	const rounds = 50
 	rdma := func(b Buffering) Spec { return Spec{Send: RDMAEngine, Recv: CoherentEngine, Buffering: b} }
 	want := map[Spec][3][2]uint64{ // per payload 8, 64, 248 B: resumes, events
-		SpecFor(CM5):             {{402, 1002}, {402, 1002}, {402, 1002}},
-		SpecFor(CM5SingleCycle):  {{402, 1001}, {402, 1002}, {402, 1002}},
-		SpecFor(UDMA):            {{402, 1002}, {402, 1002}, {1302, 6002}},
-		SpecFor(AP3000):          {{402, 1002}, {402, 1002}, {402, 1002}},
-		SpecFor(StarTJR):         {{302, 2310}, {302, 3510}, {302, 5766}},
-		SpecFor(MemoryChannel):   {{402, 2006}, {402, 3106}, {402, 5306}},
-		SpecFor(CNI512Q):         {{302, 2210}, {302, 3210}, {302, 5210}},
-		SpecFor(CNI32Qm):         {{302, 2220}, {302, 3234}, {302, 5146}},
-		SpecFor(CNI32QmThrottle): {{302, 2309}, {302, 3309}, {302, 5165}},
-		rdma(MemoryRing):         {{606, 2310}, {706, 3210}, {906, 5010}},
-		rdma(NIRing):             {{606, 2210}, {706, 3010}, {906, 4610}},
-		rdma(NICachedRing):       {{606, 2220}, {706, 3034}, {906, 4690}},
+		SpecFor(CM5):             {{202, 1002}, {202, 1002}, {202, 1002}},
+		SpecFor(CM5SingleCycle):  {{202, 1001}, {202, 1002}, {202, 1002}},
+		SpecFor(UDMA):            {{202, 1002}, {202, 1002}, {202, 6002}},
+		SpecFor(AP3000):          {{202, 1002}, {202, 1002}, {202, 1002}},
+		SpecFor(StarTJR):         {{202, 2310}, {202, 3510}, {202, 5766}},
+		SpecFor(MemoryChannel):   {{202, 2006}, {202, 3106}, {202, 5306}},
+		SpecFor(CNI512Q):         {{202, 2210}, {202, 3210}, {202, 5210}},
+		SpecFor(CNI32Qm):         {{202, 2220}, {202, 3234}, {202, 5146}},
+		SpecFor(CNI32QmThrottle): {{202, 2309}, {202, 3309}, {202, 5165}},
+		rdma(MemoryRing):         {{404, 2310}, {504, 3210}, {704, 5010}},
+		rdma(NIRing):             {{404, 2210}, {504, 3010}, {704, 4610}},
+		rdma(NICachedRing):       {{404, 2220}, {504, 3034}, {704, 4690}},
 	}
 	var specs []Spec
 	for _, k := range Kinds() {

@@ -124,6 +124,18 @@ func KindByName(s string) (Kind, error) {
 // precondition panics. So the NI never waits for send resources itself:
 // the messaging layer alone decides what the processor does meanwhile.
 //
+// Every call that costs the processor time (Send, Poll, PollMiss, Recv)
+// runs in event context while the calling process stays parked,
+// uncharged (sim.Process.ParkUncharged): each piece of its work is
+// charged to its own category, its trains and waits chain through done
+// hooks, each in the slot where the process would have resumed from it,
+// and its own done hook runs where the call returns. No decision inside a
+// call needs software, so the process parks once per call: a caller in
+// process context starts the call and parks with proc.Proc.Park, and the
+// done hook ends the call with proc.Proc.Return. A call may run its done
+// hook before it returns (work that ends where it starts), which Park
+// allows for.
+//
 // Three of the zero-cost queries have semantics precise enough to be worth
 // stating once, for all designs:
 //
@@ -155,29 +167,27 @@ type NI interface {
 	// Kind identifies the design.
 	Kind() Kind
 	// Send performs all processor-side work to transmit m and hands it to
-	// the network, blocking the calling processor exactly as long as the
-	// design requires (a CM-5-like NI blocks for every word; a CNI returns
-	// after composing the message in cacheable queue memory). It requires
-	// CanSend(m).
-	Send(pr *proc.Proc, m *netsim.Message)
+	// the network, occupying the processor exactly as long as the design
+	// requires (a CM-5-like NI moves every word; a CNI is done once it
+	// has composed the message in cacheable queue memory), then runs
+	// done(recv, 0). It requires CanSend(m).
+	Send(pr *proc.Proc, m *netsim.Message, done sim.Handler, recv any)
 	// Poll receives the message Pending promises: it performs the
 	// processor-side reception work (pops, block loads, or coherent queue
-	// reads) and returns the message. It requires Pending, and reports
-	// false only when an overload eviction took the message while the
-	// processor's head read was in flight.
-	Poll(pr *proc.Proc) (*netsim.Message, bool)
+	// reads) and runs done(recv, m). It requires Pending; m is nil only
+	// when an overload eviction took the message while the processor's
+	// head read was in flight.
+	Poll(pr *proc.Proc, done Received, recv any)
 	// PollMiss is the unsuccessful poll of a processor that found nothing
-	// to receive (Pending is false), run in event context: pr's process is
-	// parked (sim.Process.ParkUncharged) and stays so. It charges the
-	// design's polling cost and then, when NeedsRetry holds, the re-push of
-	// the oldest returned message, each to its design's category, and runs
-	// done(recv, retried) where the process would resume after them,
-	// retried 1 after a re-push.
+	// to receive (Pending is false). It charges the design's polling cost
+	// and then, when NeedsRetry holds, the re-push of the oldest returned
+	// message, each to its design's category, and runs done(recv,
+	// retried), retried 1 after a re-push.
 	PollMiss(pr *proc.Proc, done sim.Handler, recv any)
-	// Recv blocks until a message is available, then receives it as Poll
+	// Recv waits until a message is available, then receives it as Poll
 	// does. Idle waiting is charged to the compute category; only the
 	// actual transfer work counts as transfer time.
-	Recv(pr *proc.Proc) *netsim.Message
+	Recv(pr *proc.Proc, done Received, recv any)
 	// Pending reports, at zero simulated cost, whether a message could be
 	// returned now. Application loops use it to decide whether to poll.
 	Pending() bool
@@ -196,6 +206,11 @@ type NI interface {
 	// send side (used by drain barriers at the end of program phases).
 	Idle() bool
 }
+
+// Received is where a receive ends (NI.Poll, NI.Recv): it runs in the
+// slot where the receiving process resumes, with the message received,
+// or nil when an overload eviction took it during the head read.
+type Received func(recv any, m *netsim.Message)
 
 // Config holds the NI-design constants. Zero value is not useful; call
 // DefaultConfig.

@@ -69,34 +69,65 @@ func (r *twoNodes) run(t *testing.T, send, recv func(pr *proc.Proc, ni NI)) {
 // message, or nil, and whether it received or re-pushed one. Make one per
 // process; polling allocates nothing.
 type poller struct {
-	pr                     *proc.Proc
-	ni                     NI
-	parked, ready, retried bool
+	pr      *proc.Proc
+	ni      NI
+	got     *netsim.Message
+	retried bool
 }
 
 func (q *poller) poll() (*netsim.Message, bool) {
 	if q.ni.Pending() {
-		return q.ni.Poll(q.pr)
+		q.ni.Poll(q.pr, pollerGot, q)
+		q.pr.Park()
+		return q.got, q.got != nil
 	}
-	q.ready = false
 	q.ni.PollMiss(q.pr, pollerDone, q)
-	if !q.ready {
-		q.parked = true
-		q.pr.P.ParkUncharged()
-		q.parked = false
-	}
+	q.pr.Park()
 	return nil, q.retried
+}
+
+// pollerGot ends a poll's receive where the process resumes.
+func pollerGot(recv any, m *netsim.Message) {
+	q := recv.(*poller)
+	q.got = m
+	q.pr.Return()
 }
 
 // pollerDone ends an unsuccessful poll where the process resumes.
 func pollerDone(recv any, retried uint64) {
 	q := recv.(*poller)
 	q.retried = retried != 0
-	if q.parked {
-		q.pr.P.Resume()
-	} else {
-		q.ready = true
-	}
+	q.pr.Return()
+}
+
+// sendOn sends m through ni from pr's process, parked once for the call,
+// as the messaging layer does.
+func sendOn(pr *proc.Proc, ni NI, m *netsim.Message) {
+	ni.Send(pr, m, proc.ReturnHandler, pr)
+	pr.Park()
+}
+
+// receiving is a blocking receive in flight: the receiving processor and
+// the message the receive took.
+type receiving struct {
+	pr *proc.Proc
+	m  *netsim.Message
+}
+
+// recvOn receives a message through ni from pr's process, parked once
+// for the call, as the messaging layer does.
+func recvOn(pr *proc.Proc, ni NI) *netsim.Message {
+	r := &receiving{pr: pr}
+	ni.Recv(pr, received, r)
+	pr.Park()
+	return r.m
+}
+
+// received ends recvOn's receive where the process resumes.
+func received(recv any, m *netsim.Message) {
+	r := recv.(*receiving)
+	r.m = m
+	r.pr.Return()
 }
 
 // sendN sends count messages, polling while the NI cannot take one, and
@@ -113,7 +144,7 @@ func (r *twoNodes) sendN(count, payload int) func(pr *proc.Proc, ni NI) {
 					pr.P.SleepAs(stats.Buffering, 100*sim.Nanosecond)
 				}
 			}
-			ni.Send(pr, m)
+			sendOn(pr, ni, m)
 		}
 		for r.net.Delivered() < int64(count) {
 			if ni.NeedsRetry() {
@@ -128,7 +159,7 @@ func (r *twoNodes) sendN(count, payload int) func(pr *proc.Proc, ni NI) {
 func recvN(count int) func(pr *proc.Proc, ni NI) {
 	return func(pr *proc.Proc, ni NI) {
 		for i := 0; i < count; i++ {
-			ni.Recv(pr)
+			recvOn(pr, ni)
 		}
 	}
 }
@@ -256,12 +287,12 @@ func TestThrottleLimitsOutstanding(t *testing.T) {
 						maxUnconsumed = n
 					}
 				}
-				ni.Send(pr, m)
+				sendOn(pr, ni, m)
 			}
 		},
 		func(pr *proc.Proc, ni NI) {
 			for i := 0; i < 60; i++ {
-				ni.Recv(pr)
+				recvOn(pr, ni)
 				pr.P.SleepAs(stats.Compute, 2*sim.Microsecond) // slow consumer
 			}
 		})
@@ -289,7 +320,7 @@ func TestThrottledEvictionReturnsCredit(t *testing.T) {
 		// Sleep through the burst: only evictions free credit meanwhile.
 		pr.P.SleepAs(stats.Compute, 200*sim.Microsecond)
 		for ni.Pending() {
-			ni.Recv(pr)
+			recvOn(pr, ni)
 			got++
 		}
 		// Let the last credit cross the network before the run stops.
@@ -361,7 +392,7 @@ func TestFifoBounceNeedsProcessorRetry(t *testing.T) {
 						pr.P.SleepAs(stats.Buffering, 100*sim.Nanosecond)
 					}
 				}
-				ni.Send(pr, m)
+				sendOn(pr, ni, m)
 				for ni.NeedsRetry() {
 					_, ok := q.poll()
 					retried = retried || ok
@@ -501,7 +532,7 @@ func TestAnyPayloadSizeDelivered(t *testing.T) {
 						p.SleepAs(stats.Buffering, 100*sim.Nanosecond)
 					}
 				}
-				r.nis[0].Send(r.procs[0], m)
+				sendOn(r.procs[0], r.nis[0], m)
 			}
 			for r.net.Delivered() < int64(count) {
 				if _, ok := q.poll(); !ok {
@@ -513,7 +544,7 @@ func TestAnyPayloadSizeDelivered(t *testing.T) {
 		r.procs[0].Bind(p0)
 		p1 := r.eng.Spawn("r", func(p *sim.Process) {
 			for i := 0; i < count; i++ {
-				r.nis[1].Recv(r.procs[1])
+				recvOn(r.procs[1], r.nis[1])
 			}
 			done++
 		})
@@ -557,16 +588,16 @@ func TestClosedTrainTiesWithArrival(t *testing.T) {
 			t.Fatalf("%s: ClosedTrains() = %v with traced = %v", kind.ShortName(), !traced, traced)
 		}
 		r.run(t, func(pr *proc.Proc, ni NI) {
-			ni.Send(pr, netsim.NewSized(0, 1, 1, payload))
+			sendOn(pr, ni, netsim.NewSized(0, 1, 1, payload))
 			pr.P.Sleep(gap)
-			ni.Send(pr, netsim.NewSized(0, 1, 1, 0))
+			sendOn(pr, ni, netsim.NewSized(0, 1, 1, 0))
 		}, func(pr *proc.Proc, ni NI) {
-			ni.Recv(pr)
+			recvOn(pr, ni)
 			tie = accepted == pr.P.Now()
 			if m, _ := (&poller{pr: pr, ni: ni}).poll(); m != nil {
 				hit = true
 			} else {
-				ni.Recv(pr)
+				recvOn(pr, ni)
 			}
 			end = pr.P.Now()
 		})

@@ -141,42 +141,26 @@ func TestRDMAPutDelivery(t *testing.T) {
 // a repeat of the same extent pays neither; growing the extent pays only
 // the new pages; and a different target starts cold again.
 func TestRDMARegistrationAmortized(t *testing.T) {
-	eng := sim.NewEngine()
 	cfg := DefaultConfig()
-	// Isolate chargePin: no bus, no network — a bare engine accounting
-	// processor work is all the cost model touches.
-	st := stats.NewNode()
-	pr := &proc.Proc{ID: 0, Eng: eng, Stats: st, CPU: sim.GHz(1)}
-	r := &rdma{env: &Env{Cfg: cfg, CPU: sim.GHz(1)}, pinned: make([]int64, 3)}
-
-	var deltas []sim.Time
-	p := eng.Spawn("pin", func(p *sim.Process) {
-		pr.Bind(p)
-		charge := func(dst, bytes int) {
-			before := st.TimeIn[stats.Transfer]
-			r.chargePin(pr, dst, bytes)
-			deltas = append(deltas, st.TimeIn[stats.Transfer]-before)
-		}
-		charge(1, 2*cfg.RDMAPageBytes) // cold: pin + 2 pages
-		charge(1, 2*cfg.RDMAPageBytes) // warm repeat: free
-		charge(1, cfg.RDMAPageBytes)   // smaller extent: free
-		charge(1, 3*cfg.RDMAPageBytes) // grow by one page
-		charge(2, cfg.RDMAPageBytes)   // new target: cold again
-	})
-	_ = p
-	eng.Run()
-
-	cpu := sim.GHz(1)
-	want := []sim.Time{
-		cpu.Cycles(cfg.RDMAPinCycles + 2*cfg.RDMAPagePinCycles),
+	// Isolate the cost model: no bus, no network, no processor.
+	r := &rdma{env: &Env{Cfg: cfg}, pinned: make([]int64, 3)}
+	got := []int64{
+		r.pinCycles(1, 2*cfg.RDMAPageBytes), // cold: pin + 2 pages
+		r.pinCycles(1, 2*cfg.RDMAPageBytes), // warm repeat: free
+		r.pinCycles(1, cfg.RDMAPageBytes),   // smaller extent: free
+		r.pinCycles(1, 3*cfg.RDMAPageBytes), // grow by one page
+		r.pinCycles(2, cfg.RDMAPageBytes),   // new target: cold again
+	}
+	want := []int64{
+		cfg.RDMAPinCycles + 2*cfg.RDMAPagePinCycles,
 		0,
 		0,
-		cpu.Cycles(cfg.RDMAPagePinCycles),
-		cpu.Cycles(cfg.RDMAPinCycles + cfg.RDMAPagePinCycles),
+		cfg.RDMAPagePinCycles,
+		cfg.RDMAPinCycles + cfg.RDMAPagePinCycles,
 	}
 	for i, w := range want {
-		if deltas[i] != w {
-			t.Errorf("charge %d cost %v, want %v", i, deltas[i], w)
+		if got[i] != w {
+			t.Errorf("charge %d costs %d cycles, want %d", i, got[i], w)
 		}
 	}
 }
@@ -231,9 +215,13 @@ func TestRDMAPutAllocFree(t *testing.T) {
 // refuses more while refusing *less often* (one latched episode instead of
 // per-message flapping), and AdmitFlaps records each episode. How many
 // more depends on where the drain's timing puts the arrivals, so the
-// receiver drains at each of eleven paces, 200 ns to 1.2 us apart: the
-// latch may tie the plain policy at a pace but never refuse fewer, and it
-// refuses more over the sweep.
+// receiver drains at each of eleven paces, 200 ns to 1.2 us apart, and
+// the latch refuses more over the sweep. That it never refuses fewer at
+// any one pace is checked for this 40-message scenario only; it is not a
+// property of the policy, which latches on occupancy, not on a count of
+// refusals, and nothing in it rules out refusing fewer in a longer or
+// differently paced run. Run for 80 messages, the two policies tie at 400
+// to 700 ns (95 refusals each at 600 ns, 106 at 700 ns).
 func TestOverloadHysteresis(t *testing.T) {
 	type result struct {
 		bounces, flaps int64
@@ -250,7 +238,7 @@ func TestOverloadHysteresis(t *testing.T) {
 				// occupancy hovers at the admission boundary.
 				pr.P.SleepAs(stats.Compute, 10*sim.Microsecond)
 				for i := 0; i < total; i++ {
-					ni.Recv(pr)
+					recvOn(pr, ni)
 					pr.P.SleepAs(stats.Compute, gap)
 				}
 			})

@@ -203,16 +203,6 @@ func (p *Process) Park() {
 	p.account(start)
 }
 
-// ParkAs is Park with an explicit accounting category.
-//
-//lint:hotpath
-func (p *Process) ParkAs(category int) {
-	prev := p.Category
-	p.Category = category
-	p.Park()
-	p.Category = prev
-}
-
 // ParkUncharged suspends the process, as Park does, without charging the
 // blocked time to any category: event-context code that runs the
 // process's work while it is parked charges each piece of that work to its
@@ -292,16 +282,6 @@ func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
 func (c *Cond) Wait(p *Process) {
 	c.waiters = append(c.waiters, p) //lint:allow noalloc waiter list ping-pongs with Broadcast's retired buffer; it grows only to the peak waiter count
 	p.Park()
-}
-
-// WaitAs is Wait with an explicit accounting category for the blocked time.
-//
-//lint:hotpath
-func (c *Cond) WaitAs(p *Process, category int) {
-	prev := p.Category
-	p.Category = category
-	c.Wait(p)
-	p.Category = prev
 }
 
 // Broadcast wakes all waiting processes and retires the waiter array into

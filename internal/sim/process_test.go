@@ -348,25 +348,31 @@ func TestNegativeSleepPanics(t *testing.T) {
 	}
 }
 
-func TestParkAsCategory(t *testing.T) {
+// TestParkUnchargedCharge parks a process uncharged while event context
+// charges its work: each Charge reaches OnBlocked with its own category,
+// the park itself charges nothing, and the process's Category is never
+// touched.
+func TestParkUnchargedCharge(t *testing.T) {
 	e := NewEngine()
 	acc := map[int]Time{}
 	var target *Process
 	target = e.Spawn("p", func(p *Process) {
 		p.OnBlocked = func(cat int, d Time) { acc[cat] += d }
 		p.Category = 1
-		p.ParkAs(7)
+		p.ParkUncharged()
 		if p.Category != 1 {
-			t.Errorf("ParkAs did not restore category")
+			t.Errorf("the park changed the category to %d", p.Category)
 		}
 	})
 	e.Spawn("w", func(p *Process) {
 		p.Sleep(25 * Nanosecond)
+		target.Charge(7, 10*Nanosecond)
+		target.Charge(8, 25*Nanosecond) // nothing since the start: no charge
 		target.Unpark()
 	})
 	e.Run()
-	if acc[7] != 25*Nanosecond {
-		t.Fatalf("category 7 time = %v", acc[7])
+	if len(acc) != 1 || acc[7] != 15*Nanosecond {
+		t.Fatalf("charged %v, want 15ns to category 7 only", acc)
 	}
 }
 
